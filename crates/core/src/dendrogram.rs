@@ -7,6 +7,7 @@
 //! 16).
 
 use gve_graph::VertexId;
+use gve_prim::SharedSlice;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -44,26 +45,27 @@ pub fn renumber(membership: &[VertexId]) -> (Vec<VertexId>, usize) {
 ///
 /// * `id_bound` — exclusive upper bound on the values in `src`
 ///   (`first.len() >= id_bound` required);
-/// * `first` — first-occurrence scratch, at least `id_bound` slots;
-/// * `rank` — prefix-sum scratch, at least `src.len()` slots.
+/// * `first` — first-occurrence scratch, at least `id_bound` slots.
 ///
 /// Four data-parallel passes reproduce the serial semantics: (1) a
 /// `fetch_min` race finds each community's first occurrence, (2) flag
-/// those positions, (3) an exclusive prefix sum turns the flags into
-/// dense first-seen ranks, (4) every element reads its community's rank
-/// through the first occurrence. Step outputs are deterministic — the
-/// `fetch_min` is commutative and everything else is a pure map — so
-/// the result is bit-identical to [`renumber`] at any thread count.
+/// those positions in `out`, (3) an exclusive prefix sum over `out`
+/// turns the flags into dense first-seen ranks — a first occurrence's
+/// rank is its community's dense id — and (4) every other element
+/// copies the rank at its community's first occurrence. `out` doubles
+/// as the rank buffer, so no `src.len()` scratch is needed. Step
+/// outputs are deterministic — the `fetch_min` is commutative and
+/// everything else is a pure map — so the result is bit-identical to
+/// [`renumber`] at any thread count.
 ///
 /// # Panics
 /// Panics (via index checks) when a value of `src` is `>= id_bound` or
-/// the scratch slices are too short.
+/// `first` is too short.
 pub fn renumber_into(
     src: &[VertexId],
     out: &mut [VertexId],
     id_bound: usize,
     first: &[AtomicU32],
-    rank: &mut [u64],
 ) -> usize {
     assert_eq!(src.len(), out.len());
     if src.len() < PARALLEL_RENUMBER_THRESHOLD {
@@ -89,7 +91,6 @@ pub fn renumber_into(
     }
 
     let first = &first[..id_bound];
-    let rank = &mut rank[..src.len()];
     // (1) First occurrence of every community id. Relaxed: commutative
     // min-race between joins, published by the join.
     first
@@ -98,19 +99,27 @@ pub fn renumber_into(
     src.par_iter().enumerate().for_each(|(v, &c)| {
         first[c as usize].fetch_min(v as u32, Ordering::Relaxed);
     });
-    // (2) Flag first occurrences, (3) prefix-sum into first-seen ranks.
+    // (2) Flag first occurrences, (3) prefix-sum into first-seen ranks
+    // (`k <= src.len() < 2^32`, so the u32 scan cannot overflow).
     // Relaxed: pure read of values published by the preceding join.
-    rank.par_iter_mut().enumerate().for_each(|(v, slot)| {
-        *slot = u64::from(first[src[v] as usize].load(Ordering::Relaxed) == v as u32);
+    out.par_iter_mut().enumerate().for_each(|(v, slot)| {
+        *slot = VertexId::from(first[src[v] as usize].load(Ordering::Relaxed) == v as u32);
     });
-    let k = gve_prim::parallel_exclusive_scan(rank) as usize;
-    // (4) Scatter: each element takes its community's dense rank.
-    // Relaxed: pure read of values published by the preceding join.
-    let rank = &*rank;
-    out.par_iter_mut().enumerate().for_each(|(v, o)| {
-        *o = rank[first[src[v] as usize].load(Ordering::Relaxed) as usize] as u32;
+    let k = gve_prim::parallel_exclusive_scan(out);
+    // (4) Each element copies its community's rank from the first
+    // occurrence. First occurrences already hold their own rank and are
+    // exactly the positions this step leaves alone. Relaxed: pure read
+    // of values published by the preceding join.
+    let ranks = SharedSlice::new(out);
+    (0..src.len()).into_par_iter().for_each(|v| {
+        let at = first[src[v] as usize].load(Ordering::Relaxed) as usize;
+        if at != v {
+            // SAFETY: slot `v` is written by this task only, and slot
+            // `at` is a first occurrence, which no task writes.
+            unsafe { ranks.write(v, ranks.read(at)) };
+        }
     });
-    k
+    k as usize
 }
 
 /// Composes the top-level membership with a child membership, in
@@ -141,9 +150,8 @@ mod tests {
 
     fn renumber_into_checked(src: &[VertexId], id_bound: usize) -> (Vec<VertexId>, usize) {
         let first: Vec<AtomicU32> = (0..id_bound).map(|_| AtomicU32::new(0)).collect();
-        let mut rank = vec![0u64; src.len()];
         let mut out = vec![0; src.len()];
-        let k = renumber_into(src, &mut out, id_bound, &first, &mut rank);
+        let k = renumber_into(src, &mut out, id_bound, &first);
         (out, k)
     }
 

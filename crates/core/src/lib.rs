@@ -372,6 +372,9 @@ impl Leiden {
         if use_sizes {
             workspace.ensure_sizes(n);
         }
+        if config.scheduling == Scheduling::ColorSynchronous {
+            workspace.ensure_sync(n);
+        }
         if config.layout == EdgeLayout::Interleaved {
             // Super-vertex graphs adopt a pooled interleaved buffer (a
             // supergraph never has more arcs than its input), so later
@@ -383,12 +386,9 @@ impl Leiden {
             sigma,
             penalty,
             bounds,
-            refined,
             dense,
-            labels,
             init_labels: init_buf,
             first_seen,
-            rank,
             sizes,
             sizes_next,
             plain_membership,
@@ -491,8 +491,11 @@ impl Leiden {
             let rf_before = timings.refinement;
 
             // Local-moving (Algorithm 2) and refinement (Algorithm 3),
-            // under the configured scheduling. Bounds and refined
-            // memberships land in workspace prefixes.
+            // under the configured scheduling. Bounds land in their
+            // workspace prefix; the refined membership lands in the
+            // `init_buf` prefix, whose seeds were consumed above and
+            // which the labeling step overwrites only after the
+            // renumber below has read it.
             let (outcome, refine_moves, refine_sched) = match config.scheduling {
                 Scheduling::Asynchronous => {
                     // Reinitialize the atomic prefix in place (parallel
@@ -601,7 +604,7 @@ impl Leiden {
 
                     // Relaxed: refine's join already published all
                     // membership stores.
-                    refined[..n_cur]
+                    init_buf[..n_cur]
                         .par_iter_mut()
                         .zip(membership.par_iter())
                         .for_each(|(r, c)| *r = c.load(Ordering::Relaxed));
@@ -613,7 +616,7 @@ impl Leiden {
                             "refinement",
                             pass,
                             n_cur,
-                            &refined[..n_cur],
+                            &init_buf[..n_cur],
                             pen,
                             &totals,
                         );
@@ -699,7 +702,7 @@ impl Leiden {
 
                     #[cfg(feature = "analysis")]
                     analysis::assert_phase_state("refinement", pass, n_cur, membership, pen, sigma);
-                    refined[..n_cur].copy_from_slice(membership);
+                    init_buf[..n_cur].copy_from_slice(membership);
                     // The color-synchronous path schedules per color
                     // class through `par_for_dynamic`; chunk scheduling
                     // (and its counters) apply to the async path only.
@@ -721,11 +724,10 @@ impl Leiden {
             // workspace's `dense` prefix.
             let t4 = Instant::now();
             let k = dendrogram::renumber_into(
-                &refined[..n_cur],
+                &init_buf[..n_cur],
                 &mut dense[..n_cur],
                 n_cur,
                 first_seen,
-                rank,
             );
             dendrogram::lookup(&mut top, &dense[..n_cur]);
             if config.record_dendrogram {
@@ -821,7 +823,8 @@ impl Leiden {
                     // bound, so any member defines the mapping — the
                     // concurrent stores per slot all carry the same
                     // value. `first_seen` serves as the scatter target;
-                    // the values are copied out to `labels` before
+                    // the values are copied out to the `bounds` prefix
+                    // (read for the last time by the scatter) before
                     // `renumber_into` reclaims the scratch.
                     let fs = &first_seen[..k];
                     dense[..n_cur]
@@ -829,11 +832,11 @@ impl Leiden {
                         .zip(bounds[..n_cur].par_iter())
                         // Relaxed: same-value stores, published by join.
                         .for_each(|(&d, &b)| fs[d as usize].store(b, Ordering::Relaxed));
-                    let lab = &mut labels[..k];
+                    let lab = &mut bounds[..k];
                     lab.par_iter_mut()
                         .zip(fs.par_iter())
                         .for_each(|(l, f)| *l = f.load(Ordering::Relaxed));
-                    dendrogram::renumber_into(lab, &mut init_buf[..k], n_cur, first_seen, rank);
+                    dendrogram::renumber_into(lab, &mut init_buf[..k], n_cur, first_seen);
                     true
                 }
                 Labeling::RefineBased => false,
@@ -888,8 +891,7 @@ impl Leiden {
         // output vector is the one allocation the result must own).
         let t7 = Instant::now();
         let mut final_membership = vec![0; n];
-        let num_communities =
-            dendrogram::renumber_into(&top, &mut final_membership, n, first_seen, rank);
+        let num_communities = dendrogram::renumber_into(&top, &mut final_membership, n, first_seen);
         timings.other += t7.elapsed();
 
         LeidenResult {

@@ -15,20 +15,64 @@
 //! * `membership`/`sigma` — the async phases' atomic state; after
 //!   refinement their prefix is re-staged with the dense community ids
 //!   for aggregation (replacing the old serial `dense_atomic` rebuild);
-//! * `penalty`, `bounds`, `refined`, `dense` — per-pass plain views;
-//! * `first_seen`/`rank` — scratch for the parallel first-seen
-//!   renumber ([`crate::dendrogram::renumber_into`]); `first_seen`
-//!   doubles as the scatter target of the move-based `label_of` map;
-//! * `labels`/`init_labels` — super-vertex labels carried into the
-//!   next pass;
+//! * `penalty`, `bounds`, `dense` — per-pass plain views;
+//! * `init_labels` — super-vertex labels (or seeds) for the pass start;
+//!   between the seeding and the labeling step it holds the refined
+//!   membership snapshot;
+//! * `first_seen` — scratch for the parallel first-seen renumber
+//!   ([`crate::dendrogram::renumber_into`], which keeps its ranks in
+//!   its output buffer); it doubles as the scatter target of the
+//!   move-based `label_of` map, whose values are then staged in
+//!   `bounds[..k]`;
 //! * `sizes`/`sizes_next` — the CPM vertex-size double buffer (swapped
-//!   per pass instead of cloned);
+//!   per pass instead of cloned), sized only for CPM runs;
 //! * `unprocessed` — one capacity-`N` pruning bitset, prefix-reset per
 //!   pass with [`AtomicBitset::set_first`];
 //! * `plain_membership`/`plain_sigma`/`sync_decisions` — the
-//!   color-synchronous path's plain state;
+//!   color-synchronous path's plain state, sized only for such runs;
 //! * `aggregate` — the fused grouped + holey CSR scratch, including
-//!   the double-buffered super-vertex CSR recycle stack.
+//!   the double-buffered super-vertex CSR recycle stack; its member
+//!   cursors double as the arc fill counts and its capacity tallies are
+//!   prefix-summed in place into the holey offsets.
+//!
+//! What [`PassWorkspace::ensure`] allocates per vertex (plus 8 B per
+//! arc for the holey slots; `crates/core/tests/footprint.rs` holds the
+//! budget):
+//!
+//! ```text
+//!  buffer                      B/vertex   hosts as well
+//!  membership, sigma           4 + 8      dense ids for aggregation
+//!  penalty                     8
+//!  bounds                      4          label_of staging  [..k]
+//!  dense                       4          renumber ranks
+//!  init_labels                 4          refined snapshot  [..n]
+//!  first_seen                  4          label_of scatter  [..k]
+//!  unprocessed (bitset)        0.125
+//!  aggregate: cursors          4          arc fill counts
+//!             group_offsets    8
+//!             members          4
+//!             holey_offsets    8          capacity tallies
+//!  total                       60.125     (100.125 before the plain
+//!                                          sync state went lazy and
+//!                                          refined, labels, rank,
+//!                                          capacities and fill went)
+//! ```
+//!
+//! One pass of the default asynchronous loop, for the shared hosts:
+//!
+//! ```text
+//!  step                 init_labels          bounds             first_seen
+//!  pass start           seeds → membership   ·                  ·
+//!  local-moving         ·                    ·                  ·
+//!  bounds copy          ·                    bounds             ·
+//!  refinement           ·                    bounds (read)      ·
+//!  snapshot             refined              bounds             ·
+//!  renumber → dense     refined (read)       bounds             first seen
+//!  aggregation          ·                    bounds             ·
+//!  label_of scatter     ·                    bounds (read)      label_of
+//!  label_of staging     ·                    label_of [..k]     label_of (read)
+//!  renumber → labels    next labels [..k]    label_of (read)    first seen
+//! ```
 
 use gve_graph::{AggregateScratch, EdgeWeight, VertexId};
 use gve_prim::atomics::AtomicF64;
@@ -60,28 +104,28 @@ pub struct PassWorkspace {
     pub(crate) sigma: Vec<AtomicF64>,
     /// Per-vertex penalty weights (weighted degrees, or CPM sizes).
     pub(crate) penalty: Vec<f64>,
-    /// Local-moving result: refinement bounds.
+    /// Local-moving result: refinement bounds. Once the move-based
+    /// labeling's `first_seen` scatter has read them, the `[..k]`
+    /// prefix stages the `label_of` values.
     pub(crate) bounds: Vec<VertexId>,
-    /// Refinement result snapshot.
-    pub(crate) refined: Vec<VertexId>,
-    /// Dense renumbering of `refined`.
+    /// Dense renumbering of the refined membership.
     pub(crate) dense: Vec<VertexId>,
-    /// Staging for the move-based `label_of` values (length `k`).
-    pub(crate) labels: Vec<VertexId>,
-    /// Initial labels of the next pass (move-based labeling or seeds).
+    /// Initial labels of a pass (move-based labeling or seeds). Dead
+    /// once the pass start has seeded from them, so the same prefix
+    /// holds the post-refinement snapshot until the labeling step
+    /// writes the next pass's labels.
     pub(crate) init_labels: Vec<VertexId>,
     /// First-occurrence scratch of the parallel renumber; doubles as
     /// the `label_of` scatter target between renumber calls.
     pub(crate) first_seen: Vec<AtomicU32>,
-    /// Prefix-sum scratch of the parallel renumber.
-    pub(crate) rank: Vec<u64>,
     /// CPM vertex sizes (current pass).
     pub(crate) sizes: Vec<f64>,
     /// CPM vertex sizes (next pass) — the double buffer.
     pub(crate) sizes_next: Vec<f64>,
-    /// Color-synchronous plain membership.
+    /// Color-synchronous plain membership (sized by
+    /// [`PassWorkspace::ensure_sync`] only).
     pub(crate) plain_membership: Vec<VertexId>,
-    /// Color-synchronous plain Σ'.
+    /// Color-synchronous plain Σ' (sized with `plain_membership`).
     pub(crate) plain_sigma: Vec<f64>,
     /// Color-synchronous per-class decision buffer.
     pub(crate) sync_decisions: Vec<Decision>,
@@ -113,12 +157,9 @@ impl Default for PassWorkspace {
             sigma: Vec::new(),
             penalty: Vec::new(),
             bounds: Vec::new(),
-            refined: Vec::new(),
             dense: Vec::new(),
-            labels: Vec::new(),
             init_labels: Vec::new(),
             first_seen: Vec::new(),
-            rank: Vec::new(),
             sizes: Vec::new(),
             sizes_next: Vec::new(),
             plain_membership: Vec::new(),
@@ -167,14 +208,9 @@ impl PassWorkspace {
             self.sigma.resize_with(n, || AtomicF64::new(0.0));
             self.penalty.resize(n, 0.0);
             self.bounds.resize(n, 0);
-            self.refined.resize(n, 0);
             self.dense.resize(n, 0);
-            self.labels.resize(n, 0);
             self.init_labels.resize(n, 0);
             self.first_seen.resize_with(n, || AtomicU32::new(0));
-            self.rank.resize(n, 0);
-            self.plain_membership.resize(n, 0);
-            self.plain_sigma.resize(n, 0.0);
             self.unprocessed = AtomicBitset::new(n);
             // Relaxed: stored under `&mut self`; worker threads that read
             // it are spawned afterwards (spawn publishes the store).
@@ -206,6 +242,22 @@ impl PassWorkspace {
             self.sizes.resize(vertices, 0.0);
             self.sizes_next.resize(vertices, 0.0);
         }
+    }
+
+    /// Grows the color-synchronous plain state (only
+    /// [`crate::Scheduling::ColorSynchronous`] runs on it).
+    pub(crate) fn ensure_sync(&mut self, vertices: usize) {
+        if self.plain_membership.len() < vertices {
+            self.plain_membership.resize(vertices, 0);
+            self.plain_sigma.resize(vertices, 0.0);
+        }
+    }
+
+    /// Vertex capacity of the color-synchronous plain state: zero until
+    /// a [`crate::Scheduling::ColorSynchronous`] run has used the
+    /// workspace.
+    pub fn sync_capacity(&self) -> usize {
+        self.plain_membership.len()
     }
 }
 
@@ -297,7 +349,7 @@ mod tests {
     fn with_capacity_presizes() {
         let ws = PassWorkspace::with_capacity(64, 256);
         assert_eq!(ws.capacity(), 64);
-        assert_eq!(ws.rank.len(), 64);
+        assert_eq!(ws.first_seen.len(), 64);
     }
 
     #[test]
@@ -321,6 +373,15 @@ mod tests {
         ws.ensure_sizes(50);
         assert_eq!(ws.sizes.len(), 50);
         assert_eq!(ws.sizes_next.len(), 50);
+    }
+
+    #[test]
+    fn sync_buffers_are_lazy() {
+        let mut ws = PassWorkspace::with_capacity(50, 100);
+        assert_eq!(ws.sync_capacity(), 0);
+        ws.ensure_sync(50);
+        assert_eq!(ws.sync_capacity(), 50);
+        assert_eq!(ws.plain_sigma.len(), 50);
     }
 
     #[cfg(feature = "analysis")]

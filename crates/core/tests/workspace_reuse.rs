@@ -11,7 +11,7 @@
 //! asynchronous scheduling deterministic and the comparison exact.
 
 use gve_graph::{CsrGraph, GraphBuilder};
-use gve_leiden::{Leiden, LeidenConfig, Objective, PassWorkspace, Scheduling};
+use gve_leiden::{Labeling, Leiden, LeidenConfig, Objective, PassWorkspace, Scheduling};
 use proptest::prelude::*;
 
 fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)> {
@@ -31,6 +31,13 @@ fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, 
 /// A workspace pre-dirtied by full runs on unrelated graphs: one larger
 /// than any proptest case (so every prefix view has a stale suffix
 /// behind it) and one tiny (so grow-only growth is exercised too).
+///
+/// The runs also cover every buffer that hosts another's data: a
+/// refine-based run leaves refined snapshots rather than next-pass
+/// labels in `init_labels`, the default move-based runs leave `label_of`
+/// staging in `bounds` and fill counts in the aggregation cursors, and
+/// the color-synchronous run on the tiny graph sizes the lazily grown
+/// plain state smaller than later cases need.
 fn dirty_workspace() -> PassWorkspace {
     let mut ws = PassWorkspace::new();
     let big = gve_generate::sbm::PlantedPartition::new(800, 8, 10.0, 1.0)
@@ -39,7 +46,11 @@ fn dirty_workspace() -> PassWorkspace {
         .graph;
     let small = GraphBuilder::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
     let leiden = Leiden::default();
+    let refine_based = Leiden::new(LeidenConfig::default().labeling(Labeling::RefineBased));
+    let color_sync = Leiden::new(LeidenConfig::default().scheduling(Scheduling::ColorSynchronous));
+    refine_based.run_in(&big, &mut ws);
     leiden.run_in(&big, &mut ws);
+    color_sync.run_in(&small, &mut ws);
     leiden.run_in(&small, &mut ws);
     ws
 }
@@ -66,7 +77,8 @@ fn assert_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random graphs × objective × scheduling × dendrogram recording:
+    /// Random graphs × objective × scheduling × labeling × dendrogram
+    /// recording:
     /// reused-workspace runs (including back-to-back reuse of the same
     /// workspace) match fresh runs exactly.
     #[test]
@@ -74,6 +86,7 @@ proptest! {
         (n, edges) in arb_graph(64, 200),
         cpm in 0u32..2,
         color_sync in 0u32..2,
+        refine_based in 0u32..2,
         record in 0u32..2,
     ) {
         let graph = GraphBuilder::from_edges(n as usize, &edges);
@@ -83,6 +96,9 @@ proptest! {
         }
         if color_sync == 1 {
             config = config.scheduling(Scheduling::ColorSynchronous);
+        }
+        if refine_based == 1 {
+            config = config.labeling(Labeling::RefineBased);
         }
         config.record_dendrogram = record == 1;
         let leiden = Leiden::new(config);

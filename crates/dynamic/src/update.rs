@@ -17,6 +17,10 @@ pub struct BatchUpdate {
     pub insertions: Vec<(VertexId, VertexId, EdgeWeight)>,
     /// Edges to delete (undirected; deleting a missing edge is a no-op).
     pub deletions: Vec<(VertexId, VertexId)>,
+    /// Highest vertex id of an insertion that [`merge`](Self::merge)
+    /// cancelled. Applying the parts in turn would have grown the vertex
+    /// set to cover it, so the merged batch still grows that far.
+    pub vertex_floor: Option<VertexId>,
 }
 
 impl BatchUpdate {
@@ -37,9 +41,9 @@ impl BatchUpdate {
         self
     }
 
-    /// True when the batch holds no updates.
+    /// True when the batch holds no updates and grows no vertices.
     pub fn is_empty(&self) -> bool {
-        self.insertions.is_empty() && self.deletions.is_empty()
+        self.insertions.is_empty() && self.deletions.is_empty() && self.vertex_floor.is_none()
     }
 
     /// Total number of queued updates.
@@ -56,13 +60,18 @@ impl BatchUpdate {
             .max()
     }
 
-    /// Highest vertex id referenced by an **insertion**, if any. This —
-    /// not [`max_vertex`](Self::max_vertex) — is what decides how far
-    /// the vertex set grows under [`apply_batch`]: deleting an edge of
-    /// a vertex the graph has never seen is a no-op, so deletions must
-    /// never allocate vertices.
+    /// Highest vertex id referenced by an **insertion** (including the
+    /// [`vertex_floor`](Self::vertex_floor) of cancelled ones), if any.
+    /// This — not [`max_vertex`](Self::max_vertex) — is what decides how
+    /// far the vertex set grows under [`apply_batch`]: deleting an edge
+    /// of a vertex the graph has never seen is a no-op, so deletions
+    /// must never allocate vertices.
     pub fn max_inserted_vertex(&self) -> Option<VertexId> {
-        self.insertions.iter().map(|&(u, v, _)| u.max(v)).max()
+        self.insertions
+            .iter()
+            .map(|&(u, v, _)| u.max(v))
+            .chain(self.vertex_floor)
+            .max()
     }
 
     /// Folds `later` into `self`, producing one batch equivalent to
@@ -71,7 +80,8 @@ impl BatchUpdate {
     /// * insertions concatenate — repeated weights add at apply time;
     /// * a deletion in `later` cancels every **queued** insertion of the
     ///   same undirected pair in `self` and is then queued itself, so it
-    ///   still removes any pre-existing edge;
+    ///   still removes any pre-existing edge; the cancelled insertion's
+    ///   vertex growth is kept in [`vertex_floor`](Self::vertex_floor);
     /// * insertions in `later` survive deletions queued before them,
     ///   because [`apply_batch`] removes deleted pairs from the old
     ///   graph *before* adding insertions.
@@ -82,9 +92,17 @@ impl BatchUpdate {
                 .iter()
                 .map(|&(u, v)| (u.min(v), u.max(v)))
                 .collect();
-            self.insertions
-                .retain(|&(u, v, _)| !cancelled.contains(&(u.min(v), u.max(v))));
+            let mut floor = self.vertex_floor;
+            self.insertions.retain(|&(u, v, _)| {
+                let keep = !cancelled.contains(&(u.min(v), u.max(v)));
+                if !keep {
+                    floor = floor.max(Some(u.max(v)));
+                }
+                keep
+            });
+            self.vertex_floor = floor;
         }
+        self.vertex_floor = self.vertex_floor.max(later.vertex_floor);
         self.deletions.extend_from_slice(&later.deletions);
         self.insertions.extend_from_slice(&later.insertions);
     }
@@ -357,6 +375,42 @@ mod tests {
         let via_merge = apply_batch(&g, &merged);
         assert_eq!(via_merge, sequential);
         assert_eq!(via_merge.edges(0).collect::<Vec<_>>(), vec![(1, 7.0)]);
+    }
+
+    #[test]
+    fn merge_keeps_vertex_growth_of_cancelled_insertion() {
+        // Regression: inserting (0, 9) into a 4-vertex graph and then
+        // deleting it gave 10 vertices applied in turn but 4 coalesced,
+        // because the cancelled insertion took its vertex growth along.
+        let g = path_graph();
+        let mut first = BatchUpdate::new();
+        first.insert(0, 9, 1.0);
+        let mut second = BatchUpdate::new();
+        second.delete(0, 9);
+
+        let sequential = apply_batch(&apply_batch(&g, &first), &second);
+        let mut merged = first.clone();
+        merged.merge(&second);
+        assert!(merged.insertions.is_empty());
+        assert_eq!(merged.vertex_floor, Some(9));
+        let coalesced = apply_batch(&g, &merged);
+        assert_eq!(sequential.num_vertices(), 10);
+        assert_eq!(coalesced.num_vertices(), sequential.num_vertices());
+        assert_eq!(coalesced, sequential);
+
+        // The floor survives further merges, including into a batch
+        // that never saw the cancelled insertion.
+        let mut third = BatchUpdate::new();
+        third.insert(1, 2, 1.0);
+        let mut outer = BatchUpdate::new();
+        outer.merge(&merged);
+        outer.merge(&third);
+        assert_eq!(outer.max_inserted_vertex(), Some(9));
+        assert_eq!(
+            apply_batch(&g, &outer),
+            apply_batch(&sequential, &third),
+            "floor carried through a second merge"
+        );
     }
 
     #[test]

@@ -201,6 +201,15 @@ impl GroupedCsr {
     }
 }
 
+/// Plain view of exclusively borrowed atomics, for the in-place prefix
+/// sum (the slice form of `AtomicU64::get_mut`).
+fn plain_mut(atomics: &mut [AtomicU64]) -> &mut [u64] {
+    // SAFETY: `AtomicU64` has the same size and bit validity as `u64`
+    // and at least its alignment, and the exclusive borrow rules out any
+    // atomic access while the view lives.
+    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u64>(), atomics.len()) }
+}
+
 /// How many retired super-vertex CSR buffer sets [`AggregateScratch`]
 /// keeps for reuse. Two suffices for the pass loop's double buffering
 /// (the live graph plus the one being built).
@@ -212,7 +221,9 @@ const RECYCLE_DEPTH: usize = 2;
 ///
 /// * the member-counting sweep **also** folds each community's total
 ///   degree (the holey capacity overestimate), eliminating the separate
-///   nested capacity pass;
+///   nested capacity pass; the totals are prefix-summed in place into
+///   the holey offsets, and the member cursors turn into the arc fill
+///   counts, so neither needs a buffer of its own;
 /// * every offsets/cursor/slot array is reused across passes — pass `k`
 ///   views a shrinking prefix of the same memory;
 /// * [`AggregateScratch::squeeze`] writes the dense super-vertex CSR
@@ -225,19 +236,19 @@ const RECYCLE_DEPTH: usize = 2;
 /// then [`AggregateScratch::squeeze`].
 #[derive(Debug, Default)]
 pub struct AggregateScratch {
-    /// Per-community member count, then scatter cursor.
+    /// Per-community member count, then member scatter cursor, then
+    /// (reset once the scatter has joined) the super-vertex's holey arc
+    /// fill count.
     cursors: Vec<AtomicU32>,
     /// Member offsets of the grouped CSR (`num_groups + 1` live slots).
     group_offsets: Vec<u64>,
     /// Member array of the grouped CSR (`keys.len()` live slots).
     members: Vec<VertexId>,
     /// Per-community total degree (the capacity overestimate), folded
-    /// during the same sweep that counts members.
-    capacities: Vec<AtomicU64>,
-    /// Holey super-CSR offsets over the capacities.
-    holey_offsets: Vec<u64>,
-    /// Arcs claimed per super-vertex so far.
-    fill: Vec<AtomicU32>,
+    /// during the same sweep that counts members, then prefix-summed in
+    /// place into the holey super-CSR offsets (`num_groups + 1` live
+    /// slots).
+    holey_offsets: Vec<AtomicU64>,
     /// Holey arc slots (targets and f32 weight bit patterns).
     slot_targets: Vec<AtomicU32>,
     slot_weights: Vec<AtomicU32>,
@@ -268,12 +279,10 @@ impl AggregateScratch {
         let g = num_groups;
         if self.cursors.len() < g {
             self.cursors.resize_with(g, || AtomicU32::new(0));
-            self.capacities.resize_with(g, || AtomicU64::new(0));
-            self.fill.resize_with(g, || AtomicU32::new(0));
         }
         if self.group_offsets.len() < g + 1 {
             self.group_offsets.resize(g + 1, 0);
-            self.holey_offsets.resize(g + 1, 0);
+            self.holey_offsets.resize_with(g + 1, || AtomicU64::new(0));
         }
         if self.members.len() < g {
             self.members.resize(g, 0);
@@ -301,15 +310,13 @@ impl AggregateScratch {
         let g = num_groups;
         // Grow-only capacity. `resize_with` on the atomic arrays keeps
         // existing elements; stale values are overwritten by the resets
-        // below or gated behind `fill` before any read.
+        // below before any read.
         if self.cursors.len() < g {
             self.cursors.resize_with(g, || AtomicU32::new(0));
-            self.capacities.resize_with(g, || AtomicU64::new(0));
-            self.fill.resize_with(g, || AtomicU32::new(0));
         }
         if self.group_offsets.len() < g + 1 {
             self.group_offsets.resize(g + 1, 0);
-            self.holey_offsets.resize(g + 1, 0);
+            self.holey_offsets.resize_with(g + 1, || AtomicU64::new(0));
         }
         if self.members.len() < keys.len() {
             self.members.resize(keys.len(), 0);
@@ -319,13 +326,11 @@ impl AggregateScratch {
         // bulk reinitialization between phases; the rayon join below
         // publishes them, exactly as in `GroupedCsr::group_by`.
         let cursors = &self.cursors[..g];
-        let capacities = &self.capacities[..g];
-        let fill = &self.fill[..g];
+        let capacities = &self.holey_offsets[..g];
         (0..g).into_par_iter().for_each(|c| {
             // Relaxed: bulk reset between joins, as above.
             cursors[c].store(0, Ordering::Relaxed);
             capacities[c].store(0, Ordering::Relaxed);
-            fill[c].store(0, Ordering::Relaxed);
         });
 
         // Fused sweep: member count + capacity (total degree) per group.
@@ -365,20 +370,21 @@ impl AggregateScratch {
             });
         }
 
-        // Holey offsets over the capacity overestimates.
+        // The scatter is done with the cursors: from here on they count
+        // each super-vertex's claimed arc slots.
+        (0..g).into_par_iter().for_each(|c| {
+            // Relaxed: bulk reset between joins, as above.
+            cursors[c].store(0, Ordering::Relaxed);
+        });
+        // Holey offsets: prefix-sum the capacity overestimates in place.
         let total_cap = {
-            let offsets = &mut self.holey_offsets[..g + 1];
-            offsets[..g]
-                .par_iter_mut()
-                .enumerate()
-                // Relaxed: post-join read-back of the capacities.
-                .for_each(|(c, slot)| *slot = capacities[c].load(Ordering::Relaxed));
+            let offsets = plain_mut(&mut self.holey_offsets[..g + 1]);
             let total = parallel_exclusive_scan(&mut offsets[..g]);
             offsets[g] = total;
             total as usize
         };
-        // Slot arrays are written before being read (gated by `fill`),
-        // so growth needs no clearing.
+        // Slot arrays are written before being read (gated by the fill
+        // counts), so growth needs no clearing.
         if self.slot_targets.len() < total_cap {
             self.slot_targets
                 .resize_with(total_cap, || AtomicU32::new(0));
@@ -398,8 +404,19 @@ impl AggregateScratch {
     /// Capacity overestimate (total member degree) of super-vertex `c`.
     #[inline]
     pub fn capacity(&self, c: VertexId) -> u64 {
-        let c = c as usize;
-        self.holey_offsets[c + 1] - self.holey_offsets[c]
+        let (lo, hi) = self.holey_range(c as usize);
+        hi - lo
+    }
+
+    /// Holey slot range `[lo, hi)` of super-vertex `u`.
+    #[inline]
+    fn holey_range(&self, u: usize) -> (u64, u64) {
+        // Relaxed: the offsets were written under `&mut self` in
+        // `prepare`; every reader runs after that.
+        (
+            self.holey_offsets[u].load(Ordering::Relaxed),
+            self.holey_offsets[u + 1].load(Ordering::Relaxed),
+        )
     }
 
     /// Adds arc `u → v` with weight `w` to the holey super-CSR.
@@ -412,9 +429,8 @@ impl AggregateScratch {
         let u = u as usize;
         // Relaxed slot claim + payload stores into the uniquely claimed
         // slot; readers only run after the building phase's join.
-        let slot = self.fill[u].fetch_add(1, Ordering::Relaxed) as u64;
-        let lo = self.holey_offsets[u];
-        let hi = self.holey_offsets[u + 1];
+        let slot = self.cursors[u].fetch_add(1, Ordering::Relaxed) as u64;
+        let (lo, hi) = self.holey_range(u);
         assert!(
             lo + slot < hi,
             "holey CSR capacity exceeded for vertex {u}: cap {}",
@@ -437,7 +453,7 @@ impl AggregateScratch {
     /// available. The scratch itself stays allocated for the next pass.
     pub fn squeeze(&mut self) -> CsrGraph {
         let g = self.num_groups;
-        let fill = &self.fill[..g];
+        let fill = &self.cursors[..g];
         // Take the *largest* recycled set, not the most recent: runs
         // retire their buffers small-to-large (the last, smallest
         // supergraph is recycled at run end, on top of the stack), so a
@@ -473,10 +489,10 @@ impl AggregateScratch {
             let w_out = SharedSlice::new(&mut weights);
             let src_t = &self.slot_targets;
             let src_w = &self.slot_weights;
-            let holey_offsets = &self.holey_offsets;
+            let scratch = &*self;
             let dense_offsets = &dense_offsets;
             (0..g).into_par_iter().for_each(|u| {
-                let src = holey_offsets[u] as usize;
+                let src = scratch.holey_range(u).0 as usize;
                 let dst = dense_offsets[u] as usize;
                 // Relaxed: post-join read-back of the fill counts.
                 let len = fill[u].load(Ordering::Relaxed) as usize;

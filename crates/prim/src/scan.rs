@@ -9,6 +9,7 @@
 //! C++ implementation relies on.
 
 use rayon::prelude::*;
+use std::ops::Add;
 
 /// Minimum number of elements per parallel chunk; below
 /// `PARALLEL_THRESHOLD` the sequential scan is used outright.
@@ -16,10 +17,15 @@ const CHUNK: usize = 16 * 1024;
 const PARALLEL_THRESHOLD: usize = 64 * 1024;
 
 /// In-place exclusive prefix sum; returns the total of all input values.
+/// Generic over the element type so `u32` ranks scan in their own
+/// buffer; callers pick a type the total cannot overflow.
 ///
 /// `[3, 1, 4]` becomes `[0, 3, 4]` and `8` is returned.
-pub fn exclusive_scan_in_place(values: &mut [u64]) -> u64 {
-    let mut running = 0u64;
+pub fn exclusive_scan_in_place<T>(values: &mut [T]) -> T
+where
+    T: Copy + Default + Add<Output = T>,
+{
+    let mut running = T::default();
     for v in values.iter_mut() {
         let next = running + *v;
         *v = running;
@@ -42,14 +48,17 @@ pub fn inclusive_scan_in_place(values: &mut [u64]) -> u64 {
 ///
 /// Falls back to the sequential scan for small inputs where the
 /// fork/join overhead would dominate.
-pub fn parallel_exclusive_scan(values: &mut [u64]) -> u64 {
+pub fn parallel_exclusive_scan<T>(values: &mut [T]) -> T
+where
+    T: Copy + Default + Add<Output = T> + Send + Sync,
+{
     if values.len() < PARALLEL_THRESHOLD {
         return exclusive_scan_in_place(values);
     }
     // Pass 1: per-chunk totals.
-    let mut chunk_totals: Vec<u64> = values
+    let mut chunk_totals: Vec<T> = values
         .par_chunks(CHUNK)
-        .map(|chunk| chunk.iter().sum())
+        .map(|chunk| chunk.iter().fold(T::default(), |sum, &v| sum + v))
         .collect();
     // Small sequential scan over the totals.
     let grand_total = exclusive_scan_in_place(&mut chunk_totals);
@@ -167,6 +176,19 @@ mod tests {
         let tb = parallel_exclusive_scan(&mut b);
         assert_eq!(ta, tb);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn parallel_scan_of_u32_matches_u64() {
+        let wide: Vec<u64> = (0..300_000u64).map(|i| i % 2).collect();
+        let mut narrow: Vec<u32> = wide.iter().map(|&v| v as u32).collect();
+        let mut expected = wide;
+        let total = parallel_exclusive_scan(&mut expected);
+        assert_eq!(u64::from(parallel_exclusive_scan(&mut narrow)), total);
+        assert!(narrow
+            .iter()
+            .zip(&expected)
+            .all(|(&n, &e)| u64::from(n) == e));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use gve_leiden::{
 };
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -412,6 +412,27 @@ struct Inflight {
 struct JobTable {
     records: HashMap<u64, JobRecord>,
     inflight: HashMap<PartitionKey, Inflight>,
+    /// Ids of finished (done, failed or cancelled) records, oldest
+    /// first; bounded by [`MAX_FINISHED_JOBS`].
+    finished: VecDeque<u64>,
+}
+
+/// Finished job records the table keeps for polling. Older ones are
+/// evicted first, so a stream of cache-hit detects cannot grow the heap
+/// with requests served; queued and running jobs are never evicted.
+pub const MAX_FINISHED_JOBS: usize = 1024;
+
+impl JobTable {
+    /// Notes that `id` reached a final state and evicts the oldest
+    /// finished records beyond [`MAX_FINISHED_JOBS`].
+    fn finish(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// One job-engine shard: its own queue, worker threads, and workspace
@@ -612,6 +633,7 @@ impl JobEngine {
                 queued_at: Instant::now(),
             };
             table.records.insert(id, record.clone());
+            table.finish(id);
             self.stats.completed.inc();
             return Ok(record);
         }
@@ -673,6 +695,7 @@ impl JobEngine {
                 record.state = JobState::Failed;
                 record.error = Some("job queue closed".to_string());
             }
+            table.finish(id);
             return Err("job queue closed".to_string());
         }
         Ok(record)
@@ -717,10 +740,12 @@ impl JobEngine {
         if let Some(record) = table.records.get_mut(&id) {
             record.state = JobState::Cancelled;
         }
+        table.finish(id);
         Some(JobState::Cancelled)
     }
 
-    /// Number of job records retained.
+    /// Number of job records retained (every queued or running job plus
+    /// at most [`MAX_FINISHED_JOBS`] finished ones).
     pub fn len(&self) -> usize {
         lock_table(&self.table).records.len()
     }
@@ -888,6 +913,7 @@ fn worker_loop(
                     stats.failed.inc();
                 }
             }
+            guard.finish(job_id);
         }
     }
 }
@@ -1074,6 +1100,32 @@ mod tests {
         assert!(!third.cached);
         let third = engine.wait(third.id, Duration::from_secs(30)).unwrap();
         assert_eq!(third.state, JobState::Done);
+        engine.stop();
+    }
+
+    /// Cache-hit detects leave a finished record each; the table keeps
+    /// at most `MAX_FINISHED_JOBS` of them, evicting the oldest, and the
+    /// job that just finished stays readable.
+    #[test]
+    fn cache_hit_records_are_bounded() {
+        let (engine, _cache) = engine_with_graph("sbm");
+        let first = engine.submit("sbm", DetectRequest::default()).unwrap();
+        let done = engine.wait(first.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(done.state, JobState::Done, "error: {:?}", done.error);
+        let mut last = None;
+        for _ in 0..10_000 {
+            let hit = engine.submit("sbm", DetectRequest::default()).unwrap();
+            assert!(hit.cached);
+            last = Some(hit.id);
+        }
+        assert!(
+            engine.len() <= MAX_FINISHED_JOBS,
+            "{} records retained",
+            engine.len()
+        );
+        let last = engine.job(last.unwrap()).expect("newest record kept");
+        assert_eq!(last.state, JobState::Done);
+        assert!(engine.job(first.id).is_none(), "oldest record evicted");
         engine.stop();
     }
 

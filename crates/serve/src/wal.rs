@@ -324,6 +324,11 @@ impl DurabilityStore {
             payload.extend_from_slice(&u.to_le_bytes());
             payload.extend_from_slice(&v.to_le_bytes());
         }
+        // Optional trailing field: records written before it existed
+        // end after the deletions and decode with no floor.
+        if let Some(floor) = batch.vertex_floor {
+            payload.extend_from_slice(&floor.to_le_bytes());
+        }
         self.append(&mut wal, &payload)?;
         if wal.records_since_snapshot >= self.config.snapshot_every.max(1) {
             self.compact(name, &mut wal, graph, new_epoch)?;
@@ -625,6 +630,9 @@ fn parse_record(payload: &[u8]) -> Option<Record> {
             for _ in 0..cursor.u64()? {
                 batch.delete(cursor.u32()?, cursor.u32()?);
             }
+            if !cursor.at_end() {
+                batch.vertex_floor = Some(cursor.u32()?);
+            }
             Some(Record::Batch { new_epoch, batch })
         }
         KIND_PARTITION => {
@@ -712,6 +720,10 @@ impl<'a> Cursor<'a> {
     fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
         self.take(len)
+    }
+
+    fn at_end(&self) -> bool {
+        self.at == self.data.len()
     }
 }
 
@@ -879,6 +891,46 @@ mod tests {
         let recovered = reopen(&store).recover().unwrap();
         assert_eq!(recovered[0].epoch, 9);
         assert_eq!(recovered[0].graph, graph);
+    }
+
+    /// A coalesced batch whose deletion cancelled a queued insertion
+    /// still grows the vertex set after recovery: the record carries the
+    /// batch's vertex floor.
+    #[test]
+    fn batch_vertex_floor_round_trips() {
+        let store = temp_store("floor");
+        let graph = path_graph();
+        store.register_graph("g", &graph, "inline").unwrap();
+        let mut batch = BatchUpdate::new();
+        batch.insert(0, 9, 1.0);
+        let mut cancel = BatchUpdate::new();
+        cancel.delete(0, 9);
+        batch.merge(&cancel);
+        let grown = apply_batch(&graph, &batch);
+        assert_eq!(grown.num_vertices(), 10);
+        store.append_batch("g", 1, &batch, &grown).unwrap();
+
+        let recovered = reopen(&store).recover().unwrap();
+        assert_eq!(recovered[0].graph, grown);
+    }
+
+    /// Batch records written before the floor field existed end after
+    /// the deletions and decode with no floor.
+    #[test]
+    fn batch_record_without_floor_decodes() {
+        let mut payload = vec![KIND_BATCH];
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&5u32.to_le_bytes());
+        payload.extend_from_slice(&2.0f32.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        let Some(Record::Batch { new_epoch, batch }) = parse_record(&payload) else {
+            panic!("old batch record must decode");
+        };
+        assert_eq!(new_epoch, 7);
+        assert_eq!(batch.insertions, vec![(0, 5, 2.0)]);
+        assert_eq!(batch.vertex_floor, None);
     }
 
     #[test]
