@@ -20,7 +20,9 @@
 //!     the pruning flags spread the wave exactly as far as it needs to
 //!     go;
 //! * [`DynamicLeiden`] — a stateful detector that owns the evolving
-//!   graph and its current membership and processes batches.
+//!   graph and its current membership and processes batches;
+//! * [`refresh_in`] — the same batch step on borrowed state, for callers
+//!   that keep the graph and membership themselves.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -35,6 +37,7 @@ pub use update::{apply_batch, BatchUpdate};
 
 use gve_graph::{CsrGraph, VertexId};
 use gve_leiden::{Leiden, LeidenConfig, LeidenResult, PassWorkspace};
+use std::borrow::Cow;
 
 /// How a batch update is propagated into the community structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,13 +93,7 @@ impl DynamicLeiden {
         config: LeidenConfig,
         strategy: DynamicStrategy,
     ) -> Result<Self, String> {
-        if membership.len() != graph.num_vertices() {
-            return Err(format!(
-                "membership covers {} vertices but the graph has {}",
-                membership.len(),
-                graph.num_vertices()
-            ));
-        }
+        check_covers(&graph, &membership)?;
         config.validate()?;
         Ok(Self {
             runner: Leiden::new(config),
@@ -138,36 +135,78 @@ impl DynamicLeiden {
     /// so long-lived consumers (the serve worker pool) refresh batches
     /// with zero steady-state hot-path allocations.
     pub fn apply_in(&mut self, batch: &BatchUpdate, workspace: &mut PassWorkspace) -> LeidenResult {
-        let new_graph = apply_batch(&self.graph, batch);
-        // Vertices may have been appended by the batch; extend the old
-        // membership with singletons for them.
-        let mut previous = self.membership.clone();
-        let next_id = previous.iter().map(|&c| c + 1).max().unwrap_or(0);
-        for offset in 0..new_graph.num_vertices().saturating_sub(previous.len()) {
-            previous.push(next_id + offset as VertexId);
-        }
-
-        let result = match self.strategy {
-            DynamicStrategy::FullStatic => self.runner.run_in(&new_graph, workspace),
-            DynamicStrategy::NaiveDynamic => {
-                self.runner.run_seeded_in(&new_graph, &previous, workspace)
-            }
-            DynamicStrategy::DeltaScreening => {
-                let frontier = delta_screening_frontier(&new_graph, &previous, batch);
-                self.runner
-                    .run_frontier_in(&new_graph, &previous, &frontier, workspace)
-            }
-            DynamicStrategy::DynamicFrontier => {
-                let frontier = dynamic_frontier(&new_graph, &previous, batch);
-                self.runner
-                    .run_frontier_in(&new_graph, &previous, &frontier, workspace)
-            }
-        };
-        self.graph = new_graph;
-        self.membership = result.membership.clone();
+        let (graph, result) = refresh_in(
+            &self.runner,
+            self.strategy,
+            &self.graph,
+            &self.membership,
+            batch,
+            workspace,
+        )
+        .expect("the detector's membership covers its graph");
+        self.graph = graph;
+        self.membership.clone_from(&result.membership);
         self.batches_applied += 1;
         result
     }
+}
+
+/// Fails unless `membership` has one entry per vertex of `graph`.
+fn check_covers(graph: &CsrGraph, membership: &[VertexId]) -> Result<(), String> {
+    if membership.len() != graph.num_vertices() {
+        return Err(format!(
+            "membership covers {} vertices but the graph has {}",
+            membership.len(),
+            graph.num_vertices()
+        ));
+    }
+    Ok(())
+}
+
+/// The borrowing core of [`DynamicLeiden::apply_in`]: applies `batch` to
+/// `graph`, refreshes `membership` (the partition current on `graph`)
+/// by `strategy`, and returns the new graph with the refresh result.
+/// Neither input is copied, so a caller that keeps its state elsewhere
+/// (the serve registry and partition cache) holds one copy of each.
+/// Returns an error when `membership` does not cover `graph`'s vertices.
+pub fn refresh_in(
+    runner: &Leiden,
+    strategy: DynamicStrategy,
+    graph: &CsrGraph,
+    membership: &[VertexId],
+    batch: &BatchUpdate,
+    workspace: &mut PassWorkspace,
+) -> Result<(CsrGraph, LeidenResult), String> {
+    check_covers(graph, membership)?;
+    let new_graph = apply_batch(graph, batch);
+    // Vertices appended by the batch join as singletons.
+    let grown = new_graph.num_vertices() - membership.len();
+    let previous: Cow<'_, [VertexId]> = if grown == 0 {
+        Cow::Borrowed(membership)
+    } else {
+        let next_id = membership.iter().map(|&c| c + 1).max().unwrap_or(0);
+        Cow::Owned(
+            membership
+                .iter()
+                .copied()
+                .chain((next_id..).take(grown))
+                .collect(),
+        )
+    };
+
+    let result = match strategy {
+        DynamicStrategy::FullStatic => runner.run_in(&new_graph, workspace),
+        DynamicStrategy::NaiveDynamic => runner.run_seeded_in(&new_graph, &previous, workspace),
+        DynamicStrategy::DeltaScreening => {
+            let frontier = delta_screening_frontier(&new_graph, &previous, batch);
+            runner.run_frontier_in(&new_graph, &previous, &frontier, workspace)
+        }
+        DynamicStrategy::DynamicFrontier => {
+            let frontier = dynamic_frontier(&new_graph, &previous, batch);
+            runner.run_frontier_in(&new_graph, &previous, &frontier, workspace)
+        }
+    };
+    Ok((new_graph, result))
 }
 
 #[cfg(test)]
@@ -303,6 +342,54 @@ mod tests {
     #[test]
     fn default_strategy_is_dynamic_frontier() {
         assert_eq!(DynamicStrategy::default(), DynamicStrategy::DynamicFrontier);
+    }
+
+    /// `refresh_in` on borrowed state gives the graph and result
+    /// `apply` gives, including when the batch grows the vertex set, and
+    /// rejects a membership that does not cover the graph.
+    #[test]
+    fn refresh_in_matches_apply_and_checks_coverage() {
+        let (graph, _) = planted_graph(17);
+        let n = graph.num_vertices() as VertexId;
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let mut dynamic = DynamicLeiden::new(
+                graph.clone(),
+                LeidenConfig::default(),
+                DynamicStrategy::DynamicFrontier,
+            );
+            let membership = dynamic.membership().to_vec();
+            let mut batch = random_batch(&graph, 40, 20, 77);
+            batch.insert(0, n + 1, 1.0);
+            let runner = Leiden::new(LeidenConfig::default());
+            let mut ws = PassWorkspace::new();
+            let (refreshed, result) = refresh_in(
+                &runner,
+                DynamicStrategy::DynamicFrontier,
+                &graph,
+                &membership,
+                &batch,
+                &mut ws,
+            )
+            .unwrap();
+            let applied = dynamic.apply(&batch);
+            assert_eq!(&refreshed, dynamic.graph());
+            assert_eq!(result.membership, applied.membership);
+            assert_eq!(result.membership.len(), n as usize + 2);
+
+            let short = refresh_in(
+                &runner,
+                DynamicStrategy::DynamicFrontier,
+                &graph,
+                &membership[1..],
+                &batch,
+                &mut ws,
+            );
+            assert!(short.unwrap_err().contains("membership covers"));
+        });
     }
 
     /// `apply_in` through one reused workspace matches `apply` with a

@@ -189,8 +189,10 @@ impl PartitionCache {
         let _ = self.listener.set(Box::new(listener));
     }
 
-    /// Inserts a partition and makes it the graph's latest. The entry
-    /// and the latest pointer are published under one lock, so readers
+    /// Inserts a partition and makes it the graph's latest, unless the
+    /// latest is already at a newer epoch (a detect that finishes after
+    /// an update's refresh must not move `latest` back). The entry and
+    /// the latest pointer are published under one lock, so readers
     /// never observe a `latest` that does not resolve. The insert
     /// listener (durability + delta ring), when installed, runs after
     /// the lock releases.
@@ -199,7 +201,13 @@ impl PartitionCache {
         {
             let mut inner = self.inner.lock().expect("cache lock poisoned");
             inner.entries.insert(key.clone(), Arc::clone(&partition));
-            inner.latest.insert(key.graph.clone(), key.clone());
+            let newer = inner
+                .latest
+                .get(&key.graph)
+                .is_some_and(|latest| latest.epoch > key.epoch);
+            if !newer {
+                inner.latest.insert(key.graph.clone(), key.clone());
+            }
         }
         self.stats.insertions.inc();
         if let Some(listener) = self.listener.get() {
@@ -214,6 +222,26 @@ impl PartitionCache {
         let key = inner.latest.get(graph)?.clone();
         let partition = inner.entries.get(&key).cloned()?;
         Some((key, partition))
+    }
+
+    /// The partition `graph`'s read endpoints serve at `epoch`: the
+    /// latest one when it is at `epoch`, else the entry at `epoch` under
+    /// the latest one's fingerprint. An update inserts its refreshed
+    /// partition before it publishes the new epoch, and evicts the old
+    /// epoch only after, so a reader that still sees the old epoch finds
+    /// the old partition here.
+    pub fn current(&self, graph: &str, epoch: u64) -> Option<Arc<CachedPartition>> {
+        let inner = self.inner.lock().expect("cache lock poisoned");
+        let latest = inner.latest.get(graph)?;
+        if latest.epoch == epoch {
+            return inner.entries.get(latest).cloned();
+        }
+        let key = PartitionKey {
+            graph: graph.to_string(),
+            epoch,
+            fingerprint: latest.fingerprint,
+        };
+        inner.entries.get(&key).cloned()
     }
 
     /// Evicts every entry of `graph` whose epoch predates
@@ -350,6 +378,30 @@ mod tests {
         cache.forget_graph("g");
         assert!(cache.latest("g").is_none());
         assert!(cache.is_empty());
+    }
+
+    /// An update inserts its refreshed partition before it publishes
+    /// the new epoch: readers of either epoch find their partition until
+    /// the old one is evicted.
+    #[test]
+    fn current_serves_the_epoch_a_reader_saw() {
+        let cache = PartitionCache::new();
+        cache.insert(key("g", 0, 1), partition(2));
+        cache.insert(key("g", 0, 2), partition(3));
+        cache.insert(key("g", 1, 2), partition(4));
+        assert_eq!(cache.current("g", 0).unwrap().num_communities, 3);
+        assert_eq!(cache.current("g", 1).unwrap().num_communities, 4);
+        assert!(cache.current("g", 2).is_none());
+        assert!(cache.current("h", 0).is_none());
+
+        // A detect of epoch 0 that finishes late is cached but does not
+        // move the latest pointer back.
+        cache.insert(key("g", 0, 3), partition(5));
+        assert_eq!(cache.latest("g").unwrap().0, key("g", 1, 2));
+
+        cache.evict_stale("g", 1);
+        assert!(cache.current("g", 0).is_none());
+        assert_eq!(cache.current("g", 1).unwrap().num_communities, 4);
     }
 
     #[test]

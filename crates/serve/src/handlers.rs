@@ -6,7 +6,7 @@
 //! response body is JSON; errors come back as `{"error": "..."}` with a
 //! meaningful status code.
 
-use crate::cache::{CachedPartition, PartitionOrigin};
+use crate::cache::{CachedPartition, PartitionKey, PartitionOrigin};
 use crate::delta::DeltaAnswer;
 use crate::http::{Request, Response};
 use crate::ingest::IngestOutcome;
@@ -14,8 +14,9 @@ use crate::jobs::{DetectRequest, JobState};
 use crate::json::Json;
 use crate::registry::{validate_name, GraphCell, GraphSource, RegistryError};
 use crate::ServerState;
-use gve_dynamic::{apply_batch, BatchUpdate, DynamicLeiden, DynamicStrategy};
+use gve_dynamic::{apply_batch, refresh_in, BatchUpdate, DynamicStrategy};
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
+use gve_leiden::Leiden;
 use gve_obs::DEFAULT_LATENCY_BUCKETS;
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
@@ -388,27 +389,39 @@ fn job_cancel(state: &ServerState, id: &str) -> Result<Response, ApiError> {
 
 // ----------------------------------------------------------------- reads
 
+/// The partition current at the graph's epoch. An update inserts its
+/// refreshed partition, then publishes the new epoch, then evicts the
+/// old partition; a reader whose epoch went stale between its two
+/// lookups retries at the epoch now published.
 fn latest_partition(
     state: &ServerState,
     name: &str,
 ) -> Result<(u64, Arc<CachedPartition>), ApiError> {
-    let entry = state.registry.snapshot(name)?;
-    let (key, partition) = state.cache.latest(name).ok_or_else(|| {
-        ApiError::new(
+    let cell = state.registry.entry(name)?;
+    let mut epoch = cell.lock().epoch;
+    loop {
+        if let Some(partition) = state.cache.current(name, epoch) {
+            return Ok((epoch, partition));
+        }
+        let published = cell.lock().epoch;
+        if published == epoch {
+            break;
+        }
+        epoch = published;
+    }
+    Err(match state.cache.latest(name) {
+        None => ApiError::new(
             404,
             format!("no partition computed for '{name}' yet — POST a detect job"),
-        )
-    })?;
-    if key.epoch != entry.epoch {
-        return Err(ApiError::new(
+        ),
+        Some((key, _)) => ApiError::new(
             404,
             format!(
-                "latest partition for '{name}' is for epoch {} but the graph is at {} — rerun detect",
-                key.epoch, entry.epoch
+                "latest partition for '{name}' is for epoch {} but the graph is at {epoch} — rerun detect",
+                key.epoch
             ),
-        ));
-    }
-    Ok((key.epoch, partition))
+        ),
+    })
 }
 
 fn membership(state: &ServerState, name: &str, request: &Request) -> Result<Response, ApiError> {
@@ -614,43 +627,64 @@ pub(crate) fn apply_update(
         .filter(|(key, _)| key.epoch == old_epoch)
         .map(|(_, partition)| partition);
 
+    // The refresh borrows the registry's graph and the cached
+    // membership, so the only new copy of the graph is the one it
+    // returns.
     let started = Instant::now();
-    let mut refreshed = None;
-    let new_graph = match &seeded {
+    let (new_graph, refreshed) = match &seeded {
         Some(partition) => {
             let config = partition
                 .request
                 .to_config()
                 .map_err(ApiError::bad_request)?;
-            let mut dynamic = DynamicLeiden::from_state(
-                old_graph.as_ref().clone(),
-                partition.membership.as_ref().clone(),
-                config,
-                strategy,
-            )
-            .map_err(ApiError::bad_request)?;
             // Incremental refreshes reuse the same pooled arenas as the
             // detection workers, so update batches stay allocation-free
             // on the Leiden hot path too.
             let mut workspace = state.jobs.workspaces_for(name).checkout();
             let alloc_before = gve_prim::alloc_count::snapshot();
-            let result = dynamic.apply_in(batch, &mut workspace);
+            let (graph, result) = refresh_in(
+                &Leiden::new(config),
+                strategy,
+                &old_graph,
+                &partition.membership,
+                batch,
+                &mut workspace,
+            )
+            .map_err(ApiError::bad_request)?;
             state
                 .jobs
                 .stats
                 .core_allocs
                 .add(gve_prim::alloc_count::snapshot().allocs_since(&alloc_before));
-            refreshed = Some((result, partition.request.clone()));
-            dynamic.graph().clone()
+            (graph, Some((result, partition.request.clone())))
         }
-        None => apply_batch(&old_graph, batch),
+        None => (apply_batch(&old_graph, batch), None),
     };
+    // Let the publish below free the old graph.
+    drop(old_graph);
     let seconds = started.elapsed().as_secs_f64();
+    let refreshed = refreshed.map(|(result, request)| {
+        let modularity = gve_quality::modularity(&new_graph, &result.membership);
+        let key = PartitionKey {
+            graph: name.to_string(),
+            epoch: new_epoch,
+            fingerprint: request.fingerprint(),
+        };
+        let partition = CachedPartition {
+            membership: Arc::new(result.membership),
+            num_communities: result.num_communities,
+            modularity,
+            seconds,
+            origin: PartitionOrigin::IncrementalRefresh,
+            request,
+        };
+        (key, partition)
+    });
 
     // Write-ahead ordering: the batch is made durable BEFORE the new
-    // epoch is published. A crash after the fsync replays the batch on
-    // restart; a crash before it leaves the old epoch visible — either
-    // way memory and disk agree.
+    // epoch or its partition is published. A crash after the fsync
+    // replays the batch on restart; a crash before it leaves the old
+    // epoch visible — either way memory and disk agree.
     if let Some(durability) = &state.durability {
         if let Err(e) = durability.append_batch(name, new_epoch, batch, &new_graph) {
             return Err(ApiError::new(
@@ -660,13 +694,24 @@ pub(crate) fn apply_update(
         }
     }
 
-    let graph = {
+    // Publish order: the refreshed partition, then the epoch, then the
+    // eviction of the old epoch's partitions. Readers look up the
+    // partition at the epoch they read (`latest_partition`), so one that
+    // reads either epoch finds its partition.
+    let summary = refreshed
+        .as_ref()
+        .map(|(_, partition)| (partition.num_communities, partition.modularity));
+    if let Some((key, partition)) = refreshed {
+        state.cache.insert(key, partition);
+    }
+    let (vertices, arcs) = (new_graph.num_vertices(), new_graph.num_arcs());
+    {
         let mut entry = cell.lock();
         entry.graph = Arc::new(new_graph);
         entry.epoch = new_epoch;
         entry.batches_applied += 1;
-        Arc::clone(&entry.graph)
-    };
+    }
+    state.cache.evict_stale(name, new_epoch);
 
     state.updates.batches_applied.inc();
     state
@@ -681,41 +726,21 @@ pub(crate) fn apply_update(
     let mut fields = vec![
         ("graph".to_string(), Json::from(name)),
         ("epoch".to_string(), Json::from(new_epoch)),
-        ("vertices".to_string(), Json::from(graph.num_vertices())),
-        ("arcs".to_string(), Json::from(graph.num_arcs())),
+        ("vertices".to_string(), Json::from(vertices)),
+        ("arcs".to_string(), Json::from(arcs)),
         ("insertions".to_string(), Json::from(batch.insertions.len())),
         ("deletions".to_string(), Json::from(batch.deletions.len())),
         ("strategy".to_string(), Json::from(strategy_label(strategy))),
         ("seconds".to_string(), Json::from(seconds)),
     ];
-    if let Some((result, detect_request)) = refreshed {
-        let modularity = gve_quality::modularity(&graph, &result.membership);
-        state.cache.insert(
-            crate::cache::PartitionKey {
-                graph: name.to_string(),
-                epoch: new_epoch,
-                fingerprint: detect_request.fingerprint(),
-            },
-            CachedPartition {
-                membership: Arc::new(result.membership),
-                num_communities: result.num_communities,
-                modularity,
-                seconds,
-                origin: PartitionOrigin::IncrementalRefresh,
-                request: detect_request,
-            },
-        );
+    if let Some((num_communities, modularity)) = summary {
         state.updates.incremental_refreshes.inc();
         fields.push(("refreshed".to_string(), Json::from(true)));
-        fields.push((
-            "num_communities".to_string(),
-            Json::from(result.num_communities),
-        ));
+        fields.push(("num_communities".to_string(), Json::from(num_communities)));
         fields.push(("modularity".to_string(), Json::from(modularity)));
     } else {
         fields.push(("refreshed".to_string(), Json::from(false)));
     }
-    state.cache.evict_stale(name, new_epoch);
     Ok(Json::Obj(fields))
 }
 

@@ -64,6 +64,9 @@ const KIND_BATCH: u8 = 2;
 const KIND_PARTITION: u8 = 3;
 const KIND_EPOCH_BUMP: u8 = 4;
 
+/// Record header: u32 payload length + u64 payload checksum.
+const HEADER_BYTES: usize = 12;
+
 /// Upper bound on a single record payload. Far above any real record
 /// (the largest are partition memberships, 4 bytes/vertex); its job is
 /// to reject garbage lengths from a corrupt prefix before allocating.
@@ -248,20 +251,19 @@ impl DurabilityStore {
         }
     }
 
-    /// Appends one record (and syncs it, per policy) to an open WAL.
-    fn append(&self, wal: &mut GraphWal, payload: &[u8]) -> io::Result<()> {
-        debug_assert!(payload.len() < MAX_RECORD_BYTES as usize);
-        let mut framed = Vec::with_capacity(12 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        framed.extend_from_slice(payload);
-        wal.file.write_all(&framed)?;
+    /// Seals one record built by [`record`] and appends it (syncing it,
+    /// per policy) to an open WAL.
+    fn append(&self, wal: &mut GraphWal, record: &mut [u8]) -> io::Result<()> {
+        seal(record);
+        wal.file.write_all(record)?;
         if self.config.fsync {
             wal.file.sync_data()?;
         }
         wal.records_since_snapshot += 1;
         self.stats.records_appended.inc();
-        self.stats.bytes_appended.add(payload.len() as u64);
+        self.stats
+            .bytes_appended
+            .add((record.len() - HEADER_BYTES) as u64);
         Ok(())
     }
 
@@ -291,9 +293,9 @@ impl DurabilityStore {
         self.write_snapshot(name, graph, 0)?;
         let handle = self.wal_handle(name)?;
         let mut wal = self.lock_wal(&handle);
-        let mut payload = vec![KIND_REGISTER];
+        let mut payload = record(KIND_REGISTER, 4 + source.len());
         put_bytes(&mut payload, source.as_bytes());
-        self.append(&mut wal, &payload)
+        self.append(&mut wal, &mut payload)
     }
 
     /// Logs one applied update batch. Called **before** the new
@@ -308,10 +310,10 @@ impl DurabilityStore {
     ) -> io::Result<()> {
         let handle = self.wal_handle(name)?;
         let mut wal = self.lock_wal(&handle);
-        let mut payload = Vec::with_capacity(
-            1 + 8 + 16 + 12 * batch.insertions.len() + 8 * batch.deletions.len(),
+        let mut payload = record(
+            KIND_BATCH,
+            8 + 16 + 12 * batch.insertions.len() + 8 * batch.deletions.len() + 4,
         );
-        payload.push(KIND_BATCH);
         payload.extend_from_slice(&new_epoch.to_le_bytes());
         payload.extend_from_slice(&(batch.insertions.len() as u64).to_le_bytes());
         for &(u, v, w) in &batch.insertions {
@@ -329,7 +331,7 @@ impl DurabilityStore {
         if let Some(floor) = batch.vertex_floor {
             payload.extend_from_slice(&floor.to_le_bytes());
         }
-        self.append(&mut wal, &payload)?;
+        self.append(&mut wal, &mut payload)?;
         if wal.records_since_snapshot >= self.config.snapshot_every.max(1) {
             self.compact(name, &mut wal, graph, new_epoch)?;
         }
@@ -346,9 +348,10 @@ impl DurabilityStore {
         let handle = self.wal_handle(&key.graph)?;
         let mut wal = self.lock_wal(&handle);
         let request_json = partition.request.to_json().render();
-        let mut payload =
-            Vec::with_capacity(64 + request_json.len() + 4 * partition.membership.len());
-        payload.push(KIND_PARTITION);
+        let mut payload = record(
+            KIND_PARTITION,
+            64 + request_json.len() + 4 * partition.membership.len(),
+        );
         payload.extend_from_slice(&key.epoch.to_le_bytes());
         payload.extend_from_slice(&key.fingerprint.to_le_bytes());
         payload.push(match partition.origin {
@@ -363,7 +366,7 @@ impl DurabilityStore {
         for &community in partition.membership.iter() {
             payload.extend_from_slice(&community.to_le_bytes());
         }
-        self.append(&mut wal, &payload)
+        self.append(&mut wal, &mut payload)
     }
 
     /// Snapshot the graph at `epoch` and restart the WAL with a single
@@ -380,12 +383,9 @@ impl DurabilityStore {
         self.write_snapshot(name, graph, epoch)?;
         let dir = self.graph_dir(name);
         let tmp = dir.join("wal.tmp");
-        let mut payload = vec![KIND_EPOCH_BUMP];
-        payload.extend_from_slice(&epoch.to_le_bytes());
-        let mut framed = Vec::with_capacity(12 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        let mut framed = record(KIND_EPOCH_BUMP, 8);
+        framed.extend_from_slice(&epoch.to_le_bytes());
+        seal(&mut framed);
         {
             let mut file = File::create(&tmp)?;
             file.write_all(&framed)?;
@@ -582,13 +582,13 @@ fn snapshot_epoch(file_name: &str) -> Option<u64> {
 /// One frame: `(payload, next_cursor)`, or `None` on a truncated or
 /// checksum-failing tail.
 fn read_record(raw: &[u8], cursor: usize) -> Option<(&[u8], usize)> {
-    let header = raw.get(cursor..cursor + 12)?;
+    let header = raw.get(cursor..cursor + HEADER_BYTES)?;
     let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
     if len == 0 || len > MAX_RECORD_BYTES {
         return None;
     }
-    let checksum = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    let start = cursor + 12;
+    let checksum = u64::from_le_bytes(header[4..HEADER_BYTES].try_into().unwrap());
+    let start = cursor + HEADER_BYTES;
     let payload = raw.get(start..start + len as usize)?;
     if fnv1a(payload) != checksum {
         return None;
@@ -676,6 +676,24 @@ fn parse_record(payload: &[u8]) -> Option<Record> {
         KIND_EPOCH_BUMP => Some(Record::EpochBump(cursor.u64()?)),
         _ => None,
     }
+}
+
+/// A record buffer: zeroed header bytes, then the kind byte, with room
+/// for `fields` more payload bytes. [`seal`] fills in the header once
+/// the payload is written, so a record is framed without a copy.
+fn record(kind: u8, fields: usize) -> Vec<u8> {
+    let mut record = Vec::with_capacity(HEADER_BYTES + 1 + fields);
+    record.resize(HEADER_BYTES, 0);
+    record.push(kind);
+    record
+}
+
+/// Writes the payload length and checksum into a record's header.
+fn seal(record: &mut [u8]) {
+    let (header, payload) = record.split_at_mut(HEADER_BYTES);
+    debug_assert!(payload.len() < MAX_RECORD_BYTES as usize);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
 /// Length-prefixed byte run (u32 length).
@@ -931,6 +949,90 @@ mod tests {
         assert_eq!(new_epoch, 7);
         assert_eq!(batch.insertions, vec![(0, 5, 2.0)]);
         assert_eq!(batch.vertex_floor, None);
+    }
+
+    /// The bytes on disk of one batch record and one partition record:
+    /// header (payload length, FNV-1a) pinned as literals, payload
+    /// spelled out field by field.
+    #[test]
+    fn record_encoding_is_pinned() {
+        let store = temp_store("pinned");
+        let graph = path_graph();
+        store.register_graph("g", &graph, "inline").unwrap();
+        let wal_path = store.graph_dir("g").join("wal.log");
+        let start = fs::metadata(&wal_path).unwrap().len() as usize;
+
+        let mut batch = BatchUpdate::new();
+        batch.insert(0, 3, 2.5).delete(1, 2);
+        batch.vertex_floor = Some(6);
+        store
+            .append_batch("g", 1, &batch, &apply_batch(&graph, &batch))
+            .unwrap();
+        let request = DetectRequest::default();
+        let key = PartitionKey {
+            graph: "g".into(),
+            epoch: 1,
+            fingerprint: request.fingerprint(),
+        };
+        let partition = CachedPartition {
+            membership: Arc::new(vec![0, 0, 1, 1, 2, 2, 2]),
+            num_communities: 3,
+            modularity: 0.25,
+            seconds: 0.5,
+            origin: PartitionOrigin::IncrementalRefresh,
+            request: request.clone(),
+        };
+        store.append_partition(&key, &partition).unwrap();
+
+        let mut batch_payload = vec![KIND_BATCH];
+        batch_payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+        batch_payload.extend_from_slice(&1u64.to_le_bytes()); // insertions
+        batch_payload.extend_from_slice(&0u32.to_le_bytes());
+        batch_payload.extend_from_slice(&3u32.to_le_bytes());
+        batch_payload.extend_from_slice(&2.5f32.to_le_bytes());
+        batch_payload.extend_from_slice(&1u64.to_le_bytes()); // deletions
+        batch_payload.extend_from_slice(&1u32.to_le_bytes());
+        batch_payload.extend_from_slice(&2u32.to_le_bytes());
+        batch_payload.extend_from_slice(&6u32.to_le_bytes()); // floor
+
+        let json = request.to_json().render();
+        let mut partition_payload = vec![KIND_PARTITION];
+        partition_payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+        partition_payload.extend_from_slice(&request.fingerprint().to_le_bytes());
+        partition_payload.push(1); // incremental refresh
+        partition_payload.extend_from_slice(&3u64.to_le_bytes());
+        partition_payload.extend_from_slice(&0.25f64.to_le_bytes());
+        partition_payload.extend_from_slice(&0.5f64.to_le_bytes());
+        partition_payload.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        partition_payload.extend_from_slice(json.as_bytes());
+        partition_payload.extend_from_slice(&7u64.to_le_bytes());
+        for community in [0u32, 0, 1, 1, 2, 2, 2] {
+            partition_payload.extend_from_slice(&community.to_le_bytes());
+        }
+
+        let mut expected = Vec::new();
+        for (payload, len, checksum) in [
+            (&batch_payload, 49u32, 0x9232_7997_3ede_3072u64),
+            (&partition_payload, 260, 0x8f50_6cb6_0bd0_0d2b),
+        ] {
+            expected.extend_from_slice(&len.to_le_bytes());
+            expected.extend_from_slice(&checksum.to_le_bytes());
+            expected.extend_from_slice(payload);
+        }
+        let written = &fs::read(&wal_path).unwrap()[start..];
+        let header = |at: usize| {
+            let len = u32::from_le_bytes(written[at..at + 4].try_into().unwrap());
+            let sum = u64::from_le_bytes(written[at + 4..at + 12].try_into().unwrap());
+            (len, format!("{sum:#018x}"))
+        };
+        let second = 12 + batch_payload.len();
+        assert_eq!(
+            written,
+            &expected[..],
+            "headers written: {:?} {:?}",
+            header(0),
+            header(second)
+        );
     }
 
     #[test]
