@@ -7,7 +7,8 @@
 //!    atomic scatter) — [`gve_graph::GroupedCsr`];
 //! 2. the super-vertex graph `G''` in a *holey* CSR whose per-community
 //!    capacity is overestimated by the community's total degree, skipping
-//!    an exact counting pass — [`gve_graph::HoleyCsrBuilder`].
+//!    an exact counting pass. Its slot arrays are squeezed in place and
+//!    become the returned graph ([`gve_graph::AggregateScratch`]).
 //!
 //! Cross-community weights are tallied in the per-thread collision-free
 //! hashtable, then flushed as super-arcs (including the `(c, c)`
@@ -26,7 +27,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 ///
 /// One-shot convenience wrapper over [`aggregate_into`] with a
 /// throwaway scratch; the pass loop holds a [`AggregateScratch`] in its
-/// workspace and calls [`aggregate_into`] directly.
+/// workspace and calls [`aggregate_into`] directly. The returned
+/// graph's arrays keep the holey slot capacity (the input's arcs).
 pub fn aggregate(
     graph: &CsrGraph,
     membership: &[AtomicU32],
@@ -51,9 +53,9 @@ pub fn aggregate(
 
 /// Builds the super-vertex graph into (and out of) a reusable
 /// [`AggregateScratch`]: the grouped-CSR counting sweep also folds each
-/// community's total degree (the holey capacity), and the dense result
-/// is squeezed into buffers recycled from a previously retired
-/// supergraph — zero steady-state allocation.
+/// community's total degree (the holey capacity), and the holey slot
+/// arrays, taken from a previously retired supergraph, are squeezed in
+/// place into the result — zero steady-state allocation.
 ///
 /// `small_threshold` enables the kernel-v2 two-tier scan: communities
 /// whose total degree (the holey-CSR capacity) fits the bound are

@@ -863,10 +863,10 @@ impl Leiden {
             }
 
             // Swap in the super-vertex graph; the displaced one's
-            // buffers feed the aggregation recycle stack, so steady
-            // state holds exactly two resident CSR buffer sets. Its
-            // adopted interleaved buffer (if any) returns to the pool
-            // first — `recycle` would drop it.
+            // buffers go back to the aggregation scratch as a spare slot
+            // set, so steady state ping-pongs between at most two sets.
+            // Its adopted interleaved buffer (if any) returns to the
+            // pool first — `recycle` would drop it.
             if let Some(mut old) = current.replace(supergraph) {
                 if let Some(buf) = old.take_interleaved() {
                     interleaved_pool.push(buf);

@@ -30,14 +30,20 @@
 //!   pass with [`AtomicBitset::set_first`];
 //! * `plain_membership`/`plain_sigma`/`sync_decisions` — the
 //!   color-synchronous path's plain state, sized only for such runs;
-//! * `aggregate` — the fused grouped + holey CSR scratch, including
-//!   the double-buffered super-vertex CSR recycle stack; its member
+//! * `aggregate` — the fused grouped + holey CSR scratch; its member
 //!   cursors double as the arc fill counts and its capacity tallies are
-//!   prefix-summed in place into the holey offsets.
+//!   prefix-summed in place into the holey offsets. Its holey slot
+//!   arrays become each supergraph: the holes are squeezed out in
+//!   place, and a retired supergraph's buffers come back as the slot
+//!   arrays of a later pass. Two slot sets ping-pong: one reserved here
+//!   for the input's arcs, and one sized exactly for the first
+//!   supergraph's arcs, created only when a run aggregates twice.
 //!
 //! What [`PassWorkspace::ensure`] allocates per vertex (plus 8 B per
-//! arc for the holey slots; `crates/core/tests/footprint.rs` holds the
-//! budget):
+//! arc for the first slot set; `crates/core/tests/footprint.rs` holds
+//! the budget, and the resident footprint of warm runs). Growth is
+//! exact, so a workspace that meets a slightly larger graph grows by
+//! that much rather than doubling:
 //!
 //! ```text
 //!  buffer                      B/vertex   hosts as well
@@ -76,6 +82,7 @@
 
 use gve_graph::{AggregateScratch, EdgeWeight, VertexId};
 use gve_prim::atomics::AtomicF64;
+use gve_prim::workspace::resize_exact;
 use gve_prim::{AtomicBitset, CommunityMap, PerThread};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -136,7 +143,7 @@ pub struct PassWorkspace {
     /// takes it back before the CSR is recycled, so the interleaved
     /// layout performs no steady-state allocation either.
     pub(crate) interleaved_pool: Vec<Vec<(VertexId, EdgeWeight)>>,
-    /// Fused grouped/holey aggregation scratch + CSR recycle stack.
+    /// Fused grouped/holey aggregation scratch and its slot sets.
     pub(crate) aggregate: AggregateScratch,
     /// One collision-free scan hashtable per worker — the `O(T·N)`
     /// memory term — lazily materialized and reused across phases,
@@ -200,17 +207,19 @@ impl PassWorkspace {
     }
 
     /// Grows (never shrinks) every buffer to cover a graph with
-    /// `vertices` and `arcs`. No-op when already large enough.
+    /// `vertices` and `arcs`. No-op when already large enough; growth
+    /// allocates exactly what the new size needs, so a pooled workspace
+    /// that meets a slightly larger graph does not double.
     pub fn ensure(&mut self, vertices: usize, arcs: usize) {
         if self.cap_vertices < vertices {
             let n = vertices;
-            self.membership.resize_with(n, || AtomicU32::new(0));
-            self.sigma.resize_with(n, || AtomicF64::new(0.0));
-            self.penalty.resize(n, 0.0);
-            self.bounds.resize(n, 0);
-            self.dense.resize(n, 0);
-            self.init_labels.resize(n, 0);
-            self.first_seen.resize_with(n, || AtomicU32::new(0));
+            resize_exact(&mut self.membership, n, || AtomicU32::new(0));
+            resize_exact(&mut self.sigma, n, || AtomicF64::new(0.0));
+            resize_exact(&mut self.penalty, n, || 0.0);
+            resize_exact(&mut self.bounds, n, || 0);
+            resize_exact(&mut self.dense, n, || 0);
+            resize_exact(&mut self.init_labels, n, || 0);
+            resize_exact(&mut self.first_seen, n, || AtomicU32::new(0));
             self.unprocessed = AtomicBitset::new(n);
             // Relaxed: stored under `&mut self`; worker threads that read
             // it are spawned afterwards (spawn publishes the store).
@@ -239,8 +248,8 @@ impl PassWorkspace {
     /// vertex sizes across aggregations).
     pub(crate) fn ensure_sizes(&mut self, vertices: usize) {
         if self.sizes.len() < vertices {
-            self.sizes.resize(vertices, 0.0);
-            self.sizes_next.resize(vertices, 0.0);
+            resize_exact(&mut self.sizes, vertices, || 0.0);
+            resize_exact(&mut self.sizes_next, vertices, || 0.0);
         }
     }
 
@@ -248,8 +257,8 @@ impl PassWorkspace {
     /// [`crate::Scheduling::ColorSynchronous`] runs on it).
     pub(crate) fn ensure_sync(&mut self, vertices: usize) {
         if self.plain_membership.len() < vertices {
-            self.plain_membership.resize(vertices, 0);
-            self.plain_sigma.resize(vertices, 0.0);
+            resize_exact(&mut self.plain_membership, vertices, || 0);
+            resize_exact(&mut self.plain_sigma, vertices, || 0.0);
         }
     }
 

@@ -4,12 +4,18 @@
 //! `PassWorkspace::with_capacity(n, m)` must allocate at most
 //! `60.2·n + 8·m` bytes plus a constant. The per-vertex figure is the sum
 //! of the buffers the default asynchronous pass loop needs (see the
-//! table in DESIGN.md §10); the per-arc figure is the holey super-CSR's
-//! target and weight slots. A buffer added to `ensure` must raise this
-//! budget in the same diff.
+//! table in DESIGN.md §10); the per-arc figure is the first holey slot
+//! set's targets and weights. A buffer added to `ensure` must raise
+//! this budget in the same diff.
+//!
+//! A warm workspace may hold, beyond that budget, only what the runs
+//! add lazily: the per-thread scan tables (9 B per vertex each), the
+//! supergraph offsets that come back with each retired slot set, and,
+//! once a run aggregates twice, a second slot set sized exactly for the
+//! first supergraph's arcs.
 
-use gve_graph::GraphBuilder;
-use gve_leiden::{Leiden, LeidenConfig, PassWorkspace, Scheduling};
+use gve_graph::{CsrGraph, GraphBuilder};
+use gve_leiden::{Leiden, LeidenConfig, LeidenResult, PassStats, PassWorkspace, Scheduling};
 use gve_prim::alloc_count::{self, CountingAllocator};
 
 #[global_allocator]
@@ -31,23 +37,24 @@ fn budget(n: usize, m: usize) -> f64 {
     BYTES_PER_VERTEX * n as f64 + BYTES_PER_ARC * m as f64 + CONSTANT_BYTES
 }
 
+/// The counters are process-wide, so the test harness's own threads
+/// can add a few bytes to one reading; they only ever add, so the least
+/// of three readings is the measured code's.
+fn least_of_three(mut measure: impl FnMut() -> u64) -> f64 {
+    (0..3).map(|_| measure()).min().unwrap() as f64
+}
+
 #[test]
 fn with_capacity_stays_within_the_budget() {
     let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     for (n, m) in [(1_000, 4_000), (100_000, 210_000), (400_000, 840_000)] {
-        // The counters are process-wide, so the test harness's own
-        // threads can add a few bytes to one reading; they only ever
-        // add, so the least of three readings is the workspace's.
-        let bytes = (0..3)
-            .map(|_| {
-                let before = alloc_count::snapshot();
-                let ws = PassWorkspace::with_capacity(n, m);
-                let bytes = alloc_count::snapshot().bytes_since(&before);
-                drop(ws);
-                bytes
-            })
-            .min()
-            .unwrap() as f64;
+        let bytes = least_of_three(|| {
+            let before = alloc_count::snapshot();
+            let ws = PassWorkspace::with_capacity(n, m);
+            let bytes = alloc_count::snapshot().bytes_since(&before);
+            drop(ws);
+            bytes
+        });
         assert!(
             bytes <= budget(n, m),
             "with_capacity({n}, {m}) allocated {bytes} B = {:.2} B/vertex + 8 B/arc; budget {:.0} B",
@@ -78,4 +85,138 @@ fn default_runs_leave_color_sync_state_unallocated() {
     let grown = alloc_count::snapshot().bytes_since(&before);
     assert_eq!(ws.sync_capacity(), n);
     assert!(grown >= 12 * n as u64, "sync run allocated only {grown} B");
+}
+
+#[test]
+fn growth_by_one_vertex_stays_within_the_budget() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (n, m) = (100_000, 200_000);
+    let live = least_of_three(|| {
+        let before = alloc_count::snapshot().current;
+        let mut ws = PassWorkspace::with_capacity(n, m);
+        ws.ensure(n + 1, m);
+        let live = alloc_count::snapshot().current - before;
+        drop(ws);
+        live
+    });
+    assert!(
+        live <= budget(n + 1, m),
+        "ensure({}, {m}) after with_capacity({n}, {m}) holds {live} B; budget {:.0} B",
+        n + 1,
+        budget(n + 1, m)
+    );
+}
+
+/// Heap bytes a result owns: its membership, stats and dendrogram.
+fn result_bytes(result: &LeidenResult) -> u64 {
+    let stats: usize = result
+        .pass_stats
+        .iter()
+        .map(|s| s.iteration_gains.capacity() * 8)
+        .sum();
+    let levels: usize = result.dendrogram.iter().map(|l| l.capacity() * 4).sum();
+    (result.membership.capacity() * 4
+        + result.pass_stats.capacity() * std::mem::size_of_val(&result.pass_stats[0])
+        + stats
+        + result.dendrogram.capacity() * std::mem::size_of::<Vec<u32>>()
+        + levels) as u64
+}
+
+/// Warms a fresh workspace with a 1-thread and a 2-thread run, as the
+/// benchmark ledger does, and returns the bytes it then holds, the two
+/// warm results, and the bytes a third run leaves behind beyond its
+/// own result. The third run has one thread, so it repeats the first
+/// exactly: 2-thread runs differ in their supergraph sizes, and one
+/// larger than both warm runs' may legitimately grow the workspace.
+fn warm_footprint(graph: &CsrGraph) -> (f64, Vec<LeidenResult>, u64) {
+    let leiden = Leiden::default();
+    let pool = |threads| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    };
+    let (single, multi) = (pool(1), pool(2));
+    let before = alloc_count::snapshot().current;
+    let mut ws = PassWorkspace::new();
+    let warm = vec![
+        single.install(|| leiden.run_in(graph, &mut ws)),
+        multi.install(|| leiden.run_in(graph, &mut ws)),
+    ];
+    let held =
+        alloc_count::snapshot().current - before - warm.iter().map(result_bytes).sum::<u64>();
+
+    let before_third = alloc_count::snapshot().current;
+    let third = single.install(|| leiden.run_in(graph, &mut ws));
+    let left =
+        (alloc_count::snapshot().current - before_third).saturating_sub(result_bytes(&third));
+    (held as f64, warm, left)
+}
+
+/// Worker threads of the warm runs, hence scan tables in the workspace.
+const THREADS: f64 = 2.0;
+
+/// The resident bound of a warm workspace: the `with_capacity` budget,
+/// the scan tables, and the supergraph offsets that came back with the
+/// slot set of the largest first aggregation. `second_set` adds the
+/// second slot set: exactly the largest first supergraph's arcs, plus
+/// the offsets of the second supergraph it was first squeezed into.
+fn warm_bound(graph: &CsrGraph, warm: &[LeidenResult], second_set: bool) -> f64 {
+    let (n, m) = (graph.num_vertices(), graph.num_arcs());
+    let largest = |pass: usize, field: fn(&PassStats) -> usize| {
+        warm.iter()
+            .filter_map(|r| r.pass_stats.get(pass).map(field))
+            .max()
+            .unwrap_or(0)
+    };
+    let k1 = largest(1, |s| s.vertices);
+    // A scan table is 9 B per vertex plus its key list, which holds the
+    // distinct communities of one scan: at most a vertex's degree in
+    // the first pass and at most k₁ after it, in a doubling vector.
+    let max_degree = (0..n as u32).map(|u| graph.degree(u)).max().unwrap_or(0);
+    let table = 9.0 * n as f64 + 4.0 * max_degree.max(k1).next_power_of_two() as f64;
+    let mut bound = budget(n, m) + THREADS * table + 8.0 * (k1 + 1) as f64;
+    if second_set {
+        bound +=
+            8.0 * largest(1, |s| s.arcs) as f64 + 8.0 * (largest(2, |s| s.vertices) + 1) as f64;
+    }
+    bound + CONSTANT_BYTES
+}
+
+/// Asserts the warm bound and that a third run left nothing behind, on
+/// a graph whose warm runs aggregate exactly once (`twice == false`) or
+/// at least twice.
+fn assert_warm_footprint(graph: &CsrGraph, twice: bool) {
+    let (held, warm, left) = warm_footprint(graph);
+    for run in &warm {
+        let aggregations = run.pass_stats.len() - 1;
+        assert!(
+            if twice {
+                aggregations >= 2
+            } else {
+                aggregations == 1
+            },
+            "a warm run aggregated {aggregations} times"
+        );
+    }
+    let bound = warm_bound(graph, &warm, twice);
+    assert!(
+        held <= bound,
+        "warm workspace holds {held} B; bound {bound:.0} B"
+    );
+    assert_eq!(left, 0, "a third run grew the workspace by {left} B");
+}
+
+#[test]
+fn warm_workspace_holds_one_slot_set_when_runs_aggregate_once() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let graph = gve_generate::rmat::Rmat::web(14, 4.0).seed(1).generate();
+    assert_warm_footprint(&graph, false);
+}
+
+#[test]
+fn warm_workspace_holds_two_slot_sets_when_runs_aggregate_twice() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let graph = gve_generate::rmat::Rmat::web(12, 8.0).seed(5).generate();
+    assert_warm_footprint(&graph, true);
 }

@@ -8,124 +8,21 @@
 //! 2. `G''` — the *super-vertex graph*: per-community degree is
 //!    **overestimated** by the community's total degree, the offsets are
 //!    prefix-summed over the overestimate, and edges are written into the
-//!    gap-containing ("holey") arrays as they are discovered
-//!    ([`HoleyCsrBuilder`]). Avoiding an exact counting pass is the
-//!    optimization; the holes are squeezed out when freezing to
-//!    [`CsrGraph`].
+//!    gap-containing ("holey") slot arrays as they are discovered.
+//!    Avoiding an exact counting pass is the optimization.
+//!
+//! [`AggregateScratch`] holds both in one grow-only arena. Its holey
+//! slot arrays become the super-vertex [`CsrGraph`] itself: the holes
+//! are squeezed out in place, and a retired graph's buffers come back
+//! as the slot arrays of a later pass.
 
 use crate::{CsrGraph, EdgeWeight, VertexId};
+use gve_prim::atomics::{atomic_into_plain, plain_into_atomic};
 use gve_prim::scan::{parallel_exclusive_scan, parallel_offsets_from_counts};
+use gve_prim::workspace::resize_exact;
 use gve_prim::SharedSlice;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Over-allocated CSR filled concurrently with atomic slot claiming.
-#[derive(Debug)]
-pub struct HoleyCsrBuilder {
-    offsets: Vec<u64>,
-    fill: Vec<AtomicU32>,
-    targets: Vec<AtomicU32>,
-    /// f32 weight bit patterns, written once per claimed slot.
-    weights: Vec<AtomicU32>,
-}
-
-impl HoleyCsrBuilder {
-    /// Creates a builder whose vertex `u` can hold up to `capacities[u]`
-    /// arcs.
-    pub fn new(capacities: &[u64]) -> Self {
-        let offsets = parallel_offsets_from_counts(capacities);
-        let total = *offsets.last().unwrap() as usize;
-        Self {
-            offsets,
-            fill: (0..capacities.len()).map(|_| AtomicU32::new(0)).collect(),
-            targets: (0..total).map(|_| AtomicU32::new(0)).collect(),
-            weights: (0..total).map(|_| AtomicU32::new(0)).collect(),
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.fill.len()
-    }
-
-    /// Arcs added to vertex `u` so far.
-    #[inline]
-    pub fn degree(&self, u: VertexId) -> usize {
-        // Relaxed: a monotone tally; exact snapshots only matter after
-        // the building phase's rayon join.
-        self.fill[u as usize].load(Ordering::Relaxed) as usize
-    }
-
-    /// Adds arc `u → v` with weight `w`. Thread-safe; slots are claimed
-    /// with a `fetch_add` on the per-vertex cursor.
-    ///
-    /// # Panics
-    /// Panics when vertex `u`'s capacity is exceeded (a bug in the degree
-    /// overestimate, never expected in correct use).
-    #[inline]
-    pub fn add_arc(&self, u: VertexId, v: VertexId, w: EdgeWeight) {
-        let u = u as usize;
-        // Relaxed slot claim: fetch_add alone guarantees the claimed
-        // index is unique; the payload stores below go to that unique
-        // slot, and readers only run after the building join.
-        let slot = self.fill[u].fetch_add(1, Ordering::Relaxed) as u64;
-        let lo = self.offsets[u];
-        let hi = self.offsets[u + 1];
-        assert!(
-            lo + slot < hi,
-            "holey CSR capacity exceeded for vertex {u}: cap {}",
-            hi - lo
-        );
-        let index = (lo + slot) as usize;
-        // Relaxed payload stores into the uniquely claimed slot; readers
-        // only run after the building phase's join.
-        self.targets[index].store(v, Ordering::Relaxed);
-        self.weights[index].store(w.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Squeezes the holes out, producing a dense [`CsrGraph`].
-    pub fn into_csr(self) -> CsrGraph {
-        let n = self.fill.len();
-        // Relaxed loads below: `self` is owned here, so every add_arc
-        // store is already ordered before this call.
-        let counts: Vec<u64> = self
-            .fill
-            .iter()
-            .map(|f| f.load(Ordering::Relaxed) as u64)
-            .collect();
-        let dense_offsets = parallel_offsets_from_counts(&counts);
-        let total = *dense_offsets.last().unwrap() as usize;
-        let mut targets = vec![0 as VertexId; total];
-        let mut weights = vec![0.0 as EdgeWeight; total];
-        {
-            let t_out = SharedSlice::new(&mut targets);
-            let w_out = SharedSlice::new(&mut weights);
-            let src_t = &self.targets;
-            let src_w = &self.weights;
-            let holey_offsets = &self.offsets;
-            (0..n).into_par_iter().for_each(|u| {
-                let src = holey_offsets[u] as usize;
-                let dst = dense_offsets[u] as usize;
-                let len = counts[u] as usize;
-                for k in 0..len {
-                    // SAFETY: destination ranges [dst, dst+len) are
-                    // disjoint across vertices by construction of the
-                    // prefix sum. (Relaxed source loads: the arcs were
-                    // published by the pre-into_csr ownership transfer.)
-                    unsafe {
-                        t_out.write(dst + k, src_t[src + k].load(Ordering::Relaxed));
-                        w_out.write(
-                            dst + k,
-                            EdgeWeight::from_bits(src_w[src + k].load(Ordering::Relaxed)),
-                        );
-                    }
-                }
-            });
-        }
-        CsrGraph::from_raw(dense_offsets, targets, weights)
-    }
-}
 
 /// Exact-size CSR mapping group id → member elements, built in parallel.
 ///
@@ -210,25 +107,50 @@ fn plain_mut(atomics: &mut [AtomicU64]) -> &mut [u64] {
     unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u64>(), atomics.len()) }
 }
 
-/// How many retired super-vertex CSR buffer sets [`AggregateScratch`]
-/// keeps for reuse. Two suffices for the pass loop's double buffering
-/// (the live graph plus the one being built).
-const RECYCLE_DEPTH: usize = 2;
+/// Most spare slot sets [`AggregateScratch`] keeps. The pass loop needs
+/// two: the one backing the graph a pass reads and the one its
+/// supergraph is written into.
+const MAX_SPARE_SETS: usize = 2;
 
-/// Pass-resident scratch fusing [`GroupedCsr`] and [`HoleyCsrBuilder`]
-/// into one grow-only arena, so the aggregation phase performs zero
-/// steady-state allocation:
+/// One set of holey slot buffers: the arc slots [`AggregateScratch::add_arc`]
+/// claims and the offsets [`AggregateScratch::squeeze`] writes the
+/// dense rows' starts into. After the squeeze the same three buffers
+/// are a [`CsrGraph`]; [`AggregateScratch::recycle`] turns a retired
+/// graph back into a set.
+#[derive(Debug, Default)]
+struct SlotSet {
+    offsets: Vec<u64>,
+    targets: Vec<AtomicU32>,
+    /// f32 weight bit patterns.
+    weights: Vec<AtomicU32>,
+}
+
+impl SlotSet {
+    /// Arc slots the set holds without reallocating.
+    fn capacity(&self) -> usize {
+        self.targets.capacity().min(self.weights.capacity())
+    }
+}
+
+/// Pass-resident scratch fusing [`GroupedCsr`] and the holey
+/// super-vertex CSR into one grow-only arena, so the aggregation phase
+/// performs zero steady-state allocation:
 ///
 /// * the member-counting sweep **also** folds each community's total
 ///   degree (the holey capacity overestimate), eliminating the separate
 ///   nested capacity pass; the totals are prefix-summed in place into
 ///   the holey offsets, and the member cursors turn into the arc fill
 ///   counts, so neither needs a buffer of its own;
-/// * every offsets/cursor/slot array is reused across passes — pass `k`
+/// * every offsets/cursor array is reused across passes — pass `k`
 ///   views a shrinking prefix of the same memory;
-/// * [`AggregateScratch::squeeze`] writes the dense super-vertex CSR
-///   into buffers recovered from a previously retired graph
-///   ([`AggregateScratch::recycle`]), completing the double buffer.
+/// * the holey slot arrays *are* the supergraph:
+///   [`AggregateScratch::squeeze`] compacts the holes out in place and
+///   hands the buffers to the returned [`CsrGraph`], and
+///   [`AggregateScratch::recycle`] takes a retired graph's buffers back
+///   as a spare slot set. The pass loop ping-pongs between two sets:
+///   one sized by [`AggregateScratch::reserve`] for the input's arcs,
+///   and one sized exactly for the first supergraph's arcs, created
+///   only when a run aggregates twice.
 ///
 /// Protocol per pass: [`AggregateScratch::prepare`], then concurrent
 /// [`AggregateScratch::add_arc`] guided by
@@ -249,11 +171,11 @@ pub struct AggregateScratch {
     /// place into the holey super-CSR offsets (`num_groups + 1` live
     /// slots).
     holey_offsets: Vec<AtomicU64>,
-    /// Holey arc slots (targets and f32 weight bit patterns).
-    slot_targets: Vec<AtomicU32>,
-    slot_weights: Vec<AtomicU32>,
-    /// Retired dense CSR buffers awaiting reuse by `squeeze`.
-    recycled: Vec<(Vec<u64>, Vec<VertexId>, Vec<EdgeWeight>)>,
+    /// The slot set the current epoch fills.
+    slots: SlotSet,
+    /// Slot sets backing no live graph, waiting for a later epoch (an
+    /// entry with no capacity is absent).
+    spare: [SlotSet; MAX_SPARE_SETS],
     /// Communities in the current `prepare` epoch.
     num_groups: usize,
 }
@@ -273,33 +195,74 @@ impl AggregateScratch {
     /// Pre-grows every buffer for up to `num_groups` groups and
     /// `total_arcs` holey slots, so subsequent [`Self::prepare`] /
     /// [`Self::squeeze`] epochs on inputs within those bounds allocate
-    /// nothing. Grow-only; contents are untouched (each epoch
+    /// nothing. Grow-only and exact; contents are untouched (each epoch
     /// reinitializes the prefixes it uses).
     pub fn reserve(&mut self, num_groups: usize, total_arcs: usize) {
+        self.reserve_groups(num_groups, num_groups);
+        self.park_slots();
+        self.fit_spare(total_arcs);
+    }
+
+    /// Grows the per-group buffers for `num_groups` groups and the
+    /// member array for `num_keys` elements, each to exactly that size.
+    fn reserve_groups(&mut self, num_groups: usize, num_keys: usize) {
         let g = num_groups;
         if self.cursors.len() < g {
-            self.cursors.resize_with(g, || AtomicU32::new(0));
+            resize_exact(&mut self.cursors, g, || AtomicU32::new(0));
         }
         if self.group_offsets.len() < g + 1 {
-            self.group_offsets.resize(g + 1, 0);
-            self.holey_offsets.resize_with(g + 1, || AtomicU64::new(0));
+            resize_exact(&mut self.group_offsets, g + 1, || 0);
+            resize_exact(&mut self.holey_offsets, g + 1, || AtomicU64::new(0));
         }
-        if self.members.len() < g {
-            self.members.resize(g, 0);
+        if self.members.len() < num_keys {
+            resize_exact(&mut self.members, num_keys, || 0);
         }
-        if self.slot_targets.len() < total_arcs {
-            self.slot_targets
-                .resize_with(total_arcs, || AtomicU32::new(0));
-            self.slot_weights
-                .resize_with(total_arcs, || AtomicU32::new(0));
+    }
+
+    /// Returns the current epoch's slot set, if it was never squeezed,
+    /// to the spares.
+    fn park_slots(&mut self) {
+        let set = std::mem::take(&mut self.slots);
+        self.stash(set);
+    }
+
+    /// Keeps `set` as a spare in place of the smallest spare, unless
+    /// that one is larger; the smaller of the two is dropped.
+    fn stash(&mut self, set: SlotSet) {
+        if let Some(smallest) = self.spare.iter_mut().min_by_key(|s| s.capacity()) {
+            if smallest.capacity() < set.capacity() {
+                *smallest = set;
+            }
         }
+    }
+
+    /// Index of the spare set to hold `arcs` slots: the smallest whose
+    /// capacity suffices, or else the largest regrown to exactly
+    /// `arcs`.
+    fn fit_spare(&mut self, arcs: usize) -> usize {
+        let capacity = |i: &usize| self.spare[*i].capacity();
+        let smallest_fit = (0..MAX_SPARE_SETS)
+            .filter(|i| capacity(i) >= arcs)
+            .min_by_key(capacity);
+        if let Some(i) = smallest_fit {
+            return i;
+        }
+        let i = (0..MAX_SPARE_SETS).max_by_key(capacity).unwrap_or(0);
+        let set = &mut self.spare[i];
+        // The old slots hold nothing worth copying: free them before
+        // allocating, so the two never coexist.
+        set.targets = Vec::new();
+        set.weights = Vec::new();
+        set.targets.reserve_exact(arcs);
+        set.weights.reserve_exact(arcs);
+        i
     }
 
     /// Groups elements `0..keys.len()` by `keys[i] ∈ 0..num_groups` and
     /// folds `degree_of(i)` into each group's capacity in the same
-    /// sweep, then lays out the holey super-CSR over those capacities.
-    /// Reuses all prior storage; allocates only when the input outgrows
-    /// every previous epoch.
+    /// sweep, then lays out the holey super-CSR over those capacities
+    /// in the smallest spare slot set that holds them. Reuses all prior
+    /// storage; allocates only when the input outgrows every spare set.
     pub fn prepare(
         &mut self,
         keys: &[VertexId],
@@ -308,19 +271,9 @@ impl AggregateScratch {
     ) {
         self.num_groups = num_groups;
         let g = num_groups;
-        // Grow-only capacity. `resize_with` on the atomic arrays keeps
-        // existing elements; stale values are overwritten by the resets
-        // below before any read.
-        if self.cursors.len() < g {
-            self.cursors.resize_with(g, || AtomicU32::new(0));
-        }
-        if self.group_offsets.len() < g + 1 {
-            self.group_offsets.resize(g + 1, 0);
-            self.holey_offsets.resize_with(g + 1, || AtomicU64::new(0));
-        }
-        if self.members.len() < keys.len() {
-            self.members.resize(keys.len(), 0);
-        }
+        // Grow-only capacity; stale values are overwritten by the
+        // resets below before any read.
+        self.reserve_groups(g, keys.len());
 
         // Reset the live prefix in one parallel sweep. Relaxed stores:
         // bulk reinitialization between phases; the rayon join below
@@ -383,14 +336,15 @@ impl AggregateScratch {
             offsets[g] = total;
             total as usize
         };
-        // Slot arrays are written before being read (gated by the fill
-        // counts), so growth needs no clearing.
-        if self.slot_targets.len() < total_cap {
-            self.slot_targets
-                .resize_with(total_cap, || AtomicU32::new(0));
-            self.slot_weights
-                .resize_with(total_cap, || AtomicU32::new(0));
-        }
+        // Slots are written before being read (gated by the fill
+        // counts), so stale contents are harmless; only slots past the
+        // set's current length need initializing.
+        self.park_slots();
+        let i = self.fit_spare(total_cap);
+        let mut set = std::mem::take(&mut self.spare[i]);
+        set.targets.resize_with(total_cap, || AtomicU32::new(0));
+        set.weights.resize_with(total_cap, || AtomicU32::new(0));
+        self.slots = set;
     }
 
     /// Members of group `g` in the current epoch.
@@ -420,15 +374,17 @@ impl AggregateScratch {
     }
 
     /// Adds arc `u → v` with weight `w` to the holey super-CSR.
-    /// Thread-safe, as in [`HoleyCsrBuilder::add_arc`].
+    /// Thread-safe; slots are claimed with a `fetch_add` on the
+    /// super-vertex's fill count.
     ///
     /// # Panics
-    /// Panics when super-vertex `u`'s capacity is exceeded.
+    /// Panics when super-vertex `u`'s capacity is exceeded (a bug in the
+    /// degree overestimate, never expected in correct use).
     #[inline]
     pub fn add_arc(&self, u: VertexId, v: VertexId, w: EdgeWeight) {
         let u = u as usize;
-        // Relaxed slot claim + payload stores into the uniquely claimed
-        // slot; readers only run after the building phase's join.
+        // Relaxed slot claim: fetch_add alone guarantees the claimed
+        // index is unique; readers only run after the building join.
         let slot = self.cursors[u].fetch_add(1, Ordering::Relaxed) as u64;
         let (lo, hi) = self.holey_range(u);
         assert!(
@@ -437,161 +393,87 @@ impl AggregateScratch {
             hi - lo
         );
         let index = (lo + slot) as usize;
-        self.targets_store(index, v, w);
+        // Relaxed: payload stores into the uniquely claimed slot;
+        // readers only run after the building phase's join.
+        self.slots.targets[index].store(v, Ordering::Relaxed);
+        self.slots.weights[index].store(w.to_bits(), Ordering::Relaxed);
     }
 
-    #[inline]
-    fn targets_store(&self, index: usize, v: VertexId, w: EdgeWeight) {
-        // Relaxed: payload stores into a uniquely claimed slot; readers
-        // only run after the building phase's join.
-        self.slot_targets[index].store(v, Ordering::Relaxed);
-        self.slot_weights[index].store(w.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Squeezes the holes out into a dense [`CsrGraph`], writing into
-    /// buffers recovered by [`AggregateScratch::recycle`] when any are
-    /// available. The scratch itself stays allocated for the next pass.
+    /// Squeezes the holes out of the slot arrays **in place** and hands
+    /// the same buffers to the returned [`CsrGraph`]: no second buffer
+    /// and no copy beyond moving each row down. Rows keep their claim
+    /// order and weight bits.
+    ///
+    /// The rows move left to right. Row `u`'s dense start sums the fill
+    /// counts before it and its holey start sums the capacities before
+    /// it; fill never exceeds capacity, so the dense start is at or
+    /// before the holey start. A moved row ends where row `u + 1`'s
+    /// dense range begins, at or before row `u + 1`'s holey start, so no
+    /// move overwrites a row that has yet to move.
     pub fn squeeze(&mut self) -> CsrGraph {
         let g = self.num_groups;
-        let fill = &self.cursors[..g];
-        // Take the *largest* recycled set, not the most recent: runs
-        // retire their buffers small-to-large (the last, smallest
-        // supergraph is recycled at run end, on top of the stack), so a
-        // LIFO pop would hand pass 1 — the biggest squeeze — the
-        // smallest buffers and reallocate every run.
-        let (mut dense_offsets, mut targets, mut weights) = self
-            .recycled
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, (_, t, _))| t.capacity())
-            .map(|(i, _)| i)
-            .map(|i| self.recycled.swap_remove(i))
-            .unwrap_or_default();
+        let SlotSet {
+            mut offsets,
+            targets,
+            weights,
+        } = std::mem::take(&mut self.slots);
+        offsets.clear();
+        offsets.reserve_exact(g + 1);
+        // Relaxed: post-join read-back of the fill counts.
+        offsets.extend(
+            self.cursors[..g]
+                .iter()
+                .map(|f| f.load(Ordering::Relaxed) as u64),
+        );
+        offsets.push(0);
+        let total = parallel_exclusive_scan(&mut offsets[..g]);
+        offsets[g] = total;
 
-        // Dense offsets from the fill counts. Shrinking reuse is a
-        // truncate; only a first-use or growing buffer pays the zero
-        // fill. Relaxed loads: post-join read-back.
-        dense_offsets.clear();
-        dense_offsets.resize(g + 1, 0);
-        dense_offsets[..g]
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(c, slot)| *slot = fill[c].load(Ordering::Relaxed) as u64);
-        let total = parallel_exclusive_scan(&mut dense_offsets[..g]) as usize;
-        dense_offsets[g] = total as u64;
-
-        targets.clear();
-        targets.resize(total, 0);
-        weights.clear();
-        weights.resize(total, 0.0);
-        {
-            let t_out = SharedSlice::new(&mut targets);
-            let w_out = SharedSlice::new(&mut weights);
-            let src_t = &self.slot_targets;
-            let src_w = &self.slot_weights;
-            let scratch = &*self;
-            let dense_offsets = &dense_offsets;
-            (0..g).into_par_iter().for_each(|u| {
-                let src = scratch.holey_range(u).0 as usize;
-                let dst = dense_offsets[u] as usize;
-                // Relaxed: post-join read-back of the fill counts.
-                let len = fill[u].load(Ordering::Relaxed) as usize;
-                for k in 0..len {
-                    // SAFETY: destination ranges [dst, dst+len) are
-                    // disjoint across vertices by construction of the
-                    // prefix sum. (Relaxed source loads: published by
-                    // the building phase's join.)
-                    unsafe {
-                        t_out.write(dst + k, src_t[src + k].load(Ordering::Relaxed));
-                        w_out.write(
-                            dst + k,
-                            EdgeWeight::from_bits(src_w[src + k].load(Ordering::Relaxed)),
-                        );
-                    }
-                }
-            });
+        let mut targets: Vec<VertexId> = atomic_into_plain(targets);
+        let mut weights: Vec<EdgeWeight> = atomic_into_plain(weights);
+        for u in 0..g {
+            let src = self.holey_range(u).0 as usize;
+            let (dst, end) = (offsets[u] as usize, offsets[u + 1] as usize);
+            if src != dst {
+                targets.copy_within(src..src + (end - dst), dst);
+                weights.copy_within(src..src + (end - dst), dst);
+            }
         }
-        // Trusted: targets are dense ids < g scattered by the builder,
+        targets.truncate(total as usize);
+        weights.truncate(total as usize);
+        // Trusted: targets are dense ids < g written by `add_arc`,
         // offsets are a prefix sum over the fill counts.
-        CsrGraph::from_raw_trusted(dense_offsets, targets, weights)
+        CsrGraph::from_raw_trusted(offsets, targets, weights)
     }
 
-    /// Recovers a retired graph's buffers for reuse by a later
-    /// [`AggregateScratch::squeeze`]. Keeps at most [`RECYCLE_DEPTH`]
-    /// sets; extras are dropped.
+    /// Takes a retired graph's buffers back as a spare slot set for a
+    /// later epoch. Keeps at most [`MAX_SPARE_SETS`]; beyond that the
+    /// smallest set is dropped.
     pub fn recycle(&mut self, graph: CsrGraph) {
-        if self.recycled.len() < RECYCLE_DEPTH {
-            self.recycled.push(graph.into_raw());
-        }
+        let (offsets, targets, weights) = graph.into_raw();
+        self.stash(SlotSet {
+            offsets,
+            targets: plain_into_atomic(targets),
+            weights: plain_into_atomic(weights),
+        });
     }
 
-    /// Number of buffer sets currently waiting for reuse (test hook).
-    #[inline]
-    pub fn recycled_buffers(&self) -> usize {
-        self.recycled.len()
+    /// Arc capacities of the spare slot sets, ascending (test hook).
+    pub fn spare_capacities(&self) -> Vec<usize> {
+        let mut capacities: Vec<usize> = self
+            .spare
+            .iter()
+            .map(SlotSet::capacity)
+            .filter(|&c| c > 0)
+            .collect();
+        capacities.sort_unstable();
+        capacities
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn holey_roundtrip_with_holes() {
-        // Capacities larger than actual arcs: 0 gets cap 4 but 2 arcs.
-        let b = HoleyCsrBuilder::new(&[4, 3, 2]);
-        b.add_arc(0, 1, 1.0);
-        b.add_arc(0, 2, 2.0);
-        b.add_arc(1, 0, 1.0);
-        b.add_arc(2, 0, 2.0);
-        assert_eq!(b.degree(0), 2);
-        assert_eq!(b.num_vertices(), 3);
-        let g = b.into_csr();
-        assert_eq!(g.num_arcs(), 4);
-        let mut e0: Vec<_> = g.edges(0).collect();
-        e0.sort_by_key(|&(v, _)| v);
-        assert_eq!(e0, vec![(1, 1.0), (2, 2.0)]);
-        assert_eq!(g.edges(1).collect::<Vec<_>>(), vec![(0, 1.0)]);
-    }
-
-    #[test]
-    fn holey_zero_capacity_vertices() {
-        let b = HoleyCsrBuilder::new(&[0, 2, 0]);
-        b.add_arc(1, 0, 1.0);
-        let g = b.into_csr();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.degree(0), 0);
-        assert_eq!(g.degree(1), 1);
-        assert_eq!(g.degree(2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity exceeded")]
-    fn holey_overflow_panics() {
-        let b = HoleyCsrBuilder::new(&[1]);
-        b.add_arc(0, 0, 1.0);
-        b.add_arc(0, 0, 1.0);
-    }
-
-    #[test]
-    fn holey_concurrent_fill() {
-        use rayon::prelude::*;
-        let n = 100u32;
-        let per = 50u32;
-        let caps = vec![per as u64; n as usize];
-        let b = HoleyCsrBuilder::new(&caps);
-        (0..n * per).into_par_iter().for_each(|i| {
-            b.add_arc(i % n, i / n, 1.0);
-        });
-        let g = b.into_csr();
-        assert_eq!(g.num_arcs(), (n * per) as usize);
-        for u in 0..n {
-            assert_eq!(g.degree(u), per as usize);
-            let mut nb: Vec<_> = g.neighbors(u).to_vec();
-            nb.sort_unstable();
-            assert_eq!(nb, (0..per).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn group_by_basic() {
@@ -624,35 +506,17 @@ mod tests {
         assert_eq!(g.num_members(), 0);
     }
 
-    /// Reference implementation: the scratch must reproduce exactly
-    /// what the one-shot GroupedCsr + HoleyCsrBuilder pair produces.
-    fn reference_aggregate(keys: &[VertexId], num_groups: usize, degrees: &[u64]) -> CsrGraph {
-        let grouped = GroupedCsr::group_by(keys, num_groups);
-        let capacities: Vec<u64> = (0..num_groups as u32)
-            .map(|c| {
-                grouped
-                    .members(c)
-                    .iter()
-                    .map(|&v| degrees[v as usize])
-                    .sum()
-            })
-            .collect();
-        let builder = HoleyCsrBuilder::new(&capacities);
-        for c in 0..num_groups as u32 {
-            for (slot, &v) in grouped.members(c).iter().enumerate() {
-                builder.add_arc(c, v % num_groups as u32, slot as f32 + 1.0);
-            }
-        }
-        builder.into_csr()
-    }
-
-    fn scratch_aggregate(
+    /// One epoch in which every member `v` of group `c` adds the arc
+    /// `c → v % num_groups` with weight `slot + 1`, returning the
+    /// supergraph and the rows a naive per-row build gives.
+    fn epoch(
         scratch: &mut AggregateScratch,
         keys: &[VertexId],
         num_groups: usize,
         degrees: &[u64],
-    ) -> CsrGraph {
+    ) -> (CsrGraph, Vec<Vec<(VertexId, u32)>>) {
         scratch.prepare(keys, num_groups, |v| degrees[v]);
+        let mut rows = vec![Vec::new(); num_groups];
         for c in 0..num_groups as u32 {
             let expected: u64 = scratch
                 .members(c)
@@ -661,17 +525,31 @@ mod tests {
                 .sum();
             assert_eq!(scratch.capacity(c), expected, "fused capacity of {c}");
             for (slot, &v) in scratch.members(c).iter().enumerate() {
-                scratch.add_arc(c, v % num_groups as u32, slot as f32 + 1.0);
+                let (d, w) = (v % num_groups as u32, slot as f32 + 1.0);
+                scratch.add_arc(c, d, w);
+                rows[c as usize].push((d, w.to_bits()));
             }
         }
-        scratch.squeeze()
+        (scratch.squeeze(), rows)
+    }
+
+    fn assert_rows(graph: &CsrGraph, rows: &[Vec<(VertexId, u32)>]) {
+        graph.validate().unwrap();
+        assert_eq!(graph.num_vertices(), rows.len());
+        for (u, row) in rows.iter().enumerate() {
+            let got: Vec<_> = graph
+                .edges(u as u32)
+                .map(|(v, w)| (v, w.to_bits()))
+                .collect();
+            assert_eq!(&got, row, "row {u}");
+        }
     }
 
     #[test]
-    fn aggregate_scratch_matches_one_shot_builders_across_reuse() {
+    fn squeeze_compacts_in_place_across_epochs() {
         let mut scratch = AggregateScratch::new();
-        // Shrinking epochs, as in the pass loop; one growth in between
-        // to exercise the grow path too.
+        // Shrinking epochs, as in the pass loop, with one growth in
+        // between to exercise the grow path too.
         let epochs: Vec<(Vec<u32>, usize)> = vec![
             ((0..600u32).map(|i| i % 37).collect(), 37),
             ((0..300u32).map(|i| (i * 7) % 11).collect(), 11),
@@ -680,32 +558,52 @@ mod tests {
         ];
         for (keys, num_groups) in epochs {
             let degrees: Vec<u64> = (0..keys.len() as u64).map(|i| 1 + i % 5).collect();
-            let expected = reference_aggregate(&keys, num_groups, &degrees);
-            let got = scratch_aggregate(&mut scratch, &keys, num_groups, &degrees);
-            // Same per-vertex arc multisets (claim order may differ).
-            assert_eq!(got.num_vertices(), expected.num_vertices());
-            assert_eq!(got.num_arcs(), expected.num_arcs());
-            assert_eq!(got.offsets(), expected.offsets());
-            for u in 0..got.num_vertices() as u32 {
-                let mut a: Vec<_> = got.edges(u).map(|(v, w)| (v, w.to_bits())).collect();
-                let mut b: Vec<_> = expected.edges(u).map(|(v, w)| (v, w.to_bits())).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "arcs of {u}");
-            }
-            // Feed the graph back in: the next squeeze reuses its buffers.
-            scratch.recycle(got);
-            assert!(scratch.recycled_buffers() >= 1);
+            let (graph, rows) = epoch(&mut scratch, &keys, num_groups, &degrees);
+            assert_rows(&graph, &rows);
+            scratch.recycle(graph);
         }
     }
 
     #[test]
-    fn recycle_stack_is_bounded() {
+    fn squeezed_graph_owns_the_slot_buffers() {
         let mut scratch = AggregateScratch::new();
-        for _ in 0..5 {
-            scratch.recycle(CsrGraph::empty(3));
-        }
-        assert_eq!(scratch.recycled_buffers(), RECYCLE_DEPTH);
+        scratch.reserve(4, 100);
+        assert_eq!(scratch.spare_capacities(), vec![100]);
+        let keys = [0, 1, 1, 3];
+        let (graph, rows) = epoch(&mut scratch, &keys, 4, &[10, 20, 30, 40]);
+        assert_rows(&graph, &rows);
+        assert!(scratch.spare_capacities().is_empty());
+        let (_, targets, weights) = graph.into_raw();
+        assert_eq!((targets.capacity(), weights.capacity()), (100, 100));
+    }
+
+    #[test]
+    fn ping_pong_keeps_two_sets_and_allocates_exactly() {
+        let mut scratch = AggregateScratch::new();
+        scratch.reserve(8, 64);
+        let keys: Vec<u32> = (0..8).collect();
+        // Pass 0 fills the reserved set; pass 1, with pass 0's graph
+        // still live, gets a new set of exactly its 24 slots.
+        let (g0, _) = epoch(&mut scratch, &keys, 8, &[8; 8]);
+        let (g1, _) = epoch(&mut scratch, &keys[..6], 6, &[4; 6]);
+        scratch.recycle(g0);
+        let (g2, _) = epoch(&mut scratch, &keys[..3], 3, &[2; 3]);
+        scratch.recycle(g1);
+        scratch.recycle(g2);
+        assert_eq!(scratch.spare_capacities(), vec![24, 64]);
+        // A third retired graph drops the smallest set.
+        scratch.recycle(CsrGraph::empty(3));
+        assert_eq!(scratch.spare_capacities(), vec![24, 64]);
+    }
+
+    #[test]
+    fn unsqueezed_epoch_returns_its_set() {
+        let mut scratch = AggregateScratch::new();
+        scratch.prepare(&[0, 0], 1, |_| 5);
+        scratch.prepare(&[0], 1, |_| 3);
+        let (graph, rows) = epoch(&mut scratch, &[0, 0], 1, &[1, 1]);
+        assert_rows(&graph, &rows);
+        assert!(scratch.spare_capacities().is_empty());
     }
 
     #[test]
@@ -715,6 +613,24 @@ mod tests {
         scratch.prepare(&[0], 1, |_| 1);
         scratch.add_arc(0, 0, 1.0);
         scratch.add_arc(0, 0, 1.0);
+    }
+
+    #[test]
+    fn concurrent_fill_squeezes_every_arc() {
+        let (n, per) = (100u32, 50u32);
+        let keys: Vec<u32> = (0..n).collect();
+        let mut scratch = AggregateScratch::new();
+        scratch.prepare(&keys, n as usize, |_| per as u64 + 3);
+        (0..n * per).into_par_iter().for_each(|i| {
+            scratch.add_arc(i % n, i / n, 1.0);
+        });
+        let graph = scratch.squeeze();
+        assert_eq!(graph.num_arcs(), (n * per) as usize);
+        for u in 0..n {
+            let mut nb = graph.neighbors(u).to_vec();
+            nb.sort_unstable();
+            assert_eq!(nb, (0..per).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   working representation for every algorithm crate;
 //! * [`AdjacencyList`] — the mutable 2D-vector form, convenient for
 //!   construction and tests;
-//! * [`holey::HoleyCsrBuilder`] — over-allocated CSR whose slots are
-//!   claimed atomically by concurrent writers (aggregation phase);
+//! * [`holey::AggregateScratch`] — the aggregation arena: over-allocated
+//!   ("holey") CSR slots claimed atomically by concurrent writers, then
+//!   squeezed in place into the super-vertex graph;
 //! * [`holey::GroupedCsr`] — exact-size CSR mapping group id → members
 //!   (the community-vertices structure `G'_{C'}` of Algorithm 4);
 //! * [`builder::GraphBuilder`] — edge-list ingestion with symmetrization,
@@ -35,7 +36,7 @@ pub mod traversal;
 pub use adjacency::AdjacencyList;
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeScan};
-pub use holey::{AggregateScratch, GroupedCsr, HoleyCsrBuilder};
+pub use holey::{AggregateScratch, GroupedCsr};
 pub use reorder::{Relabeling, VertexOrdering};
 
 /// Vertex identifier. The paper uses 32-bit ids (§5.1.2).

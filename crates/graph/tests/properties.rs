@@ -1,6 +1,6 @@
 //! Property-based tests of the graph substrate.
 
-use gve_graph::holey::{GroupedCsr, HoleyCsrBuilder};
+use gve_graph::holey::{AggregateScratch, GroupedCsr};
 use gve_graph::{io, AdjacencyList, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -16,6 +16,49 @@ fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, 
             )
         })
     })
+}
+
+/// One element of an aggregation epoch: its group, its degree (its
+/// share of the group's slot capacity) and the arcs it emits, at most
+/// its degree.
+#[derive(Debug, Clone)]
+struct Element {
+    key: u32,
+    degree: u32,
+    emit: u32,
+    target: u32,
+    weight: u32,
+}
+
+#[derive(Debug, Clone)]
+struct Epoch {
+    num_groups: usize,
+    elements: Vec<Element>,
+    /// Arc count of a dirty foreign graph recycled before the epoch,
+    /// relative to what the epoch needs.
+    foreign: Option<i64>,
+}
+
+fn arb_epochs() -> impl Strategy<Value = Vec<Epoch>> {
+    let epoch = (1usize..12).prop_flat_map(|num_groups| {
+        let element = (0..num_groups as u32, 0u32..5, 0u32..5, 0u32..64, 1u32..5).prop_map(
+            |(key, degree, emit, target, weight)| Element {
+                key,
+                degree,
+                emit: emit.min(degree),
+                target,
+                weight,
+            },
+        );
+        (proptest::collection::vec(element, 0..40), 0u32..2, 0i64..7).prop_map(
+            move |(elements, has_foreign, delta)| Epoch {
+                num_groups,
+                elements,
+                foreign: (has_foreign == 1).then_some(delta - 3),
+            },
+        )
+    });
+    proptest::collection::vec(epoch, 3..7)
 }
 
 proptest! {
@@ -57,27 +100,52 @@ proptest! {
         prop_assert_eq!(io::binary::decode(&bin).unwrap(), g);
     }
 
-    /// Holey CSR with exact capacities reproduces the dense build.
+    /// The in-place squeeze reproduces a naive per-row build exactly
+    /// (row order and weight bits), epoch after epoch, whatever dirty
+    /// buffers the scratch was handed back: retired supergraphs kept
+    /// live for one epoch as in the pass loop, and foreign graphs
+    /// smaller than, equal to or larger than the next epoch needs. Each
+    /// epoch fills the smallest spare set that holds it, or one grown to
+    /// exactly its size.
     #[test]
-    fn holey_equals_direct_build((n, edges) in arb_edges(50, 150)) {
-        let reference = GraphBuilder::from_edges(n as usize, &edges);
-        let caps: Vec<u64> = (0..reference.num_vertices() as u32)
-            .map(|u| reference.degree(u) as u64)
-            .collect();
-        let holey = HoleyCsrBuilder::new(&caps);
-        for (u, v, w) in reference.arcs() {
-            holey.add_arc(u, v, w);
-        }
-        let rebuilt = holey.into_csr();
-        // Arc order within a vertex may differ; compare sorted rows.
-        prop_assert_eq!(rebuilt.num_vertices(), reference.num_vertices());
-        prop_assert_eq!(rebuilt.num_arcs(), reference.num_arcs());
-        for u in 0..reference.num_vertices() as u32 {
-            let mut a: Vec<_> = rebuilt.edges(u).map(|(v, w)| (v, w.to_bits())).collect();
-            let mut b: Vec<_> = reference.edges(u).map(|(v, w)| (v, w.to_bits())).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "vertex {} differs", u);
+    fn squeeze_matches_naive_rows_across_epochs(epochs in arb_epochs()) {
+        let mut scratch = AggregateScratch::new();
+        let mut live: Option<CsrGraph> = None;
+        for Epoch { num_groups, elements, foreign } in epochs {
+            let keys: Vec<u32> = elements.iter().map(|e| e.key).collect();
+            let need: usize = elements.iter().map(|e| e.degree as usize).sum();
+            if let Some(delta) = foreign {
+                let arcs = (need as i64 + delta).max(0) as usize;
+                scratch.recycle(CsrGraph::from_raw(vec![0, arcs as u64], vec![0; arcs], vec![9.5; arcs]));
+            }
+            let fitting = scratch.spare_capacities().into_iter().find(|&c| c >= need);
+
+            scratch.prepare(&keys, num_groups, |i| elements[i].degree as u64);
+            let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_groups];
+            for (i, e) in elements.iter().enumerate() {
+                for j in 0..e.emit {
+                    let target = (e.target + j) % num_groups as u32;
+                    let weight = e.weight as f32 + j as f32 * 0.25 + i as f32;
+                    scratch.add_arc(e.key, target, weight);
+                    rows[e.key as usize].push((target, weight.to_bits()));
+                }
+            }
+            let graph = scratch.squeeze();
+
+            graph.validate().unwrap();
+            prop_assert_eq!(graph.num_vertices(), num_groups);
+            for (u, row) in rows.iter().enumerate() {
+                let got: Vec<_> = graph.edges(u as u32).map(|(v, w)| (v, w.to_bits())).collect();
+                prop_assert_eq!(&got, row, "row {} differs", u);
+            }
+            let (offsets, targets, weights) = graph.into_raw();
+            if need > 0 {
+                prop_assert_eq!(targets.capacity(), fitting.unwrap_or(need));
+            }
+            let graph = CsrGraph::from_raw(offsets, targets, weights);
+            if let Some(retired) = live.replace(graph) {
+                scratch.recycle(retired);
+            }
         }
     }
 

@@ -5,8 +5,13 @@
 //! Algorithm 3, lines 10–11). Rust has no `AtomicF64`, so we emulate one
 //! with compare-and-swap loops over the IEEE-754 bit pattern, exactly as
 //! the C++ original does with `#pragma omp atomic` / `atomicCAS`.
+//!
+//! [`atomic_into_plain`] and [`plain_into_atomic`] move a
+//! `Vec<AtomicU32>`'s allocation to and from a `Vec<u32>`/`Vec<f32>`
+//! without copying, so buffers filled concurrently can be handed on as
+//! plain data.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A `f64` that can be read and updated atomically.
 ///
@@ -122,6 +127,55 @@ pub fn atomic_f64_snapshot(values: &[AtomicF64]) -> Vec<f64> {
     values.iter().map(AtomicF64::load).collect()
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for f32 {}
+}
+
+/// A plain 32-bit type that an [`AtomicU32`] vector can hand its
+/// allocation to: same size and alignment, and every bit pattern valid
+/// both ways. Implemented for `u32` and `f32` only.
+pub trait Bits32: Copy + sealed::Sealed {}
+impl Bits32 for u32 {}
+impl Bits32 for f32 {}
+
+/// Turns an atomic vector into a plain one over the same allocation:
+/// no copy, and length, contents and spare capacity are kept. The
+/// aggregation scratch fills its arc slots through atomics and then
+/// hands the very same buffers to a CSR graph.
+pub fn atomic_into_plain<T: Bits32>(atomics: Vec<AtomicU32>) -> Vec<T> {
+    // SAFETY: `T: Bits32` is `u32` or `f32`, for which every bit
+    // pattern of an `AtomicU32` is valid.
+    unsafe { recast_vec(atomics) }
+}
+
+/// The inverse of [`atomic_into_plain`]: hands a plain vector's
+/// allocation back to atomics, again without copying.
+pub fn plain_into_atomic<T: Bits32>(plain: Vec<T>) -> Vec<AtomicU32> {
+    // SAFETY: every `u32`/`f32` bit pattern is a valid `AtomicU32`.
+    unsafe { recast_vec(plain) }
+}
+
+/// Reinterprets a vector's allocation as elements of another type.
+///
+/// # Safety
+/// Every bit pattern of `A` must be a valid `B`. Size and alignment
+/// equality are checked at compile time.
+unsafe fn recast_vec<A, B>(v: Vec<A>) -> Vec<B> {
+    const {
+        assert!(std::mem::size_of::<A>() == std::mem::size_of::<B>());
+        assert!(std::mem::align_of::<A>() == std::mem::align_of::<B>());
+    }
+    let mut v = std::mem::ManuallyDrop::new(v);
+    let (ptr, len, capacity) = (v.as_mut_ptr(), v.len(), v.capacity());
+    // SAFETY: the allocation came from a `Vec<A>` whose ownership the
+    // `ManuallyDrop` gives up; `B` has `A`'s size and alignment, so the
+    // allocation's layout for `capacity` elements is unchanged, and the
+    // caller guarantees the `len` initialized elements are valid `B`s.
+    unsafe { Vec::from_raw_parts(ptr.cast::<B>(), len, capacity) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +248,41 @@ mod tests {
         let b = a.clone();
         assert_eq!(b.into_inner(), 7.0);
         assert_eq!(a.into_inner(), 7.0);
+    }
+
+    #[test]
+    fn recast_roundtrip_keeps_allocation_and_bits() {
+        let mut plain: Vec<u32> = Vec::with_capacity(16);
+        plain.extend([1, 2, u32::MAX]);
+        let ptr = plain.as_ptr() as usize;
+        let atomics = plain_into_atomic(plain);
+        assert_eq!((atomics.len(), atomics.capacity()), (3, 16));
+        assert_eq!(atomics.as_ptr() as usize, ptr);
+        // Relaxed: single-threaded test read-back.
+        assert_eq!(atomics[2].load(Ordering::Relaxed), u32::MAX);
+        atomics[0].store(1.5f32.to_bits(), Ordering::Relaxed);
+        let weights: Vec<f32> = atomic_into_plain(atomics);
+        assert_eq!(weights.as_ptr() as usize, ptr);
+        assert_eq!(weights.capacity(), 16);
+        assert_eq!(weights[0], 1.5);
+        assert_eq!(weights[1].to_bits(), 2);
+        // Spare capacity is usable in place after the round trip.
+        let mut back: Vec<u32> = atomic_into_plain(plain_into_atomic(weights));
+        back.resize(16, 7);
+        assert_eq!(back.as_ptr() as usize, ptr);
+        assert_eq!(back[0], 1.5f32.to_bits());
+        assert_eq!(&back[3..], &[7; 13]);
+    }
+
+    #[test]
+    fn recast_empty_vectors() {
+        let empty: Vec<f32> = atomic_into_plain(Vec::new());
+        assert!(empty.is_empty());
+        let atomics = plain_into_atomic(Vec::<u32>::with_capacity(5));
+        assert!(atomics.is_empty());
+        assert_eq!(atomics.capacity(), 5);
+        let plain: Vec<u32> = atomic_into_plain(atomics);
+        assert_eq!(plain.capacity(), 5);
     }
 
     #[test]

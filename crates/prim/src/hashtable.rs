@@ -11,6 +11,8 @@
 //! space complexity) for the removal of all hashing and probing from the
 //! innermost loop of the algorithm.
 
+use crate::workspace::resize_exact;
+
 /// Dense accumulator map from community id (`u32`) to accumulated weight.
 ///
 /// Used to tally `K_{i→c}` — the total edge weight from a vertex `i` to
@@ -55,14 +57,15 @@ impl CommunityMap {
         self.keys.is_empty()
     }
 
-    /// Grows the table to hold keys in `0..capacity`, keeping live entries.
+    /// Grows the table to hold keys in `0..capacity`, keeping live
+    /// entries. Growth allocates exactly `capacity` slots.
     ///
     /// Capacity only ever needs to grow to the vertex count of the first
     /// (largest) graph in a Leiden run; later passes reuse the same tables.
     pub fn ensure_capacity(&mut self, capacity: usize) {
         if capacity > self.values.len() {
-            self.values.resize(capacity, 0.0);
-            self.touched.resize(capacity, false);
+            resize_exact(&mut self.values, capacity, || 0.0);
+            resize_exact(&mut self.touched, capacity, || false);
         }
     }
 
@@ -233,12 +236,14 @@ mod tests {
         m.add(1, 1.5);
         m.ensure_capacity(100);
         assert_eq!(m.capacity(), 100);
+        m.ensure_capacity(101);
+        assert_eq!(m.values.capacity(), 101, "growth must be exact");
         assert_eq!(m.get(1), Some(1.5));
         m.add(99, 2.0);
         assert_eq!(m.get(99), Some(2.0));
         // Shrinking is a no-op.
         m.ensure_capacity(10);
-        assert_eq!(m.capacity(), 100);
+        assert_eq!(m.capacity(), 101);
     }
 
     #[test]

@@ -11,6 +11,15 @@
 
 use std::sync::Mutex;
 
+/// Resizes `v` to `len` like [`Vec::resize_with`], except that growth
+/// allocates exactly `len` elements: `resize_with` alone may round the
+/// capacity up to twice the old one, which a grow-only arena then holds
+/// for good.
+pub fn resize_exact<T>(v: &mut Vec<T>, len: usize, fill: impl FnMut() -> T) {
+    v.reserve_exact(len.saturating_sub(v.len()));
+    v.resize_with(len, fill);
+}
+
 /// Cache-line-aligned wrapper to keep neighbouring slots off the same line.
 #[repr(align(64))]
 struct Padded<T>(Mutex<Option<T>>);
@@ -117,6 +126,18 @@ mod tests {
     use super::*;
     use rayon::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn resize_exact_grows_to_exactly_the_length() {
+        let mut v: Vec<u64> = Vec::with_capacity(100);
+        v.resize(100, 1);
+        resize_exact(&mut v, 101, || 2);
+        assert_eq!((v.len(), v.capacity()), (101, 101));
+        assert_eq!(v[100], 2);
+        // Shrinking truncates and keeps the allocation.
+        resize_exact(&mut v, 10, || 3);
+        assert_eq!((v.len(), v.capacity()), (10, 101));
+    }
 
     #[test]
     fn with_reuses_value_on_same_thread() {

@@ -164,7 +164,7 @@ fn sigma_isolation_claim_has_single_winner_and_conserves_weight() {
 fn holey_slot_claims_are_unique_and_payloads_intact() {
     loom::model(|| {
         const SLOTS: usize = 6;
-        // Per-vertex arc-slot cursor, as in `HoleyCsr::add_arc`: each
+        // Per-vertex arc-slot cursor, as in `AggregateScratch::add_arc`: each
         // writer claims `fetch_add(1)` then owns slot exclusively.
         let cursor = Arc::new(AtomicUsize::new(0));
         // One atomic per slot standing in for the (target, weight)

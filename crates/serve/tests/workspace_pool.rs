@@ -46,7 +46,7 @@ fn pooled_runs_reach_zero_hot_path_allocations() {
         .build()
         .unwrap();
     thread_pool.install(|| {
-        // Warm-up: grows the arena (and the aggregation recycle stack)
+        // Warm-up: grows the arena (and the aggregation slot sets)
         // to this graph's size.
         let warm = {
             let mut ws = pool.checkout();
