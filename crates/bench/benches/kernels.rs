@@ -1,17 +1,14 @@
-//! Criterion microbenchmarks of the v1 (two-pass, table-only) versus v2
-//! (fused, degree-aware) scan kernels, on an R-MAT web graph (skewed
-//! degrees — exercises the two-tier dispatch) and a planted-partition
-//! SBM (near-uniform degrees — almost every vertex rides the stack
-//! tier). Also measures the edge-layout and vertex-ordering variants of
-//! the full pipeline. The machine-readable counterpart of this suite is
-//! the `kernels` binary, which emits `BENCH_kernels.json`.
+//! Criterion microbenchmarks of the neighbourhood-scan kernel, on an
+//! R-MAT web graph (skewed degrees — exercises both tiers of the degree
+//! dispatch) and a planted-partition SBM (near-uniform degrees — almost
+//! every vertex rides the stack tier). Also measures the vertex-ordering
+//! variant of the full pipeline. The machine-readable counterpart of this
+//! suite is the `kernels` binary, which emits `BENCH_kernels.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gve_graph::props::vertex_weights;
 use gve_graph::CsrGraph;
-use gve_leiden::{
-    localmove, EdgeLayout, KernelVersion, Leiden, LeidenConfig, Objective, VertexOrdering,
-};
+use gve_leiden::{localmove, Leiden, LeidenConfig, Objective, VertexOrdering};
 use gve_prim::atomics::atomic_f64_from_slice;
 use gve_prim::{AtomicBitset, CommunityMap, PerThread};
 use std::hint::black_box;
@@ -33,68 +30,43 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
-fn kernel_configs() -> Vec<(&'static str, LeidenConfig)> {
-    let base = LeidenConfig::default();
-    vec![
-        ("v1", base.clone().kernel(KernelVersion::V1)),
-        ("v2", base.clone().kernel(KernelVersion::V2)),
-    ]
-}
-
-/// One full local-moving phase from singletons, per kernel and graph.
+/// One full local-moving phase from singletons, per graph.
 fn bench_local_move(c: &mut Criterion) {
+    let config = LeidenConfig::default();
     for (graph_name, graph) in graphs() {
         let n = graph.num_vertices();
         let weights = vertex_weights(&graph);
         let coeffs = Objective::default().coeffs(graph.total_arc_weight() / 2.0);
         let tables = PerThread::new(move || CommunityMap::new(n));
-        for (kernel_name, config) in kernel_configs() {
-            c.bench_function(
-                format!("kernel/local_move/{kernel_name}/{graph_name}"),
-                |b| {
-                    b.iter(|| {
-                        let membership: Vec<AtomicU32> =
-                            (0..n as u32).map(AtomicU32::new).collect();
-                        let sigma = atomic_f64_from_slice(&weights);
-                        let unprocessed = AtomicBitset::new_all_set(n);
-                        black_box(localmove::local_move(
-                            &graph,
-                            &membership,
-                            &weights,
-                            &sigma,
-                            coeffs,
-                            config.initial_tolerance,
-                            &config,
-                            &tables,
-                            &unprocessed,
-                        ))
-                    });
-                },
-            );
-        }
+        c.bench_function(format!("kernel/local_move/{graph_name}"), |b| {
+            b.iter(|| {
+                let membership: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
+                let sigma = atomic_f64_from_slice(&weights);
+                let unprocessed = AtomicBitset::new_all_set(n);
+                black_box(localmove::local_move(
+                    &graph,
+                    &membership,
+                    &weights,
+                    &sigma,
+                    coeffs,
+                    config.initial_tolerance,
+                    &config,
+                    &tables,
+                    &unprocessed,
+                ))
+            });
+        });
     }
 }
 
-/// Full detection runs, including the layout and ordering variants that
-/// only pay off (or cost) across whole passes.
+/// Full detection runs, including the ordering variant that only pays
+/// off (or costs) across whole passes.
 fn bench_full_runs(c: &mut Criterion) {
     let variants: Vec<(&'static str, LeidenConfig)> = {
         let base = LeidenConfig::default();
         vec![
-            ("v1", base.clone().kernel(KernelVersion::V1)),
-            ("v2", base.clone().kernel(KernelVersion::V2)),
-            (
-                "v2_interleaved",
-                base.clone()
-                    .kernel(KernelVersion::V2)
-                    .layout(EdgeLayout::Interleaved),
-            ),
-            (
-                "v2_degree",
-                base.clone()
-                    .kernel(KernelVersion::V2)
-                    .ordering(VertexOrdering::DegreeDesc),
-            ),
+            ("default", base.clone()),
+            ("degree", base.ordering(VertexOrdering::DegreeDesc)),
         ]
     };
     for (graph_name, graph) in graphs() {

@@ -25,16 +25,6 @@ pub struct BenchArgs {
     /// `kernels` runner); the CI bench-smoke job uses it as the
     /// zero-steady-state-allocation regression gate.
     pub assert_steady_allocs: Option<u64>,
-    /// Fail the `kernels` run unless, on every suite graph, the best v3
-    /// variant is strictly faster than the v1 reference — the kernel-v3
-    /// performance gate enforced by CI bench-smoke.
-    pub assert_v3_beats_v1: bool,
-    /// Noise allowance for the v3 gate: the gate passes a graph when
-    /// `best_v3 < v1 * tolerance`. Defaults to 1.0 (strictly faster);
-    /// CI runs on shared runners where min-of-reps wall times still
-    /// jitter a few percent, so its jobs pass a small margin (1.02)
-    /// rather than letting a scheduler hiccup block unrelated merges.
-    pub v3_tolerance: f64,
 }
 
 impl Default for BenchArgs {
@@ -48,8 +38,6 @@ impl Default for BenchArgs {
             threads: None,
             quick: false,
             assert_steady_allocs: None,
-            assert_v3_beats_v1: false,
-            v3_tolerance: 1.0,
         }
     }
 }
@@ -80,10 +68,6 @@ impl BenchArgs {
                     args.threads = Some(value("--threads").parse().expect("bad --threads"))
                 }
                 "--quick" => args.quick = true,
-                "--assert-v3-beats-v1" => args.assert_v3_beats_v1 = true,
-                "--v3-tolerance" => {
-                    args.v3_tolerance = value("--v3-tolerance").parse().expect("bad --v3-tolerance")
-                }
                 "--assert-steady-allocs" => {
                     args.assert_steady_allocs = Some(
                         value("--assert-steady-allocs")
@@ -94,8 +78,7 @@ impl BenchArgs {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --scale <f64> --reps <n> --seed <n> --csv <path> --json <path> \
-                         --threads <n> --quick --assert-steady-allocs <n> \
-                         --assert-v3-beats-v1 --v3-tolerance <f64>"
+                         --threads <n> --quick --assert-steady-allocs <n>"
                     );
                     std::process::exit(0);
                 }
@@ -104,10 +87,6 @@ impl BenchArgs {
         }
         assert!(args.reps >= 1, "--reps must be at least 1");
         assert!(args.scale > 0.0, "--scale must be positive");
-        assert!(
-            args.v3_tolerance >= 1.0,
-            "--v3-tolerance must be at least 1.0"
-        );
         args
     }
 
@@ -181,25 +160,6 @@ mod tests {
         assert_eq!(parse(&[]).assert_steady_allocs, None);
         let a = parse(&["--assert-steady-allocs", "64"]);
         assert_eq!(a.assert_steady_allocs, Some(64));
-    }
-
-    #[test]
-    fn v3_gate_flag() {
-        assert!(!parse(&[]).assert_v3_beats_v1);
-        assert!(parse(&["--assert-v3-beats-v1"]).assert_v3_beats_v1);
-    }
-
-    #[test]
-    fn v3_tolerance_flag() {
-        assert_eq!(parse(&[]).v3_tolerance, 1.0);
-        let a = parse(&["--v3-tolerance", "1.02"]);
-        assert_eq!(a.v3_tolerance, 1.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "--v3-tolerance must be at least 1.0")]
-    fn v3_tolerance_below_one_rejected() {
-        parse(&["--v3-tolerance", "0.9"]);
     }
 
     #[test]

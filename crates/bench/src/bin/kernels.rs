@@ -1,7 +1,8 @@
-//! Kernel v1/v2/v3 comparison runner — the reproducible counterpart of
-//! `benches/kernels.rs`. Runs full GVE-Leiden under each kernel variant
-//! on an R-MAT web graph (skewed degrees), a planted-partition SBM
-//! (near-uniform degrees), and a Barabási–Albert power-law graph
+//! Scan-kernel runner — the reproducible counterpart of
+//! `benches/kernels.rs`. Runs full GVE-Leiden under each scheduling and
+//! ordering variant on an R-MAT web graph (skewed degrees), a
+//! planted-partition SBM (near-uniform degrees), and a Barabási–Albert
+//! power-law graph
 //! (heavy hub skew), takes the **minimum** wall time over `--reps`
 //! repetitions (the stable statistic on a shared box), and emits a
 //! machine-readable JSON report.
@@ -12,25 +13,17 @@
 //! ```
 //!
 //! Without `--json` the report is written to `BENCH_kernels.json` in the
-//! working directory. Variants:
+//! working directory; it records the rayon thread count and the
+//! checkout's `git describe --always --dirty`. Variants (all on the one
+//! scan kernel and the split CSR layout; the kernel's own speed is
+//! guarded end to end by the benchmark ledger's detect workloads):
 //!
-//! * `v1` — two-pass table-only scan (the reference kernel);
-//! * `v2` — fused degree-aware scan (the default);
-//! * `v2_interleaved` — v2 plus the interleaved `(target, weight)` CSR
-//!   edge layout;
-//! * `v2_degree` — v2 plus degree-descending vertex relabeling;
-//! * `v2_bfs` — v2 plus BFS vertex relabeling;
-//! * `v3` — lane-chunked accumulate + lane-parallel choose over the
-//!   interleaved layout (static chunking);
-//! * `v3_guided` — v3 under guided (arc-balanced, shrinking-chunk)
-//!   scheduling;
-//! * `v3_steal` — v3 under per-worker-deque work stealing.
-//!
-//! `--assert-v3-beats-v1` turns the comparison into a hard gate: on
-//! every suite graph the best v3 variant must be strictly faster than
-//! the v1 reference (exit 1 otherwise). `--v3-tolerance <f64>` relaxes
-//! the gate to `best < v1 * tolerance` so CI on noisy shared runners
-//! can grant a small margin (e.g. 1.02) instead of failing on jitter.
+//! * `default` — the default configuration (static chunking, original
+//!   vertex order);
+//! * `degree` — degree-descending vertex relabeling;
+//! * `bfs` — BFS vertex relabeling;
+//! * `guided` — guided (arc-balanced, shrinking-chunk) scheduling;
+//! * `steal` — per-worker-deque work stealing.
 //!
 //! This binary installs the counting global allocator and runs every
 //! variant inside one pass-resident [`PassWorkspace`], so the report
@@ -44,9 +37,7 @@
 
 use gve_bench::{report, report::Table, BenchArgs};
 use gve_graph::CsrGraph;
-use gve_leiden::{
-    ChunkScheduling, EdgeLayout, KernelVersion, Leiden, LeidenConfig, PassWorkspace, VertexOrdering,
-};
+use gve_leiden::{ChunkScheduling, Leiden, LeidenConfig, PassWorkspace, VertexOrdering};
 use gve_prim::alloc_count::{self, CountingAllocator};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,42 +48,11 @@ static ALLOC: CountingAllocator = CountingAllocator;
 fn variants() -> Vec<(&'static str, LeidenConfig)> {
     let base = LeidenConfig::default();
     vec![
-        ("v1", base.clone().kernel(KernelVersion::V1)),
-        ("v2", base.clone().kernel(KernelVersion::V2)),
-        (
-            "v2_interleaved",
-            base.clone()
-                .kernel(KernelVersion::V2)
-                .layout(EdgeLayout::Interleaved),
-        ),
-        (
-            "v2_degree",
-            base.clone()
-                .kernel(KernelVersion::V2)
-                .ordering(VertexOrdering::DegreeDesc),
-        ),
-        (
-            "v2_bfs",
-            base.clone()
-                .kernel(KernelVersion::V2)
-                .ordering(VertexOrdering::Bfs),
-        ),
-        // v3 rows run the default split layout, like v1, so the gate
-        // compares kernels — not kernel+layout bundles (the interleaved
-        // materialization is a separately measured option above).
-        ("v3", base.clone().kernel(KernelVersion::V3)),
-        (
-            "v3_guided",
-            base.clone()
-                .kernel(KernelVersion::V3)
-                .chunking(ChunkScheduling::Guided),
-        ),
-        (
-            "v3_steal",
-            base.clone()
-                .kernel(KernelVersion::V3)
-                .chunking(ChunkScheduling::Stealing),
-        ),
+        ("default", base.clone()),
+        ("degree", base.clone().ordering(VertexOrdering::DegreeDesc)),
+        ("bfs", base.clone().ordering(VertexOrdering::Bfs)),
+        ("guided", base.clone().chunking(ChunkScheduling::Guided)),
+        ("steal", base.chunking(ChunkScheduling::Stealing)),
     ]
 }
 
@@ -118,12 +78,26 @@ fn graphs(args: &BenchArgs) -> Vec<(String, CsrGraph)> {
         // Power-law-degree graph with heavy hub skew: preferential
         // attachment concentrates a large fraction of the arcs on a few
         // early vertices, which is exactly what guided/stealing
-        // scheduling (and the v3 hub-gather path) are built for.
+        // scheduling (and the kernel's hub table tier) are built for.
         (
             format!("pld_cross_web_{pld_n}"),
             gve_generate::ba::barabasi_albert(pld_n.max(1000), 8, args.seed),
         ),
     ]
+}
+
+/// `git describe --always --dirty` of the working directory (a
+/// `-dirty` suffix marks uncommitted changes), or `unknown`.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|text| text.trim().to_string())
+        .filter(|text| !text.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 struct Row {
@@ -148,12 +122,12 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(
-        "Kernel v1 vs v2 vs v3 (min wall time over reps)",
+        "Scan kernel: scheduling and ordering variants (min wall time over reps)",
         &[
             "Graph",
             "Variant",
             "Time",
-            "vs v1",
+            "vs default",
             "Modularity",
             "Passes",
             "Allocs fresh\u{2192}steady",
@@ -207,20 +181,20 @@ fn main() {
                 }
             }
         }
-        let mut v1_seconds = f64::NAN;
+        let mut default_seconds = f64::NAN;
         for (i, (variant, _)) in runners.iter().enumerate() {
             let variant = *variant;
             let best = best[i];
             let result = &results[i];
-            if variant == "v1" {
-                v1_seconds = best;
+            if variant == "default" {
+                default_seconds = best;
             }
             let modularity = gve_quality::modularity(&graph, &result.membership);
             table.push(vec![
                 graph_name.clone(),
                 variant.to_string(),
                 report::fmt_secs(best),
-                report::fmt_speedup(v1_seconds / best),
+                report::fmt_speedup(default_seconds / best),
                 format!("{modularity:.4}"),
                 result.passes.to_string(),
                 format!("{}\u{2192}{}", fresh[i].0, steady[i].0),
@@ -259,6 +233,8 @@ fn main() {
     let _ = writeln!(json, "  \"seed\": {},", args.seed);
     let _ = writeln!(json, "  \"scale\": {},", args.scale);
     let _ = writeln!(json, "  \"quick\": {},", args.quick);
+    let _ = writeln!(json, "  \"threads\": {},", rayon::current_num_threads());
+    let _ = writeln!(json, "  \"commit\": \"{}\",", commit());
     let _ = writeln!(json, "  \"statistic\": \"min\",");
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -315,54 +291,6 @@ fn main() {
         eprintln!(
             "alloc gate passed: every steady-state run stayed within \
              {bound} allocations"
-        );
-    }
-
-    // The kernel-v3 performance gate (CI bench-smoke): on every graph
-    // the best v3 variant must beat v1 within the configured noise
-    // tolerance (`best < v1 * tolerance`; tolerance 1.0 = strictly
-    // faster). CI passes a small margin so a scheduler hiccup on a
-    // shared runner can't fail the gate nondeterministically.
-    if args.assert_v3_beats_v1 {
-        let tolerance = args.v3_tolerance;
-        let mut graphs: Vec<&str> = rows.iter().map(|r| r.graph.as_str()).collect();
-        graphs.dedup();
-        let mut violated = false;
-        for graph in graphs {
-            let v1 = rows
-                .iter()
-                .find(|r| r.graph == graph && r.variant == "v1")
-                .expect("v1 row missing")
-                .seconds;
-            let (best_variant, best) = rows
-                .iter()
-                .filter(|r| r.graph == graph && r.variant.starts_with("v3"))
-                .map(|r| (r.variant, r.seconds))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("v3 rows missing");
-            if best < v1 * tolerance {
-                eprintln!(
-                    "v3 gate: {graph}: {best_variant} {} vs v1 {} ({:.2}x)",
-                    report::fmt_secs(best),
-                    report::fmt_secs(v1),
-                    v1 / best
-                );
-            } else {
-                violated = true;
-                eprintln!(
-                    "v3 gate FAILED: {graph}: best v3 variant {best_variant} {} \
-                     is not faster than v1 {} (tolerance {tolerance:.2})",
-                    report::fmt_secs(best),
-                    report::fmt_secs(v1)
-                );
-            }
-        }
-        if violated {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "v3 gate passed: v3 beats v1 on every suite graph \
-             (tolerance {tolerance:.2})"
         );
     }
 }

@@ -18,7 +18,7 @@ use crate::localmove::scan_communities;
 use gve_graph::{AggregateScratch, CsrGraph, VertexId};
 use gve_prim::parfor::dynamic_workers;
 use gve_prim::scan::parallel_offsets_from_counts;
-use gve_prim::{CommunityMap, PerThread, SmallScanMap};
+use gve_prim::{CommunityMap, HashScanMap, PerThread};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -57,12 +57,13 @@ pub fn aggregate(
 /// arrays, taken from a previously retired supergraph, are squeezed in
 /// place into the result — zero steady-state allocation.
 ///
-/// `small_threshold` enables the kernel-v2 two-tier scan: communities
-/// whose total degree (the holey-CSR capacity) fits the bound are
-/// tallied in a stack-resident [`SmallScanMap`] instead of the
-/// per-thread table — total degree bounds the distinct neighbour
-/// communities, so the map cannot overflow. `None` keeps every
-/// community on the v1 table path.
+/// `small_threshold` enables the two-tier scan: communities whose total
+/// degree (the holey-CSR capacity) fits the bound are tallied in a
+/// stack-resident [`HashScanMap`] instead of the per-thread table —
+/// total degree bounds the distinct neighbour communities, so a bound
+/// ≤ [`gve_prim::HASH_SCAN_CAP`] cannot overflow the map. Both maps
+/// flush in insertion order, so the tier changes no row's arc order or
+/// weight bits. `None` keeps every community on the table path.
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_into(
     graph: &CsrGraph,
@@ -88,7 +89,7 @@ pub fn aggregate_into(
     let shared = &*scratch;
     dynamic_workers(num_communities, chunk_size.max(1), |claims| {
         tables.with(|ht| {
-            let mut small = SmallScanMap::new();
+            let mut small = HashScanMap::new();
             for range in claims {
                 for c in range {
                     let c = c as VertexId;
@@ -99,14 +100,15 @@ pub fn aggregate_into(
                         // target communities.
                         small.clear();
                         for &i in shared.members(c) {
-                            for (j, w) in graph.scan_edges(i) {
+                            for (j, w) in graph.edges(i) {
                                 // Relaxed: membership is frozen here —
                                 // the join ending refine/local-move
                                 // already published every store.
-                                small.add(membership[j as usize].load(Ordering::Relaxed), w as f64);
+                                let d = membership[j as usize].load(Ordering::Relaxed);
+                                small.add_with(d, w as f64, |_| 0.0);
                             }
                         }
-                        for (d, w) in small.iter() {
+                        for (&d, &w) in small.keys().iter().zip(small.weights()) {
                             shared.add_arc(c, d, w as f32);
                         }
                         continue;
@@ -197,6 +199,8 @@ mod tests {
         aggregate(graph, &atomic, membership, k, 64, &tables, None)
     }
 
+    /// The stack tier emits every row exactly as the table path does:
+    /// same arcs, same order, same weight bits.
     #[test]
     fn two_tier_matches_table_only_aggregation() {
         let graph = gve_generate::sbm::PlantedPartition::new(500, 8, 10.0, 1.5)
@@ -208,25 +212,30 @@ mod tests {
         let membership: Vec<u32> = (0..500u32).map(|v| v % 100).collect();
         let atomic = atomic_membership(&membership);
         let tables = PerThread::new(|| CommunityMap::new(500));
-        let v1 = aggregate(&graph, &atomic, &membership, 100, 16, &tables, None);
-        let v2 = aggregate(
+        let table = aggregate(&graph, &atomic, &membership, 100, 16, &tables, None);
+        let two_tier = aggregate(
             &graph,
             &atomic,
             &membership,
             100,
             16,
             &tables,
-            Some(gve_prim::SMALL_SCAN_CAP),
+            Some(gve_prim::HASH_SCAN_CAP),
         );
-        assert_eq!(v1.num_vertices(), v2.num_vertices());
-        assert_eq!(v1.num_arcs(), v2.num_arcs());
+        assert_eq!(table.num_vertices(), two_tier.num_vertices());
+        assert_eq!(table.num_arcs(), two_tier.num_arcs());
+        let mut stacked = 0;
         for c in 0..100u32 {
-            let mut a: Vec<_> = v1.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
-            let mut b: Vec<_> = v2.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
-            a.sort_unstable();
-            b.sort_unstable();
+            let a: Vec<_> = table.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
+            let b: Vec<_> = two_tier.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
             assert_eq!(a, b, "community {c}");
+            let total_degree: usize = (0..500u32)
+                .filter(|&v| membership[v as usize] == c)
+                .map(|v| graph.degree(v))
+                .sum();
+            stacked += usize::from(total_degree <= gve_prim::HASH_SCAN_CAP);
         }
+        assert!(stacked > 0, "no community took the stack tier");
     }
 
     #[test]

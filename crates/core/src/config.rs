@@ -4,61 +4,27 @@
 //! tolerance 0.01, tolerance drop rate 10 (threshold scaling), iteration
 //! cap 20, pass cap 10, aggregation tolerance 0.8, greedy refinement and
 //! move-based super-vertex labeling, optimizing modularity.
+//!
+//! The neighbourhood scan itself has no settings: there is one kernel
+//! and one edge layout, and its degree cutoff is the constant
+//! [`SMALL_DEGREE_THRESHOLD`]. What remains here are the
+//! paper's parameters, its ablation comparators (random refinement,
+//! color-synchronous scheduling, sort-reduce aggregation), chunk
+//! scheduling and vertex ordering.
 
 use crate::objective::Objective;
 pub use gve_graph::VertexOrdering;
 
-/// Default degree cutoff for the fused kernel's stack tier. Chosen from
-/// the `kernels` benchmark sweep: thresholds 8–16 beat both the v1 table
-/// and a full-capacity (64) stack tier on R-MAT and SBM inputs, because
-/// the linear map's compare count grows quadratically with the number of
-/// distinct candidate communities.
-pub const DEFAULT_SMALL_DEGREE_THRESHOLD: usize = 16;
+/// Degree cutoff of the scan kernel's stack tier
+/// ([`crate::kernel::best_move`]): vertices of degree ≤ this scan into a
+/// [`gve_prim::HashScanMap`], hubs into the per-thread table. The
+/// aggregation applies the same bound to a community's total degree.
+/// Kept at the previous default's value; retuning is a separate change.
+pub const SMALL_DEGREE_THRESHOLD: usize = 16;
 
-/// Which neighbourhood-scan kernel the asynchronous phases use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelVersion {
-    /// Two-pass reference kernel: scan all neighbour communities into
-    /// the per-thread collision-free table, then a second pass over the
-    /// touched keys picks the best target. Kept as the differential
-    /// baseline for the fused kernel.
-    V1,
-    /// Fused degree-aware kernel (the default): vertices with degree ≤
-    /// [`LeidenConfig::small_degree_threshold`] tally neighbour
-    /// communities in a stack-resident map *and* pick the best target in
-    /// the same pass, loading each candidate's `Σ'` exactly once; hubs
-    /// fall back to the v1 path.
-    #[default]
-    V2,
-    /// Lane-chunked kernel: accumulate-only edge scan over direct CSR
-    /// row slices (interleaved when built, split otherwise) with
-    /// batched membership loads, then one lane-parallel choose pass
-    /// over the candidate set (`gve_prim::simd`). Same two-tier
-    /// stack/table dispatch as v2, bit-identical choices to v1 on
-    /// frozen state.
-    V3,
-}
-
-impl KernelVersion {
-    /// Parses a CLI/config token: `v1`, `v2` or `v3`.
-    pub fn parse(token: &str) -> Result<Self, String> {
-        match token {
-            "v1" => Ok(Self::V1),
-            "v2" => Ok(Self::V2),
-            "v3" => Ok(Self::V3),
-            other => Err(format!("unknown kernel '{other}' (expected v1|v2|v3)")),
-        }
-    }
-
-    /// Canonical token for fingerprints and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::V1 => "v1",
-            Self::V2 => "v2",
-            Self::V3 => "v3",
-        }
-    }
-}
+// Degree bounds the distinct candidates, so a stack-tier scan can never
+// overflow the map.
+const _: () = assert!(SMALL_DEGREE_THRESHOLD <= gve_prim::HASH_SCAN_CAP);
 
 /// How the parallel phase loops carve the vertex range into per-worker
 /// claims (orthogonal to [`Scheduling`], which governs the freshness of
@@ -97,40 +63,6 @@ impl ChunkScheduling {
             Self::Static => "static",
             Self::Guided => "guided",
             Self::Stealing => "stealing",
-        }
-    }
-}
-
-/// Physical layout of the CSR arc arrays during detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EdgeLayout {
-    /// Separate `targets` / `weights` arrays (two cache streams per
-    /// neighbour scan).
-    #[default]
-    Split,
-    /// Interleaved `(target, weight)` pairs, built once per pass graph
-    /// (one cache stream per scan, at the cost of one extra copy of the
-    /// arcs).
-    Interleaved,
-}
-
-impl EdgeLayout {
-    /// Parses a CLI/config token: `split` or `interleaved`.
-    pub fn parse(token: &str) -> Result<Self, String> {
-        match token {
-            "split" => Ok(Self::Split),
-            "interleaved" => Ok(Self::Interleaved),
-            other => Err(format!(
-                "unknown edge layout '{other}' (expected split|interleaved)"
-            )),
-        }
-    }
-
-    /// Canonical token for fingerprints and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Split => "split",
-            Self::Interleaved => "interleaved",
         }
     }
 }
@@ -263,21 +195,9 @@ pub struct LeidenConfig {
     pub chunking: ChunkScheduling,
     /// Seed for the randomized refinement streams.
     pub seed: u64,
-    /// Neighbourhood-scan kernel for the asynchronous phases.
-    pub kernel: KernelVersion,
-    /// Degree cutoff for the fused kernel's stack-resident tier; must
-    /// not exceed [`gve_prim::SMALL_SCAN_CAP`]. Vertices above it use
-    /// the per-thread table. Defaults to
-    /// [`DEFAULT_SMALL_DEGREE_THRESHOLD`]: the map's lookup is a linear
-    /// scan, so past ~16 distinct candidates its O(d²) compare count
-    /// outweighs the cache-locality win over the dense table (measured
-    /// in `BENCH_kernels.json`).
-    pub small_degree_threshold: usize,
     /// Cache-aware vertex relabeling applied before detection
     /// (memberships are still reported in the caller's original ids).
     pub ordering: VertexOrdering,
-    /// Physical arc layout used during detection.
-    pub layout: EdgeLayout,
 }
 
 impl Default for LeidenConfig {
@@ -300,10 +220,7 @@ impl Default for LeidenConfig {
             chunk_size: gve_prim::parfor::DEFAULT_CHUNK,
             chunking: ChunkScheduling::default(),
             seed: 0,
-            kernel: KernelVersion::default(),
-            small_degree_threshold: DEFAULT_SMALL_DEGREE_THRESHOLD,
             ordering: VertexOrdering::default(),
-            layout: EdgeLayout::default(),
         }
     }
 }
@@ -364,12 +281,6 @@ impl LeidenConfig {
         self
     }
 
-    /// Sets the neighbourhood-scan kernel.
-    pub fn kernel(mut self, kernel: KernelVersion) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Sets the dynamic-schedule chunk size.
     pub fn chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = chunk_size;
@@ -382,21 +293,9 @@ impl LeidenConfig {
         self
     }
 
-    /// Sets the fused kernel's degree cutoff.
-    pub fn small_degree_threshold(mut self, threshold: usize) -> Self {
-        self.small_degree_threshold = threshold;
-        self
-    }
-
     /// Sets the cache-aware vertex ordering.
     pub fn ordering(mut self, ordering: VertexOrdering) -> Self {
         self.ordering = ordering;
-        self
-    }
-
-    /// Sets the physical arc layout.
-    pub fn layout(mut self, layout: EdgeLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -419,16 +318,6 @@ impl LeidenConfig {
         }
         if self.chunk_size == 0 {
             return Err("chunk_size must be positive".into());
-        }
-        if self.small_degree_threshold == 0 {
-            return Err("small_degree_threshold must be positive".into());
-        }
-        if self.small_degree_threshold > gve_prim::SMALL_SCAN_CAP {
-            return Err(format!(
-                "small_degree_threshold {} exceeds the stack map capacity {}",
-                self.small_degree_threshold,
-                gve_prim::SMALL_SCAN_CAP
-            ));
         }
         // partial_cmp keeps NaN resolutions rejected alongside <= 0.
         if self.objective.resolution().partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -455,6 +344,7 @@ mod tests {
         assert!(c.threshold_scaling);
         assert!(c.use_aggregation_tolerance);
         assert!(c.pruning);
+        assert_eq!(c.ordering, VertexOrdering::Original);
         assert!(c.validate().is_ok());
     }
 
@@ -513,51 +403,14 @@ mod tests {
             .refinement(RefinementStrategy::Random)
             .labeling(Labeling::RefineBased)
             .seed(99)
-            .kernel(KernelVersion::V1)
             .chunk_size(512)
-            .small_degree_threshold(32)
-            .ordering(VertexOrdering::DegreeDesc)
-            .layout(EdgeLayout::Interleaved);
+            .ordering(VertexOrdering::DegreeDesc);
         assert_eq!(c.refinement, RefinementStrategy::Random);
         assert_eq!(c.labeling, Labeling::RefineBased);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.kernel, KernelVersion::V1);
         assert_eq!(c.chunk_size, 512);
-        assert_eq!(c.small_degree_threshold, 32);
         assert_eq!(c.ordering, VertexOrdering::DegreeDesc);
-        assert_eq!(c.layout, EdgeLayout::Interleaved);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn kernel_v2_is_the_default() {
-        let c = LeidenConfig::default();
-        assert_eq!(c.kernel, KernelVersion::V2);
-        assert_eq!(c.small_degree_threshold, DEFAULT_SMALL_DEGREE_THRESHOLD);
-        assert_eq!(c.ordering, VertexOrdering::Original);
-        assert_eq!(c.layout, EdgeLayout::Split);
-    }
-
-    #[test]
-    fn small_degree_threshold_is_validated() {
-        let c = LeidenConfig::default().small_degree_threshold(0);
-        assert!(c.validate().is_err());
-        let c = LeidenConfig::default().small_degree_threshold(gve_prim::SMALL_SCAN_CAP + 1);
-        assert!(c.validate().unwrap_err().contains("capacity"));
-        let c = LeidenConfig::default().small_degree_threshold(gve_prim::SMALL_SCAN_CAP);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn kernel_and_layout_tokens_round_trip() {
-        for k in [KernelVersion::V1, KernelVersion::V2, KernelVersion::V3] {
-            assert_eq!(KernelVersion::parse(k.label()), Ok(k));
-        }
-        for l in [EdgeLayout::Split, EdgeLayout::Interleaved] {
-            assert_eq!(EdgeLayout::parse(l.label()), Ok(l));
-        }
-        assert!(KernelVersion::parse("v4").is_err());
-        assert!(EdgeLayout::parse("columnar").is_err());
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub mod timing;
 pub mod workspace;
 
 pub use config::{
-    AggregationStrategy, ChunkScheduling, EdgeLayout, KernelVersion, Labeling, LeidenConfig,
-    RefinementStrategy, Scheduling, Variant, VertexOrdering, DEFAULT_SMALL_DEGREE_THRESHOLD,
+    AggregationStrategy, ChunkScheduling, Labeling, LeidenConfig, RefinementStrategy, Scheduling,
+    Variant, VertexOrdering, SMALL_DEGREE_THRESHOLD,
 };
 pub use localmove::MoveOutcome;
 pub use math::delta_modularity;
@@ -375,12 +375,6 @@ impl Leiden {
         if config.scheduling == Scheduling::ColorSynchronous {
             workspace.ensure_sync(n);
         }
-        if config.layout == EdgeLayout::Interleaved {
-            // Super-vertex graphs adopt a pooled interleaved buffer (a
-            // supergraph never has more arcs than its input), so later
-            // passes allocate nothing for the layout either.
-            workspace.ensure_interleaved(graph.num_arcs());
-        }
         let PassWorkspace {
             membership,
             sigma,
@@ -395,7 +389,6 @@ impl Leiden {
             plain_sigma,
             sync_decisions,
             unprocessed,
-            interleaved_pool,
             aggregate: agg,
             // The per-worker collision-free hashtables (the O(T·N)
             // memory term) live in the arena too, reused across phases,
@@ -426,23 +419,6 @@ impl Leiden {
         let mut stop = StopReason::PassCap;
 
         for pass in 0..config.max_passes {
-            // Interleaved layout: build the (target, weight) copy once
-            // per pass graph; every scan_edges call then walks a single
-            // cache stream. The shared input graph caches its copy in
-            // its `OnceLock` (reused across runs); owned super-vertex
-            // graphs adopt a pooled buffer instead, returned to the
-            // pool before the CSR is recycled.
-            if config.layout == EdgeLayout::Interleaved {
-                let t_layout = Instant::now();
-                match current.as_mut() {
-                    Some(cur) => cur.adopt_interleaved(interleaved_pool.pop().unwrap_or_default()),
-                    None => {
-                        graph.build_interleaved();
-                    }
-                }
-                timings.other += t_layout.elapsed();
-            }
-
             let g: &CsrGraph = current.as_ref().unwrap_or(graph);
             let n_cur = g.num_vertices();
             let t_pass = Instant::now();
@@ -793,8 +769,7 @@ impl Leiden {
                         k,
                         (config.chunk_size / 4).max(1),
                         tables,
-                        matches!(config.kernel, KernelVersion::V2 | KernelVersion::V3)
-                            .then_some(config.small_degree_threshold),
+                        Some(SMALL_DEGREE_THRESHOLD),
                         agg,
                     )
                 }
@@ -865,12 +840,7 @@ impl Leiden {
             // Swap in the super-vertex graph; the displaced one's
             // buffers go back to the aggregation scratch as a spare slot
             // set, so steady state ping-pongs between at most two sets.
-            // Its adopted interleaved buffer (if any) returns to the
-            // pool first — `recycle` would drop it.
-            if let Some(mut old) = current.replace(supergraph) {
-                if let Some(buf) = old.take_interleaved() {
-                    interleaved_pool.push(buf);
-                }
+            if let Some(old) = current.replace(supergraph) {
                 agg.recycle(old);
             }
             // Threshold scaling (line 15).
@@ -880,10 +850,7 @@ impl Leiden {
         }
 
         // Recycle the last super-vertex graph for the next run.
-        if let Some(mut last) = current.take() {
-            if let Some(buf) = last.take_interleaved() {
-                interleaved_pool.push(buf);
-            }
+        if let Some(last) = current.take() {
             agg.recycle(last);
         }
 

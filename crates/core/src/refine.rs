@@ -20,7 +20,7 @@ use crate::objective::GainCoeffs;
 use gve_graph::{CsrGraph, VertexId};
 use gve_prim::atomics::AtomicF64;
 use gve_prim::sched::{scheduled_workers, SchedStats};
-use gve_prim::{CommunityMap, HashScanMap, PerThread, SmallScanMap, Xorshift32};
+use gve_prim::{CommunityMap, HashScanMap, PerThread, Xorshift32};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Scans the communities adjacent to `i` *within the same community
@@ -34,7 +34,7 @@ fn scan_bounded(
     i: VertexId,
 ) {
     let bound = bounds[i as usize];
-    for (j, w) in graph.scan_edges(i) {
+    for (j, w) in graph.edges(i) {
         if j == i || bounds[j as usize] != bound {
             continue;
         }
@@ -64,7 +64,6 @@ pub(crate) fn refine(
 
     let (results, sched) = scheduled_workers(n, schedule_for(config, graph), |claims| {
         tables.with(|ht| {
-            let mut small = SmallScanMap::new();
             let mut hash = HashScanMap::new();
             let mut candidates: Vec<(VertexId, f64)> = Vec::new();
             let mut moves = 0u64;
@@ -83,12 +82,11 @@ pub(crate) fn refine(
                     let i = i as VertexId;
                     let target = match config.refinement {
                         // Greedy goes through the degree-aware dispatch
-                        // (fused for low-degree vertices under kernel
-                        // v2); random stays on the two-pass path, whose
-                        // proportional draw needs the full candidate set.
+                        // (stack tier for low-degree vertices); random
+                        // stays on the table path, whose proportional
+                        // draw needs the full candidate set.
                         RefinementStrategy::Greedy => crate::kernel::best_move(
                             ht,
-                            &mut small,
                             &mut hash,
                             graph,
                             membership,
@@ -98,7 +96,6 @@ pub(crate) fn refine(
                             p_i,
                             sigma,
                             coeffs,
-                            config,
                         )
                         .map(|(t, _)| t),
                         RefinementStrategy::Random => {

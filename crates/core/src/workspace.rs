@@ -80,7 +80,7 @@
 //!  renumber → labels    next labels [..k]    label_of (read)    first seen
 //! ```
 
-use gve_graph::{AggregateScratch, EdgeWeight, VertexId};
+use gve_graph::{AggregateScratch, VertexId};
 use gve_prim::atomics::AtomicF64;
 use gve_prim::workspace::resize_exact;
 use gve_prim::{AtomicBitset, CommunityMap, PerThread};
@@ -138,11 +138,6 @@ pub struct PassWorkspace {
     pub(crate) sync_decisions: Vec<Decision>,
     /// Pruning flags, prefix-reset per pass.
     pub(crate) unprocessed: AtomicBitset,
-    /// Recycled interleaved `(target, weight)` buffers for super-vertex
-    /// graphs: the pass loop adopts one into each fresh supergraph and
-    /// takes it back before the CSR is recycled, so the interleaved
-    /// layout performs no steady-state allocation either.
-    pub(crate) interleaved_pool: Vec<Vec<(VertexId, EdgeWeight)>>,
     /// Fused grouped/holey aggregation scratch and its slot sets.
     pub(crate) aggregate: AggregateScratch,
     /// One collision-free scan hashtable per worker — the `O(T·N)`
@@ -173,7 +168,6 @@ impl Default for PassWorkspace {
             plain_sigma: Vec::new(),
             sync_decisions: Vec::new(),
             unprocessed: AtomicBitset::new(0),
-            interleaved_pool: Vec::new(),
             aggregate: AggregateScratch::new(),
             tables: PerThread::new(move || {
                 // Relaxed: `ensure` stores the capacity under `&mut self`
@@ -228,20 +222,6 @@ impl PassWorkspace {
             self.cap_vertices = n;
         }
         self.aggregate.reserve(vertices, arcs);
-    }
-
-    /// Grows the pooled interleaved buffer to cover `arcs` entries
-    /// (only the interleaved layout adopts pooled buffers; supergraphs
-    /// never have more arcs than the input graph, so one reservation at
-    /// run start covers every pass).
-    pub(crate) fn ensure_interleaved(&mut self, arcs: usize) {
-        match self.interleaved_pool.last_mut() {
-            Some(buf) => {
-                buf.clear();
-                buf.reserve(arcs);
-            }
-            None => self.interleaved_pool.push(Vec::with_capacity(arcs)),
-        }
     }
 
     /// Grows the CPM size double buffer (only the CPM objective carries
@@ -359,19 +339,6 @@ mod tests {
         let ws = PassWorkspace::with_capacity(64, 256);
         assert_eq!(ws.capacity(), 64);
         assert_eq!(ws.first_seen.len(), 64);
-    }
-
-    #[test]
-    fn interleaved_pool_reserves_without_moving() {
-        let mut ws = PassWorkspace::new();
-        ws.ensure_interleaved(100);
-        assert_eq!(ws.interleaved_pool.len(), 1);
-        assert!(ws.interleaved_pool[0].capacity() >= 100);
-        let ptr = ws.interleaved_pool[0].as_ptr();
-        // A smaller request keeps the same buffer in place.
-        ws.ensure_interleaved(50);
-        assert_eq!(ws.interleaved_pool.len(), 1);
-        assert_eq!(ws.interleaved_pool[0].as_ptr(), ptr);
     }
 
     #[test]

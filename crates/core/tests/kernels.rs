@@ -1,25 +1,26 @@
-//! Differential tests of the kernel-v2/v3 machinery: the fused kernel
-//! and the lane-chunked v3 kernel must pick exactly the same
-//! `(community, gain)` as the two-pass reference on any frozen state
-//! (both v3 tiers, both edge layouts, every chunk-scheduling policy),
-//! and cache-aware relabeling must be invisible in the reported result.
-//! Running this suite with `--features gve-prim/scalar-scan` swaps the
-//! lane fold for its scalar reference, covering both code paths.
+//! Differential tests of the neighbourhood-scan kernel: both tiers and
+//! the degree dispatch must pick exactly the same `(community, gain)` as
+//! the two-pass table tier on any frozen state; 1-thread asynchronous
+//! runs must reproduce pinned digests end to end; cache-aware relabeling
+//! must be invisible in the reported result. Running this suite with
+//! `--features gve-prim/scalar-scan` swaps the lane fold for its scalar
+//! reference, covering both code paths.
 
 use gve_graph::{CsrGraph, GraphBuilder};
-use gve_leiden::kernel::{best_move, fused_best_move, two_pass_best_move, v3_best_move};
+use gve_leiden::kernel::{best_move, two_pass_best_move, v3_best_move};
 use gve_leiden::{
-    ChunkScheduling, EdgeLayout, KernelVersion, Leiden, LeidenConfig, Objective, Scheduling,
+    ChunkScheduling, Labeling, Leiden, LeidenConfig, Objective, RefinementStrategy, Scheduling,
     VertexOrdering,
 };
 use gve_prim::atomics::{atomic_f64_from_slice, AtomicF64};
-use gve_prim::{CommunityMap, HashScanMap, SmallScanMap};
+use gve_prim::{CommunityMap, HashScanMap};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicU32;
 
-/// Random small weighted graphs: every vertex's degree stays below the
-/// stack-map capacity (n ≤ 48 distinct neighbours < SMALL_SCAN_CAP), so
-/// the fused kernel is callable for all of them.
+/// Random small weighted graphs: fewer than 48 vertices, so no vertex
+/// has more distinct neighbours than the stack map holds
+/// ([`gve_prim::HASH_SCAN_CAP`]) and the stack tier is callable for
+/// all of them, while degrees still straddle the dispatch threshold.
 fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)> {
     (2..max_n).prop_flat_map(move |n| {
         proptest::collection::vec((0..n, 0..n, 1u32..6), 1..max_m).prop_map(move |edges| {
@@ -54,93 +55,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// On every vertex of any random weighted graph, under any
-    /// membership, the fused kernel and the two-pass reference return
-    /// bit-identical `(community, gain)` — with and without refinement
-    /// bounds, for both objectives.
-    #[test]
-    fn fused_and_two_pass_agree(
-        (n, edges) in arb_graph(48, 220),
-        labels_seed in 0u64..1000,
-        cpm in 0u32..2,
-    ) {
-        let graph = GraphBuilder::from_edges(n as usize, &edges);
-        // Deterministic pseudo-random labels from the seed.
-        let labels: Vec<u32> = (0..n)
-            .map(|v| {
-                let mut x = labels_seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                (x % n as u64) as u32
-            })
-            .collect();
-        let bounds: Vec<u32> = labels.iter().map(|&c| c % 3).collect();
-        let (membership, penalty, sigma) = frozen_state(&graph, &labels);
-        let m = graph.total_arc_weight() / 2.0;
-        let objective = if cpm == 1 {
-            Objective::Cpm { resolution: 0.25 }
-        } else {
-            Objective::default()
-        };
-        let coeffs = objective.coeffs(m.max(f64::MIN_POSITIVE));
-        let mut ht = CommunityMap::new(n as usize);
-        let mut small = SmallScanMap::new();
-        for i in 0..n {
-            let current = labels[i as usize];
-            let p_i = penalty[i as usize];
-            for bound in [None, Some(bounds.as_slice())] {
-                let v1 = two_pass_best_move(
-                    &mut ht, &graph, &membership, bound, i, current, p_i, &sigma, coeffs,
-                );
-                let v2 = fused_best_move(
-                    &mut small, &graph, &membership, bound, i, current, p_i, &sigma, coeffs,
-                );
-                prop_assert_eq!(v1, v2, "vertex {} (bounded: {})", i, bound.is_some());
-            }
-        }
-    }
-
-    /// The degree-aware dispatcher equals the reference for every
-    /// threshold, including ones that split the graph across both tiers,
-    /// and regardless of the edge layout.
-    #[test]
-    fn dispatch_is_layout_and_threshold_invariant(
-        (n, edges) in arb_graph(32, 120),
-        threshold in 1usize..16,
-    ) {
-        let graph = GraphBuilder::from_edges(n as usize, &edges);
-        let interleaved = graph.clone();
-        interleaved.build_interleaved();
-        let labels: Vec<u32> = (0..n).map(|v| v % 5).collect();
-        let (membership, penalty, sigma) = frozen_state(&graph, &labels);
-        let coeffs = Objective::default().coeffs((graph.total_arc_weight() / 2.0).max(f64::MIN_POSITIVE));
-        let config = LeidenConfig::default()
-            .kernel(KernelVersion::V2)
-            .small_degree_threshold(threshold);
-        let mut ht = CommunityMap::new(n as usize);
-        let mut small = SmallScanMap::new();
-        let mut hash = HashScanMap::new();
-        for i in 0..n {
-            let current = labels[i as usize];
-            let p_i = penalty[i as usize];
-            let reference = two_pass_best_move(
-                &mut ht, &graph, &membership, None, i, current, p_i, &sigma, coeffs,
-            );
-            let dispatched = best_move(
-                &mut ht, &mut small, &mut hash, &graph, &membership, None, i, current, p_i,
-                &sigma, coeffs, &config,
-            );
-            let on_interleaved = best_move(
-                &mut ht, &mut small, &mut hash, &interleaved, &membership, None, i, current,
-                p_i, &sigma, coeffs, &config,
-            );
-            prop_assert_eq!(reference, dispatched, "vertex {} threshold {}", i, threshold);
-            prop_assert_eq!(reference, on_interleaved, "vertex {} interleaved", i);
-        }
-    }
-
-    /// The v3 kernel is bit-identical to the two-pass reference on any
-    /// frozen state: both tiers (stack map and hashtable), both edge
-    /// layouts, with and without refinement bounds, for both objectives.
+    /// membership, both tiers and the degree dispatch return
+    /// bit-identical `(community, gain)` to the two-pass reference —
+    /// with and without refinement bounds, for both objectives.
     #[test]
     fn v3_agrees_with_two_pass(
         (n, edges) in arb_graph(48, 220),
@@ -148,8 +65,7 @@ proptest! {
         cpm in 0u32..2,
     ) {
         let graph = GraphBuilder::from_edges(n as usize, &edges);
-        let interleaved = graph.clone();
-        interleaved.build_interleaved();
+        // Deterministic pseudo-random labels from the seed.
         let labels: Vec<u32> = (0..n)
             .map(|v| {
                 let mut x = labels_seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -176,19 +92,26 @@ proptest! {
                 let reference = two_pass_best_move(
                     &mut ht, &graph, &membership, bound, i, current, p_i, &sigma, coeffs,
                 );
-                for g in [&graph, &interleaved] {
-                    for use_small in [false, true] {
-                        let v3 = v3_best_move(
-                            &mut ht, &mut hash, g, &membership, bound, i, current, p_i,
-                            &sigma, coeffs, use_small,
-                        );
-                        prop_assert_eq!(
-                            reference, v3,
-                            "vertex {} (bounded: {}, small: {}, interleaved: {})",
-                            i, bound.is_some(), use_small, g.interleaved().is_some()
-                        );
-                    }
+                for use_small in [false, true] {
+                    let v3 = v3_best_move(
+                        &mut ht, &mut hash, &graph, &membership, bound, i, current, p_i,
+                        &sigma, coeffs, use_small,
+                    );
+                    prop_assert_eq!(
+                        reference, v3,
+                        "vertex {} (bounded: {}, small: {})",
+                        i, bound.is_some(), use_small
+                    );
                 }
+                let dispatched = best_move(
+                    &mut ht, &mut hash, &graph, &membership, bound, i, current, p_i, &sigma,
+                    coeffs,
+                );
+                prop_assert_eq!(
+                    reference, dispatched,
+                    "vertex {} degree {} (bounded: {})",
+                    i, graph.degree(i), bound.is_some()
+                );
             }
         }
     }
@@ -251,81 +174,125 @@ fn relabeling_round_trips_through_detection() {
     }
 }
 
-/// The interleaved layout changes nothing observable end-to-end.
-#[test]
-fn interleaved_layout_matches_split_end_to_end() {
-    let planted = gve_generate::PlantedPartition::new(1200, 12, 10.0, 0.8)
-        .seed(3)
-        .generate();
-    let base = LeidenConfig::default().scheduling(Scheduling::ColorSynchronous);
-    let split = Leiden::new(base.clone()).run(&planted.graph);
-    let inter = Leiden::new(base.layout(EdgeLayout::Interleaved)).run(&planted.graph);
-    assert_eq!(split.membership, inter.membership);
+/// FNV-1a over a membership vector's little-endian bytes.
+fn membership_fnv(membership: &[u32]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in membership.iter().flat_map(|c| c.to_le_bytes()) {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
-/// Under the deterministic color-synchronous schedule, kernel v3 is
-/// bit-identical to v1 end-to-end for every layout × chunk-scheduling
-/// combination (chunking only redistributes work across workers; the
-/// per-vertex decisions are the same).
+/// 1-thread asynchronous runs reproduce pinned digests — membership
+/// FNV, pass count, local-moving iterations and modularity bits — on
+/// R-MAT, SBM and road graphs under the default, refine-based, CPM and
+/// random-refinement configurations. At one thread the asynchronous
+/// schedule is deterministic, and every move goes through
+/// `kernel::best_move`, so this pins the kernel's decisions end to end.
+/// The digests were captured from the earlier fused stack-map kernel
+/// (the previous default), which the single kernel must reproduce bit
+/// for bit.
 #[test]
-fn v3_end_to_end_is_bitwise_identical_to_v1() {
-    let planted = gve_generate::PlantedPartition::new(1500, 12, 10.0, 0.8)
-        .seed(11)
-        .generate();
-    let base = LeidenConfig::default().scheduling(Scheduling::ColorSynchronous);
-    let v1 = Leiden::new(base.clone().kernel(KernelVersion::V1)).run(&planted.graph);
-    for layout in [EdgeLayout::Split, EdgeLayout::Interleaved] {
-        for chunking in [
-            ChunkScheduling::Static,
-            ChunkScheduling::Guided,
-            ChunkScheduling::Stealing,
-        ] {
-            let v3 = Leiden::new(
-                base.clone()
-                    .kernel(KernelVersion::V3)
-                    .layout(layout)
-                    .chunking(chunking),
-            )
-            .run(&planted.graph);
-            assert_eq!(
-                v1.membership, v3.membership,
-                "v3 diverged from v1 ({layout:?}, {chunking:?})"
+fn async_one_thread_digests_are_pinned() {
+    let graphs: [(&str, CsrGraph); 3] = [
+        (
+            "rmat_web",
+            gve_generate::rmat::Rmat::web(11, 8.0).seed(42).generate(),
+        ),
+        (
+            "sbm",
+            gve_generate::sbm::PlantedPartition::new(3000, 30, 10.0, 2.0)
+                .seed(5)
+                .generate()
+                .graph,
+        ),
+        ("road", gve_generate::grid::road_grid(60, 50, 2.1, 7)),
+    ];
+    let configs = [
+        ("default", LeidenConfig::default()),
+        (
+            "refine_based",
+            LeidenConfig::default().labeling(Labeling::RefineBased),
+        ),
+        (
+            "cpm",
+            LeidenConfig::default().objective(Objective::Cpm { resolution: 0.05 }),
+        ),
+        (
+            "random",
+            LeidenConfig::default()
+                .refinement(RefinementStrategy::Random)
+                .seed(7),
+        ),
+    ];
+    // (graph, config, membership FNV, passes, iterations, modularity bits)
+    #[rustfmt::skip]
+    const PINNED: [(&str, &str, u64, usize, usize, u64); 12] = [
+        ("rmat_web", "default", 0xd80e95c6d66ac7fe, 3, 7, 0x3fc32ec858c91c81),
+        ("rmat_web", "refine_based", 0x441a394dfceeafe0, 3, 9, 0x3fc30ce9f1f26a92),
+        ("rmat_web", "cpm", 0xd4e9db6528e5badc, 2, 5, 0x3fa2947c9e824810),
+        ("rmat_web", "random", 0x81959e0c586b04ba, 3, 8, 0x3fc255a88ad3c3ce),
+        ("sbm", "default", 0xa59b66bd0a69155b, 4, 18, 0x3fe9ae9ed622a922),
+        ("sbm", "refine_based", 0xa59b66bd0a69155b, 4, 21, 0x3fe9ae9ed622a922),
+        ("sbm", "cpm", 0xdd64f3942df33d09, 5, 21, 0x3fe82c2f9cff2cd6),
+        ("sbm", "random", 0xa59b66bd0a69155b, 5, 18, 0x3fe9ae9ed622a922),
+        ("road", "default", 0x62b3a56555ee5c21, 5, 18, 0x3feea209df21772c),
+        ("road", "refine_based", 0xf9d773d9bacb9200, 5, 20, 0x3feea244b20a07b3),
+        ("road", "cpm", 0xbfbe22b36fbd4bf5, 3, 9, 0x3fea792f2e66d11d),
+        ("road", "random", 0xd67e70b77ff8a296, 5, 18, 0x3feea1e243a5dcb6),
+    ];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let mut checked = 0;
+    for (graph_name, graph) in &graphs {
+        for (config_name, config) in &configs {
+            let result = pool.install(|| Leiden::new(config.clone()).run(graph));
+            let q = gve_quality::modularity(graph, &result.membership);
+            let got = (
+                membership_fnv(&result.membership),
+                result.passes,
+                result.move_iterations,
+                q.to_bits(),
             );
+            let &(.., fnv, passes, iterations, q_bits) = PINNED
+                .iter()
+                .find(|p| p.0 == *graph_name && p.1 == *config_name)
+                .expect("digest pinned");
+            assert_eq!(
+                got,
+                (fnv, passes, iterations, q_bits),
+                "{graph_name}/{config_name}: (membership FNV, passes, iterations, Q bits)"
+            );
+            checked += 1;
         }
     }
+    assert_eq!(checked, PINNED.len());
 }
 
-/// The asynchronous path under v3 reaches the same quality as v1 for
-/// every chunk-scheduling policy, and the scheduler counters report the
-/// work distribution the policy promises.
+/// The asynchronous path reaches the same quality under every
+/// chunk-scheduling policy, and the scheduler counters report the work
+/// distribution the policy promises.
 #[test]
-fn v3_async_quality_and_sched_counters() {
+fn async_quality_and_sched_counters() {
     let planted = gve_generate::PlantedPartition::new(2000, 10, 14.0, 1.0)
         .seed(23)
         .generate();
     let g = &planted.graph;
-    let q1 = gve_quality::modularity(
-        g,
-        &Leiden::new(LeidenConfig::default().kernel(KernelVersion::V1))
-            .run(g)
-            .membership,
-    );
+    let q_static =
+        gve_quality::modularity(g, &Leiden::new(LeidenConfig::default()).run(g).membership);
     for chunking in [
         ChunkScheduling::Static,
         ChunkScheduling::Guided,
         ChunkScheduling::Stealing,
     ] {
-        let result = Leiden::new(
-            LeidenConfig::default()
-                .kernel(KernelVersion::V3)
-                .layout(EdgeLayout::Interleaved)
-                .chunking(chunking),
-        )
-        .run(g);
-        let q3 = gve_quality::modularity(g, &result.membership);
+        let result = Leiden::new(LeidenConfig::default().chunking(chunking)).run(g);
+        let q = gve_quality::modularity(g, &result.membership);
         assert!(
-            (q1 - q3).abs() < 0.05,
-            "{chunking:?}: v3 Q {q3} vs v1 Q {q1}"
+            (q_static - q).abs() < 0.05,
+            "{chunking:?}: Q {q} vs static Q {q_static}"
         );
         assert_eq!(result.chunking, chunking);
         let chunks: u64 = result.pass_stats.iter().map(|p| p.sched_chunks).sum();

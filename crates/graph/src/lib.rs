@@ -35,7 +35,7 @@ pub mod traversal;
 
 pub use adjacency::AdjacencyList;
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, EdgeScan};
+pub use csr::CsrGraph;
 pub use holey::{AggregateScratch, GroupedCsr};
 pub use reorder::{Relabeling, VertexOrdering};
 

@@ -1,4 +1,4 @@
-//! Cache-aware vertex relabeling (kernel-v2 preprocessing).
+//! Cache-aware vertex relabeling (an optional detection preprocessing step).
 //!
 //! The Leiden inner loops walk `membership[v]` and `sigma[c]` for every
 //! neighbour `v` of every vertex, so the memory-access pattern is the

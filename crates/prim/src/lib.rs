@@ -11,8 +11,8 @@
 //!   giving O(1) insert/lookup and O(touched) clear;
 //! * [`atomics`] — an atomic `f64` add/CAS built on `AtomicU64` bit games,
 //!   used for the asynchronously updated community weights `Σ'`;
-//! * [`smallmap`] — a fixed-capacity, stack-resident linear map: the
-//!   low-degree tier of the kernel-v2 two-tier neighbourhood scan;
+//! * [`smallmap`] — a fixed-capacity, stack-resident open-addressed map:
+//!   the low-degree tier of the two-tier neighbourhood scan;
 //! * [`bitset`] — an atomic bitset used for flag-based vertex pruning;
 //! * [`rng`] — the xorshift32 generator the paper uses for randomized
 //!   refinement;
@@ -23,7 +23,8 @@
 //! * [`sched`] — arc-aware scheduling policies (guided shrinking chunks
 //!   and work-stealing over arc-balanced segments) for the phase loops;
 //! * [`simd`] — lane-chunked candidate scoring, the "choose" half of
-//!   kernel v3 (scalar fallback behind the `scalar-scan` feature);
+//!   the scan kernel's stack tier (scalar fallback behind the
+//!   `scalar-scan` feature);
 //! * [`alloc_count`] — an allocation-counting global allocator that lets
 //!   the benchmarks prove the preallocation discipline (zero steady-state
 //!   allocation in the Leiden hot path).
@@ -52,5 +53,5 @@ pub use rng::Xorshift32;
 pub use scan::{exclusive_scan_in_place, parallel_exclusive_scan};
 pub use sched::{scheduled_workers, SchedStats, Schedule};
 pub use shared_slice::SharedSlice;
-pub use smallmap::{HashScanMap, SmallScanMap, HASH_SCAN_CAP, SMALL_SCAN_CAP};
+pub use smallmap::{HashScanMap, HASH_SCAN_CAP};
 pub use workspace::PerThread;

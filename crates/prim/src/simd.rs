@@ -1,9 +1,11 @@
-//! Lane-chunked candidate evaluation — the "choose" half of kernel v3.
+//! Lane-chunked candidate evaluation — the "choose" half of the scan
+//! kernel's stack tier.
 //!
-//! Kernel v1 interleaves, per candidate community, a `Σ'` load with the
-//! score evaluation and the running argmax, all inside one serial loop
-//! whose iterations chain through the comparison. Kernel v3's low-degree
-//! tier removes the scattered loads from the choose pass entirely: each
+//! The table tier's `choose_best` interleaves, per candidate community,
+//! a `Σ'` load with the score evaluation and the running argmax, all
+//! inside one serial loop whose iterations chain through the comparison.
+//! The stack tier removes the scattered loads from the choose pass
+//! entirely: each
 //! candidate's `Σ'` is *prefetched* into the scan map's aux slot on
 //! first touch (while the edge scan still has misses to hide behind), so
 //! [`choose_prefetched`] folds over three parallel dense slices in
@@ -12,7 +14,7 @@
 //! in-register argmax reduction. [`fold_candidates`] keeps the
 //! gather-at-choose-time variant (the same blocks, with the `Σ'` loads
 //! issued per block) as the slice-folding reference. The arithmetic is
-//! *exactly* v1's `GainCoeffs::score` with the vertex-constant
+//! *exactly* `choose_best`'s `GainCoeffs::score` with the vertex-constant
 //! `quad · p_i` factor hoisted:
 //! `score = lin · K_{i→c} − (quad · p_i) · Σ'_c`, which is bit-identical
 //! because `quad * p_i * sigma` already associates left-to-right in the
@@ -46,7 +48,7 @@ pub struct Choice {
 
 /// Running argmax state, foldable over any number of candidate blocks.
 ///
-/// Selection rule — identical to kernel v1's `choose_best`: maximum
+/// Selection rule — identical to the table tier's `choose_best`: maximum
 /// score, ties broken towards the smaller community id. Because every
 /// candidate key appears at most once and its score is a pure function
 /// of the inputs, the winner is independent of fold order.
@@ -124,7 +126,7 @@ fn fold_one(
     best.offer(key, score, weight, sig);
 }
 
-/// Reference fold: one candidate at a time, v1 loop shape. Always
+/// Reference fold: one candidate at a time, `choose_best` loop shape. Always
 /// compiled (the differential tests pit it against the lane path).
 pub fn fold_candidates_scalar(
     best: &mut RunningBest,
@@ -145,7 +147,7 @@ pub fn fold_candidates_scalar(
 ///
 /// `keys[k]` pairs with `weights[k]` (`K_{i→keys[k]}`); every key must
 /// index into `sigma`. `skip` (the vertex's current community) is
-/// excluded from the argmax, exactly as v1 skips it. `lin` and `qp` are
+/// excluded from the argmax, exactly as `choose_best` skips it. `lin` and `qp` are
 /// `GainCoeffs::lin` and `quad · p_i`.
 #[cfg(not(feature = "scalar-scan"))]
 pub fn fold_candidates(
@@ -172,7 +174,7 @@ pub fn fold_candidates(
         for k in 0..LANES {
             score[k] = lin * weights[idx + k] - qp * sig[k];
         }
-        // Reduce: in-register argmax with v1's exact tie-break.
+        // Reduce: in-register argmax with `choose_best`'s exact tie-break.
         for k in 0..LANES {
             let key = keys[idx + k];
             if key != skip {
@@ -222,7 +224,7 @@ pub fn fold_prefetched_scalar(
 }
 
 /// Folds candidates whose `Σ'` values were already gathered — the
-/// kernel-v3 stack tier caches each candidate's `Σ'` in its map's aux
+/// scan kernel's stack tier caches each candidate's `Σ'` in its map's aux
 /// slot on first touch *during* the edge scan, so this pass reads three
 /// parallel dense slices: the score block is branch-free arithmetic the
 /// compiler autovectorizes, and the serial argmax only walks registers.
@@ -248,7 +250,7 @@ pub fn fold_prefetched(
         for k in 0..LANES {
             score[k] = lin * weights[idx + k] - qp * sig[idx + k];
         }
-        // Reduce: in-register argmax with v1's exact tie-break.
+        // Reduce: in-register argmax with `choose_best`'s exact tie-break.
         for k in 0..LANES {
             let key = keys[idx + k];
             if key != skip {

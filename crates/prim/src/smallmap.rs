@@ -1,261 +1,25 @@
 //! Fixed-capacity stack-resident scan map — the low-degree tier of the
-//! two-tier "kernel v2" neighbourhood scan.
+//! neighbourhood-scan kernel and of the aggregation's per-community scan.
 //!
 //! The collision-free [`CommunityMap`](crate::CommunityMap) buys O(1)
 //! insert at the price of an O(N)-slot backing array per thread: every
 //! scan of a degree-`d` vertex touches up to `d` cache lines scattered
 //! across that array. For the overwhelming majority of vertices in
-//! power-law graphs `d` is tiny, and a *linear* map over at most
-//! [`SMALL_SCAN_CAP`] entries that lives entirely on the worker's stack
+//! power-law graphs `d` is tiny, and a map over at most
+//! [`HASH_SCAN_CAP`] entries that lives entirely on the worker's stack
 //! beats the big table: every probe walks the same handful of cache
-//! lines, nothing is heap-resident, and clearing is a single length
-//! reset. Hubs (degree > threshold) keep using the big table.
+//! lines, nothing is heap-resident, and clearing touches only the live
+//! entries. Hubs (degree above the caller's dispatch threshold) keep
+//! using the big table.
 //!
-//! Each entry carries an auxiliary `f64` slot (`aux`) so the fused
-//! scan-and-choose kernel can cache the community's `Σ'` value loaded on
-//! first touch — the "single sigma load per candidate" part of the
-//! kernel-v2 design.
-
-/// Capacity of [`SmallScanMap`]: the maximum number of *distinct* keys a
-/// single scan may touch. A vertex of degree ≤ `SMALL_SCAN_CAP` can
-/// never overflow the map, so degree is the dispatch criterion.
-///
-/// 64 entries × (4 + 8 + 8) bytes ≈ 1.3 KiB — comfortably stack-sized,
-/// about 20 cache lines.
-pub const SMALL_SCAN_CAP: usize = 64;
-
-/// Fixed-capacity linear-probe accumulator map from `u32` keys to
-/// weights, with one cached auxiliary value per key.
-///
-/// Lookup is a linear scan over the live prefix; insertion appends.
-/// Intended for key sets bounded by [`SMALL_SCAN_CAP`] (enforced with a
-/// debug assertion — callers dispatch on vertex degree).
-#[derive(Debug, Clone)]
-pub struct SmallScanMap {
-    len: usize,
-    /// Slot of the most recent hit — checked first on the next lookup.
-    /// Neighbour lists cluster by community (especially after cache-aware
-    /// relabeling and in later passes), so consecutive edges usually land
-    /// on the same key and skip the linear search entirely.
-    last: usize,
-    keys: [u32; SMALL_SCAN_CAP],
-    weights: [f64; SMALL_SCAN_CAP],
-    aux: [f64; SMALL_SCAN_CAP],
-}
-
-impl Default for SmallScanMap {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SmallScanMap {
-    /// Creates an empty map. Cheap: no heap allocation.
-    pub fn new() -> Self {
-        Self {
-            len: 0,
-            last: 0,
-            keys: [0; SMALL_SCAN_CAP],
-            weights: [0.0; SMALL_SCAN_CAP],
-            aux: [0.0; SMALL_SCAN_CAP],
-        }
-    }
-
-    /// Number of live keys.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no key is live.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resets the map. O(1): just the length (and the hit memo).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.last = 0;
-    }
-
-    /// Adds `weight` to `key`'s accumulator, returning the key's slot
-    /// index and whether this was the key's first touch (in which case
-    /// the slot's aux value is reset to 0).
-    ///
-    /// # Panics
-    /// Debug-asserts that a fresh key still fits ([`SMALL_SCAN_CAP`]).
-    #[inline]
-    pub fn add(&mut self, key: u32, weight: f64) -> (usize, bool) {
-        if self.last < self.len && self.keys[self.last] == key {
-            self.weights[self.last] += weight;
-            return (self.last, false);
-        }
-        for slot in 0..self.len {
-            if self.keys[slot] == key {
-                self.weights[slot] += weight;
-                self.last = slot;
-                return (slot, false);
-            }
-        }
-        let slot = self.len;
-        debug_assert!(
-            slot < SMALL_SCAN_CAP,
-            "SmallScanMap overflow: dispatch must bound distinct keys by degree"
-        );
-        self.keys[slot] = key;
-        self.weights[slot] = weight;
-        self.aux[slot] = 0.0;
-        self.len = slot + 1;
-        self.last = slot;
-        (slot, true)
-    }
-
-    /// Accumulated weight at `slot`.
-    #[inline]
-    pub fn weight_at(&self, slot: usize) -> f64 {
-        debug_assert!(slot < self.len);
-        self.weights[slot]
-    }
-
-    /// Auxiliary value at `slot` (0 until [`SmallScanMap::set_aux`]).
-    #[inline]
-    pub fn aux_at(&self, slot: usize) -> f64 {
-        debug_assert!(slot < self.len);
-        self.aux[slot]
-    }
-
-    /// Stores an auxiliary value for `slot` (the fused kernel caches the
-    /// community's Σ' here on first touch).
-    #[inline]
-    pub fn set_aux(&mut self, slot: usize, value: f64) {
-        debug_assert!(slot < self.len);
-        self.aux[slot] = value;
-    }
-
-    /// Accumulated weight for `key`, or `None` if untouched.
-    #[inline]
-    pub fn get(&self, key: u32) -> Option<f64> {
-        (0..self.len)
-            .find(|&slot| self.keys[slot] == key)
-            .map(|slot| self.weights[slot])
-    }
-
-    /// Accumulated weight for `key`, `0.0` if untouched.
-    #[inline]
-    pub fn weight(&self, key: u32) -> f64 {
-        self.get(key).unwrap_or(0.0)
-    }
-
-    /// Live keys in insertion order.
-    #[inline]
-    pub fn keys(&self) -> &[u32] {
-        &self.keys[..self.len]
-    }
-
-    /// Live accumulated weights, parallel to [`SmallScanMap::keys`].
-    #[inline]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights[..self.len]
-    }
-
-    /// Iterates over live `(key, weight)` pairs in insertion order —
-    /// the same iteration contract as
-    /// [`CommunityMap::iter`](crate::CommunityMap::iter).
-    #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        (0..self.len).map(move |slot| (self.keys[slot], self.weights[slot]))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn add_accumulates_like_community_map() {
-        let mut m = SmallScanMap::new();
-        assert!(m.is_empty());
-        let (s3, first) = m.add(3, 1.0);
-        assert!(first);
-        let (s3b, again) = m.add(3, 2.5);
-        assert!(!again);
-        assert_eq!(s3, s3b);
-        m.add(5, 4.0);
-        assert_eq!(m.get(3), Some(3.5));
-        assert_eq!(m.get(5), Some(4.0));
-        assert_eq!(m.get(4), None);
-        assert_eq!(m.weight(4), 0.0);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn aux_is_per_slot_and_reset_on_first_touch() {
-        let mut m = SmallScanMap::new();
-        let (slot, _) = m.add(7, 1.0);
-        assert_eq!(m.aux_at(slot), 0.0);
-        m.set_aux(slot, 9.5);
-        let (slot2, first) = m.add(7, 1.0);
-        assert_eq!((slot, false), (slot2, first));
-        assert_eq!(m.aux_at(slot), 9.5, "aux survives re-adds");
-        m.clear();
-        let (slot3, _) = m.add(8, 1.0);
-        assert_eq!(
-            m.aux_at(slot3),
-            0.0,
-            "aux resets across clear via first touch"
-        );
-    }
-
-    #[test]
-    fn iter_preserves_insertion_order() {
-        let mut m = SmallScanMap::new();
-        m.add(9, 1.0);
-        m.add(0, 2.0);
-        m.add(9, 1.0);
-        m.add(4, 3.0);
-        let pairs: Vec<_> = m.iter().collect();
-        assert_eq!(pairs, vec![(9, 2.0), (0, 2.0), (4, 3.0)]);
-    }
-
-    #[test]
-    fn clear_is_constant_time_reset() {
-        let mut m = SmallScanMap::new();
-        for k in 0..SMALL_SCAN_CAP as u32 {
-            m.add(k, 1.0);
-        }
-        assert_eq!(m.len(), SMALL_SCAN_CAP);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(0), None);
-        m.add(63, 2.0);
-        assert_eq!(m.get(63), Some(2.0));
-    }
-
-    #[test]
-    fn full_capacity_is_usable() {
-        let mut m = SmallScanMap::new();
-        for k in 0..SMALL_SCAN_CAP as u32 {
-            m.add(k, k as f64);
-        }
-        for k in 0..SMALL_SCAN_CAP as u32 {
-            assert_eq!(m.get(k), Some(k as f64));
-        }
-    }
-
-    #[test]
-    fn zero_weight_keys_are_live() {
-        let mut m = SmallScanMap::new();
-        m.add(1, 0.0);
-        assert_eq!(m.get(1), Some(0.0));
-        assert_eq!(m.len(), 1);
-    }
-}
+//! Entries are stored densely in insertion order — the same iteration
+//! contract as [`CommunityMap::iter`](crate::CommunityMap::iter) — so a
+//! caller that flushes the map row by row emits the same arcs, in the
+//! same order and with the same weight bits, as the table path.
 
 /// Capacity of [`HashScanMap`]: the maximum number of *distinct* keys a
-/// single scan may touch. The dispatch threshold is user-configurable up
-/// to this cap, so the map must stay correct at full occupancy: its hash
+/// single scan may touch. Callers dispatch on a degree bound at or below
+/// this cap, so the map must stay correct at full occupancy: its hash
 /// index has [`HASH_SLOTS`] (= 2×) slots, guaranteeing a free slot — and
 /// hence probe termination — even with all 64 entries live.
 pub const HASH_SCAN_CAP: usize = 64;
@@ -266,23 +30,22 @@ pub const HASH_SCAN_CAP: usize = 64;
 /// terminates — including lookups for absent keys on a full map.
 pub const HASH_SLOTS: usize = 2 * HASH_SCAN_CAP;
 
-/// Stack-resident open-addressing accumulator map — the kernel-v3
-/// low-degree scan tier.
+/// Stack-resident open-addressing accumulator map — the low-degree scan
+/// tier.
 ///
-/// [`SmallScanMap`]'s linear probe costs O(live) compares per edge,
-/// which is quadratic over a row whose neighbours all sit in distinct
-/// communities (exactly the first local-moving iteration, where every
-/// membership is a singleton). This map keeps the same three dense,
-/// insertion-ordered arrays (`keys`/`weights`/`aux` — the choose pass
-/// folds straight over them as parallel slices) but finds a key's slot
-/// through a half-loaded 128-slot open-addressed index in O(1) probes,
-/// like the big [`CommunityMap`](crate::CommunityMap) table — without
-/// that table's O(N) heap arrays, scattered clears, or choose-time
-/// gathers.
+/// Three dense, insertion-ordered arrays (`keys`/`weights`/`aux` — the
+/// kernel's choose pass folds straight over them as parallel slices)
+/// plus a half-loaded 128-slot open-addressed index that finds a key's
+/// entry in O(1) probes, like the big [`CommunityMap`](crate::CommunityMap)
+/// table — without that table's O(N) heap arrays, scattered clears, or
+/// choose-time gathers. (A linear search over the live entries would
+/// cost O(live) compares per edge: quadratic over a row whose
+/// neighbours all sit in distinct communities, exactly the first
+/// local-moving iteration over singleton memberships.)
 ///
 /// The aux slot is filled by the `aux_of` callback on a key's first
-/// touch; kernel v3 uses it to issue each candidate's `Σ'` load during
-/// the edge scan, while there are still misses to hide behind.
+/// touch; the scan kernel uses it to issue each candidate's `Σ'` load
+/// during the edge scan, while there are still misses to hide behind.
 #[derive(Debug, Clone)]
 pub struct HashScanMap {
     len: usize,
@@ -337,8 +100,8 @@ impl HashScanMap {
     /// fills its aux slot with `aux_of(key)`.
     ///
     /// Callers must keep the distinct-key count at or below
-    /// [`HASH_SCAN_CAP`] — the kernel dispatches on vertex degree, whose
-    /// configurable threshold is validated against the cap, so a
+    /// [`HASH_SCAN_CAP`] — the kernel dispatches on vertex degree against
+    /// a threshold asserted at compile time to be within the cap, and a
     /// degree-≤64 vertex can fill the map completely. That is safe: the
     /// slot index holds [`HASH_SLOTS`] = 2× entries, so even a full map
     /// keeps free slots and every probe loop (insert *and* absent-key
@@ -417,7 +180,7 @@ impl HashScanMap {
 }
 
 #[cfg(test)]
-mod hash_tests {
+mod tests {
     use super::*;
     use std::collections::HashMap;
 
@@ -461,8 +224,8 @@ mod hash_tests {
 
     /// Regression: a degree-64 vertex whose neighbours all sit in
     /// distinct communities (the normal first local-moving iteration
-    /// over singleton memberships, with `small_degree_threshold` at the
-    /// cap) fills the map completely, and the kernel then looks up the
+    /// over singleton memberships, scanned on the stack tier) fills the
+    /// map completely, and the kernel then looks up the
     /// vertex's own — absent — community. With a slot table equal in
     /// size to the entry count that lookup never terminated; the 2×
     /// slot table guarantees a free slot ends the probe.

@@ -14,8 +14,8 @@ use crate::json::Json;
 use crate::pool::WorkspacePool;
 use crate::registry::GraphRegistry;
 use gve_leiden::{
-    ChunkScheduling, CoreMetrics, EdgeLayout, KernelVersion, Leiden, LeidenConfig, Objective,
-    RunObserver, Scheduling, VertexOrdering,
+    ChunkScheduling, CoreMetrics, Leiden, LeidenConfig, Objective, RunObserver, Scheduling,
+    VertexOrdering,
 };
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
@@ -39,13 +39,8 @@ pub struct DetectRequest {
     pub max_passes: usize,
     /// Dynamic-scheduling chunk size.
     pub chunk_size: usize,
-    /// Scan kernel: two-pass `v1` or fused degree-aware `v2`. Part of
-    /// the cache fingerprint so v1 and v2 partitions never alias.
-    pub kernel: KernelVersion,
     /// Cache-aware vertex relabeling applied before detection.
     pub ordering: VertexOrdering,
-    /// CSR edge layout (`split` arrays or `interleaved` pairs).
-    pub layout: EdgeLayout,
     /// Phase scheduling: fast `async` (default) or reproducible
     /// `color-sync`.
     pub scheduling: Scheduling,
@@ -63,9 +58,7 @@ impl Default for DetectRequest {
             seed: defaults.seed,
             max_passes: defaults.max_passes,
             chunk_size: defaults.chunk_size,
-            kernel: defaults.kernel,
             ordering: defaults.ordering,
-            layout: defaults.layout,
             scheduling: defaults.scheduling,
             chunking: defaults.chunking,
         }
@@ -95,14 +88,8 @@ impl DetectRequest {
         if let Some(chunk_size) = body.get("chunk_size").and_then(Json::as_u64) {
             request.chunk_size = chunk_size as usize;
         }
-        if let Some(kernel) = body.get("kernel").and_then(Json::as_str) {
-            request.kernel = KernelVersion::parse(kernel)?;
-        }
         if let Some(ordering) = body.get("ordering").and_then(Json::as_str) {
             request.ordering = VertexOrdering::parse(ordering)?;
-        }
-        if let Some(layout) = body.get("layout").and_then(Json::as_str) {
-            request.layout = EdgeLayout::parse(layout)?;
         }
         if let Some(scheduling) = body.get("scheduling").and_then(Json::as_str) {
             request.scheduling = Scheduling::parse(scheduling)?;
@@ -129,9 +116,7 @@ impl DetectRequest {
             .objective(objective)
             .seed(self.seed)
             .chunk_size(self.chunk_size)
-            .kernel(self.kernel)
             .ordering(self.ordering)
-            .layout(self.layout)
             .scheduling(self.scheduling)
             .chunking(self.chunking);
         config.max_passes = self.max_passes;
@@ -143,15 +128,13 @@ impl DetectRequest {
     /// textual form, so semantically equal requests collide on purpose).
     pub fn fingerprint(&self) -> u64 {
         let canonical = format!(
-            "objective={};resolution={};seed={};max_passes={};chunk_size={};kernel={};ordering={};layout={};scheduling={};chunking={}",
+            "objective={};resolution={};seed={};max_passes={};chunk_size={};ordering={};scheduling={};chunking={}",
             self.objective,
             self.resolution,
             self.seed,
             self.max_passes,
             self.chunk_size,
-            self.kernel.label(),
             self.ordering.label(),
-            self.layout.label(),
             self.scheduling.label(),
             self.chunking.label(),
         );
@@ -171,9 +154,7 @@ impl DetectRequest {
             ("seed", Json::from(self.seed)),
             ("max_passes", Json::from(self.max_passes)),
             ("chunk_size", Json::from(self.chunk_size)),
-            ("kernel", Json::from(self.kernel.label())),
             ("ordering", Json::from(self.ordering.label())),
-            ("layout", Json::from(self.layout.label())),
             ("scheduling", Json::from(self.scheduling.label())),
             ("chunking", Json::from(self.chunking.label())),
         ])
@@ -1013,19 +994,17 @@ mod tests {
         assert!(DetectRequest::from_json(&bad).is_err());
     }
 
-    /// Kernel/ordering/layout/chunk-size are part of the fingerprint, so
-    /// the partition cache never serves a v1 result for a v2 request (or
-    /// vice versa), and bad tokens are rejected at parse time.
+    /// Ordering/chunk-size/scheduling are part of the fingerprint, so
+    /// the partition cache never serves one configuration's result for
+    /// another, and bad tokens are rejected at parse time.
     #[test]
-    fn kernel_knobs_fingerprint_and_validate() {
+    fn detect_knobs_fingerprint_and_validate() {
         let body = crate::json::parse(
-            r#"{"kernel":"v3","ordering":"degree","layout":"interleaved","chunk_size":512,"scheduling":"color-sync","chunking":"guided"}"#,
+            r#"{"ordering":"degree","chunk_size":512,"scheduling":"color-sync","chunking":"guided"}"#,
         )
         .unwrap();
         let request = DetectRequest::from_json(&body).unwrap();
-        assert_eq!(request.kernel, KernelVersion::V3);
         assert_eq!(request.ordering, VertexOrdering::DegreeDesc);
-        assert_eq!(request.layout, EdgeLayout::Interleaved);
         assert_eq!(request.chunk_size, 512);
         assert_eq!(request.scheduling, Scheduling::ColorSynchronous);
         assert_eq!(request.chunking, ChunkScheduling::Guided);
@@ -1033,15 +1012,7 @@ mod tests {
         let defaults = DetectRequest::default();
         for other in [
             DetectRequest {
-                kernel: KernelVersion::V1,
-                ..defaults.clone()
-            },
-            DetectRequest {
                 ordering: VertexOrdering::Bfs,
-                ..defaults.clone()
-            },
-            DetectRequest {
-                layout: EdgeLayout::Interleaved,
                 ..defaults.clone()
             },
             DetectRequest {
@@ -1061,9 +1032,7 @@ mod tests {
         }
 
         for bad in [
-            r#"{"kernel":"v9"}"#,
             r#"{"ordering":"random"}"#,
-            r#"{"layout":"columnar"}"#,
             r#"{"chunk_size":0}"#,
             r#"{"scheduling":"chaotic"}"#,
             r#"{"chunking":"chaotic"}"#,
@@ -1071,6 +1040,24 @@ mod tests {
             let body = crate::json::parse(bad).unwrap();
             assert!(DetectRequest::from_json(&body).is_err(), "accepted {bad}");
         }
+    }
+
+    /// `kernel` and `layout` are no longer request fields: a body naming
+    /// them — even with values that were never valid — parses to the
+    /// defaults and fingerprints like `{}`, and the echo omits them.
+    #[test]
+    fn retired_kernel_and_layout_fields_are_ignored() {
+        let empty = DetectRequest::from_json(&crate::json::parse("{}").unwrap()).unwrap();
+        for body in [
+            r#"{"kernel":"v1","layout":"interleaved"}"#,
+            r#"{"kernel":"v9","layout":"columnar"}"#,
+        ] {
+            let request = DetectRequest::from_json(&crate::json::parse(body).unwrap()).unwrap();
+            assert_eq!(request, empty, "{body}");
+            assert_eq!(request.fingerprint(), empty.fingerprint(), "{body}");
+        }
+        let echo = empty.to_json();
+        assert!(echo.get("kernel").is_none() && echo.get("layout").is_none());
     }
 
     #[test]

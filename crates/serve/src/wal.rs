@@ -44,7 +44,10 @@
 //! WAL: batch records at epochs the snapshot already covers are
 //! skipped, a truncated or corrupt tail is tolerated (dropped and
 //! counted in `gve_wal_tail_records_dropped_total`), and partition
-//! records matching the final epoch re-seed the partition cache.
+//! records matching the final epoch re-seed the partition cache. A
+//! partition record whose request no longer re-derives its fingerprint
+//! (one written before the request format changed) is skipped on its
+//! own — replay goes on past it, and the next detect recomputes it.
 
 use crate::cache::{CachedPartition, PartitionKey, PartitionOrigin};
 use crate::jobs::DetectRequest;
@@ -492,7 +495,7 @@ impl DurabilityStore {
             };
             cursor = next;
             match parse_record(payload) {
-                Some(Record::Register) => {}
+                Some(Record::Register | Record::StalePartition) => {}
                 Some(Record::EpochBump(bumped)) => epoch = epoch.max(bumped),
                 Some(Record::Batch { new_epoch, batch }) => {
                     // Batches the snapshot already folded in are skipped;
@@ -608,6 +611,9 @@ enum Record {
         fingerprint: u64,
         partition: CachedPartition,
     },
+    /// A well-framed partition record whose request does not re-derive
+    /// its fingerprint; skipped on replay.
+    StalePartition,
     EpochBump(u64),
 }
 
@@ -649,12 +655,14 @@ fn parse_record(payload: &[u8]) -> Option<Record> {
             let request_json = String::from_utf8(cursor.bytes()?.to_vec()).ok()?;
             let request = crate::json::parse(&request_json)
                 .ok()
-                .and_then(|body| DetectRequest::from_json(&body).ok())?;
+                .and_then(|body| DetectRequest::from_json(&body).ok());
             // The fingerprint is derived from the request; a mismatch
-            // means the record is inconsistent — drop it.
-            if request.fingerprint() != fingerprint {
-                return None;
-            }
+            // means the record was keyed under an older request format
+            // (or is inconsistent). Either way the partition is derived
+            // data: drop it alone, not the log after it.
+            let Some(request) = request.filter(|r| r.fingerprint() == fingerprint) else {
+                return Some(Record::StalePartition);
+            };
             let n = cursor.u64()? as usize;
             let mut membership: Vec<VertexId> = Vec::with_capacity(n.min(1 << 24));
             for _ in 0..n {
@@ -1013,7 +1021,7 @@ mod tests {
         let mut expected = Vec::new();
         for (payload, len, checksum) in [
             (&batch_payload, 49u32, 0x9232_7997_3ede_3072u64),
-            (&partition_payload, 260, 0x8f50_6cb6_0bd0_0d2b),
+            (&partition_payload, 229, 0x9e20_1fab_3475_327a),
         ] {
             expected.extend_from_slice(&len.to_le_bytes());
             expected.extend_from_slice(&checksum.to_le_bytes());
@@ -1032,6 +1040,76 @@ mod tests {
             "headers written: {:?} {:?}",
             header(0),
             header(second)
+        );
+    }
+
+    /// A WAL written before `kernel`/`layout` left the detect request
+    /// holds partition records whose request JSON names them, keyed by
+    /// the old fingerprint. Recovery keeps the graph, every batch (also
+    /// those logged after the stale record) and the epoch, and drops
+    /// only that derived partition.
+    #[test]
+    fn old_format_partition_record_is_dropped_alone() {
+        // The default request as the old format rendered and
+        // fingerprinted it, bytes captured from that version.
+        const OLD_JSON: &str = r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"chunk_size":2048,"kernel":"v2","ordering":"original","layout":"split","scheduling":"async","chunking":"static"}"#;
+        const OLD_FINGERPRINT: u64 = 0xb44b_4c5d_f594_ac64;
+        assert_ne!(OLD_FINGERPRINT, DetectRequest::default().fingerprint());
+
+        let store = temp_store("old-partition");
+        let mut graph = path_graph();
+        store.register_graph("g", &graph, "inline").unwrap();
+        let mut batch = BatchUpdate::new();
+        batch.insert(0, 3, 2.0);
+        graph = apply_batch(&graph, &batch);
+        store.append_batch("g", 1, &batch, &graph).unwrap();
+
+        // Hand-encoded old-format partition record at epoch 1.
+        let mut payload = vec![KIND_PARTITION];
+        payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+        payload.extend_from_slice(&OLD_FINGERPRINT.to_le_bytes());
+        payload.push(0); // detection
+        payload.extend_from_slice(&2u64.to_le_bytes()); // communities
+        payload.extend_from_slice(&0.25f64.to_le_bytes());
+        payload.extend_from_slice(&0.5f64.to_le_bytes());
+        put_bytes(&mut payload, OLD_JSON.as_bytes());
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        for community in [0u32, 0, 1, 1] {
+            payload.extend_from_slice(&community.to_le_bytes());
+        }
+        assert!(matches!(
+            parse_record(&payload),
+            Some(Record::StalePartition)
+        ));
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let wal_path = store.graph_dir("g").join("wal.log");
+        OpenOptions::new()
+            .append(true)
+            .open(&wal_path)
+            .unwrap()
+            .write_all(&frame)
+            .unwrap();
+
+        // Acked after the stale record: must survive recovery.
+        let mut batch = BatchUpdate::new();
+        batch.insert(1, 3, 1.5).delete(1, 2);
+        graph = apply_batch(&graph, &batch);
+        store.append_batch("g", 2, &batch, &graph).unwrap();
+        let wal_len = fs::metadata(&wal_path).unwrap().len();
+
+        let recovered = reopen(&store).recover().unwrap();
+        assert_eq!(recovered.len(), 1);
+        let g = &recovered[0];
+        assert_eq!(g.epoch, 2);
+        assert_eq!(g.graph, graph);
+        assert_eq!(g.tail_dropped, 0, "the stale record is not a torn tail");
+        assert!(g.partitions.is_empty());
+        assert_eq!(
+            fs::metadata(&wal_path).unwrap().len(),
+            wal_len,
+            "recovery truncated the log"
         );
     }
 

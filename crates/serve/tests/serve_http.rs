@@ -92,6 +92,39 @@ fn event_loop_detect_flow_end_to_end() {
     server.stop();
 }
 
+/// `kernel` and `layout` are no longer detect options: a body naming
+/// them fingerprints like `{}`, so once `{}` is cached it is answered
+/// with the same 200 cache hit, and no second detection runs.
+#[test]
+fn retired_kernel_and_layout_fields_hit_the_default_partition() {
+    let server = boot(true, false);
+    let addr = format!("127.0.0.1:{}", server.port());
+    register_sbm(&addr, "retired", 400);
+    let (status, body) =
+        client_request(&addr, "POST", "/graphs/retired/detect", Some("{}")).unwrap();
+    assert!(status == 200 || status == 202, "{status} {body}");
+    let done = wait_job_done(&addr, json_u64(&body, "id").expect("job id"));
+    assert!(done.contains("\"done\""), "{done}");
+
+    let (status, plain) =
+        client_request(&addr, "POST", "/graphs/retired/detect", Some("{}")).unwrap();
+    assert_eq!(status, 200, "{plain}");
+    let (status, retired) = client_request(
+        &addr,
+        "POST",
+        "/graphs/retired/detect",
+        Some(r#"{"kernel":"v1","layout":"interleaved"}"#),
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{retired}");
+    assert!(retired.contains("\"cached\":true"), "{retired}");
+    let request_echo = |body: &str| body[body.find("\"request\"").unwrap()..].to_string();
+    assert_eq!(request_echo(&retired), request_echo(&plain));
+    assert!(!retired.contains("kernel") && !retired.contains("layout"));
+    assert_eq!(metric_value(&addr, "gve_jobs_full_detections_total"), 1.0);
+    server.stop();
+}
+
 /// The same flow must work on the threaded fallback front end.
 #[test]
 fn threaded_front_end_equivalent_flow() {

@@ -28,8 +28,8 @@ fn usage() -> ! {
          [--degree <f>] [--seed <n>] --out <path>\n  \
          gve detect <graph> [--algorithm <leiden|louvain|seq-leiden|seq-louvain|nk-leiden>] \
          [--objective <modularity|cpm>] [--resolution <f>] [--threads <n>] \
-         [--chunk-size <n>] [--kernel <v1|v2|v3>] [--ordering <original|degree|bfs>] \
-         [--layout <split|interleaved>] [--scheduling <static|guided|stealing>] \
+         [--chunk-size <n>] [--ordering <original|degree|bfs>] \
+         [--scheduling <static|guided|stealing>] \
          [--trace <path>] [--repeat <n>] [--out <path>]\n  \
          gve quality <graph> <membership> [--detail <n>]\n  \
          gve stats <graph>\n  \
@@ -209,27 +209,9 @@ fn cmd_detect(args: &[String]) {
         });
         leiden_config = leiden_config.chunk_size(chunk_size);
     }
-    if let Some(token) = flag_value(args, "--kernel") {
-        match gve::leiden::KernelVersion::parse(token) {
-            Ok(kernel) => leiden_config = leiden_config.kernel(kernel),
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(2);
-            }
-        }
-    }
     if let Some(token) = flag_value(args, "--ordering") {
         match gve::leiden::VertexOrdering::parse(token) {
             Ok(ordering) => leiden_config = leiden_config.ordering(ordering),
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(token) = flag_value(args, "--layout") {
-        match gve::leiden::EdgeLayout::parse(token) {
-            Ok(layout) => leiden_config = leiden_config.layout(layout),
             Err(e) => {
                 eprintln!("error: {e}");
                 exit(2);
