@@ -17,15 +17,13 @@
 //! Exit status is the contract: `0` means no error-severity findings,
 //! `1` means errors were printed, `2` means the tool itself failed
 //! (unreadable policy, I/O error). CI gates merges on it and uploads
-//! the `--sarif` rendering ([`sarif`]) to code scanning. `--incremental`
-//! re-scans only files whose content hash changed ([`cache`]).
+//! the `--sarif` rendering ([`sarif`]) to code scanning. Both SARIF and
+//! `--json` are built as `gve_obs::json` values.
 //!
 //! [`SharedSlice`]: ../gve_prim/shared_slice/struct.SharedSlice.html
 
-pub mod cache;
 pub mod lexer;
 pub mod lockgraph;
-pub mod mini_json;
 pub mod policy;
 pub mod rules;
 pub mod sarif;
@@ -35,7 +33,6 @@ mod view;
 pub use policy::Policy;
 pub use rules::{audit_file, audit_source, canonical_rule_id, FileAudit, Severity, Violation};
 
-use cache::{fnv1a, AuditCache};
 use rules::violation_at;
 use std::path::{Path, PathBuf};
 
@@ -48,12 +45,6 @@ const SCAN_ROOTS: [&str; 2] = ["crates", "shims"];
 /// Knobs for [`audit_workspace_with`].
 #[derive(Debug, Clone, Default)]
 pub struct AuditOptions {
-    /// `Some(path)` enables the incremental cache at `path`
-    /// (conventionally `target/audit-cache.json`).
-    pub cache_path: Option<PathBuf>,
-    /// FNV-1a 64 hash of the policy *text*; any policy edit invalidates
-    /// the cache. Only consulted when `cache_path` is set.
-    pub policy_fingerprint: u64,
     /// Promote `stale-suppression` findings from warnings to errors.
     pub strict_suppressions: bool,
 }
@@ -65,21 +56,18 @@ pub struct AuditReport {
     pub findings: Vec<Violation>,
     /// Files actually audited (after `skip` filtering).
     pub files_scanned: usize,
-    /// Of those, how many were satisfied from the incremental cache.
-    pub cache_hits: usize,
 }
 
 /// Audits every non-skipped `.rs` file under `root`. Returns findings
 /// sorted by path then line; I/O problems are reported as `Err`.
 ///
 /// Thin wrapper over [`audit_workspace_with`] with default options
-/// (no cache, suppression staleness as warnings).
+/// (suppression staleness as warnings).
 pub fn audit_workspace(root: &Path, policy: &Policy) -> Result<Vec<Violation>, String> {
     audit_workspace_with(root, policy, &AuditOptions::default()).map(|r| r.findings)
 }
 
-/// The full workspace driver: per-file rules (cached when
-/// `opts.cache_path` is set), then the global analyses — the lock-order
+/// The full workspace driver: per-file rules, then the global analyses — the lock-order
 /// acquisition graph over the union of every file's edges, and
 /// stale-suppression accounting over the union of every file's
 /// `audit:allow` ledger plus the policy's own `relaxed-ok`/`skip`
@@ -96,13 +84,7 @@ pub fn audit_workspace_with(
             collect_rs_files(&top, &mut files)?;
         }
     }
-    let mut cache = opts
-        .cache_path
-        .as_ref()
-        .map(|p| AuditCache::load(p, opts.policy_fingerprint));
-
     let mut audits: Vec<(String, FileAudit)> = Vec::new();
-    let mut cache_hits = 0usize;
     // Policy `skip` entries that matched at least one walked file.
     let mut used_skip_lines: Vec<usize> = Vec::new();
     for file in files {
@@ -115,20 +97,7 @@ pub fn audit_workspace_with(
         }
         let source = std::fs::read_to_string(&file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let hash = fnv1a(source.as_bytes());
-        let audit = match cache.as_ref().and_then(|c| c.lookup(&rel, hash)) {
-            Some(cached) => {
-                cache_hits += 1;
-                cached.clone()
-            }
-            None => {
-                let fresh = audit_file(&rel, &source, policy);
-                if let Some(c) = cache.as_mut() {
-                    c.store(&rel, hash, fresh.clone());
-                }
-                fresh
-            }
-        };
+        let audit = audit_file(&rel, &source, policy);
         audits.push((rel, audit));
     }
 
@@ -203,16 +172,9 @@ pub fn audit_workspace_with(
         ))
     });
 
-    if let (Some(c), Some(p)) = (cache.as_mut(), opts.cache_path.as_ref()) {
-        c.retain_paths(&audits.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
-        c.save(p)
-            .map_err(|e| format!("cannot write cache {}: {e}", p.display()))?;
-    }
-
     Ok(AuditReport {
         findings,
         files_scanned: audits.len(),
-        cache_hits,
     })
 }
 

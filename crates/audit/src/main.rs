@@ -6,16 +6,16 @@
 //! gve-audit --policy custom.policy       # override the policy file
 //! gve-audit --json                       # machine-readable findings on stdout
 //! gve-audit --sarif out.sarif            # SARIF 2.1.0 for code scanning
-//! gve-audit --incremental                # cache per-file results by content hash
 //! gve-audit --strict-suppressions        # stale suppressions become errors
 //! ```
 //!
 //! Findings (text or `--json`) are the only thing written to stdout —
 //! all diagnostics go to stderr, so `gve-audit --json | jq .` always
-//! parses.
+//! parses. `--json` renders one finding object per line through
+//! `gve_obs::json`.
 
-use gve_audit::cache::fnv1a;
 use gve_audit::{audit_workspace_with, find_workspace_root, sarif, AuditOptions, Policy, Severity};
+use gve_obs::json::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -24,8 +24,6 @@ struct Args {
     policy: Option<PathBuf>,
     json: bool,
     sarif: Option<PathBuf>,
-    incremental: bool,
-    cache: Option<PathBuf>,
     strict_suppressions: bool,
 }
 
@@ -35,8 +33,6 @@ fn parse_args() -> Result<Args, String> {
         policy: None,
         json: false,
         sarif: None,
-        incremental: false,
-        cache: None,
         strict_suppressions: false,
     };
     let mut it = std::env::args().skip(1);
@@ -58,20 +54,12 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or("--sarif needs a path".to_string())?,
                 ));
             }
-            "--incremental" => args.incremental = true,
-            "--cache" => {
-                args.cache = Some(PathBuf::from(
-                    it.next().ok_or("--cache needs a path".to_string())?,
-                ));
-                args.incremental = true;
-            }
             "--strict-suppressions" => args.strict_suppressions = true,
             "--help" | "-h" => {
                 println!(
                     "gve-audit: workspace concurrency/soundness lints\n\n\
                      USAGE: gve-audit [--root DIR] [--policy FILE] [--json]\n\
-                            [--sarif FILE] [--incremental] [--cache FILE]\n\
-                            [--strict-suppressions]\n\n\
+                            [--sarif FILE] [--strict-suppressions]\n\n\
                      Exit status: 0 clean (warnings allowed), 1 errors, 2 tool error."
                 );
                 std::process::exit(0);
@@ -80,21 +68,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn run() -> Result<bool, String> {
@@ -119,28 +92,11 @@ fn run() -> Result<bool, String> {
             default_file.is_file().then_some(default_file)
         }
     };
-    let (policy, policy_text) = match &policy_file {
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| format!("cannot read {}: {e}", p.display()))?;
-            (Policy::load(p)?, text)
-        }
-        None => (
-            Policy::default_workspace(),
-            gve_audit::policy::DEFAULT_POLICY.to_string(),
-        ),
+    let policy = match &policy_file {
+        Some(p) => Policy::load(p)?,
+        None => Policy::default_workspace(),
     };
     let opts = AuditOptions {
-        cache_path: if args.incremental {
-            Some(
-                args.cache
-                    .clone()
-                    .unwrap_or_else(|| root.join("target/audit-cache.json")),
-            )
-        } else {
-            None
-        },
-        policy_fingerprint: fnv1a(policy_text.as_bytes()),
         strict_suppressions: args.strict_suppressions,
     };
     let report = audit_workspace_with(&root, &policy, &opts)?;
@@ -158,13 +114,14 @@ fn run() -> Result<bool, String> {
                 Severity::Warning => "warning",
                 Severity::Error => "error",
             };
-            println!(
-                "  {{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"severity\":\"{sev}\",\"message\":\"{}\"}}{comma}",
-                v.rule,
-                json_escape(&v.path),
-                v.line,
-                json_escape(&v.message)
-            );
+            let finding = Json::obj([
+                ("rule", Json::from(v.rule)),
+                ("path", Json::from(v.path.as_str())),
+                ("line", Json::from(v.line)),
+                ("severity", Json::from(sev)),
+                ("message", Json::from(v.message.as_str())),
+            ]);
+            println!("  {finding}{comma}");
         }
         println!("]");
     } else {
@@ -177,12 +134,6 @@ fn run() -> Result<bool, String> {
         .filter(|v| v.severity == Severity::Error)
         .count();
     let warnings = findings.len() - errors;
-    if args.incremental {
-        eprintln!(
-            "gve-audit: scanned {} file(s), {} from cache",
-            report.files_scanned, report.cache_hits
-        );
-    }
     if findings.is_empty() {
         eprintln!("gve-audit: workspace clean ({})", root.display());
     } else {

@@ -497,17 +497,14 @@ hotpath crates/core/src/aggregate.rs
 hotpath crates/core/src/kernel.rs
 hotpath crates/prim/src/simd.rs
 hotpath crates/prim/src/sched.rs
-hotpath crates/serve/src/http.rs
 hotpath crates/net/src/server.rs
 hotpath crates/net/src/poller.rs
 
 # Ordering policy table: values other threads synchronize on. The
-# shutdown flag gates joining worker/accept threads: the store must be
+# shutdown flag gates joining worker threads: the store must be
 # Release (publish everything before the signal) and loads Acquire.
 publish crates/serve/src/jobs.rs shutdown.store Release,SeqCst -- workers observe queue + records writes made before shutdown
 publish crates/serve/src/jobs.rs shutdown.load Acquire,SeqCst -- pairs with the Release store above
-publish crates/serve/src/http.rs shutdown.store Release,SeqCst -- accept loop must see listener state preceding the signal
-publish crates/serve/src/http.rs shutdown.load Acquire,SeqCst -- pairs with the Release store above
 publish crates/net/src/server.rs stopping.store Release,SeqCst -- reactor must see all pre-stop writes before it begins draining
 publish crates/net/src/server.rs stopping.load Acquire,SeqCst -- pairs with the Release store above
 
@@ -574,7 +571,7 @@ mod tests {
     fn default_policy_parses_and_covers_hot_paths() {
         let p = Policy::default_workspace();
         assert!(p.is_hot_path("crates/core/src/localmove.rs"));
-        assert!(p.is_hot_path("crates/serve/src/http.rs"));
+        assert!(p.is_hot_path("crates/net/src/server.rs"));
         assert!(!p.is_hot_path("crates/core/src/config.rs"));
         assert!(p.is_skipped("shims/rayon/src/lib.rs"));
         assert!(p.is_skipped("crates/audit/tests/fixtures/bad.rs"));

@@ -29,7 +29,7 @@ use crate::scopes;
 use crate::view::FileView;
 use std::fmt;
 
-/// Every rule id the engine can emit, for cache round-tripping and the
+/// Every rule id the engine can emit, for `audit:allow` markers and the
 /// SARIF rule table.
 pub const RULE_IDS: [&str; 8] = [
     "unsafe-safety",
@@ -42,7 +42,7 @@ pub const RULE_IDS: [&str; 8] = [
     "stale-suppression",
 ];
 
-/// Interns a rule name back to its `'static` id (cache deserialization).
+/// Interns a rule name back to its `'static` id (`audit:allow` parsing).
 pub fn canonical_rule_id(name: &str) -> Option<&'static str> {
     RULE_IDS.iter().find(|r| **r == name).copied()
 }

@@ -5,10 +5,11 @@
 //! catalog, and one `result` per finding with `ruleId`, `level`,
 //! `message.text`, and a single physical location
 //! (`artifactLocation.uri` + `region.startLine`). URIs are the
-//! workspace-relative slash paths the audit already reports.
+//! workspace-relative slash paths the audit already reports. The
+//! document is built as a `gve_obs::json` value and rendered compactly.
 
-use crate::mini_json::{n, obj, s, Json};
 use crate::rules::{Severity, Violation, RULE_IDS};
+use gve_obs::json::Json;
 
 /// Static one-line description per rule, surfaced in the SARIF rule
 /// catalog (and the code-scanning UI's rule index).
@@ -40,12 +41,12 @@ pub fn to_sarif(findings: &[Violation]) -> String {
     let rules: Vec<Json> = RULE_IDS
         .iter()
         .map(|id| {
-            obj(vec![
-                ("id", s(id)),
-                ("name", s(id)),
+            Json::obj([
+                ("id", Json::from(*id)),
+                ("name", Json::from(*id)),
                 (
                     "shortDescription",
-                    obj(vec![("text", s(rule_description(id)))]),
+                    Json::obj([("text", Json::from(rule_description(id)))]),
                 ),
             ])
         })
@@ -53,39 +54,48 @@ pub fn to_sarif(findings: &[Violation]) -> String {
     let results: Vec<Json> = findings
         .iter()
         .map(|v| {
-            obj(vec![
-                ("ruleId", s(v.rule)),
-                ("level", s(level(v.severity))),
-                ("message", obj(vec![("text", s(&v.message))])),
+            Json::obj([
+                ("ruleId", Json::from(v.rule)),
+                ("level", Json::from(level(v.severity))),
+                (
+                    "message",
+                    Json::obj([("text", Json::from(v.message.as_str()))]),
+                ),
                 (
                     "locations",
-                    Json::Arr(vec![obj(vec![(
+                    Json::Arr(vec![Json::obj([(
                         "physicalLocation",
-                        obj(vec![
-                            ("artifactLocation", obj(vec![("uri", s(&v.path))])),
-                            ("region", obj(vec![("startLine", n(v.line.max(1) as u64))])),
+                        Json::obj([
+                            (
+                                "artifactLocation",
+                                Json::obj([("uri", Json::from(v.path.as_str()))]),
+                            ),
+                            (
+                                "region",
+                                Json::obj([("startLine", Json::from(v.line.max(1)))]),
+                            ),
                         ]),
                     )])]),
                 ),
             ])
         })
         .collect();
-    let doc = obj(vec![
+    let doc = Json::obj([
         (
             "$schema",
-            s("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
+            Json::from("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
         ),
-        ("version", s("2.1.0")),
+        ("version", Json::from("2.1.0")),
         (
             "runs",
-            Json::Arr(vec![obj(vec![
+            Json::Arr(vec![Json::obj([
                 (
                     "tool",
-                    obj(vec![(
+                    Json::obj([(
                         "driver",
-                        obj(vec![
-                            ("name", s("gve-audit")),
-                            ("informationUri", s("https://example.invalid/gve-audit")),
+                        Json::obj([
+                            ("name", Json::from("gve-audit")),
+                            ("informationUri", Json::from("https://example.invalid/gve-audit")),
                             ("rules", Json::Arr(rules)),
                         ]),
                     )]),
@@ -94,7 +104,7 @@ pub fn to_sarif(findings: &[Violation]) -> String {
             ])]),
         ),
     ]);
-    doc.to_json()
+    doc.render()
 }
 
 #[cfg(test)]
@@ -120,25 +130,25 @@ mod tests {
                 "unused".to_string(),
             ),
         ];
-        let doc = Json::parse(&to_sarif(&findings)).expect("valid json");
+        let doc = gve_obs::json::parse(&to_sarif(&findings)).expect("valid json");
         assert_eq!(doc.get("version").and_then(Json::as_str), Some("2.1.0"));
         assert!(doc
             .get("$schema")
             .and_then(Json::as_str)
             .expect("schema")
             .contains("sarif-schema-2.1.0"));
-        let runs = doc.get("runs").and_then(Json::as_arr).expect("runs");
+        let runs = doc.get("runs").and_then(Json::as_array).expect("runs");
         assert_eq!(runs.len(), 1);
         let driver = runs[0]
             .get("tool")
             .and_then(|t| t.get("driver"))
             .expect("driver");
         assert_eq!(driver.get("name").and_then(Json::as_str), Some("gve-audit"));
-        let rules = driver.get("rules").and_then(Json::as_arr).expect("rules");
+        let rules = driver.get("rules").and_then(Json::as_array).expect("rules");
         assert_eq!(rules.len(), RULE_IDS.len(), "catalog covers every rule");
         let results = runs[0]
             .get("results")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .expect("results");
         assert_eq!(results.len(), 2);
         assert_eq!(
@@ -155,7 +165,7 @@ mod tests {
         );
         let loc = results[0]
             .get("locations")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .and_then(|a| a.first())
             .and_then(|l| l.get("physicalLocation"))
             .expect("location");

@@ -1,9 +1,9 @@
-//! Integration tests for the v2 engine surface: the incremental cache,
-//! stale-suppression accounting (and `--strict-suppressions`), SARIF
-//! output, and the stdout/stderr contract of the CLI.
+//! Integration tests for the v2 engine surface: stale-suppression
+//! accounting (and `--strict-suppressions`), SARIF output, and the
+//! stdout/stderr contract of the CLI.
 
-use gve_audit::mini_json::Json;
 use gve_audit::{audit_workspace_with, AuditOptions, Policy, Severity};
+use gve_obs::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -21,79 +21,6 @@ fn scratch_workspace(tag: &str, files: &[(&str, &str)]) -> PathBuf {
 }
 
 const CLEAN_A: &str = "pub fn add(a: u32, b: u32) -> u32 {\n    a.wrapping_add(b)\n}\n";
-const CLEAN_B: &str = "pub fn mul(a: u32, b: u32) -> u32 {\n    a.wrapping_mul(b)\n}\n";
-
-#[test]
-fn incremental_cache_rescans_only_changed_files() {
-    let root = scratch_workspace(
-        "gve-audit-incr",
-        &[
-            ("crates/x/src/a.rs", CLEAN_A),
-            ("crates/x/src/b.rs", CLEAN_B),
-        ],
-    );
-    let policy = Policy::parse("").expect("empty policy");
-    let opts = AuditOptions {
-        cache_path: Some(root.join("target/audit-cache.json")),
-        policy_fingerprint: 0xabc,
-        strict_suppressions: false,
-    };
-
-    let cold = audit_workspace_with(&root, &policy, &opts).expect("cold run");
-    assert_eq!(cold.files_scanned, 2);
-    assert_eq!(cold.cache_hits, 0, "cold cache");
-    assert!(cold.findings.is_empty(), "{:#?}", cold.findings);
-
-    let warm = audit_workspace_with(&root, &policy, &opts).expect("warm run");
-    assert_eq!(warm.cache_hits, 2, "everything cached");
-
-    // Touch one file: exactly that file re-scans.
-    std::fs::write(
-        root.join("crates/x/src/a.rs"),
-        "pub fn add(a: u32, b: u32) -> u32 {\n    b.wrapping_add(a)\n}\n",
-    )
-    .expect("touch a.rs");
-    let touched = audit_workspace_with(&root, &policy, &opts).expect("touched run");
-    assert_eq!(touched.files_scanned, 2);
-    assert_eq!(touched.cache_hits, 1, "only b.rs served from cache");
-
-    // A policy edit invalidates the whole cache.
-    let other = AuditOptions {
-        policy_fingerprint: 0xdef,
-        ..opts
-    };
-    let repoliced = audit_workspace_with(&root, &policy, &other).expect("repoliced run");
-    assert_eq!(repoliced.cache_hits, 0);
-
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn cached_findings_match_fresh_ones() {
-    // A file with a real finding: cached and fresh results must agree.
-    let root = scratch_workspace(
-        "gve-audit-incr-findings",
-        &[(
-            "crates/x/src/hot.rs",
-            "pub fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n",
-        )],
-    );
-    let policy = Policy::parse("hotpath crates/x/src/hot.rs\n").expect("policy");
-    let opts = AuditOptions {
-        cache_path: Some(root.join("target/audit-cache.json")),
-        policy_fingerprint: 1,
-        strict_suppressions: false,
-    };
-    let fresh = audit_workspace_with(&root, &policy, &opts).expect("fresh");
-    let cached = audit_workspace_with(&root, &policy, &opts).expect("cached");
-    assert_eq!(cached.cache_hits, 1);
-    assert_eq!(fresh.findings, cached.findings);
-    assert!(fresh
-        .findings
-        .iter()
-        .any(|v| v.rule == "hotpath-panic" && v.line == 2));
-    std::fs::remove_dir_all(&root).ok();
-}
 
 #[test]
 fn unused_suppression_is_stale_and_used_one_is_not() {
@@ -212,13 +139,13 @@ fn sarif_output_has_the_2_1_0_shape_end_to_end() {
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(1), "unsafe without SAFETY gates");
-    let doc = Json::parse(&std::fs::read_to_string(&sarif_path).expect("sarif written"))
+    let doc = json::parse(&std::fs::read_to_string(&sarif_path).expect("sarif written"))
         .expect("sarif parses");
     assert_eq!(doc.get("version").and_then(Json::as_str), Some("2.1.0"));
-    let runs = doc.get("runs").and_then(Json::as_arr).expect("runs");
+    let runs = doc.get("runs").and_then(Json::as_array).expect("runs");
     let results = runs[0]
         .get("results")
-        .and_then(Json::as_arr)
+        .and_then(Json::as_array)
         .expect("results");
     // The default policy's skip/relaxed-ok entries match nothing in the
     // scratch tree, so stale-suppression warnings ride along — find the
@@ -234,7 +161,7 @@ fn sarif_output_has_the_2_1_0_shape_end_to_end() {
     assert_eq!(
         unsafe_hit
             .get("locations")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .and_then(|l| l.first())
             .and_then(|l| l.get("physicalLocation"))
             .and_then(|p| p.get("artifactLocation"))
@@ -255,15 +182,15 @@ fn json_stdout_is_pure_json_with_diagnostics_on_stderr() {
         )],
     );
     let out = Command::new(env!("CARGO_BIN_EXE_gve-audit"))
-        .args(["--json", "--incremental", "--root"])
+        .args(["--json", "--root"])
         .arg(&root)
         .output()
         .expect("run");
     let stdout = String::from_utf8_lossy(&out.stdout);
     // The whole of stdout must parse as one JSON document — `| jq`
     // never sees progress chatter.
-    let doc = Json::parse(&stdout).unwrap_or_else(|e| panic!("stdout not JSON ({e}):\n{stdout}"));
-    let arr = doc.as_arr().expect("array");
+    let doc = json::parse(&stdout).unwrap_or_else(|e| panic!("stdout not JSON ({e}):\n{stdout}"));
+    let arr = doc.as_array().expect("array");
     assert!(arr
         .iter()
         .any(|v| v.get("rule").and_then(Json::as_str) == Some("unsafe-safety")));
@@ -272,7 +199,7 @@ fn json_stdout_is_pure_json_with_diagnostics_on_stderr() {
         .all(|v| v.get("severity").and_then(Json::as_str).is_some()));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("from cache") || stderr.contains("error("),
+        stderr.contains("error("),
         "diagnostics land on stderr: {stderr}"
     );
     std::fs::remove_dir_all(&root).ok();
@@ -283,8 +210,6 @@ fn live_workspace_is_clean_even_under_strict_suppressions() {
     let root = gve_audit::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("root");
     let policy = Policy::default_workspace();
     let opts = AuditOptions {
-        cache_path: None,
-        policy_fingerprint: 0,
         strict_suppressions: true,
     };
     let report = audit_workspace_with(&root, &policy, &opts).expect("workspace");

@@ -86,20 +86,6 @@ fn graphs(args: &BenchArgs) -> Vec<(String, CsrGraph)> {
     ]
 }
 
-/// `git describe --always --dirty` of the working directory (a
-/// `-dirty` suffix marks uncommitted changes), or `unknown`.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|text| text.trim().to_string())
-        .filter(|text| !text.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 struct Row {
     graph: String,
     vertices: usize,
@@ -234,7 +220,7 @@ fn main() {
     let _ = writeln!(json, "  \"scale\": {},", args.scale);
     let _ = writeln!(json, "  \"quick\": {},", args.quick);
     let _ = writeln!(json, "  \"threads\": {},", rayon::current_num_threads());
-    let _ = writeln!(json, "  \"commit\": \"{}\",", commit());
+    let _ = writeln!(json, "  \"commit\": \"{}\",", report::commit());
     let _ = writeln!(json, "  \"statistic\": \"min\",");
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {

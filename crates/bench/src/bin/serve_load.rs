@@ -1,10 +1,10 @@
-//! Serving-tier load benchmark: thread-per-connection accept loop vs
-//! the `gve-net` event-loop reactor, on a cached-partition detect
-//! workload, plus an in-flight coalescing burst measurement.
+//! Serving-tier load benchmark: the `gve-net` event-loop reactor on a
+//! cached-partition detect workload over keep-alive connections, plus
+//! an in-flight coalescing burst measurement.
 //!
-//! Each backend serves the same resident graph whose default partition
-//! is pre-warmed into the cache, so every `POST /graphs/bench/detect`
-//! is answered from memory and the measurement isolates the *serving*
+//! The server holds a resident graph whose default partition is
+//! pre-warmed into the cache, so every `POST /graphs/bench/detect` is
+//! answered from memory and the measurement isolates the *serving*
 //! tier, not Leiden itself. The coalescing phase then bursts identical
 //! never-seen detect configs from all clients at once and reads the
 //! `gve_jobs_coalesced_total` / `gve_jobs_full_detections_total`
@@ -16,14 +16,14 @@
 //! ```
 //!
 //! Gates (used by the CI `serve-load-smoke` job):
-//! * `--assert-speedup <f>`  — fail unless event-loop req/s ≥ f × threaded
-//!   req/s at the highest client count.
-//! * `--assert-p99-ms <f>`   — fail if the event-loop p99 at the highest
-//!   client count exceeds the floor.
+//! * `--assert-min-rps <f>`  — fail unless req/s at the highest client
+//!   count reaches the floor.
+//! * `--assert-p99-ms <f>`   — fail if the p99 at the highest client
+//!   count exceeds the ceiling.
 //! * `--assert-coalesce-rate <f>` — fail if the burst coalesce hit-rate
 //!   at the highest client count falls below the floor.
 
-use gve_bench::report::Table;
+use gve_bench::report::{self, Table};
 use gve_net::{run_load, LoadReport, LoadSpec, Target};
 use gve_serve::jobs::{DetectRequest, JobState};
 use gve_serve::registry::GraphSource;
@@ -37,7 +37,7 @@ struct Args {
     requests: usize,
     rounds: usize,
     json: String,
-    assert_speedup: Option<f64>,
+    assert_min_rps: Option<f64>,
     assert_p99_ms: Option<f64>,
     assert_coalesce_rate: Option<f64>,
 }
@@ -48,7 +48,7 @@ fn parse_args() -> Args {
         requests: 200,
         rounds: 8,
         json: "BENCH_serve.json".to_string(),
-        assert_speedup: None,
+        assert_min_rps: None,
         assert_p99_ms: None,
         assert_coalesce_rate: None,
     };
@@ -70,8 +70,8 @@ fn parse_args() -> Args {
             "--requests" => args.requests = value("--requests").parse().expect("bad --requests"),
             "--rounds" => args.rounds = value("--rounds").parse().expect("bad --rounds"),
             "--json" => args.json = value("--json"),
-            "--assert-speedup" => {
-                args.assert_speedup = Some(value("--assert-speedup").parse().expect("bad float"))
+            "--assert-min-rps" => {
+                args.assert_min_rps = Some(value("--assert-min-rps").parse().expect("bad float"))
             }
             "--assert-p99-ms" => {
                 args.assert_p99_ms = Some(value("--assert-p99-ms").parse().expect("bad float"))
@@ -92,13 +92,12 @@ fn parse_args() -> Args {
 
 /// Boots a server on an ephemeral port with the bench graph loaded and
 /// its default partition pre-warmed into the cache.
-fn boot(event_loop: bool) -> Server {
+fn boot() -> Server {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         shards: 4,
         max_connections: 512,
-        event_loop,
         ..ServeConfig::default()
     })
     .expect("bind bench server");
@@ -137,13 +136,12 @@ fn metric(addr: &str, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn measure(addr: &str, clients: usize, requests: usize, keep_alive: bool) -> LoadReport {
+fn measure(addr: &str, clients: usize, requests: usize) -> LoadReport {
     run_load(&LoadSpec {
         addr: addr.to_string(),
         clients,
         requests_per_client: requests,
         targets: vec![Target::post("/graphs/bench/detect", "{}")],
-        keep_alive,
     })
 }
 
@@ -170,7 +168,6 @@ fn measure_coalesce(addr: &str, clients: usize, rounds: usize, seed_base: u64) -
             clients,
             requests_per_client: 1,
             targets: vec![Target::post("/graphs/bench/detect", &body)],
-            keep_alive: true,
         });
     }
     let submitted = (metric(addr, "gve_jobs_submitted_total") - submitted0) as u64;
@@ -195,41 +192,31 @@ fn main() {
     let max_clients = *args.clients.iter().max().expect("nonempty clients");
 
     let mut table = Table::new(
-        "Serving tier: cached-partition detect throughput (keep-alive \
-         event loop vs connection-per-request threads)",
-        &[
-            "Backend", "Clients", "Req/s", "p50 ms", "p99 ms", "Failed", "5xx",
-        ],
+        "Serving tier: cached-partition detect throughput (keep-alive event loop)",
+        &["Clients", "Req/s", "p50 ms", "p99 ms", "Failed", "5xx"],
     );
-    let mut rows: Vec<(String, usize, LoadReport)> = Vec::new();
+    let mut rows: Vec<(usize, LoadReport)> = Vec::new();
 
-    for (label, event_loop) in [("threaded", false), ("event-loop", true)] {
-        let server = boot(event_loop);
-        let addr = format!("127.0.0.1:{}", server.port());
-        eprintln!("{label}: serving on {addr} ({} backend)", server.backend());
-        // The threaded baseline closes after every response, so its
-        // clients reconnect per request; the event loop keeps
-        // connections alive — that IS the architectural difference
-        // under measurement.
-        let keep_alive = event_loop;
-        for &clients in &args.clients {
-            let report = measure(&addr, clients, args.requests, keep_alive);
-            table.push(vec![
-                label.to_string(),
-                clients.to_string(),
-                format!("{:.0}", report.requests_per_second),
-                format!("{:.3}", report.p50_ms),
-                format!("{:.3}", report.p99_ms),
-                report.failed.to_string(),
-                report.server_errors.to_string(),
-            ]);
-            rows.push((label.to_string(), clients, report));
-        }
-        server.stop();
+    let server = boot();
+    let addr = format!("127.0.0.1:{}", server.port());
+    let backend = server.backend();
+    eprintln!("serving on {addr} ({backend} backend)");
+    for &clients in &args.clients {
+        let report = measure(&addr, clients, args.requests);
+        table.push(vec![
+            clients.to_string(),
+            format!("{:.0}", report.requests_per_second),
+            format!("{:.3}", report.p50_ms),
+            format!("{:.3}", report.p99_ms),
+            report.failed.to_string(),
+            report.server_errors.to_string(),
+        ]);
+        rows.push((clients, report));
     }
+    server.stop();
 
-    // Coalescing burst against a fresh event-loop server.
-    let server = boot(true);
+    // Coalescing burst against a fresh server.
+    let server = boot();
     let addr = format!("127.0.0.1:{}", server.port());
     let mut coalesce: Vec<CoalesceSample> = Vec::new();
     for (index, &clients) in args.clients.iter().enumerate() {
@@ -258,30 +245,28 @@ fn main() {
             sample.hit_rate * 100.0,
         );
     }
-
-    let rps_at = |backend: &str, clients: usize| {
-        rows.iter()
-            .find(|(b, c, _)| b == backend && *c == clients)
-            .map(|(_, _, r)| r.requests_per_second)
-            .unwrap_or(0.0)
-    };
-    let speedup = rps_at("event-loop", max_clients) / rps_at("threaded", max_clients).max(1e-9);
-    println!("event-loop/threaded speedup at {max_clients} clients: {speedup:.2}x");
+    let at_max = rows
+        .iter()
+        .find(|(clients, _)| *clients == max_clients)
+        .map(|(_, report)| report)
+        .expect("a row at the highest client count");
 
     // ------------------------------------------------- JSON report
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"suite\": \"serve\",");
     let _ = writeln!(json, "  \"requests_per_client\": {},", args.requests);
     let _ = writeln!(json, "  \"workload\": \"cached-partition detect\",");
+    let _ = writeln!(json, "  \"backend\": \"{backend}\",");
+    let _ = writeln!(json, "  \"threads\": {},", rayon::current_num_threads());
+    let _ = writeln!(json, "  \"commit\": \"{}\",", report::commit());
     json.push_str("  \"results\": [\n");
-    for (index, (backend, clients, report)) in rows.iter().enumerate() {
+    for (index, (clients, report)) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"backend\": \"{}\", \"clients\": {}, \"completed\": {}, \
+            "    {{\"clients\": {}, \"completed\": {}, \
              \"failed\": {}, \"server_errors\": {}, \"elapsed_seconds\": {:.6}, \
              \"requests_per_second\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
              \"mean_ms\": {:.3}, \"max_ms\": {:.3}}}{}",
-            backend,
             clients,
             report.completed,
             report.failed,
@@ -312,32 +297,26 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"speedup_at_max_clients\": {speedup:.3},\n  \"max_clients\": {max_clients}"
-    );
+    let _ = writeln!(json, "  \"max_clients\": {max_clients}");
     json.push_str("}\n");
     std::fs::write(&args.json, json).expect("failed to write JSON report");
     println!("report written to {}", args.json);
 
     // -------------------------------------------------- regression gates
     let mut failures = Vec::new();
-    if let Some(floor) = args.assert_speedup {
-        if speedup < floor {
+    if let Some(floor) = args.assert_min_rps {
+        let rps = at_max.requests_per_second;
+        if rps < floor {
             failures.push(format!(
-                "speedup {speedup:.2}x at {max_clients} clients below the {floor:.2}x floor"
+                "{rps:.0} req/s at {max_clients} clients below the {floor:.0} req/s floor"
             ));
         }
     }
-    if let Some(floor) = args.assert_p99_ms {
-        let p99 = rows
-            .iter()
-            .find(|(b, c, _)| b == "event-loop" && *c == max_clients)
-            .map(|(_, _, r)| r.p99_ms)
-            .unwrap_or(f64::INFINITY);
-        if p99 > floor {
+    if let Some(ceiling) = args.assert_p99_ms {
+        let p99 = at_max.p99_ms;
+        if p99 > ceiling {
             failures.push(format!(
-                "event-loop p99 {p99:.3} ms at {max_clients} clients above the {floor:.3} ms floor"
+                "p99 {p99:.3} ms at {max_clients} clients above the {ceiling:.3} ms ceiling"
             ));
         }
     }

@@ -2,6 +2,21 @@
 
 use std::io::Write;
 
+/// `git describe --always --dirty` of the working directory (a
+/// `-dirty` suffix marks uncommitted changes), or `unknown`. Committed
+/// `BENCH_*.json` reports record it as their provenance.
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|text| text.trim().to_string())
+        .filter(|text| !text.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// A simple result table: title, column headers, string rows.
 #[derive(Debug, Clone, Default)]
 pub struct Table {

@@ -1,23 +1,18 @@
-//! HTTP/1.1 wire types and parsing, shared by every serving front end.
+//! HTTP/1.1 wire types and parsing for the event-loop server.
 //!
-//! Two consumption styles over one grammar:
+//! [`RequestBuffer`] is an **incremental** parser for the nonblocking
+//! reactor: feed it bytes as they arrive, get complete requests out.
+//! Pipelined requests queue up naturally; header-size and body-size
+//! caps are enforced as bytes accumulate (slowloris can't buffer-bloat).
 //!
-//! * [`RequestBuffer`] — an **incremental** parser for the nonblocking
-//!   reactor: feed it bytes as they arrive, get complete requests out.
-//!   Pipelined requests queue up naturally; header-size and body-size
-//!   caps are enforced as bytes accumulate (slowloris can't buffer-bloat).
-//! * [`read_request`] — a **blocking** wrapper around the same parser
-//!   for the thread-per-connection baseline, with an overall header
-//!   deadline so a stalled client gets a 408 instead of pinning its
-//!   worker thread forever.
-//!
-//! Responses serialize with either `Connection: close` (baseline) or
-//! `Connection: keep-alive` (reactor). The [`ClientConn`] keep-alive
-//! client feeds the load generator and tests.
+//! Responses serialize with `Connection: keep-alive`, or with
+//! `Connection: close` when the client or a drain asks for it. The
+//! blocking [`client_request`] and the [`ClientConn`] keep-alive client
+//! feed the CLI, the load generator and the tests.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on accepted request bodies (64 MiB) — a registry POST
 /// carrying an explicit edge list is the largest legitimate payload.
@@ -141,19 +136,12 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Writes the response with `Connection: close` (baseline path).
-    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
-        stream.write_all(&self.serialize(false))?;
-        stream.flush()
-    }
 }
 
 /// Error while reading or parsing a request.
 #[derive(Debug, Clone)]
 pub struct HttpError {
-    /// Status code the error maps to. Status 0 marks a clean client
-    /// disconnect: nothing to answer, just close.
+    /// Status code the error maps to.
     pub status: u16,
     /// Description sent back to the client.
     pub message: String,
@@ -174,20 +162,6 @@ impl HttpError {
             status: 408,
             message: "timed out reading request".into(),
         }
-    }
-
-    /// Client closed the connection before sending a request; callers
-    /// drop the connection without writing anything.
-    pub fn closed() -> Self {
-        Self {
-            status: 0,
-            message: "client closed connection".into(),
-        }
-    }
-
-    /// True for the clean-disconnect marker.
-    pub fn is_closed(&self) -> bool {
-        self.status == 0
     }
 }
 
@@ -414,51 +388,6 @@ impl RequestBuffer {
     }
 }
 
-/// Reads one request from a blocking stream, giving the client at most
-/// `deadline` from now to deliver the complete request. A stall maps to
-/// 408; a clean close before any byte maps to [`HttpError::closed`].
-pub fn read_request(
-    stream: &mut TcpStream,
-    limits: &HttpLimits,
-    deadline: Duration,
-) -> Result<Request, HttpError> {
-    let until = Instant::now() + deadline;
-    let mut parser = RequestBuffer::new();
-    let mut chunk = [0u8; 8192];
-    loop {
-        if let Some(request) = parser.try_next(limits)? {
-            return Ok(request);
-        }
-        let remaining = until.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(HttpError::timeout());
-        }
-        if stream.set_read_timeout(Some(remaining)).is_err() {
-            return Err(HttpError::closed());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(if parser.is_empty() {
-                    HttpError::closed()
-                } else {
-                    HttpError::bad_request("connection closed mid-request")
-                });
-            }
-            Ok(n) => parser.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::timeout());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(HttpError::bad_request(format!("cannot read request: {e}")));
-            }
-        }
-    }
-}
-
 /// Minimal blocking HTTP client: sends one request on a fresh
 /// connection, reads the full response. Shared by `gve client` and the
 /// integration tests.
@@ -598,6 +527,19 @@ mod tests {
         assert_eq!(request.body, b"hello");
         assert!(request.keep_alive, "HTTP/1.1 defaults to keep-alive");
         assert!(parser.is_empty());
+    }
+
+    #[test]
+    fn segments_split_paths() {
+        let req = Request {
+            method: "GET".into(),
+            path: "/graphs/web-1/communities/3".into(),
+            query: vec![],
+            headers: vec![],
+            body: vec![],
+            keep_alive: false,
+        };
+        assert_eq!(req.segments(), vec!["graphs", "web-1", "communities", "3"]);
     }
 
     #[test]

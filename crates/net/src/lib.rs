@@ -7,9 +7,8 @@
 //!    third-party crates: the workspace is offline by construction.
 //! 2. [`poller`] — a level-triggered readiness [`poller::Poller`] with
 //!    an epoll backend and a `poll(2)` fallback, both token-addressed.
-//! 3. [`http`] — HTTP/1.1 wire types and the incremental
-//!    [`http::RequestBuffer`] parser shared by the blocking and
-//!    nonblocking front ends.
+//! 3. [`http`] — HTTP/1.1 wire types, the incremental
+//!    [`http::RequestBuffer`] parser, and the blocking clients.
 //! 4. [`server`] — the [`server::EventLoopServer`] reactor: one event
 //!    loop thread driving accept/read/write state machines for
 //!    keep-alive connections, a handler worker pool, per-connection
@@ -17,8 +16,9 @@
 //! 5. [`loadgen`] — a closed-loop load generator used by the serve
 //!    benchmark and the `gve loadgen` subcommand.
 //!
-//! The crate is `cfg(unix)` for the reactor pieces; the HTTP wire layer
-//! is portable.
+//! The reactor pieces are `cfg(unix)`, so serving needs a unix target;
+//! the HTTP wire layer, the clients and the load generator are
+//! portable.
 
 pub mod http;
 pub mod loadgen;
@@ -30,12 +30,9 @@ pub mod server;
 pub mod sys;
 
 pub use http::{
-    client_request, parse_query, percent_decode, read_request, ClientConn, HttpError, HttpLimits,
-    Request, RequestBuffer, Response, MAX_BODY_BYTES, MAX_HEADER_BYTES,
+    client_request, parse_query, percent_decode, ClientConn, HttpError, HttpLimits, Request,
+    RequestBuffer, Response, MAX_BODY_BYTES, MAX_HEADER_BYTES,
 };
 pub use loadgen::{run_load, LoadReport, LoadSpec, Target};
 #[cfg(unix)]
 pub use server::{EventLoopServer, Handler, InlinePredicate, NetOptions};
-
-/// True when the event-loop tier is available on this platform.
-pub const EVENT_LOOP_AVAILABLE: bool = cfg!(unix);

@@ -1,19 +1,12 @@
 //! Closed-loop HTTP load generator.
 //!
 //! Spawns `clients` threads, each issuing `requests_per_client`
-//! requests back-to-back (closed loop: the next request starts when the
-//! previous response lands), and reports throughput plus latency
-//! percentiles. Shared by `crates/bench/src/bin/serve_load.rs` and the
-//! `gve loadgen` CLI subcommand.
-//!
-//! Two connection modes:
-//! * `keep_alive = true` — one persistent connection per client
-//!   (measures the event-loop tier's keep-alive path);
-//! * `keep_alive = false` — a fresh connection per request (the only
-//!   mode the `Connection: close` thread-per-connection baseline
-//!   supports).
+//! requests back-to-back over one persistent keep-alive connection
+//! (closed loop: the next request starts when the previous response
+//! lands), and reports throughput plus latency percentiles. Used by
+//! `crates/bench/src/bin/serve_load.rs`.
 
-use crate::http::{client_request, ClientConn};
+use crate::http::ClientConn;
 use std::time::Instant;
 
 /// One request shape; clients cycle through the list round-robin.
@@ -58,8 +51,6 @@ pub struct LoadSpec {
     pub requests_per_client: usize,
     /// Request shapes, cycled per request.
     pub targets: Vec<Target>,
-    /// Persistent connections (see module docs).
-    pub keep_alive: bool,
 }
 
 /// Aggregated result of one load run.
@@ -85,28 +76,6 @@ pub struct LoadReport {
     pub mean_ms: f64,
     /// Slowest request, milliseconds.
     pub max_ms: f64,
-}
-
-impl LoadReport {
-    /// Renders the report as a JSON object (matches the
-    /// `BENCH_serve.json` per-run schema).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"clients\":{},\"completed\":{},\"failed\":{},\"server_errors\":{},\
-             \"elapsed_seconds\":{:.6},\"requests_per_second\":{:.1},\
-             \"p50_ms\":{:.3},\"p99_ms\":{:.3},\"mean_ms\":{:.3},\"max_ms\":{:.3}}}",
-            self.clients,
-            self.completed,
-            self.failed,
-            self.server_errors,
-            self.elapsed_seconds,
-            self.requests_per_second,
-            self.p50_ms,
-            self.p99_ms,
-            self.mean_ms,
-            self.max_ms,
-        )
-    }
 }
 
 /// Nearest-rank percentile over an already **sorted** slice.
@@ -135,29 +104,20 @@ fn run_client(spec: &LoadSpec, client_index: usize) -> ClientOutcome {
     for i in 0..spec.requests_per_client {
         let target = &spec.targets[(client_index + i) % spec.targets.len()];
         let t0 = Instant::now();
-        let result = if spec.keep_alive {
-            // Lazily (re)connect; one transport error costs one request
-            // and a reconnect, not the whole client.
-            if conn.is_none() {
-                conn = ClientConn::connect(&spec.addr).ok();
-            }
-            match conn.as_mut() {
-                Some(c) => {
-                    let r = c.request(&target.method, &target.path, target.body.as_deref());
-                    if r.is_err() {
-                        conn = None;
-                    }
-                    r
+        // Lazily (re)connect; one transport error costs one request and
+        // a reconnect, not the whole client.
+        if conn.is_none() {
+            conn = ClientConn::connect(&spec.addr).ok();
+        }
+        let result = match conn.as_mut() {
+            Some(c) => {
+                let r = c.request(&target.method, &target.path, target.body.as_deref());
+                if r.is_err() {
+                    conn = None;
                 }
-                None => Err(std::io::Error::other("connect failed")),
+                r
             }
-        } else {
-            client_request(
-                &spec.addr,
-                &target.method,
-                &target.path,
-                target.body.as_deref(),
-            )
+            None => Err(std::io::Error::other("connect failed")),
         };
         match result {
             Ok((status, _body)) => {
@@ -257,7 +217,6 @@ mod tests {
             clients: 4,
             requests_per_client: 25,
             targets: vec![Target::get("/ping")],
-            keep_alive: true,
         });
         assert_eq!(report.completed, 100, "failed={}", report.failed);
         assert_eq!(report.failed, 0);
@@ -265,8 +224,7 @@ mod tests {
         assert!(report.requests_per_second > 0.0);
         assert!(report.p50_ms <= report.p99_ms);
         assert!(report.p99_ms <= report.max_ms + 1e-9);
-        let json = report.to_json();
-        assert!(json.contains("\"clients\":4"), "{json}");
+        assert_eq!(report.clients, 4);
         server.stop();
     }
 }

@@ -36,6 +36,7 @@
 use crate::http::{HttpError, HttpLimits, Request, RequestBuffer, Response};
 use crate::poller::{Event, Interest, Poller};
 use crate::sys;
+use gve_obs::json::Json;
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -70,29 +71,11 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Minimal JSON string escaping for error bodies built inside the
-/// reactor (gve-net has no JSON dependency by design).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Error → `{"error": "..."}` response.
 fn error_response(error: &HttpError) -> Response {
     Response::json(
         error.status,
-        format!("{{\"error\":\"{}\"}}", json_escape(&error.message)),
+        Json::obj([("error", Json::from(error.message.as_str()))]).render(),
     )
 }
 
@@ -216,8 +199,8 @@ impl NetMetrics {
             &[],
             &self.wakeups,
         );
-        // Compatibility families: the thread-per-connection front end
-        // exported these names, and the observability contract
+        // Compatibility families: an earlier thread-per-connection front
+        // end exported these names, and the observability contract
         // (dashboards, metrics smoke tests) keys on them. Same handles
         // as the gve_net_* counters above.
         registry.register_counter(
@@ -671,7 +654,6 @@ impl Reactor {
                     let _ = self.poller.modify(fd, token, Interest::READ);
                 }
             }
-            Err(e) if e.is_closed() => self.close_conn(token),
             Err(e) => self.start_write(token, error_response(&e), false, now),
         }
     }
@@ -1191,6 +1173,52 @@ mod tests {
             let (status, _) = conn.request("GET", "/via-poll", None).unwrap();
             assert_eq!(status, 200);
         }
+        server.stop();
+    }
+
+    /// Sends `raw` on a fresh connection and reads until the server
+    /// closes it.
+    fn raw_exchange(addr: &str, raw: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(raw).unwrap();
+        let mut out = String::new();
+        let _ = std::io::Read::read_to_string(&mut stream, &mut out);
+        out
+    }
+
+    #[test]
+    fn malformed_requests_are_rejected_not_crashing() {
+        let server = echo_server(options_fast());
+        let addr = format!("127.0.0.1:{}", server.port());
+        let out = raw_exchange(&addr, b"NONSENSE\r\n\r\n");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out:?}");
+        let out = raw_exchange(&addr, b"POST /x HTTP/1.1\r\nContent-Length: nine\r\n\r\n");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out:?}");
+        assert!(out.contains("bad Content-Length"), "{out:?}");
+        // The server survives and keeps answering.
+        let (status, _) = crate::http::client_request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        server.stop();
+    }
+
+    /// Error bodies used to be built with `format!("{:?}")`, whose Rust
+    /// `Debug` escapes (`\u{1f}`) are not valid JSON. A request line
+    /// whose version token carries control and non-ASCII bytes lands
+    /// verbatim in the error message, and the wire body must still
+    /// parse as JSON.
+    #[test]
+    fn error_bodies_parse_end_to_end() {
+        let server = echo_server(options_fast());
+        let addr = format!("127.0.0.1:{}", server.port());
+        let out = raw_exchange(&addr, "GET /x BAD\u{1f}λ/9\r\n\r\n".as_bytes());
+        assert!(out.starts_with("HTTP/1.1 400"), "{out:?}");
+        let body = out.split("\r\n\r\n").nth(1).expect("response has a body");
+        let parsed = gve_obs::json::parse(body).expect("wire error body must be valid JSON");
+        let message = parsed.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("BAD\u{1f}λ/9"), "{message:?}");
         server.stop();
     }
 

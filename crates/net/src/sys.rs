@@ -9,8 +9,8 @@
 //! `pipe`, and `fcntl` used by the fallback backend and the reactor's
 //! self-pipe waker.
 //!
-//! Everything here is `cfg(unix)`; the event-loop tier reports itself
-//! unavailable elsewhere and callers fall back to the threaded server.
+//! Everything here is `cfg(unix)`, and so is the event-loop server
+//! built on it: serving needs a unix target.
 
 #![cfg(unix)]
 

@@ -16,15 +16,21 @@
 //! * [`trace`] — a structured run [`Tracer`] writing JSONL span events
 //!   (phase/pass labels, microsecond timestamps and durations), gated
 //!   by the `GVE_TRACE` environment variable or an explicit path.
+//! * [`json`] — the workspace's one JSON value type, parser and string
+//!   escaper. It lives here, the lowest crate that the serving tier,
+//!   the reactor and the audit all depend on; the tracer writes its
+//!   strings through it too.
 //!
 //! No third-party dependencies, no global state, no `unsafe`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
+pub use json::Json;
 pub use metrics::{
     Counter, FloatCounter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS,
 };

@@ -9,8 +9,12 @@
 //!
 //! The format is deliberately boring: every line is a flat JSON object
 //! with an `event` string and a `ts_us` integer, so `grep` + any JSON
-//! parser (including `crates/serve/src/json.rs`) can consume it.
+//! parser (including [`crate::json`]) can consume it. Strings go
+//! through [`json::write_string`]; numbers keep their own formatting
+//! here, because a [`Value::U64`] must print exactly even past 2^53,
+//! where the `f64`-backed [`crate::json::Json`] would round.
 
+use crate::json;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -72,31 +76,13 @@ impl From<bool> for Value {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(n) => out.push_str(&n.to_string()),
         Value::I64(n) => out.push_str(&n.to_string()),
         Value::F64(x) if x.is_finite() => out.push_str(&format!("{x}")),
         Value::F64(_) => out.push_str("null"),
-        Value::Str(s) => write_json_string(out, s),
+        Value::Str(s) => json::write_string(s, out),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
 }
@@ -164,7 +150,7 @@ impl Tracer {
         let ts = self.elapsed_us();
         let mut line = String::with_capacity(64 + fields.len() * 24);
         line.push_str("{\"event\":");
-        write_json_string(&mut line, name);
+        json::write_string(name, &mut line);
         line.push_str(&format!(",\"ts_us\":{ts}"));
         for (key, value) in fields {
             line.push(',');

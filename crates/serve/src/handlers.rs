@@ -8,7 +8,6 @@
 
 use crate::cache::{CachedPartition, PartitionKey, PartitionOrigin};
 use crate::delta::DeltaAnswer;
-use crate::http::{Request, Response};
 use crate::ingest::IngestOutcome;
 use crate::jobs::{DetectRequest, JobState};
 use crate::json::Json;
@@ -17,6 +16,7 @@ use crate::ServerState;
 use gve_dynamic::{apply_batch, refresh_in, BatchUpdate, DynamicStrategy};
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
 use gve_leiden::Leiden;
+use gve_net::{Request, Response};
 use gve_obs::DEFAULT_LATENCY_BUCKETS;
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;

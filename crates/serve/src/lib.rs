@@ -4,8 +4,8 @@
 //! GVE-Leiden, print. This crate keeps the expensive state *resident*
 //! instead — graphs stay loaded, partitions stay cached, and edge
 //! updates are folded in incrementally through `gve-dynamic` — behind a
-//! deliberately dependency-free HTTP/1.1 + JSON surface built on
-//! `std::net`:
+//! deliberately dependency-free HTTP/1.1 + JSON surface served by the
+//! `gve-net` event loop:
 //!
 //! * [`registry`] — named graphs held as `Arc<CsrGraph>` snapshots with
 //!   a monotone **epoch** bumped on every update batch;
@@ -13,7 +13,14 @@
 //!   worker pool doing the computing;
 //! * [`cache`] — partitions memoized by `(graph, epoch, config
 //!   fingerprint)`; identical requests are instant cache hits;
-//! * [`handlers`] + [`http`] + [`json`] — the wire layer.
+//! * [`handlers`] — the routes, from a [`gve_net::Request`] to a
+//!   [`gve_net::Response`] whose body is rendered through [`json`] (the
+//!   shared `gve_obs::json` codec).
+//!
+//! [`Server`] runs the handlers behind the `gve-net` reactor, which is
+//! `cfg(unix)`: serving needs a unix target. [`ServerState`] and
+//! [`handlers::handle`] stay portable, so in-process callers work on
+//! any target.
 //!
 //! Every subsystem registers its counters, gauges, and histograms with
 //! one `gve_obs::MetricsRegistry`, served in Prometheus text format at
@@ -31,15 +38,14 @@
 pub mod cache;
 pub mod delta;
 pub mod handlers;
-pub mod http;
 pub mod ingest;
 pub mod jobs;
-pub mod json;
 pub mod pool;
 pub mod registry;
 pub mod wal;
 
-pub use http::client_request;
+pub use gve_net::client_request;
+pub use gve_obs::json;
 pub use pool::{PooledWorkspace, WorkspacePool};
 
 use cache::PartitionCache;
@@ -48,7 +54,9 @@ use gve_obs::{Counter, MetricsRegistry};
 use ingest::{IngestConfig, IngestQueue};
 use jobs::JobEngine;
 use registry::{GraphRegistry, GraphSource};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+#[cfg(unix)]
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 use wal::{DurabilityConfig, DurabilityStore};
 
@@ -64,11 +72,8 @@ pub struct ServeConfig {
     /// Job-engine shards: independent worker pools + workspace arenas,
     /// keyed by graph-name hash.
     pub shards: usize,
-    /// Serve through the `gve-net` epoll event loop instead of a thread
-    /// per connection. Ignored (threaded fallback) on non-unix targets.
-    pub event_loop: bool,
     /// Force the portable `poll(2)` reactor backend even where epoll
-    /// exists (testing aid; only meaningful with `event_loop`).
+    /// exists (testing aid).
     pub force_portable_poll: bool,
     /// Directory for the write-ahead log + snapshots. `None` (default)
     /// keeps the server memory-only; `Some` makes registered graphs,
@@ -85,9 +90,13 @@ pub struct ServeConfig {
     pub delta_capacity: usize,
 }
 
+/// Default cap on concurrently open connections.
+const DEFAULT_MAX_CONNECTIONS: usize = 64;
+
 /// Largest request body the event-loop inline fast path will handle on
 /// the reactor thread; bigger bodies route to the worker pool so their
 /// JSON parse cannot stall unrelated connections.
+#[cfg(unix)]
 const MAX_INLINE_BODY_BYTES: usize = 4 << 10;
 
 impl Default for ServeConfig {
@@ -95,9 +104,8 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7461".to_string(),
             workers: 2,
-            max_connections: http::DEFAULT_MAX_CONNECTIONS,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             shards: 4,
-            event_loop: gve_net::EVENT_LOOP_AVAILABLE,
             force_portable_poll: false,
             data_dir: None,
             snapshot_every: 64,
@@ -152,7 +160,7 @@ impl UpdateStats {
     }
 }
 
-/// Shared state behind every connection thread.
+/// Shared state behind every request handler.
 pub struct ServerState {
     /// Named graphs.
     pub registry: Arc<GraphRegistry>,
@@ -300,24 +308,17 @@ impl ServerState {
     }
 }
 
-/// Which connection front end a [`Server`] runs.
-enum FrontEnd {
-    /// Classic thread-per-connection acceptor (`http::HttpServer`).
-    Threaded(http::HttpServer),
-    /// `gve-net` readiness reactor (epoll/poll) with a handler pool.
-    #[cfg(unix)]
-    EventLoop(gve_net::EventLoopServer),
-}
-
-/// A running service: HTTP front end plus worker pool.
+/// A running service: the `gve-net` event loop plus the worker pools.
+#[cfg(unix)]
 pub struct Server {
-    front: FrontEnd,
+    net: gve_net::EventLoopServer,
     state: Arc<ServerState>,
     /// `join` parks on this pair; `stop` flips the flag and notifies,
     /// so shutdown is immediate instead of waiting out a sleep.
     stopping: Arc<(Mutex<bool>, Condvar)>,
 }
 
+#[cfg(unix)]
 impl Server {
     /// Binds and starts serving.
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
@@ -335,8 +336,7 @@ impl Server {
         // publish, so a snapshot on the reactor thread never waits out
         // a refresh. Oversized bodies are parsed on workers too — JSON
         // parsing is linear in the body and the body cap is 64 MiB.
-        #[cfg(unix)]
-        let inline: gve_net::InlinePredicate = Arc::new(|request: &gve_net::http::Request| {
+        let inline: gve_net::InlinePredicate = Arc::new(|request: &gve_net::Request| {
             if request.body.len() > MAX_INLINE_BODY_BYTES {
                 return false;
             }
@@ -350,42 +350,19 @@ impl Server {
                 _ => false,
             }
         });
-        #[cfg(unix)]
-        let front = if config.event_loop {
-            FrontEnd::EventLoop(gve_net::EventLoopServer::start(
-                config.addr.as_str(),
-                gve_net::NetOptions {
-                    max_connections: config.max_connections,
-                    force_portable_poll: config.force_portable_poll,
-                    inline: Some(inline),
-                    metrics: Some(state.metrics.clone()),
-                    ..gve_net::NetOptions::default()
-                },
-                handler,
-            )?)
-        } else {
-            FrontEnd::Threaded(http::HttpServer::start_with(
-                config.addr.as_str(),
-                http::ServerOptions {
-                    max_connections: config.max_connections,
-                    metrics: Some(state.metrics.clone()),
-                    ..http::ServerOptions::default()
-                },
-                handler,
-            )?)
-        };
-        #[cfg(not(unix))]
-        let front = FrontEnd::Threaded(http::HttpServer::start_with(
+        let net = gve_net::EventLoopServer::start(
             config.addr.as_str(),
-            http::ServerOptions {
+            gve_net::NetOptions {
                 max_connections: config.max_connections,
+                force_portable_poll: config.force_portable_poll,
+                inline: Some(inline),
                 metrics: Some(state.metrics.clone()),
-                ..http::ServerOptions::default()
+                ..gve_net::NetOptions::default()
             },
             handler,
-        )?);
+        )?;
         Ok(Server {
-            front,
+            net,
             state,
             stopping: Arc::new((Mutex::new(false), Condvar::new())),
         })
@@ -393,20 +370,12 @@ impl Server {
 
     /// The bound port.
     pub fn port(&self) -> u16 {
-        match &self.front {
-            FrontEnd::Threaded(http) => http.port(),
-            #[cfg(unix)]
-            FrontEnd::EventLoop(server) => server.port(),
-        }
+        self.net.port()
     }
 
-    /// Which front end is serving: `"threaded"`, `"epoll"`, or `"poll"`.
+    /// Which reactor backend is serving: `"epoll"` or `"poll"`.
     pub fn backend(&self) -> &'static str {
-        match &self.front {
-            FrontEnd::Threaded(_) => "threaded",
-            #[cfg(unix)]
-            FrontEnd::EventLoop(server) => server.backend(),
-        }
+        self.net.backend()
     }
 
     /// The shared state (tests inspect counters directly).
@@ -425,7 +394,7 @@ impl Server {
         }
     }
 
-    /// Stops the HTTP front end and the worker pool, releasing any
+    /// Stops the event loop and the worker pool, releasing any
     /// thread parked in [`Server::join`]. Idempotent.
     pub fn stop(&self) {
         {
@@ -434,11 +403,7 @@ impl Server {
             *stopped = true;
             signal.notify_all();
         }
-        match &self.front {
-            FrontEnd::Threaded(http) => http.stop(),
-            #[cfg(unix)]
-            FrontEnd::EventLoop(server) => server.stop(),
-        }
+        self.net.stop();
         // Drain deferred batches before the job engine goes away so
         // acked (202) work is applied — and WAL-logged — on shutdown.
         self.state.ingest.stop();
@@ -446,13 +411,14 @@ impl Server {
     }
 }
 
+#[cfg(unix)]
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
 

@@ -1,17 +1,15 @@
-//! End-to-end HTTP tests across both front ends: the classic
-//! thread-per-connection acceptor and the `gve-net` event-loop reactor
-//! (epoll and the portable `poll(2)` fallback).
+//! End-to-end HTTP tests over the `gve-net` event-loop reactor, on
+//! both of its backends (epoll and the portable `poll(2)` fallback).
 
 use gve_serve::{client_request, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn boot(event_loop: bool, force_portable_poll: bool) -> Server {
+fn boot(force_portable_poll: bool) -> Server {
     Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 2,
-        event_loop,
         force_portable_poll,
         ..ServeConfig::default()
     })
@@ -62,10 +60,10 @@ fn metric_value(addr: &str, name: &str) -> f64 {
 }
 
 /// The full service flow — register, detect, poll, membership — over
-/// the event-loop front end (the default on unix).
+/// the event loop's default backend.
 #[test]
-fn event_loop_detect_flow_end_to_end() {
-    let server = boot(true, false);
+fn detect_flow_end_to_end() {
+    let server = boot(false);
     assert!(
         server.backend() == "epoll" || server.backend() == "poll",
         "unexpected backend {}",
@@ -97,7 +95,7 @@ fn event_loop_detect_flow_end_to_end() {
 /// with the same 200 cache hit, and no second detection runs.
 #[test]
 fn retired_kernel_and_layout_fields_hit_the_default_partition() {
-    let server = boot(true, false);
+    let server = boot(false);
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "retired", 400);
     let (status, body) =
@@ -125,27 +123,10 @@ fn retired_kernel_and_layout_fields_hit_the_default_partition() {
     server.stop();
 }
 
-/// The same flow must work on the threaded fallback front end.
-#[test]
-fn threaded_front_end_equivalent_flow() {
-    let server = boot(false, false);
-    assert_eq!(server.backend(), "threaded");
-    let addr = format!("127.0.0.1:{}", server.port());
-
-    register_sbm(&addr, "legacy", 400);
-    let (status, body) =
-        client_request(&addr, "POST", "/graphs/legacy/detect", Some("{}")).unwrap();
-    assert!(status == 200 || status == 202, "{status} {body}");
-    let id = json_u64(&body, "id").expect("job id");
-    let done = wait_job_done(&addr, id);
-    assert!(done.contains("\"done\""), "{done}");
-    server.stop();
-}
-
 /// The portable `poll(2)` reactor backend answers requests like epoll.
 #[test]
 fn portable_poll_backend_serves() {
-    let server = boot(true, true);
+    let server = boot(true);
     assert_eq!(server.backend(), "poll");
     let addr = format!("127.0.0.1:{}", server.port());
     let (status, body) = client_request(&addr, "GET", "/healthz", None).unwrap();
@@ -158,7 +139,7 @@ fn portable_poll_backend_serves() {
 /// Stop drains within its bounded budget and the port stops accepting.
 #[test]
 fn stop_drains_inflight_keepalive_connections() {
-    let server = Arc::new(boot(true, false));
+    let server = Arc::new(boot(false));
     let addr = format!("127.0.0.1:{}", server.port());
 
     // Park several idle keep-alive connections on the reactor, with one
@@ -207,7 +188,7 @@ fn stop_drains_inflight_keepalive_connections() {
 /// advances, and exactly one full detection executes.
 #[test]
 fn identical_concurrent_detects_coalesce_over_http() {
-    let server = Arc::new(boot(true, false));
+    let server = Arc::new(boot(false));
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "shared", 2500);
 
@@ -263,7 +244,7 @@ fn identical_concurrent_detects_coalesce_over_http() {
 /// refresh; a request that blocked behind it would hang this test.
 #[test]
 fn inline_requests_answer_while_an_update_holds_the_gate() {
-    let server = boot(true, false);
+    let server = boot(false);
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "busy", 400);
 
@@ -291,7 +272,7 @@ fn inline_requests_answer_while_an_update_holds_the_gate() {
 /// confirmed by the reuse counter.
 #[test]
 fn keepalive_connection_serves_many_requests() {
-    let server = boot(true, false);
+    let server = boot(false);
     let addr = format!("127.0.0.1:{}", server.port());
     let mut conn = gve_net::ClientConn::connect(addr.as_str()).unwrap();
     for _ in 0..32 {

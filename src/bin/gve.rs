@@ -35,7 +35,7 @@ fn usage() -> ! {
          gve stats <graph>\n  \
          gve convert <input> <output>     (formats by extension: .mtx, .gveg, else edge list)\n  \
          gve serve [--addr <host:port>] [--workers <n>] [--shards <n>] \
-         [--max-connections <n>] [--threaded] [--portable-poll] \
+         [--max-connections <n>] [--portable-poll] \
          [--data-dir <path>] [--snapshot-every <n>] [--no-fsync] [--load <name>=<path>]...\n  \
          gve client <method> <path> [--addr <host:port>] [--body <json>|--body-file <path>]\n  \
          gve top [--addr <host:port>]    (one-shot metrics summary of a running gve-serve)"
@@ -411,6 +411,15 @@ fn cmd_detect(args: &[String]) {
     }
 }
 
+/// The event-loop server is `cfg(unix)`; elsewhere `gve serve` says so
+/// and exits.
+#[cfg(not(unix))]
+fn cmd_serve(_args: &[String]) {
+    eprintln!("error: serving needs a unix target (the gve-net event loop is unix-only)");
+    exit(1);
+}
+
+#[cfg(unix)]
 fn cmd_serve(args: &[String]) {
     let addr = flag_value(args, "--addr")
         .unwrap_or("127.0.0.1:7461")
@@ -437,9 +446,6 @@ fn cmd_serve(args: &[String]) {
             eprintln!("--shards must be >= 1");
             exit(2);
         }
-    }
-    if args.iter().any(|a| a == "--threaded") {
-        config.event_loop = false;
     }
     if args.iter().any(|a| a == "--portable-poll") {
         config.force_portable_poll = true;
