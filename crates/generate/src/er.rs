@@ -5,29 +5,25 @@
 //! optimizers should return low scores here, and any detector claiming
 //! strong communities on ER noise is broken.
 
-use crate::stream_seed;
-use gve_graph::{CsrGraph, GraphBuilder, VertexId};
+use crate::{extend_from_streams, id_bound, stream_seed};
+use gve_graph::{CsrGraph, GraphBuilder};
 use gve_prim::Xorshift32;
-use rayon::prelude::*;
 
 /// Generates an undirected `G(n, m)` graph: `m` edges with endpoints
 /// drawn uniformly (self-loops rejected, duplicates merged).
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(n >= 2 || m == 0, "need at least two vertices for edges");
-    let edges: Vec<(VertexId, VertexId, f32)> = (0..m as u64)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = Xorshift32::new(stream_seed(seed, i));
-            let u = rng.next_bounded(n as u32);
-            let mut v = rng.next_bounded(n as u32);
-            while v == u {
-                v = rng.next_bounded(n as u32);
-            }
-            (u, v, 1.0)
-        })
-        .collect();
+    let bound = id_bound(n);
     let mut builder = GraphBuilder::new().with_vertices(n);
-    builder.extend(edges);
+    extend_from_streams(&mut builder, m, |i, out| {
+        let mut rng = Xorshift32::new(stream_seed(seed, i));
+        let u = rng.next_bounded(bound);
+        let mut v = rng.next_bounded(bound);
+        while v == u {
+            v = rng.next_bounded(bound);
+        }
+        out.push((u, v, 1.0));
+    });
     builder.build()
 }
 

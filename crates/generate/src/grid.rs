@@ -8,43 +8,43 @@
 //! community-structured by locality — the properties that make road
 //! networks slow per edge for Leiden (many passes, little work per pass).
 
-use crate::stream_seed;
+use crate::{extend_from_streams, id_bound, stream_seed};
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
 use gve_prim::Xorshift32;
-use rayon::prelude::*;
 
 /// Generates a road-like graph on a `width × height` lattice with the
 /// given target average degree (arcs per vertex; realistic values are
 /// around 2.1).
+///
+/// # Panics
+/// Panics when the lattice is empty or its vertex count does not fit a
+/// [`VertexId`].
 pub fn road_grid(width: usize, height: usize, avg_degree: f64, seed: u64) -> CsrGraph {
-    let n = width * height;
+    let n = width
+        .checked_mul(height)
+        .expect("lattice size overflows usize");
     assert!(n > 0, "empty lattice");
+    // Lattice ids run below `n`, and `index` casts them to `VertexId`.
+    id_bound(n);
     // A full lattice has ~2 undirected edges per vertex (4 arcs); keep a
     // fraction to reach the target.
     let keep = (avg_degree / 4.0).clamp(0.0, 1.0);
 
     let index = |x: usize, y: usize| (y * width + x) as VertexId;
-    let edges: Vec<(VertexId, VertexId, f32)> = (0..n as u64)
-        .into_par_iter()
-        .flat_map_iter(|i| {
-            let x = (i as usize) % width;
-            let y = (i as usize) / width;
-            let mut rng = Xorshift32::new(stream_seed(seed, i));
-            let mut out = Vec::with_capacity(2);
-            // Horizontal roads are kept with higher probability to create
-            // degree-2 chains; vertical connectors are sparser.
-            if x + 1 < width && rng.next_f64() < (keep * 1.5).min(1.0) {
-                out.push((index(x, y), index(x + 1, y), 1.0));
-            }
-            if y + 1 < height && rng.next_f64() < keep * 0.5 {
-                out.push((index(x, y), index(x, y + 1), 1.0));
-            }
-            out.into_iter()
-        })
-        .collect();
-
     let mut builder = GraphBuilder::new().with_vertices(n);
-    builder.extend(edges);
+    extend_from_streams(&mut builder, n, |i, out| {
+        let x = (i as usize) % width;
+        let y = (i as usize) / width;
+        let mut rng = Xorshift32::new(stream_seed(seed, i));
+        // Horizontal roads are kept with higher probability to create
+        // degree-2 chains; vertical connectors are sparser.
+        if x + 1 < width && rng.next_f64() < (keep * 1.5).min(1.0) {
+            out.push((index(x, y), index(x + 1, y), 1.0));
+        }
+        if y + 1 < height && rng.next_f64() < keep * 0.5 {
+            out.push((index(x, y), index(x, y + 1), 1.0));
+        }
+    });
     builder.build()
 }
 

@@ -21,6 +21,9 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+use gve_graph::{EdgeWeight, GraphBuilder, VertexId};
+use gve_prim::parfor::static_blocks;
+
 pub mod ba;
 pub mod er;
 pub mod grid;
@@ -52,6 +55,34 @@ pub(crate) fn splitmix64(state: u64) -> u64 {
 #[inline]
 pub(crate) fn stream_seed(seed: u64, index: u64) -> u32 {
     (splitmix64(seed ^ splitmix64(index)) >> 32) as u32
+}
+
+/// Adds to `builder` the edges `emit(i, out)` pushes for each stream
+/// `i` in `0..streams`, in stream order. Static blocks of streams are
+/// sampled in parallel and appended in block order, so the edge list is
+/// the same at every thread count.
+pub(crate) fn extend_from_streams<F>(builder: &mut GraphBuilder, streams: usize, emit: F)
+where
+    F: Fn(u64, &mut Vec<(VertexId, VertexId, EdgeWeight)>) + Sync,
+{
+    let blocks = static_blocks(streams, |_, range| {
+        let mut out = Vec::with_capacity(range.len());
+        for i in range {
+            emit(i as u64, &mut out);
+        }
+        out
+    });
+    for block in blocks {
+        builder.extend(block);
+    }
+}
+
+/// `n` as the exclusive bound of sampled vertex ids.
+///
+/// # Panics
+/// Panics when `n` does not fit a [`VertexId`].
+pub(crate) fn id_bound(n: usize) -> VertexId {
+    VertexId::try_from(n).expect("vertex count exceeds the VertexId range")
 }
 
 #[cfg(test)]

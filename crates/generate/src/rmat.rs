@@ -4,12 +4,22 @@
 //! `(a, b, c, d)` recursively `scale` times, producing power-law degree
 //! distributions. Skewed parameter sets mimic web crawls; flatter ones
 //! mimic social networks. Generation is parallel and reproducible: edge
-//! `i` derives its own RNG stream from the seed.
+//! `i` derives its own RNG stream from the seed, so the edge list is the
+//! same at every thread count. Each worker fills one static block of a
+//! pre-sized edge list, advancing eight edge streams in lockstep so
+//! their independent dependency chains overlap, and sampling the block's
+//! last `len % 8` edges one stream at a time.
 
 use crate::stream_seed;
-use gve_graph::{CsrGraph, GraphBuilder, VertexId};
-use gve_prim::Xorshift32;
-use rayon::prelude::*;
+use gve_graph::{CsrGraph, EdgeWeight, GraphBuilder, VertexId};
+use gve_prim::parfor::static_blocks;
+use gve_prim::{SharedSlice, Xorshift32};
+
+/// Edge streams the sampler advances in lockstep. Each level of one
+/// stream is a chain of five dependent xorshift draws; eight chains keep
+/// the core busy where four still leave it waiting (EXPERIMENTS.md,
+/// "Parallel graph construction").
+const LANES: usize = 8;
 
 /// R-MAT generator configuration.
 #[derive(Debug, Clone)]
@@ -78,33 +88,31 @@ impl Rmat {
         1usize << self.scale
     }
 
-    fn sample_edge(&self, rng: &mut Xorshift32) -> (VertexId, VertexId) {
-        let mut u = 0u32;
-        let mut v = 0u32;
+    /// Samples the edges of streams `seeds`, advancing them in lockstep.
+    /// Each lane draws exactly the sequence a lone stream would: per
+    /// level, four jittered quadrant weights and then the roll.
+    #[inline(always)]
+    fn sample_edges<const L: usize>(&self, seeds: [u32; L]) -> [(VertexId, VertexId); L] {
+        let mut rngs = seeds.map(Xorshift32::new);
+        let mut u = [0u32; L];
+        let mut v = [0u32; L];
+        let base = [self.a, self.b, self.c, 1.0 - self.a - self.b - self.c];
+        let (keep, spread) = (1.0 - self.noise, 2.0 * self.noise);
         for _ in 0..self.scale {
-            // Jitter quadrant probabilities a little per level.
-            let jitter = |p: f64, r: &mut Xorshift32| {
-                p * (1.0 - self.noise + 2.0 * self.noise * r.next_f64())
-            };
-            let a = jitter(self.a, rng);
-            let b = jitter(self.b, rng);
-            let c = jitter(self.c, rng);
-            let d = jitter(1.0 - self.a - self.b - self.c, rng);
-            let total = a + b + c + d;
-            let roll = rng.next_f64() * total;
-            let (bit_u, bit_v) = if roll < a {
-                (0, 0)
-            } else if roll < a + b {
-                (0, 1)
-            } else if roll < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | bit_u;
-            v = (v << 1) | bit_v;
+            for lane in 0..L {
+                // Jitter quadrant probabilities a little per level.
+                let [a, b, c, d] = base.map(|p| p * (keep + spread * rngs[lane].next_f64()));
+                let total = a + b + c + d;
+                let roll = rngs[lane].next_f64() * total;
+                // Quadrants in order (0,0), (0,1), (1,0), (1,1), chosen
+                // by where the roll falls among the running sums.
+                let bit_u = roll >= a + b;
+                let bit_v = (roll >= a && roll < a + b) | (roll >= a + b + c);
+                u[lane] = (u[lane] << 1) | u32::from(bit_u);
+                v[lane] = (v[lane] << 1) | u32::from(bit_v);
+            }
         }
-        (u, v)
+        std::array::from_fn(|lane| (u[lane], v[lane]))
     }
 
     /// Generates the graph: duplicate arcs merged, reverse arcs added,
@@ -112,14 +120,29 @@ impl Rmat {
     pub fn generate(&self) -> CsrGraph {
         let n = self.num_vertices();
         let m = (n as f64 * self.edge_factor) as usize;
-        let edges: Vec<(VertexId, VertexId, f32)> = (0..m as u64)
-            .into_par_iter()
-            .map(|i| {
-                let mut rng = Xorshift32::new(stream_seed(self.seed, i));
-                let (u, v) = self.sample_edge(&mut rng);
-                (u, v, 1.0)
-            })
-            .collect();
+        let mut edges: Vec<(VertexId, VertexId, EdgeWeight)> = vec![(0, 0, 0.0); m];
+        {
+            let out = SharedSlice::new(&mut edges);
+            static_blocks(m, |_, range| {
+                let first = range.start as u64;
+                // SAFETY: static blocks are disjoint.
+                let block = unsafe { out.slice_mut(range) };
+                let tail_start = block.len() - block.len() % LANES;
+                let seed = |k: usize| stream_seed(self.seed, first + k as u64);
+                let mut lanes = block.chunks_exact_mut(LANES);
+                for (c, chunk) in lanes.by_ref().enumerate() {
+                    let sampled =
+                        self.sample_edges::<LANES>(std::array::from_fn(|l| seed(c * LANES + l)));
+                    for (slot, (u, v)) in chunk.iter_mut().zip(sampled) {
+                        *slot = (u, v, 1.0);
+                    }
+                }
+                for (k, slot) in lanes.into_remainder().iter_mut().enumerate() {
+                    let [(u, v)] = self.sample_edges([seed(tail_start + k)]);
+                    *slot = (u, v, 1.0);
+                }
+            });
+        }
         let mut builder = GraphBuilder::new().with_vertices(n).drop_self_loops(true);
         builder.extend(edges);
         builder.build()

@@ -7,10 +7,9 @@
 //! recovers known structure (NMI/ARI against [`PlantedResult::labels`])
 //! rather than just optimizing a score.
 
-use crate::stream_seed;
+use crate::{extend_from_streams, id_bound, stream_seed};
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
 use gve_prim::Xorshift32;
-use rayon::prelude::*;
 
 /// Planted-partition generator configuration.
 #[derive(Debug, Clone)]
@@ -86,38 +85,36 @@ impl PlantedPartition {
         let m_in = (n as f64 * self.intra_degree / 2.0) as usize;
         let m_out = (n as f64 * self.inter_degree / 2.0) as usize;
 
+        let bound = id_bound(n);
+        let mut builder = GraphBuilder::new().with_vertices(n);
+
         // Intra-block edges: pick a block proportional to its size, then
         // two endpoints inside it.
-        let intra: Vec<(VertexId, VertexId, f32)> = (0..m_in as u64)
-            .into_par_iter()
-            .filter_map(|i| {
-                let mut rng = Xorshift32::new(stream_seed(self.seed, i));
-                let v = rng.next_bounded(n as u32) as usize;
-                let block = self.block_range(self.label_of(v) as usize);
-                let len = (block.end - block.start) as u32;
-                if len < 2 {
-                    return None;
-                }
-                let a = block.start as u32 + rng.next_bounded(len);
-                let b = block.start as u32 + rng.next_bounded(len);
-                (a != b).then_some((a, b, 1.0))
-            })
-            .collect();
+        extend_from_streams(&mut builder, m_in, |i, out| {
+            let mut rng = Xorshift32::new(stream_seed(self.seed, i));
+            let v = rng.next_bounded(bound) as usize;
+            let block = self.block_range(self.label_of(v) as usize);
+            let len = (block.end - block.start) as u32;
+            if len < 2 {
+                return;
+            }
+            let a = block.start as u32 + rng.next_bounded(len);
+            let b = block.start as u32 + rng.next_bounded(len);
+            if a != b {
+                out.push((a, b, 1.0));
+            }
+        });
 
         // Inter-block edges: uniform endpoints in different blocks.
-        let inter: Vec<(VertexId, VertexId, f32)> = (0..m_out as u64)
-            .into_par_iter()
-            .filter_map(|i| {
-                let mut rng = Xorshift32::new(stream_seed(self.seed ^ 0xA5A5_A5A5, i));
-                let a = rng.next_bounded(n as u32);
-                let b = rng.next_bounded(n as u32);
-                (self.label_of(a as usize) != self.label_of(b as usize)).then_some((a, b, 1.0))
-            })
-            .collect();
+        extend_from_streams(&mut builder, m_out, |i, out| {
+            let mut rng = Xorshift32::new(stream_seed(self.seed ^ 0xA5A5_A5A5, i));
+            let a = rng.next_bounded(bound);
+            let b = rng.next_bounded(bound);
+            if self.label_of(a as usize) != self.label_of(b as usize) {
+                out.push((a, b, 1.0));
+            }
+        });
 
-        let mut builder = GraphBuilder::new().with_vertices(n);
-        builder.extend(intra);
-        builder.extend(inter);
         let graph = builder.build();
         let labels = (0..n).map(|v| self.label_of(v)).collect();
         PlantedResult {

@@ -3,15 +3,24 @@
 //! The paper preprocesses every input graph so that "edges are undirected
 //! and weighted with a default of 1" (§5.1.3). [`GraphBuilder`] performs
 //! that normalization: optional symmetrization (add reverse arcs),
-//! duplicate-arc merging (weights summed), and a self-loop policy. The
-//! build is a parallel counting sort by source followed by per-vertex
-//! sorting and in-place deduplication.
+//! duplicate-arc merging (weights summed), and a self-loop policy.
+//!
+//! The build is a counting sort by source over static blocks of edges,
+//! one block per worker. Each block counts its arcs per source into its
+//! own array; one vertex-major, block-minor exclusive scan turns the
+//! counts into each block's row cursors, and the blocks scatter their
+//! arcs into one `(target, weight)` buffer. Every row therefore holds
+//! its arcs in edge order, whatever the thread count. Rows are then
+//! sorted and deduplicated in place, in arc-balanced vertex blocks, and
+//! compacted once into exact-capacity target and weight arrays. The
+//! sort sees the same input at every thread count, so the output,
+//! duplicate-weight sums included, is bit-identical.
 
 use crate::{CsrGraph, EdgeWeight, VertexId};
-use gve_prim::scan::parallel_offsets_from_counts;
-use gve_prim::SharedSlice;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
+use gve_prim::parfor::{block_range, static_blocks};
+use gve_prim::{exclusive_scan_in_place, SharedSlice};
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Builder accumulating `(u, v, w)` edges and producing a [`CsrGraph`].
 #[derive(Debug, Clone)]
@@ -104,109 +113,197 @@ impl GraphBuilder {
         b.build()
     }
 
+    /// Calls `arc(source, target, weight)` for each arc `edges` expand
+    /// to under the symmetrize and self-loop policies, in edge order.
+    #[inline]
+    fn for_each_arc(
+        &self,
+        edges: &[(VertexId, VertexId, EdgeWeight)],
+        mut arc: impl FnMut(VertexId, VertexId, EdgeWeight),
+    ) {
+        for &(u, v, w) in edges {
+            if u != v {
+                arc(u, v, w);
+                if self.symmetrize {
+                    arc(v, u, w);
+                }
+            } else if !self.drop_self_loops {
+                arc(u, v, w);
+            }
+        }
+    }
+
     /// Builds the CSR graph, consuming nothing (the builder can be
     /// reused).
+    ///
+    /// # Panics
+    /// Panics when the vertex count exceeds the [`VertexId`] range.
     pub fn build(&self) -> CsrGraph {
-        let inferred = self
-            .edges
-            .iter()
-            .map(|&(u, v, _)| u.max(v) as usize + 1)
-            .max()
-            .unwrap_or(0);
+        let edges = &self.edges[..];
+        let inferred = static_blocks(edges.len(), |_, range| {
+            edges[range]
+                .iter()
+                .map(|&(u, v, _)| u.max(v) as usize + 1)
+                .max()
+                .unwrap_or(0)
+        })
+        .into_iter()
+        .max()
+        .unwrap_or(0);
         let n = self.num_vertices.unwrap_or(inferred).max(inferred);
+        assert!(
+            n <= VertexId::MAX as usize + 1,
+            "{n} vertices exceed the VertexId range"
+        );
 
-        // Expand to arcs according to policy.
-        let mut arcs: Vec<(VertexId, VertexId, EdgeWeight)> =
-            Vec::with_capacity(self.edges.len() * if self.symmetrize { 2 } else { 1 });
-        for &(u, v, w) in &self.edges {
-            if u == v {
-                if !self.drop_self_loops {
-                    arcs.push((u, v, w));
-                }
-                continue;
-            }
-            arcs.push((u, v, w));
-            if self.symmetrize {
-                arcs.push((v, u, w));
-            }
-        }
+        // Each edge block counts its arcs per source.
+        let (mut cursors, block_arcs): (Vec<Vec<u32>>, Vec<u64>) =
+            static_blocks(edges.len(), |_, range| {
+                let mut counts = vec![0u32; n];
+                let mut arcs = 0u64;
+                self.for_each_arc(&edges[range], |u, _, _| {
+                    let count = &mut counts[u as usize];
+                    *count = count.wrapping_add(1);
+                    arcs += 1;
+                });
+                (counts, arcs)
+            })
+            .into_iter()
+            .unzip();
 
-        // Parallel counting sort by source. Relaxed everywhere in this
-        // block: the counters are pure tallies/slot cursors — the rayon
-        // joins between the count, read-back and scatter steps order
-        // them, and no other data is published through them.
-        let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        arcs.par_iter().for_each(|&(u, _, _)| {
-            counts[u as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let counts_u64: Vec<u64> = counts
-            .iter()
-            // Relaxed: post-join read-back, then reset — see above.
-            .map(|c| c.load(Ordering::Relaxed) as u64)
-            .collect();
-        let offsets = parallel_offsets_from_counts(&counts_u64);
-        for c in &counts {
-            c.store(0, Ordering::Relaxed);
+        // Vertex-major, block-minor exclusive scan: `offsets` gets each
+        // row's start, and each block's counts become its cursors within
+        // the row, so block b's arcs follow those of blocks 0..b.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut total = 0u64;
+        for v in 0..n {
+            offsets.push(total);
+            let mut row = 0u32;
+            for counts in &mut cursors {
+                let count = counts[v];
+                counts[v] = row;
+                row = row.checked_add(count).expect("vertex degree exceeds u32");
+            }
+            total += u64::from(row);
         }
-        let total = arcs.len();
-        let mut targets = vec![0 as VertexId; total];
-        let mut weights = vec![0.0 as EdgeWeight; total];
+        offsets.push(total);
+        // A count that wrapped would leave the rows short of the arcs.
+        assert_eq!(
+            total,
+            block_arcs.iter().sum::<u64>(),
+            "a vertex's arc count in one edge block exceeds u32"
+        );
+        let total = usize::try_from(total).expect("arc count exceeds usize");
+
+        // Each block scatters its arcs at its cursors.
+        let mut pairs: Vec<(VertexId, EdgeWeight)> = vec![(0, 0.0); total];
         {
-            let t_out = SharedSlice::new(&mut targets);
-            let w_out = SharedSlice::new(&mut weights);
-            let offsets = &offsets;
-            let counts = &counts;
-            arcs.par_iter().for_each(|&(u, v, w)| {
-                // Relaxed slot claim: uniqueness of (base + slot) is all
-                // that matters, and fetch_add provides it on its own.
-                let slot = counts[u as usize].fetch_add(1, Ordering::Relaxed) as u64;
-                let index = (offsets[u as usize] + slot) as usize;
-                // SAFETY: (vertex base + claimed slot) indices are unique.
-                unsafe {
-                    t_out.write(index, v);
-                    w_out.write(index, w);
-                }
+            let out = SharedSlice::new(&mut pairs);
+            // Block b alone locks `cursors[b]`: the lock hands it the
+            // array, it never waits.
+            let cursors: Vec<Mutex<Vec<u32>>> = cursors.into_iter().map(Mutex::new).collect();
+            static_blocks(edges.len(), |block, range| {
+                assert_eq!(
+                    range,
+                    block_range(edges.len(), cursors.len(), block),
+                    "edge blocks differ between count and scatter"
+                );
+                let mut cursor = cursors[block].lock().expect("cursor lock poisoned");
+                self.for_each_arc(&edges[range], |u, v, w| {
+                    let slot = &mut cursor[u as usize];
+                    let index = (offsets[u as usize] + u64::from(*slot)) as usize;
+                    *slot += 1;
+                    debug_assert!(index < offsets[u as usize + 1] as usize);
+                    // SAFETY: this block counted exactly these arcs over
+                    // the same edge range (asserted above), so its
+                    // cursor for `u` walks its own slots of row `u`,
+                    // which no other block's cursor covers, and stays
+                    // below `offsets[u + 1] <= total`.
+                    unsafe { out.write(index, (v, w)) };
+                });
             });
         }
 
-        // Per-vertex neighbor sort (+ optional merge of duplicates).
-        let mut rows: Vec<(Vec<VertexId>, Vec<EdgeWeight>)> = (0..n)
-            .into_par_iter()
-            .map(|u| {
-                let lo = offsets[u] as usize;
-                let hi = offsets[u + 1] as usize;
-                let mut pairs: Vec<(VertexId, EdgeWeight)> = targets[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(weights[lo..hi].iter().copied())
-                    .collect();
-                pairs.sort_unstable_by_key(|&(v, _)| v);
-                let mut ts = Vec::with_capacity(pairs.len());
-                let mut ws = Vec::with_capacity(pairs.len());
-                for (v, w) in pairs {
-                    if self.dedup && ts.last() == Some(&v) {
-                        *ws.last_mut().unwrap() += w;
+        // Sort each row and merge its duplicates in place; `kept` gets
+        // the surviving row lengths, then their offsets.
+        let mut kept = vec![0u64; n + 1];
+        {
+            let rows = SharedSlice::new(&mut pairs);
+            let lengths = SharedSlice::new(&mut kept);
+            static_blocks(total, |_, range| {
+                let vertices = rows_starting_in(&offsets, range);
+                let base = offsets[vertices.start];
+                let arcs = base as usize..offsets[vertices.end] as usize;
+                // SAFETY: the vertex blocks of a static split of the arcs
+                // are disjoint, and so are their arc ranges.
+                let block_rows = unsafe { rows.slice_mut(arcs) };
+                // SAFETY: as above, for the block's vertices.
+                let block_lengths = unsafe { lengths.slice_mut(vertices.clone()) };
+                for (v, length) in vertices.zip(block_lengths) {
+                    let row = &mut block_rows
+                        [(offsets[v] - base) as usize..(offsets[v + 1] - base) as usize];
+                    row.sort_unstable_by_key(|&(t, _)| t);
+                    *length = if self.dedup {
+                        merge_duplicates(row)
                     } else {
-                        ts.push(v);
-                        ws.push(w);
+                        row.len()
+                    } as u64;
+                }
+            });
+        }
+        let kept_total = exclusive_scan_in_place(&mut kept) as usize;
+
+        // Compact the kept prefix of every row into the final arrays.
+        let mut targets = vec![0 as VertexId; kept_total];
+        let mut weights = vec![0.0 as EdgeWeight; kept_total];
+        {
+            let t_out = SharedSlice::new(&mut targets);
+            let w_out = SharedSlice::new(&mut weights);
+            static_blocks(total, |_, range| {
+                let vertices = rows_starting_in(&offsets, range);
+                let base = kept[vertices.start];
+                let out = base as usize..kept[vertices.end] as usize;
+                // SAFETY: disjoint vertex blocks (as in the sort above)
+                // own disjoint output ranges.
+                let (ts, ws) = unsafe { (t_out.slice_mut(out.clone()), w_out.slice_mut(out)) };
+                for v in vertices {
+                    let from = offsets[v] as usize;
+                    let to = (kept[v] - base) as usize;
+                    let len = (kept[v + 1] - kept[v]) as usize;
+                    for (k, &(t, w)) in pairs[from..from + len].iter().enumerate() {
+                        ts[to + k] = t;
+                        ws[to + k] = w;
                     }
                 }
-                (ts, ws)
-            })
-            .collect();
-
-        // Final assembly.
-        let final_counts: Vec<u64> = rows.iter().map(|(t, _)| t.len() as u64).collect();
-        let final_offsets = parallel_offsets_from_counts(&final_counts);
-        let final_total = *final_offsets.last().unwrap() as usize;
-        let mut final_targets = Vec::with_capacity(final_total);
-        let mut final_weights = Vec::with_capacity(final_total);
-        for (t, w) in rows.drain(..) {
-            final_targets.extend(t);
-            final_weights.extend(w);
+            });
         }
-        CsrGraph::from_raw(final_offsets, final_targets, final_weights)
+        CsrGraph::from_raw_trusted(kept, targets, weights)
     }
+}
+
+/// The rows whose first arc lies in `arcs`. Over the blocks of a static
+/// split of `0..total` these partition the non-empty rows, each block
+/// holding about `total / blocks` arcs.
+fn rows_starting_in(offsets: &[u64], arcs: Range<usize>) -> Range<usize> {
+    let starts = &offsets[..offsets.len() - 1];
+    starts.partition_point(|&o| o < arcs.start as u64)
+        ..starts.partition_point(|&o| o < arcs.end as u64)
+}
+
+/// Merges runs of equal targets in a sorted row, summing their weights
+/// in row order, and returns the merged length.
+fn merge_duplicates(row: &mut [(VertexId, EdgeWeight)]) -> usize {
+    let mut kept = 0;
+    for i in 0..row.len() {
+        let (t, w) = row[i];
+        if kept > 0 && row[kept - 1].0 == t {
+            row[kept - 1].1 += w;
+        } else {
+            row[kept] = (t, w);
+            kept += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -292,7 +389,41 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
     }
 
+    /// Every thread count splits the edges and rows into different
+    /// blocks, and yields the same arrays, weight bits included.
     #[test]
+    fn blocks_do_not_change_the_output() {
+        let mut b = GraphBuilder::new().with_vertices(9);
+        for i in 0..40u32 {
+            let w = [1.0e8, 1.0, 3.0e-8, 0.1][i as usize % 4];
+            b.add_edge(i % 5, (i * 3) % 8, w);
+        }
+        let build = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let (offsets, targets, weights) = pool.install(|| b.build()).into_raw();
+            let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+            (offsets, targets, bits)
+        };
+        let one = build(1);
+        assert_eq!(one.0.len(), 10);
+        for threads in [2, 3] {
+            assert_eq!(build(threads), one, "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the VertexId range")]
+    fn rejects_vertex_counts_beyond_vertex_ids() {
+        GraphBuilder::new()
+            .with_vertices(VertexId::MAX as usize + 2)
+            .build();
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // 20k edges: too slow interpreted
     fn large_random_build_is_symmetric_and_clean() {
         let mut edges = Vec::new();
         let mut state = 12345u64;

@@ -18,8 +18,8 @@
 //!   refinement;
 //! * [`workspace`] — per-worker scratch buffers sized once per pass (the
 //!   `O(T·N)` memory term in the paper's space complexity);
-//! * [`parfor`] — helpers approximating OpenMP's `schedule(dynamic, chunk)`
-//!   on top of rayon;
+//! * [`parfor`] — OpenMP's `schedule(dynamic, chunk)` and
+//!   `schedule(static)` loops on top of rayon;
 //! * [`sched`] — arc-aware scheduling policies (guided shrinking chunks
 //!   and work-stealing over arc-balanced segments) for the phase loops;
 //! * [`simd`] — lane-chunked candidate scoring, the "choose" half of

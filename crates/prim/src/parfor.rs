@@ -1,4 +1,4 @@
-//! OpenMP-`schedule(dynamic)`-style parallel loops on top of rayon.
+//! OpenMP-style parallel loops on top of rayon.
 //!
 //! The paper attributes part of GVE-Leiden's load balance to OpenMP's
 //! *dynamic* loop schedule: workers repeatedly grab fixed-size chunks of
@@ -7,6 +7,12 @@
 //! reproduces that exactly with an atomic cursor and
 //! [`rayon::broadcast`], and is the scheduling primitive used by the
 //! local-moving, refinement and aggregation phases.
+//!
+//! [`static_blocks`] is the `schedule(static)` counterpart: one
+//! contiguous block of the iteration space per worker, results in block
+//! order. Graph construction runs on it, since its blocks are a pure
+//! function of the length and the worker count, so a later loop over
+//! the same length sees the same blocks.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,10 +128,80 @@ where
     .sum()
 }
 
+/// Block `block` of `0..len` split into `blocks` contiguous near-equal
+/// blocks: the first `len % blocks` blocks hold one index more.
+///
+/// # Panics
+/// Panics when `blocks` is zero.
+pub fn block_range(len: usize, blocks: usize, block: usize) -> Range<usize> {
+    assert!(blocks > 0, "need at least one block");
+    let base = len / blocks;
+    let extra = len % blocks;
+    let start = block * base + block.min(extra);
+    start..start + base + usize::from(block < extra)
+}
+
+/// Static-scheduled parallel loop over `0..len`: runs `body(block,
+/// range)` once per rayon worker, where `range` is
+/// [`block_range`]`(len, workers, block)`, and returns the results in
+/// block order.
+///
+/// ```
+/// use gve_prim::parfor::static_blocks;
+/// let sums: Vec<usize> = static_blocks(1000, |_, range| range.sum());
+/// assert_eq!(sums.iter().sum::<usize>(), 999 * 1000 / 2);
+/// ```
+pub fn static_blocks<R, F>(len: usize, body: F) -> Vec<R>
+where
+    F: Fn(usize, Range<usize>) -> R + Sync,
+    R: Send,
+{
+    rayon::broadcast(|ctx| {
+        let block = ctx.index();
+        body(block, block_range(len, ctx.num_threads(), block))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn blocks_tile_the_range_in_order() {
+        for len in [0usize, 1, 2, 3, 7, 64, 1001] {
+            for blocks in 1..6 {
+                let mut next = 0;
+                for block in 0..blocks {
+                    let range = block_range(len, blocks, block);
+                    assert_eq!(range.start, next);
+                    assert!(range.len().abs_diff(len / blocks) <= 1);
+                    next = range.end;
+                }
+                assert_eq!(next, len);
+            }
+        }
+    }
+
+    #[test]
+    fn static_blocks_cover_each_index_once_in_block_order() {
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let ranges = pool.install(|| static_blocks(10, |block, range| (block, range)));
+            assert_eq!(ranges.len(), threads);
+            let mut next = 0;
+            for (i, (block, range)) in ranges.into_iter().enumerate() {
+                assert_eq!(block, i);
+                assert_eq!(range, block_range(10, threads, i));
+                assert_eq!(range.start, next);
+                next = range.end;
+            }
+            assert_eq!(next, 10);
+        }
+    }
 
     #[test]
     fn every_index_visited_exactly_once() {

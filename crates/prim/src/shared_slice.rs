@@ -73,6 +73,33 @@ impl<'a, T> SharedSlice<'a, T> {
         unsafe { *UnsafeCell::raw_get(self.data.add(index)) = value };
     }
 
+    /// Borrows `range` mutably.
+    ///
+    /// # Safety
+    /// While the returned slice lives, no other thread may access an
+    /// index in `range`, nor may this thread through another borrow.
+    ///
+    /// # Panics
+    /// Panics when `range` is not within the slice.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "range {range:?} out of bounds for length {}",
+            self.len
+        );
+        // SAFETY: the range is in bounds (asserted above), the caller
+        // guarantees exclusive access to it, and `UnsafeCell<T>` has the
+        // layout of `T`.
+        unsafe {
+            std::slice::from_raw_parts_mut(
+                UnsafeCell::raw_get(self.data.add(range.start)),
+                range.end - range.start,
+            )
+        }
+    }
+
     /// Reads the value at `index`.
     ///
     /// # Safety
@@ -137,5 +164,41 @@ mod tests {
             });
         }
         assert_eq!(buf, vec![0, 0, 0, 1, 2, 2, 2, 2, 2, 3]);
+    }
+
+    #[test]
+    fn disjoint_slices_fill_in_parallel() {
+        let mut buf = vec![0usize; 1000];
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        {
+            let shared = SharedSlice::new(&mut buf);
+            pool.install(|| {
+                crate::parfor::static_blocks(shared.len(), |block, range| {
+                    let start = range.start;
+                    // SAFETY: static blocks are disjoint.
+                    let slice = unsafe { shared.slice_mut(range) };
+                    for (i, slot) in slice.iter_mut().enumerate() {
+                        *slot = (start + i) * 10 + block;
+                    }
+                })
+            });
+        }
+        for (i, &v) in buf.iter().enumerate() {
+            assert_eq!(v / 10, i);
+        }
+        assert_eq!(buf[0] % 10, 0);
+        assert_eq!(buf[999] % 10, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        let mut buf = vec![0u8; 4];
+        let shared = SharedSlice::new(&mut buf);
+        // SAFETY: single-threaded; the call panics before borrowing.
+        let _ = unsafe { shared.slice_mut(2..5) };
     }
 }

@@ -246,6 +246,19 @@ fn parse_edge_list(edges: &Json) -> Result<Vec<(VertexId, VertexId, f32)>, ApiEr
     Ok(parsed)
 }
 
+/// A generator's vertex count (or side length) from `field`: the
+/// samplers draw ids below it as a `VertexId`, so it must fit one.
+fn generated_vertices(spec: &Json, field: &str) -> Result<usize, ApiError> {
+    let count = require_u64(spec, field)?;
+    if count > VertexId::MAX as u64 {
+        return Err(ApiError::bad_request(format!(
+            "'{field}' {count} exceeds {} vertices",
+            VertexId::MAX
+        )));
+    }
+    Ok(count as usize)
+}
+
 fn generate_graph(spec: &Json) -> Result<(CsrGraph, String), ApiError> {
     let class = spec
         .get("class")
@@ -254,7 +267,7 @@ fn generate_graph(spec: &Json) -> Result<(CsrGraph, String), ApiError> {
     let seed = optional_u64(spec, "seed", 42);
     let graph = match class {
         "sbm" | "planted" => {
-            let vertices = require_u64(spec, "vertices")? as usize;
+            let vertices = generated_vertices(spec, "vertices")?;
             let communities = optional_u64(spec, "communities", 10) as usize;
             let intra = optional_f64(spec, "intra_degree", 10.0);
             let inter = optional_f64(spec, "inter_degree", 1.0);
@@ -264,7 +277,7 @@ fn generate_graph(spec: &Json) -> Result<(CsrGraph, String), ApiError> {
                 .graph
         }
         "er" => {
-            let vertices = require_u64(spec, "vertices")? as usize;
+            let vertices = generated_vertices(spec, "vertices")?;
             let edges = optional_u64(spec, "edges", (vertices as u64) * 8) as usize;
             gve_generate::er::erdos_renyi(vertices, edges, seed)
         }
@@ -279,11 +292,18 @@ fn generate_graph(spec: &Json) -> Result<(CsrGraph, String), ApiError> {
             gve_generate::ring_of_cliques(cliques, clique_size)
         }
         "grid" => {
-            let width = require_u64(spec, "width")? as usize;
-            let height = require_u64(spec, "height")? as usize;
+            let width = generated_vertices(spec, "width")?;
+            let height = generated_vertices(spec, "height")?;
             let avg_degree = optional_f64(spec, "avg_degree", 2.5);
-            if width * height == 0 {
-                return Err(ApiError::bad_request("grid needs width * height > 0"));
+            match width.checked_mul(height) {
+                Some(0) => return Err(ApiError::bad_request("grid needs width * height > 0")),
+                Some(n) if n <= VertexId::MAX as usize => {}
+                _ => {
+                    return Err(ApiError::bad_request(format!(
+                        "grid width * height exceeds {} vertices",
+                        VertexId::MAX
+                    )))
+                }
             }
             gve_generate::grid::road_grid(width, height, avg_degree, seed)
         }
@@ -321,6 +341,14 @@ fn register_graph(state: &ServerState, request: &Request) -> Result<Response, Ap
             .unwrap_or(0);
         let vertices =
             optional_u64(&body, "vertices", max_endpoint as u64).max(max_endpoint as u64);
+        // Vertex ids run below the count, so it may reach one past the
+        // largest `VertexId`, which is as far as the builder goes.
+        if vertices > VertexId::MAX as u64 + 1 {
+            return Err(ApiError::bad_request(format!(
+                "'vertices' {vertices} exceeds {} vertices",
+                VertexId::MAX as u64 + 1
+            )));
+        }
         let graph = GraphBuilder::from_edges(vertices as usize, &edges);
         state.registry.register(&name, graph, GraphSource::Inline)?;
     } else {

@@ -255,6 +255,37 @@ fn errors_are_json_with_meaningful_statuses() {
     ts.server.stop();
 }
 
+/// Graph sizes outside the `VertexId` range are rejected with a 400
+/// before anything is allocated: a grid side product that overflows, a
+/// generator vertex count ids cannot reach, and an inline `vertices`
+/// past the builder's limit.
+#[test]
+fn out_of_range_graph_sizes_are_bad_requests() {
+    let ts = TestServer::boot();
+    let side = (1u64 << 32) + 1;
+    for generate in [
+        format!(r#"{{"class":"grid","width":{side},"height":{side}}}"#),
+        format!(r#"{{"class":"grid","width":{},"height":2}}"#, 1u64 << 31),
+        format!(r#"{{"class":"grid","width":{side},"height":1}}"#),
+        format!(r#"{{"class":"sbm","vertices":{side}}}"#),
+        format!(r#"{{"class":"er","vertices":{side},"edges":1}}"#),
+    ] {
+        let (status, body) = ts.post(
+            "/graphs",
+            &format!(r#"{{"name":"big","generate":{generate}}}"#),
+        );
+        assert_eq!(status, 400, "{generate}: {}", body.render());
+    }
+    let (status, body) = ts.post(
+        "/graphs",
+        &format!(r#"{{"name":"big","vertices":{side},"edges":[[0,1]]}}"#),
+    );
+    assert_eq!(status, 400, "{}", body.render());
+    let (status, _) = ts.get("/graphs/big");
+    assert_eq!(status, 404);
+    ts.server.stop();
+}
+
 /// The service must shut down promptly: `stop()` returns quickly and
 /// unparks any thread blocked in `join()` (no sleep-loop stragglers),
 /// and idle workers must not keep the process awake.
