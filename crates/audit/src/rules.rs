@@ -99,8 +99,9 @@ pub(crate) fn violation_at(
     }
 }
 
-/// Rayon entry points whose call chains count as parallel regions.
-const RAYON_ENTRIES: [&str; 15] = [
+/// Entry points whose call chains count as parallel regions: rayon's,
+/// and the `gve_prim::parfor`/`sched` loops built on its `broadcast`.
+const RAYON_ENTRIES: [&str; 18] = [
     "par_iter",
     "par_iter_mut",
     "into_par_iter",
@@ -116,6 +117,9 @@ const RAYON_ENTRIES: [&str; 15] = [
     "scheduled_workers",
     "par_for_dynamic",
     "par_for_dynamic_sum",
+    "static_blocks",
+    "static_for",
+    "static_for_mut",
 ];
 
 /// Everything one file contributes to the workspace audit: its local
@@ -586,6 +590,14 @@ mod tests {
 
         let good = "fn f() {\n    let _ = std::fs::read(\"x\");\n    dynamic_workers(10, 2, |claims| claims.count());\n}";
         assert!(run("crates/x/src/lib.rs", good).is_empty());
+    }
+
+    #[test]
+    fn sleep_inside_static_loops_is_flagged() {
+        let bad = "fn f(v: &mut [u32]) {\n    static_for_mut(v, |_, x| {\n        std::thread::sleep(D);\n        *x = 0;\n    });\n    static_blocks(4, |_, _| std::thread::sleep(D));\n}";
+        let found = run("crates/x/src/lib.rs", bad);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found.iter().all(|v| v.message.contains("thread::sleep")));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! per-community `parking_lot` mutexes around every weight transfer, and
 //! a lock-guarded hash-map aggregation. It produces partitions of
 //! comparable quality while paying the synchronization costs GVE-Leiden
-//! avoids — the Figure 6(a)/(b) contrast.
+//! avoids — the Figure 6(a)/(b) contrast. Its loops are plain sequential
+//! iterators (only `gve_prim::parfor` loops run on the worker pool), so
+//! its times measure those synchronization costs on one thread.
 
 use crate::BaselineResult;
 use crossbeam::queue::SegQueue;
@@ -18,7 +20,6 @@ use gve_leiden::delta_modularity;
 use gve_prim::atomics::{atomic_f64_from_slice, AtomicF64};
 use gve_prim::{CommunityMap, PerThread, Xorshift32};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -97,7 +98,6 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
         let g = current.as_ref().unwrap_or(graph);
         let n_cur = g.num_vertices();
         let weights: Vec<f64> = (0..n_cur as VertexId)
-            .into_par_iter()
             .map(|u| g.weighted_degree(u))
             .collect();
 
@@ -125,7 +125,7 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
             }
             let next = SegQueue::new();
             let moves: usize = frontier
-                .par_iter()
+                .iter()
                 .map(|&i| {
                     // Relaxed throughout this worker: queue flags and
                     // membership tolerate staleness (asynchronous local
@@ -181,24 +181,22 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
         }
 
         // ---- Randomized refinement with locks ----
-        // Relaxed: these run between rayon joins — no concurrent
-        // readers of the cells being rewritten.
+        // Relaxed: these run on one thread between the phases — no
+        // concurrent readers of the cells being rewritten.
         let bounds: Vec<VertexId> = membership
-            .par_iter()
+            .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
         membership
-            .par_iter()
+            .iter()
             .enumerate()
-            // Relaxed: between-joins reset, as above.
+            // Relaxed: between-phases reset, as above.
             .for_each(|(v, c)| c.store(v as u32, Ordering::Relaxed));
-        sigma
-            .par_iter()
-            .zip(weights.par_iter())
-            .for_each(|(s, &k)| s.store(k));
+        sigma.iter().zip(&weights).for_each(|(s, &k)| s.store(k));
         let seed = config.seed ^ ((pass as u64) << 32);
+        // Every vertex gets its turn: count the moves rather than stop
+        // at the first.
         let any_refine: bool = (0..n_cur as VertexId)
-            .into_par_iter()
             .map(|i| {
                 tables.with(|ht| {
                     // Relaxed membership loads: stale values are
@@ -264,12 +262,14 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
                     })
                 })
             })
-            .reduce(|| false, |a, b| a || b);
+            .filter(|&moved| moved)
+            .count()
+            > 0;
 
         // ---- Dendrogram + convergence ----
         // Relaxed: post-join read-back of the refinement results.
         let refined: Vec<VertexId> = membership
-            .par_iter()
+            .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
         let (dense, k) = gve_leiden::dendrogram::renumber(&refined);
@@ -305,15 +305,13 @@ fn aggregate_locked(graph: &CsrGraph, membership: &[VertexId], num_communities: 
     let maps: Vec<Mutex<HashMap<VertexId, f64>>> = (0..num_communities)
         .map(|_| Mutex::new(HashMap::new()))
         .collect();
-    (0..graph.num_vertices() as VertexId)
-        .into_par_iter()
-        .for_each(|i| {
-            let c = membership[i as usize];
-            let mut map = maps[c as usize].lock();
-            for (j, w) in graph.edges(i) {
-                *map.entry(membership[j as usize]).or_insert(0.0) += w as f64;
-            }
-        });
+    (0..graph.num_vertices() as VertexId).for_each(|i| {
+        let c = membership[i as usize];
+        let mut map = maps[c as usize].lock();
+        for (j, w) in graph.edges(i) {
+            *map.entry(membership[j as usize]).or_insert(0.0) += w as f64;
+        }
+    });
     let mut builder = GraphBuilder::new()
         .with_vertices(num_communities)
         .symmetrize(false)

@@ -19,7 +19,6 @@ use gve_graph::{AggregateScratch, CsrGraph, VertexId};
 use gve_prim::parfor::dynamic_workers;
 use gve_prim::scan::parallel_offsets_from_counts;
 use gve_prim::{CommunityMap, HashScanMap, PerThread};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Builds the super-vertex graph for a dense membership in
@@ -143,8 +142,7 @@ pub fn aggregate_sort_reduce(
 ) -> CsrGraph {
     // 1. Rewrite arcs as (src community, dst community, weight).
     let mut records: Vec<(VertexId, VertexId, f32)> = (0..graph.num_vertices() as VertexId)
-        .into_par_iter()
-        .flat_map_iter(|u| {
+        .flat_map(|u| {
             let cu = membership_plain[u as usize];
             graph
                 .edges(u)
@@ -152,8 +150,8 @@ pub fn aggregate_sort_reduce(
         })
         .collect();
 
-    // 2. Parallel sort by community pair.
-    records.par_sort_unstable_by_key(|&(s, d, _)| ((s as u64) << 32) | d as u64);
+    // 2. Sort by community pair.
+    records.sort_unstable_by_key(|&(s, d, _)| ((s as u64) << 32) | d as u64);
 
     // 3. Reduce equal runs; accumulate per-community arc counts as we go.
     let mut counts = vec![0u64; num_communities];
@@ -236,6 +234,44 @@ mod tests {
             stacked += usize::from(total_degree <= gve_prim::HASH_SCAN_CAP);
         }
         assert!(stacked > 0, "no community took the stack tier");
+    }
+
+    /// One membership yields one supergraph — offsets, targets and
+    /// weight bits — at every thread count: `prepare` lists members in
+    /// ascending order, and each community's row is built by one worker
+    /// in member order.
+    #[test]
+    fn supergraph_is_identical_at_every_thread_count() {
+        let graph = gve_generate::rmat::Rmat::social(12, 8.0).seed(5).generate();
+        let n = graph.num_vertices();
+        let membership: Vec<u32> = (0..n as u32).map(|v| (v * 7919) % 613).collect();
+        let atomic = atomic_membership(&membership);
+        let build = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let tables = PerThread::new(move || CommunityMap::new(n));
+                let mut scratch = AggregateScratch::new();
+                let sup = aggregate_into(
+                    &graph,
+                    &atomic,
+                    &membership,
+                    613,
+                    16,
+                    &tables,
+                    Some(crate::SMALL_DEGREE_THRESHOLD),
+                    &mut scratch,
+                );
+                let (offsets, targets, weights) = sup.into_raw();
+                let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+                (offsets, targets, bits)
+            })
+        };
+        let one = build(1);
+        assert_eq!(build(2), one);
+        assert_eq!(build(3), one);
     }
 
     #[test]

@@ -7,14 +7,8 @@
 //! 16).
 
 use gve_graph::VertexId;
-use gve_prim::SharedSlice;
-use rayon::prelude::*;
+use gve_prim::parfor::static_for_mut;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Below this length the parallel renumber falls back to the serial
-/// single-sweep algorithm (four parallel passes don't pay for tiny
-/// inputs).
-const PARALLEL_RENUMBER_THRESHOLD: usize = 1 << 15;
 
 /// Renumbers community ids to dense `0..k` in first-seen order; returns
 /// the dense vector and `k`. Sequential — the remap table is tiny
@@ -39,24 +33,19 @@ pub fn renumber(membership: &[VertexId]) -> (Vec<VertexId>, usize) {
     (out, next as usize)
 }
 
-/// Allocation-free, parallel variant of [`renumber`]: densifies `src`
-/// into `out` (same length) in **exactly** the serial first-seen order
-/// and returns `k`. Caller-provided scratch makes it workspace-friendly:
+/// Allocation-free variant of [`renumber`]: densifies `src` into `out`
+/// (same length) in first-seen order and returns `k`, using
+/// caller-provided scratch so it fits the pass workspace:
 ///
 /// * `id_bound` — exclusive upper bound on the values in `src`
 ///   (`first.len() >= id_bound` required);
-/// * `first` — first-occurrence scratch, at least `id_bound` slots.
+/// * `first` — the remap table, at least `id_bound` slots.
 ///
-/// Four data-parallel passes reproduce the serial semantics: (1) a
-/// `fetch_min` race finds each community's first occurrence, (2) flag
-/// those positions in `out`, (3) an exclusive prefix sum over `out`
-/// turns the flags into dense first-seen ranks — a first occurrence's
-/// rank is its community's dense id — and (4) every other element
-/// copies the rank at its community's first occurrence. `out` doubles
-/// as the rank buffer, so no `src.len()` scratch is needed. Step
-/// outputs are deterministic — the `fetch_min` is commutative and
-/// everything else is a pure map — so the result is bit-identical to
-/// [`renumber`] at any thread count.
+/// It is the serial single sweep on purpose. A four-pass parallel
+/// version (a `fetch_min` race for first occurrences, flags, a prefix
+/// sum, a rank copy) reproduced the same order, but at two workers it
+/// took 6.3 ms for a 400k-vertex renumber where this sweep takes 1.6 ms:
+/// each of its passes streams the whole input again.
 ///
 /// # Panics
 /// Panics (via index checks) when a value of `src` is `>= id_bound` or
@@ -68,66 +57,30 @@ pub fn renumber_into(
     first: &[AtomicU32],
 ) -> usize {
     assert_eq!(src.len(), out.len());
-    if src.len() < PARALLEL_RENUMBER_THRESHOLD {
-        // Serial fallback: the classic single sweep, using `first` as
-        // the remap table. Relaxed throughout — single-threaded here.
-        let first = &first[..id_bound];
-        for slot in first {
-            slot.store(VertexId::MAX, Ordering::Relaxed);
-        }
-        let mut next: VertexId = 0;
-        for (o, &c) in out.iter_mut().zip(src) {
-            let slot = &first[c as usize];
-            // Relaxed: single-threaded fallback, no concurrent access.
-            let mut dense = slot.load(Ordering::Relaxed);
-            if dense == VertexId::MAX {
-                dense = next;
-                slot.store(dense, Ordering::Relaxed);
-                next += 1;
-            }
-            *o = dense;
-        }
-        return next as usize;
-    }
-
+    // Relaxed throughout: the sweep runs on one thread.
     let first = &first[..id_bound];
-    // (1) First occurrence of every community id. Relaxed: commutative
-    // min-race between joins, published by the join.
-    first
-        .par_iter()
-        .for_each(|slot| slot.store(VertexId::MAX, Ordering::Relaxed));
-    src.par_iter().enumerate().for_each(|(v, &c)| {
-        first[c as usize].fetch_min(v as u32, Ordering::Relaxed);
-    });
-    // (2) Flag first occurrences, (3) prefix-sum into first-seen ranks
-    // (`k <= src.len() < 2^32`, so the u32 scan cannot overflow).
-    // Relaxed: pure read of values published by the preceding join.
-    out.par_iter_mut().enumerate().for_each(|(v, slot)| {
-        *slot = VertexId::from(first[src[v] as usize].load(Ordering::Relaxed) == v as u32);
-    });
-    let k = gve_prim::parallel_exclusive_scan(out);
-    // (4) Each element copies its community's rank from the first
-    // occurrence. First occurrences already hold their own rank and are
-    // exactly the positions this step leaves alone. Relaxed: pure read
-    // of values published by the preceding join.
-    let ranks = SharedSlice::new(out);
-    (0..src.len()).into_par_iter().for_each(|v| {
-        let at = first[src[v] as usize].load(Ordering::Relaxed) as usize;
-        if at != v {
-            // SAFETY: slot `v` is written by this task only, and slot
-            // `at` is a first occurrence, which no task writes.
-            unsafe { ranks.write(v, ranks.read(at)) };
+    for slot in first {
+        slot.store(VertexId::MAX, Ordering::Relaxed);
+    }
+    let mut next: VertexId = 0;
+    for (o, &c) in out.iter_mut().zip(src) {
+        let slot = &first[c as usize];
+        // Relaxed: single-threaded sweep, as above.
+        let mut dense = slot.load(Ordering::Relaxed);
+        if dense == VertexId::MAX {
+            dense = next;
+            slot.store(dense, Ordering::Relaxed);
+            next += 1;
         }
-    });
-    k as usize
+        *o = dense;
+    }
+    next as usize
 }
 
 /// Composes the top-level membership with a child membership, in
 /// parallel: `top[v] = child[top[v]]`.
 pub fn lookup(top: &mut [VertexId], child: &[VertexId]) {
-    top.par_iter_mut().for_each(|c| {
-        *c = child[*c as usize];
-    });
+    static_for_mut(top, |_, c| *c = child[*c as usize]);
 }
 
 #[cfg(test)]
@@ -163,16 +116,28 @@ mod tests {
     }
 
     #[test]
-    fn renumber_into_matches_serial_above_parallel_threshold() {
-        // Pseudo-random ids exercise the 4-pass parallel path.
-        let n = PARALLEL_RENUMBER_THRESHOLD * 2;
+    fn renumber_into_and_lookup_match_serial_at_every_thread_count() {
+        let n = 1 << 16;
         let src: Vec<u32> = (0..n as u64)
             .map(|i| ((i.wrapping_mul(2_654_435_761)) % 4099) as u32)
             .collect();
         let expected = renumber(&src);
-        assert_eq!(renumber_into_checked(&src, 4099), expected);
-        // Scratch larger than needed is fine too (workspace reuse).
-        assert_eq!(renumber_into_checked(&src, 10_000), expected);
+        let child: Vec<u32> = (0..4099u32).map(|c| (c * 7) % 13).collect();
+        let composed: Vec<u32> = src.iter().map(|&c| child[c as usize]).collect();
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                assert_eq!(renumber_into_checked(&src, 4099), expected);
+                // Scratch larger than needed is fine too (workspace reuse).
+                assert_eq!(renumber_into_checked(&src, 10_000), expected);
+                let mut top = src.clone();
+                lookup(&mut top, &child);
+                assert_eq!(top, composed, "{threads} threads");
+            });
+        }
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub use timing::{PassStats, PhaseTimings};
 pub use workspace::PassWorkspace;
 
 use gve_graph::{reorder::Relabeling, CsrGraph, VertexId};
+use gve_prim::parfor::{static_for, static_for_mut};
 use gve_prim::{CommunityMap, PerThread};
-use rayon::prelude::*;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -339,7 +339,8 @@ impl Leiden {
         let mut pass_stats = Vec::new();
 
         let t_init = Instant::now();
-        let mut top: Vec<VertexId> = (0..n as VertexId).collect();
+        let mut top: Vec<VertexId> = vec![0; n];
+        static_for_mut(&mut top, |v, c| *c = v as VertexId);
         let m = graph.total_arc_weight() / 2.0;
         timings.other += t_init.elapsed();
 
@@ -398,7 +399,7 @@ impl Leiden {
         } = &mut *workspace;
         let tables: &PerThread<CommunityMap> = tables;
         if use_sizes {
-            sizes[..n].par_iter_mut().for_each(|s| *s = 1.0);
+            static_for_mut(&mut sizes[..n], |_, s| *s = 1.0);
         }
         // Initial labels live in the workspace too; `has_init` tracks
         // whether the prefix holds seeds for the upcoming pass.
@@ -438,13 +439,10 @@ impl Leiden {
             // carried vertex sizes for CPM — refreshed in place.
             let pen = &mut penalty[..n_cur];
             if use_sizes {
-                pen.par_iter_mut()
-                    .zip(sizes[..n_cur].par_iter())
-                    .for_each(|(p, &s)| *p = s);
+                let sizes = &sizes[..n_cur];
+                static_for_mut(pen, |v, p| *p = sizes[v]);
             } else {
-                pen.par_iter_mut()
-                    .enumerate()
-                    .for_each(|(v, p)| *p = g.weighted_degree(v as VertexId));
+                static_for_mut(pen, |v, p| *p = g.weighted_degree(v as VertexId));
             }
             let pen = &penalty[..n_cur];
             // Pruning flags: everything unprocessed, or only the given
@@ -474,37 +472,34 @@ impl Leiden {
             // renumber below has read it.
             let (outcome, refine_moves, refine_sched) = match config.scheduling {
                 Scheduling::Asynchronous => {
-                    // Reinitialize the atomic prefix in place (parallel
+                    // Reinitialize the atomic prefix in place (static-block
                     // fills — no fresh atomic vectors). Relaxed stores:
-                    // bulk reinit between phases, published by the join.
+                    // bulk reinit between loops; each loop's end publishes
+                    // them.
                     let t0 = Instant::now();
                     let membership = &membership[..n_cur];
                     let sigma = &sigma[..n_cur];
                     if has_init {
                         let seeds = &init_buf[..n_cur];
-                        membership
-                            .par_iter()
-                            .zip(seeds.par_iter())
-                            // Relaxed: bulk reinit between joins, as above.
-                            .for_each(|(c, &l)| c.store(l, Ordering::Relaxed));
+                        static_for(n_cur, |v| {
+                            // Relaxed: bulk reinit between loops, as above.
+                            membership[v].store(seeds[v], Ordering::Relaxed);
+                            sigma[v].store(0.0);
+                        });
                         // Σ' scatter: exact f64 `fetch_add`s of each
                         // community's member penalties. Commutative per
                         // slot only up to rounding — matching the async
-                        // phases' own summation-order freedom.
-                        sigma.par_iter().for_each(|s| s.store(0.0));
-                        seeds.par_iter().enumerate().for_each(|(v, &c)| {
-                            sigma[c as usize].fetch_add(pen[v]);
+                        // phases' own summation-order freedom; at one
+                        // thread the adds run in vertex order.
+                        static_for(n_cur, |v| {
+                            sigma[seeds[v] as usize].fetch_add(pen[v]);
                         });
                     } else {
-                        membership
-                            .par_iter()
-                            .enumerate()
-                            // Relaxed: bulk reinit between joins, as above.
-                            .for_each(|(v, c)| c.store(v as u32, Ordering::Relaxed));
-                        sigma
-                            .par_iter()
-                            .zip(pen.par_iter())
-                            .for_each(|(s, &p)| s.store(p));
+                        static_for(n_cur, |v| {
+                            // Relaxed: bulk reinit between loops, as above.
+                            membership[v].store(v as u32, Ordering::Relaxed);
+                            sigma[v].store(pen[v]);
+                        });
                     }
                     timings.other += t0.elapsed();
 
@@ -543,25 +538,19 @@ impl Leiden {
                         );
                     }
 
-                    // Reset to singletons within bounds (line 6).
-                    // Relaxed loads/stores throughout: the rayon
-                    // joins between phases are the synchronization
-                    // points; no store here races with a reader.
+                    // Reset to singletons within bounds (line 6), one
+                    // fused loop: vertex v reads and rewrites only its own
+                    // slots. Relaxed loads/stores throughout: the ends of
+                    // the parallel loops are the synchronization points;
+                    // no store here races with a reader.
                     let t2 = Instant::now();
                     let bounds = &mut bounds[..n_cur];
-                    bounds
-                        .par_iter_mut()
-                        .zip(membership.par_iter())
-                        .for_each(|(b, c)| *b = c.load(Ordering::Relaxed));
-                    membership
-                        .par_iter()
-                        .enumerate()
-                        // Relaxed: between-joins reset, as above.
-                        .for_each(|(v, c)| c.store(v as u32, Ordering::Relaxed));
-                    sigma
-                        .par_iter()
-                        .zip(pen.par_iter())
-                        .for_each(|(s, &p)| s.store(p));
+                    static_for_mut(bounds, |v, b| {
+                        // Relaxed: between-loops reset, as above.
+                        *b = membership[v].load(Ordering::Relaxed);
+                        membership[v].store(v as u32, Ordering::Relaxed);
+                        sigma[v].store(pen[v]);
+                    });
                     timings.other += t2.elapsed();
 
                     let t3 = Instant::now();
@@ -578,12 +567,11 @@ impl Leiden {
                     );
                     timings.refinement += t3.elapsed();
 
-                    // Relaxed: refine's join already published all
-                    // membership stores.
-                    init_buf[..n_cur]
-                        .par_iter_mut()
-                        .zip(membership.par_iter())
-                        .for_each(|(r, c)| *r = c.load(Ordering::Relaxed));
+                    // Relaxed: the end of refine's loops already
+                    // published all membership stores.
+                    static_for_mut(&mut init_buf[..n_cur], |v, r| {
+                        *r = membership[v].load(Ordering::Relaxed);
+                    });
 
                     #[cfg(feature = "analysis")]
                     {
@@ -616,10 +604,7 @@ impl Leiden {
                             sigma[c as usize] += pen[v];
                         }
                     } else {
-                        membership
-                            .par_iter_mut()
-                            .enumerate()
-                            .for_each(|(v, c)| *c = v as VertexId);
+                        static_for_mut(membership, |v, c| *c = v as VertexId);
                         sigma.copy_from_slice(pen);
                     }
                     timings.other += t0.elapsed();
@@ -653,10 +638,7 @@ impl Leiden {
                     let t2 = Instant::now();
                     let bounds = &mut bounds[..n_cur];
                     bounds.copy_from_slice(membership);
-                    membership
-                        .par_iter_mut()
-                        .enumerate()
-                        .for_each(|(v, c)| *c = v as VertexId);
+                    static_for_mut(membership, |v, c| *c = v as VertexId);
                     sigma.copy_from_slice(pen);
                     timings.other += t2.elapsed();
 
@@ -696,8 +678,8 @@ impl Leiden {
             workspace::assert_suffix_poisoned(&membership[n_cur..], &sigma[n_cur..], pass, n_cur);
 
             // Renumber refined communities and update the dendrogram
-            // (lines 11–12 / 16) — parallel first-seen renumber into the
-            // workspace's `dense` prefix.
+            // (lines 11–12 / 16) — serial first-seen renumber into the
+            // workspace's `dense` prefix, then a static-block lookup.
             let t4 = Instant::now();
             let k = dendrogram::renumber_into(
                 &init_buf[..n_cur],
@@ -757,11 +739,12 @@ impl Leiden {
                     // Stage the dense ids into the atomic membership
                     // prefix in place (the phases are done with it) —
                     // this replaces the old per-pass fresh atomic vec.
-                    // Relaxed: bulk restage between joins, as above.
                     let memb = &membership[..n_cur];
-                    memb.par_iter()
-                        .zip(dense[..n_cur].par_iter())
-                        .for_each(|(c, &d)| c.store(d, Ordering::Relaxed));
+                    let dense = &dense[..n_cur];
+                    static_for(n_cur, |v| {
+                        // Relaxed: bulk restage between loops, as above.
+                        memb[v].store(dense[v], Ordering::Relaxed);
+                    });
                     aggregate::aggregate_into(
                         g,
                         memb,
@@ -802,15 +785,16 @@ impl Leiden {
                     // (read for the last time by the scatter) before
                     // `renumber_into` reclaims the scratch.
                     let fs = &first_seen[..k];
-                    dense[..n_cur]
-                        .par_iter()
-                        .zip(bounds[..n_cur].par_iter())
-                        // Relaxed: same-value stores, published by join.
-                        .for_each(|(&d, &b)| fs[d as usize].store(b, Ordering::Relaxed));
+                    {
+                        let (dense, bounds) = (&dense[..n_cur], &bounds[..n_cur]);
+                        static_for(n_cur, |v| {
+                            // Relaxed: same-value stores, published by the
+                            // end of the loop.
+                            fs[dense[v] as usize].store(bounds[v], Ordering::Relaxed);
+                        });
+                    }
                     let lab = &mut bounds[..k];
-                    lab.par_iter_mut()
-                        .zip(fs.par_iter())
-                        .for_each(|(l, f)| *l = f.load(Ordering::Relaxed));
+                    static_for_mut(lab, |c, l| *l = fs[c].load(Ordering::Relaxed));
                     dendrogram::renumber_into(lab, &mut init_buf[..k], n_cur, first_seen);
                     true
                 }
@@ -825,15 +809,12 @@ impl Leiden {
             // replaces the old per-pass clone.
             if use_sizes {
                 let acc = &sigma[..k];
-                acc.par_iter().for_each(|s| s.store(0.0));
-                let sz = &sizes[..n_cur];
-                dense[..n_cur].par_iter().enumerate().for_each(|(v, &c)| {
-                    acc[c as usize].fetch_add(sz[v]);
+                static_for(k, |c| acc[c].store(0.0));
+                let (sz, dense) = (&sizes[..n_cur], &dense[..n_cur]);
+                static_for(n_cur, |v| {
+                    acc[dense[v] as usize].fetch_add(sz[v]);
                 });
-                sizes_next[..k]
-                    .par_iter_mut()
-                    .zip(acc.par_iter())
-                    .for_each(|(o, s)| *o = s.load());
+                static_for_mut(&mut sizes_next[..k], |c, o| *o = acc[c].load());
                 std::mem::swap(sizes, sizes_next);
             }
 

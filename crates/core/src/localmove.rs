@@ -169,7 +169,7 @@ pub fn local_move(
                             // Asynchronous commit: weight transfer is
                             // atomic per community, membership is a
                             // Relaxed store — concurrent scanners accept
-                            // stale ids, and the end-of-phase rayon join
+                            // stale ids, and the end of the phase's loop
                             // provides the happens-before for readers
                             // that need the final values.
                             sigma[current as usize].fetch_sub(p_i);

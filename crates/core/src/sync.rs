@@ -19,8 +19,8 @@ use crate::objective::GainCoeffs;
 use crate::workspace::Decision;
 use gve_graph::coloring::Coloring;
 use gve_graph::{CsrGraph, VertexId};
+use gve_prim::parfor::static_for_mut;
 use gve_prim::{AtomicBitset, CommunityMap, PerThread, Xorshift32};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Scans `i`'s neighbour communities against plain (frozen) state and
@@ -119,7 +119,7 @@ pub(crate) fn local_move_sync(
     let classes = coloring.classes();
     let mut outcome = MoveOutcome::default();
     // Pruning tallies, bumped from inside the per-class parallel decide.
-    // Relaxed: reporting-only counters read after the rayon join.
+    // Relaxed: reporting-only counters read after the loop ends.
     let processed = AtomicU64::new(0);
     let skipped = AtomicU64::new(0);
     while outcome.gains.len() < config.max_iterations {
@@ -133,35 +133,33 @@ pub(crate) fn local_move_sync(
                 decisions.resize(class.len(), None);
             }
             let slots = &mut decisions[..class.len()];
-            class
-                .par_iter()
-                .zip(slots.par_iter_mut())
-                .for_each(|(&i, slot)| {
-                    *slot = {
-                        if config.pruning && !unprocessed.take(i as usize) {
-                            // Relaxed: reporting-only tally, as above.
-                            skipped.fetch_add(1, Ordering::Relaxed);
-                            None
-                        } else {
-                            // Relaxed: reporting-only tally, as above.
-                            processed.fetch_add(1, Ordering::Relaxed);
-                            tables.with(|ht| {
-                                decide(
-                                    graph,
-                                    membership,
-                                    None,
-                                    penalty,
-                                    sigma,
-                                    coeffs,
-                                    ht,
-                                    i,
-                                    RefinementStrategy::Greedy,
-                                    None,
-                                )
-                            })
-                        }
-                    };
-                });
+            static_for_mut(slots, |j, slot| {
+                let i = class[j];
+                *slot = {
+                    if config.pruning && !unprocessed.take(i as usize) {
+                        // Relaxed: reporting-only tally, as above.
+                        skipped.fetch_add(1, Ordering::Relaxed);
+                        None
+                    } else {
+                        // Relaxed: reporting-only tally, as above.
+                        processed.fetch_add(1, Ordering::Relaxed);
+                        tables.with(|ht| {
+                            decide(
+                                graph,
+                                membership,
+                                None,
+                                penalty,
+                                sigma,
+                                coeffs,
+                                ht,
+                                i,
+                                RefinementStrategy::Greedy,
+                                None,
+                            )
+                        })
+                    }
+                };
+            });
             // Apply sequentially in vertex order: deterministic Σ'.
             for (&i, decision) in class.iter().zip(slots.iter()) {
                 if let Some((target, gain)) = *decision {
@@ -213,30 +211,28 @@ pub(crate) fn refine_sync(
             decisions.resize(class.len(), None);
         }
         let slots = &mut decisions[..class.len()];
-        class
-            .par_iter()
-            .zip(slots.par_iter_mut())
-            .for_each(|(&i, slot)| {
-                // Constrained merge: only isolated vertices move.
-                *slot = if sigma[membership[i as usize] as usize] != penalty[i as usize] {
-                    None
-                } else {
-                    tables.with(|ht| {
-                        decide(
-                            graph,
-                            membership,
-                            Some(bounds),
-                            penalty,
-                            sigma,
-                            coeffs,
-                            ht,
-                            i,
-                            config.refinement,
-                            Some(pass_seed ^ config.seed),
-                        )
-                    })
-                };
-            });
+        static_for_mut(slots, |j, slot| {
+            let i = class[j];
+            // Constrained merge: only isolated vertices move.
+            *slot = if sigma[membership[i as usize] as usize] != penalty[i as usize] {
+                None
+            } else {
+                tables.with(|ht| {
+                    decide(
+                        graph,
+                        membership,
+                        Some(bounds),
+                        penalty,
+                        sigma,
+                        coeffs,
+                        ht,
+                        i,
+                        config.refinement,
+                        Some(pass_seed ^ config.seed),
+                    )
+                })
+            };
+        });
         for (&i, decision) in class.iter().zip(slots.iter()) {
             if let Some((target, _)) = *decision {
                 let current = membership[i as usize];

@@ -215,8 +215,10 @@ impl PassWorkspace {
             resize_exact(&mut self.init_labels, n, || 0);
             resize_exact(&mut self.first_seen, n, || AtomicU32::new(0));
             self.unprocessed = AtomicBitset::new(n);
-            // Relaxed: stored under `&mut self`; worker threads that read
-            // it are spawned afterwards (spawn publishes the store).
+            // Relaxed: stored under `&mut self`, before any parallel loop
+            // that reads it. Every loop starts with the pool's Release
+            // epoch bump, which its workers Acquire, so they see every
+            // store the caller made before the loop, this one included.
             self.table_capacity.store(n, Ordering::Relaxed);
             self.tables.for_each_mut(|table| table.ensure_capacity(n));
             self.cap_vertices = n;
@@ -267,16 +269,16 @@ pub const POISON_SIGMA_BITS: u64 = 0x7FF8_DEAD_BEEF_0105;
 /// views never alias stale suffix state.
 #[cfg(feature = "analysis")]
 pub fn poison_suffix(membership: &[AtomicU32], sigma: &[AtomicF64]) {
-    use rayon::prelude::*;
     use std::sync::atomic::Ordering;
     // Relaxed: bulk sentinel stores between phases, published by the
-    // surrounding joins (same contract as the in-place reinits).
-    membership
-        .par_iter()
-        .for_each(|c| c.store(POISON_LABEL, Ordering::Relaxed));
-    sigma
-        .par_iter()
-        .for_each(|s| s.store(f64::from_bits(POISON_SIGMA_BITS)));
+    // ends of the surrounding loops (same contract as the in-place
+    // reinits).
+    gve_prim::parfor::static_for(membership.len(), |v| {
+        membership[v].store(POISON_LABEL, Ordering::Relaxed);
+    });
+    gve_prim::parfor::static_for(sigma.len(), |v| {
+        sigma[v].store(f64::from_bits(POISON_SIGMA_BITS));
+    });
 }
 
 /// Asserts that a previously poisoned suffix is still intact — no

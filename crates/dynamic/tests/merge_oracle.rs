@@ -6,7 +6,6 @@
 use gve_dynamic::{apply_batch, BatchUpdate};
 use gve_graph::{CsrGraph, EdgeWeight, GraphBuilder, VertexId};
 use proptest::prelude::*;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// The previous `apply_batch`: per-vertex edit lists in hash maps, one
@@ -50,7 +49,6 @@ fn row_merge_apply_batch(graph: &CsrGraph, batch: &BatchUpdate) -> CsrGraph {
     // targets, skipping deleted pairs — O(d + k log k) per row instead
     // of the old O(d·k) contains/find scans.
     let rows: Vec<Vec<(VertexId, EdgeWeight)>> = (0..n as VertexId)
-        .into_par_iter()
         .map(|u| {
             let dels: &[VertexId] = deletes.get(&u).map_or(&[], Vec::as_slice);
             let ins: &[(VertexId, EdgeWeight)] = inserts.get(&u).map_or(&[], Vec::as_slice);

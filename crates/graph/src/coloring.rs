@@ -14,7 +14,6 @@
 //! colored neighbourhood. Deterministic for a fixed seed.
 
 use crate::{CsrGraph, VertexId};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// A proper vertex coloring: `color[v]` differs from every neighbour's
@@ -75,10 +74,10 @@ pub fn jones_plassmann(graph: &CsrGraph, seed: u64) -> Coloring {
     let n = graph.num_vertices();
     let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNCOLORED)).collect();
     let remaining = AtomicBool::new(n > 0);
-    // Relaxed atomics throughout: every read happens on the far side of
-    // a rayon join from the writes it observes (round snapshots), so the
-    // joins carry the ordering; within a round, same-round-colored
-    // vertices are never adjacent, so color cells do not race.
+    // Relaxed atomics throughout: the rounds run on one thread, so every
+    // read follows the writes it observes in program order; within a
+    // round, same-round-colored vertices are never adjacent, so the
+    // coloring does not depend on the visit order.
     while remaining.swap(false, Ordering::Relaxed) {
         // Freeze the round's uncolored set. Decisions are made against
         // this snapshot only, which makes the outcome independent of
@@ -87,10 +86,10 @@ pub fn jones_plassmann(graph: &CsrGraph, seed: u64) -> Coloring {
         // palette each reads from earlier rounds is stable. (Relaxed
         // loads: the prior round's join published the colors.)
         let uncolored: Vec<bool> = colors
-            .par_iter()
+            .iter()
             .map(|c| c.load(Ordering::Relaxed) == UNCOLORED)
             .collect();
-        (0..n as VertexId).into_par_iter().for_each(|u| {
+        (0..n as VertexId).for_each(|u| {
             if !uncolored[u as usize] {
                 return;
             }

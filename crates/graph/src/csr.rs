@@ -198,13 +198,12 @@ impl CsrGraph {
     /// Sum of all arc weights. For an undirected graph stored with
     /// reverse arcs this is `2m` where `m` is the paper's total edge
     /// weight (§3); self-loops stored once contribute their weight once.
+    ///
+    /// Sequential on purpose: the sum's order decides its bits, and
+    /// `m = total / 2` scales every modularity gain, so an order that
+    /// depended on the thread count would change results.
     pub fn total_arc_weight(&self) -> f64 {
-        use rayon::prelude::*;
-        if self.weights.len() < 1 << 16 {
-            self.weights.iter().map(|&w| w as f64).sum()
-        } else {
-            self.weights.par_iter().map(|&w| w as f64).sum()
-        }
+        self.weights.iter().map(|&w| w as f64).sum()
     }
 
     /// True when vertex `u` has an arc to `v`.

@@ -18,17 +18,20 @@
 
 use crate::{CsrGraph, EdgeWeight, VertexId};
 use gve_prim::atomics::{atomic_into_plain, plain_into_atomic};
-use gve_prim::scan::{parallel_exclusive_scan, parallel_offsets_from_counts};
+use gve_prim::parfor::{static_blocks, static_for, static_for_mut, workers};
+use gve_prim::scan::{exclusive_scan_in_place, parallel_exclusive_scan};
 use gve_prim::workspace::resize_exact;
 use gve_prim::SharedSlice;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Exact-size CSR mapping group id → member elements, built in parallel.
+/// Exact-size CSR mapping group id → member elements, members in
+/// ascending order.
 ///
-/// This is the community-vertices structure `G'_{C'}`: `group_by` counts
-/// members per group, prefix-sums the counts into offsets, then scatters
-/// members with atomic per-group cursors (Algorithm 4, lines 3–6).
+/// This is the community-vertices structure `G'_{C'}`, built by a
+/// sequential counting sort: `group_by` counts members per group,
+/// prefix-sums the counts into offsets, then scatters members at
+/// per-group cursors (Algorithm 4, lines 3–6). The pass loop builds its
+/// copy in parallel inside [`AggregateScratch::prepare`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupedCsr {
     offsets: Vec<u64>,
@@ -38,36 +41,19 @@ pub struct GroupedCsr {
 impl GroupedCsr {
     /// Groups elements `0..keys.len()` by `keys[i] ∈ 0..num_groups`.
     pub fn group_by(keys: &[VertexId], num_groups: usize) -> Self {
-        // Count members per group. Relaxed throughout the counting and
-        // scatter steps: counters are tallies/slot cursors ordered by
-        // the rayon joins between the steps.
-        let counts: Vec<AtomicU32> = (0..num_groups).map(|_| AtomicU32::new(0)).collect();
-        keys.par_iter().for_each(|&k| {
-            counts[k as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let counts_u64: Vec<u64> = counts
-            .iter()
-            // Relaxed: post-join read-back, then reset — see above.
-            .map(|c| c.load(Ordering::Relaxed) as u64)
-            .collect();
-        let offsets = parallel_offsets_from_counts(&counts_u64);
-        // Scatter members; reuse `counts` as cursors.
-        for c in &counts {
-            c.store(0, Ordering::Relaxed);
+        let mut offsets = vec![0u64; num_groups + 1];
+        for &k in keys {
+            offsets[k as usize] += 1;
         }
-        let total = *offsets.last().unwrap() as usize;
-        let mut members = vec![0 as VertexId; total];
-        {
-            let out = SharedSlice::new(&mut members);
-            let offsets = &offsets;
-            let counts = &counts;
-            (0..keys.len()).into_par_iter().for_each(|i| {
-                let g = keys[i] as usize;
-                // Relaxed slot claim: uniqueness comes from fetch_add.
-                let slot = counts[g].fetch_add(1, Ordering::Relaxed) as u64;
-                // SAFETY: (group base + claimed slot) pairs are unique.
-                unsafe { out.write((offsets[g] + slot) as usize, i as VertexId) };
-            });
+        let total = exclusive_scan_in_place(&mut offsets[..num_groups]);
+        offsets[num_groups] = total;
+        // Scatter members in index order at per-group cursors.
+        let mut cursors = offsets[..num_groups].to_vec();
+        let mut members = vec![0 as VertexId; keys.len()];
+        for (i, &k) in keys.iter().enumerate() {
+            let cursor = &mut cursors[k as usize];
+            members[*cursor as usize] = i as VertexId;
+            *cursor += 1;
         }
         Self { offsets, members }
     }
@@ -107,6 +93,23 @@ fn plain_mut(atomics: &mut [AtomicU64]) -> &mut [u64] {
     unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u64>(), atomics.len()) }
 }
 
+/// Rows of the per-block count matrix that [`AggregateScratch::prepare`]
+/// borrows from its own idle buffers instead of `block_cursors`.
+const BORROWED_ROWS: usize = 3;
+
+/// `u64` atomics viewed as twice as many plain `u32`s.
+fn plain_u32_pairs_mut(atomics: &mut [AtomicU64]) -> &mut [u32] {
+    // SAFETY: as in `plain_mut`; a `u64`'s bytes are two `u32`s, and the
+    // alignment of `AtomicU64` covers that of `u32`.
+    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u32>(), 2 * atomics.len()) }
+}
+
+/// [`plain_mut`] for `u32` counters.
+fn plain_u32_mut(atomics: &mut [AtomicU32]) -> &mut [u32] {
+    // SAFETY: as in `plain_mut`, for `AtomicU32` and `u32`.
+    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u32>(), atomics.len()) }
+}
+
 /// Most spare slot sets [`AggregateScratch`] keeps. The pass loop needs
 /// two: the one backing the graph a pass reads and the one its
 /// supergraph is written into.
@@ -136,10 +139,17 @@ impl SlotSet {
 /// super-vertex CSR into one grow-only arena, so the aggregation phase
 /// performs zero steady-state allocation:
 ///
-/// * the member-counting sweep **also** folds each community's total
-///   degree (the holey capacity overestimate), eliminating the separate
-///   nested capacity pass; the totals are prefix-summed in place into
-///   the holey offsets, and the member cursors turn into the arc fill
+/// * the members are grouped by a static-block counting sort: each
+///   block of keys counts its members per group, and the per-block
+///   counts turn into per-block cursors, so every group lists its
+///   members in ascending order at any thread count and the supergraph
+///   is a function of the membership alone. The count rows of the first
+///   three blocks live in the member cursors and the holey offsets,
+///   which are idle until the scatter ends; only a fourth worker and
+///   beyond add `u32` rows to the arena;
+/// * each community's total degree (the holey capacity overestimate) is
+///   summed over its member list and prefix-summed in place into the
+///   holey offsets, and the member cursors turn into the arc fill
 ///   counts, so neither needs a buffer of its own;
 /// * every offsets/cursor array is reused across passes — pass `k`
 ///   views a shrinking prefix of the same memory;
@@ -158,18 +168,22 @@ impl SlotSet {
 /// then [`AggregateScratch::squeeze`].
 #[derive(Debug, Default)]
 pub struct AggregateScratch {
-    /// Per-community member count, then member scatter cursor, then
-    /// (reset once the scatter has joined) the super-vertex's holey arc
-    /// fill count.
+    /// Block 0's per-community member count, then its member scatter
+    /// cursor, then (reset once the scatter has ended) the
+    /// super-vertex's holey arc fill count.
     cursors: Vec<AtomicU32>,
+    /// Member counts, then scatter cursors, of key blocks `3..T` of a
+    /// `T`-worker `prepare`: block `b`'s row is
+    /// `[(b - 3) * num_groups, (b - 2) * num_groups)`.
+    block_cursors: Vec<u32>,
     /// Member offsets of the grouped CSR (`num_groups + 1` live slots).
     group_offsets: Vec<u64>,
     /// Member array of the grouped CSR (`keys.len()` live slots).
     members: Vec<VertexId>,
-    /// Per-community total degree (the capacity overestimate), folded
-    /// during the same sweep that counts members, then prefix-summed in
-    /// place into the holey super-CSR offsets (`num_groups + 1` live
-    /// slots).
+    /// Count rows of key blocks 1 and 2 during `prepare`'s member
+    /// grouping, then per-community total degree (the capacity
+    /// overestimate), prefix-summed in place into the holey super-CSR
+    /// offsets (`num_groups + 1` live slots).
     holey_offsets: Vec<AtomicU64>,
     /// The slot set the current epoch fills.
     slots: SlotSet,
@@ -258,11 +272,13 @@ impl AggregateScratch {
         i
     }
 
-    /// Groups elements `0..keys.len()` by `keys[i] ∈ 0..num_groups` and
-    /// folds `degree_of(i)` into each group's capacity in the same
-    /// sweep, then lays out the holey super-CSR over those capacities
-    /// in the smallest spare slot set that holds them. Reuses all prior
-    /// storage; allocates only when the input outgrows every spare set.
+    /// Groups elements `0..keys.len()` by `keys[i] ∈ 0..num_groups`,
+    /// each group's members in ascending order, sums `degree_of` over
+    /// each group's members into its capacity, then lays out the holey
+    /// super-CSR over those capacities in the smallest spare slot set
+    /// that holds them. Reuses all prior storage; allocates only when
+    /// the input outgrows every spare set, or a pool of more than three
+    /// workers first meets this many groups.
     pub fn prepare(
         &mut self,
         keys: &[VertexId],
@@ -271,67 +287,108 @@ impl AggregateScratch {
     ) {
         self.num_groups = num_groups;
         let g = num_groups;
-        // Grow-only capacity; stale values are overwritten by the
-        // resets below before any read.
-        self.reserve_groups(g, keys.len());
-
-        // Reset the live prefix in one parallel sweep. Relaxed stores:
-        // bulk reinitialization between phases; the rayon join below
-        // publishes them, exactly as in `GroupedCsr::group_by`.
-        let cursors = &self.cursors[..g];
-        let capacities = &self.holey_offsets[..g];
-        (0..g).into_par_iter().for_each(|c| {
-            // Relaxed: bulk reset between joins, as above.
-            cursors[c].store(0, Ordering::Relaxed);
-            capacities[c].store(0, Ordering::Relaxed);
-        });
-
-        // Fused sweep: member count + capacity (total degree) per group.
-        keys.par_iter().enumerate().for_each(|(i, &k)| {
-            // Relaxed: commutative tallies, published by the join.
-            cursors[k as usize].fetch_add(1, Ordering::Relaxed);
-            capacities[k as usize].fetch_add(degree_of(i), Ordering::Relaxed);
-        });
-
-        // Grouped-CSR offsets from the counts (in place, no staging).
-        {
-            let offsets = &mut self.group_offsets[..g + 1];
-            offsets[..g]
-                .par_iter_mut()
-                .enumerate()
-                // Relaxed: post-join read-back of the counts.
-                .for_each(|(c, slot)| *slot = cursors[c].load(Ordering::Relaxed) as u64);
-            let total = parallel_exclusive_scan(&mut offsets[..g]);
-            offsets[g] = total;
-            debug_assert_eq!(total as usize, keys.len());
+        let len = keys.len();
+        // Grow-only capacity; stale values are overwritten below before
+        // any read.
+        self.reserve_groups(g, len);
+        let blocks = workers();
+        let spilled = blocks.saturating_sub(BORROWED_ROWS) * g;
+        if self.block_cursors.len() < spilled {
+            resize_exact(&mut self.block_cursors, spilled, || 0);
         }
 
-        // Scatter members, reusing the cursors.
-        (0..g).into_par_iter().for_each(|c| {
-            // Relaxed: bulk reset between joins, as above.
-            cursors[c].store(0, Ordering::Relaxed);
-        });
         {
-            let out = SharedSlice::new(&mut self.members[..keys.len()]);
-            let offsets = &self.group_offsets;
-            (0..keys.len()).into_par_iter().for_each(|i| {
-                let grp = keys[i] as usize;
-                // Relaxed slot claim: uniqueness comes from fetch_add.
-                let slot = cursors[grp].fetch_add(1, Ordering::Relaxed) as u64;
-                // SAFETY: (group base + claimed slot) pairs are unique.
-                unsafe { out.write((offsets[grp] + slot) as usize, i as VertexId) };
+            // Row `b` of the per-block count matrix. The first three rows
+            // borrow buffers that are idle until the scatter ends: the
+            // cursors, and the holey offsets as two `u32` per group.
+            let first = SharedSlice::new(plain_u32_mut(&mut self.cursors[..g]));
+            let second_third = SharedSlice::new(plain_u32_pairs_mut(&mut self.holey_offsets[..g]));
+            let rest = SharedSlice::new(&mut self.block_cursors[..spilled]);
+            // The loops below take row `b` whole only in the body that
+            // owns key block `b` (count, scatter), or touch only column
+            // `c` of every row in the body that owns group `c` (cursors).
+            let row = |b: usize| match b {
+                0 => (&first, 0),
+                1 | 2 => (&second_third, (b - 1) * g),
+                _ => (&rest, (b - BORROWED_ROWS) * g),
+            };
+
+            // Each static block of keys counts its members per group.
+            static_blocks(len, |b, range| {
+                assert!(b < blocks, "key blocks differ from the worker count");
+                let (rows, base) = row(b);
+                // SAFETY: block `b` alone touches row `b` in this loop.
+                let counts = unsafe { rows.slice_mut(base..base + g) };
+                counts.fill(0);
+                for i in range {
+                    counts[keys[i] as usize] += 1;
+                }
+            });
+
+            // Grouped-CSR offsets: per-group totals over the rows,
+            // scanned in place; then each row's counts become that
+            // block's cursors, so a group's block-b members follow those
+            // of blocks 0..b.
+            let offsets = &mut self.group_offsets[..g + 1];
+            static_for_mut(&mut offsets[..g], |c, total| {
+                *total = (0..blocks)
+                    .map(|b| {
+                        let (rows, base) = row(b);
+                        // SAFETY: column `c` is read by this body only.
+                        u64::from(unsafe { rows.read(base + c) })
+                    })
+                    .sum();
+            });
+            let total = parallel_exclusive_scan(&mut offsets[..g]);
+            offsets[g] = total;
+            debug_assert_eq!(total as usize, len);
+            let offsets = &offsets[..g];
+            static_for(g, |c| {
+                let mut cursor = offsets[c] as u32;
+                for b in 0..blocks {
+                    let (rows, base) = row(b);
+                    // SAFETY: column `c` is touched by this body only.
+                    unsafe {
+                        let count = rows.read(base + c);
+                        rows.write(base + c, cursor);
+                        cursor += count;
+                    }
+                }
+            });
+
+            // Scatter: each block walks its keys in order and writes them
+            // at its own cursors, so every group's members ascend.
+            let out = SharedSlice::new(&mut self.members[..len]);
+            static_blocks(len, |b, range| {
+                let (rows, base) = row(b);
+                // SAFETY: block `b` alone touches row `b` in this loop.
+                let cursors = unsafe { rows.slice_mut(base..base + g) };
+                for i in range {
+                    let cursor = &mut cursors[keys[i] as usize];
+                    // SAFETY: block `b`'s cursor for a group walks the
+                    // slots its own count reserved in that group's range,
+                    // which no other block's cursor covers.
+                    unsafe { out.write(*cursor as usize, i as VertexId) };
+                    *cursor += 1;
+                }
             });
         }
 
         // The scatter is done with the cursors: from here on they count
-        // each super-vertex's claimed arc slots.
-        (0..g).into_par_iter().for_each(|c| {
-            // Relaxed: bulk reset between joins, as above.
-            cursors[c].store(0, Ordering::Relaxed);
-        });
-        // Holey offsets: prefix-sum the capacity overestimates in place.
+        // each super-vertex's claimed arc slots. Relaxed stores: bulk
+        // reinitialization; the end of the loop publishes them.
+        let cursors = &self.cursors[..g];
+        static_for(g, |c| cursors[c].store(0, Ordering::Relaxed));
+
+        // Holey offsets: each group's capacity (its members' total
+        // degree), prefix-summed in place.
         let total_cap = {
+            let (members, groups) = (&self.members[..len], &self.group_offsets[..g + 1]);
             let offsets = plain_mut(&mut self.holey_offsets[..g + 1]);
+            static_for_mut(&mut offsets[..g], |c, capacity| {
+                let range = groups[c] as usize..groups[c + 1] as usize;
+                *capacity = members[range].iter().map(|&i| degree_of(i as usize)).sum();
+            });
             let total = parallel_exclusive_scan(&mut offsets[..g]);
             offsets[g] = total;
             total as usize
@@ -401,15 +458,26 @@ impl AggregateScratch {
 
     /// Squeezes the holes out of the slot arrays **in place** and hands
     /// the same buffers to the returned [`CsrGraph`]: no second buffer
-    /// and no copy beyond moving each row down. Rows keep their claim
-    /// order and weight bits.
+    /// and no copy beyond moving rows down. Rows keep their claim order
+    /// and weight bits.
     ///
-    /// The rows move left to right. Row `u`'s dense start sums the fill
-    /// counts before it and its holey start sums the capacities before
-    /// it; fill never exceeds capacity, so the dense start is at or
-    /// before the holey start. A moved row ends where row `u + 1`'s
-    /// dense range begins, at or before row `u + 1`'s holey start, so no
-    /// move overwrites a row that has yet to move.
+    /// Row `u`'s dense start sums the fill counts before it and its
+    /// holey start sums the capacities before it; fill never exceeds
+    /// capacity, so every prefix of rows compacts into no more room than
+    /// it held. The move runs in two steps:
+    ///
+    /// 1. each static block of rows, in parallel, moves its rows left to
+    ///    right to the front of the block's own holey range. A moved row
+    ///    ends at or before the next row's holey start, so no move
+    ///    overwrites a row that has yet to move, and no block writes
+    ///    outside its own range;
+    /// 2. on the calling thread, in block order, each block's compacted
+    ///    run moves down to its dense start. That start is at or before
+    ///    the run's holey start, and the run's new end is the next run's
+    ///    dense start, at or before that run's holey start, so no move
+    ///    overwrites a run that has yet to move.
+    ///
+    /// At one thread step 1 moves every row straight to its dense place.
     pub fn squeeze(&mut self) -> CsrGraph {
         let g = self.num_groups;
         let SlotSet {
@@ -419,24 +487,49 @@ impl AggregateScratch {
         } = std::mem::take(&mut self.slots);
         offsets.clear();
         offsets.reserve_exact(g + 1);
-        // Relaxed: post-join read-back of the fill counts.
-        offsets.extend(
-            self.cursors[..g]
-                .iter()
-                .map(|f| f.load(Ordering::Relaxed) as u64),
-        );
-        offsets.push(0);
+        offsets.resize(g + 1, 0);
+        let fills = &self.cursors[..g];
+        // Relaxed: read-back of the fill counts after the filling loop.
+        static_for_mut(&mut offsets[..g], |u, o| {
+            *o = u64::from(fills[u].load(Ordering::Relaxed))
+        });
         let total = parallel_exclusive_scan(&mut offsets[..g]);
         offsets[g] = total;
 
         let mut targets: Vec<VertexId> = atomic_into_plain(targets);
         let mut weights: Vec<EdgeWeight> = atomic_into_plain(weights);
-        for u in 0..g {
-            let src = self.holey_range(u).0 as usize;
-            let (dst, end) = (offsets[u] as usize, offsets[u + 1] as usize);
+        // Relaxed: the holey offsets were written under `&mut self` in
+        // `prepare`.
+        let holey = |u: usize| self.holey_offsets[u].load(Ordering::Relaxed) as usize;
+        let runs: Vec<(usize, usize, usize)> = {
+            let (all_targets, all_weights) = (
+                SharedSlice::new(&mut targets),
+                SharedSlice::new(&mut weights),
+            );
+            let offsets = &offsets;
+            static_blocks(g, |_, rows| {
+                let (lo, hi) = (holey(rows.start), holey(rows.end));
+                // SAFETY: the row blocks of one static split are
+                // disjoint, and so are their holey ranges.
+                let targets = unsafe { all_targets.slice_mut(lo..hi) };
+                // SAFETY: as above.
+                let weights = unsafe { all_weights.slice_mut(lo..hi) };
+                let base = offsets[rows.start] as usize;
+                for u in rows.clone() {
+                    let src = holey(u) - lo;
+                    let (dst, end) = (offsets[u] as usize - base, offsets[u + 1] as usize - base);
+                    if src != dst {
+                        targets.copy_within(src..src + (end - dst), dst);
+                        weights.copy_within(src..src + (end - dst), dst);
+                    }
+                }
+                (lo, base, offsets[rows.end] as usize - base)
+            })
+        };
+        for (src, dst, len) in runs {
             if src != dst {
-                targets.copy_within(src..src + (end - dst), dst);
-                weights.copy_within(src..src + (end - dst), dst);
+                targets.copy_within(src..src + len, dst);
+                weights.copy_within(src..src + len, dst);
             }
         }
         targets.truncate(total as usize);
@@ -545,6 +638,39 @@ mod tests {
         }
     }
 
+    /// The member lists (and capacities) `prepare` builds are the
+    /// sequential counting sort's at every thread count, including the
+    /// fourth worker whose count row is not borrowed.
+    #[test]
+    fn prepare_groups_members_in_ascending_order_at_every_thread_count() {
+        let n = 5000u32;
+        let keys: Vec<u32> = (0..n)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) % 613)
+            .collect();
+        let degrees: Vec<u64> = (0..n as u64).map(|i| i % 9).collect();
+        let expected = GroupedCsr::group_by(&keys, 700);
+        for threads in [1, 2, 3, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut scratch = AggregateScratch::new();
+            // Twice: the second epoch reuses the first one's buffers.
+            for _ in 0..2 {
+                pool.install(|| scratch.prepare(&keys, 700, |v| degrees[v]));
+                for c in 0..700u32 {
+                    assert_eq!(scratch.members(c), expected.members(c), "{threads} threads");
+                    let capacity: u64 = expected
+                        .members(c)
+                        .iter()
+                        .map(|&v| degrees[v as usize])
+                        .sum();
+                    assert_eq!(scratch.capacity(c), capacity);
+                }
+            }
+        }
+    }
+
     #[test]
     fn squeeze_compacts_in_place_across_epochs() {
         let mut scratch = AggregateScratch::new();
@@ -556,11 +682,20 @@ mod tests {
             ((0..900u32).map(|i| (i * 13) % 53).collect(), 53),
             (vec![0, 0, 0], 1),
         ];
-        for (keys, num_groups) in epochs {
-            let degrees: Vec<u64> = (0..keys.len() as u64).map(|i| 1 + i % 5).collect();
-            let (graph, rows) = epoch(&mut scratch, &keys, num_groups, &degrees);
-            assert_rows(&graph, &rows);
-            scratch.recycle(graph);
+        // Also more workers than groups (the last epoch): empty row
+        // blocks in the squeeze.
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for (keys, num_groups) in &epochs {
+                let degrees: Vec<u64> = (0..keys.len() as u64).map(|i| 1 + i % 5).collect();
+                let (graph, rows) =
+                    pool.install(|| epoch(&mut scratch, keys, *num_groups, &degrees));
+                assert_rows(&graph, &rows);
+                scratch.recycle(graph);
+            }
         }
     }
 
@@ -621,7 +756,8 @@ mod tests {
         let keys: Vec<u32> = (0..n).collect();
         let mut scratch = AggregateScratch::new();
         scratch.prepare(&keys, n as usize, |_| per as u64 + 3);
-        (0..n * per).into_par_iter().for_each(|i| {
+        static_for((n * per) as usize, |i| {
+            let i = i as u32;
             scratch.add_arc(i % n, i / n, 1.0);
         });
         let graph = scratch.squeeze();

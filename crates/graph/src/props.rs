@@ -15,13 +15,11 @@
 //! both `2m` and the modularity of the induced partition.
 
 use crate::{CsrGraph, VertexId};
-use rayon::prelude::*;
 
-/// Computes the weighted degree `K_u` of every vertex in parallel
+/// Computes the weighted degree `K_u` of every vertex
 /// (`vertexWeights(G')` of Algorithm 1).
 pub fn vertex_weights(graph: &CsrGraph) -> Vec<f64> {
     (0..graph.num_vertices() as VertexId)
-        .into_par_iter()
         .map(|u| graph.weighted_degree(u))
         .collect()
 }
@@ -48,19 +46,15 @@ pub struct GraphStats {
     pub total_weight: f64,
 }
 
-/// Computes [`GraphStats`] in one parallel sweep.
+/// Computes [`GraphStats`] in one sweep.
 pub fn stats(graph: &CsrGraph) -> GraphStats {
     let n = graph.num_vertices();
     let (max_degree, self_loops) = (0..n as VertexId)
-        .into_par_iter()
         .map(|u| {
             let loops = graph.neighbors(u).iter().filter(|&&v| v == u).count();
             (graph.degree(u), loops)
         })
-        .reduce(
-            || (0usize, 0usize),
-            |(d1, l1), (d2, l2)| (d1.max(d2), l1 + l2),
-        );
+        .fold((0usize, 0usize), |(d1, l1), (d2, l2)| (d1.max(d2), l1 + l2));
     GraphStats {
         vertices: n,
         arcs: graph.num_arcs(),

@@ -7,7 +7,6 @@
 //! wrapper for one community of a membership vector.
 
 use crate::{CsrGraph, VertexId};
-use rayon::prelude::*;
 
 /// An induced subgraph together with the vertex-id mappings.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +40,7 @@ pub fn induced(graph: &CsrGraph, vertices: &[VertexId]) -> Subgraph {
     }
 
     let rows: Vec<(Vec<VertexId>, Vec<f32>)> = to_original
-        .par_iter()
+        .iter()
         .map(|&v| {
             let mut targets = Vec::new();
             let mut weights = Vec::new();

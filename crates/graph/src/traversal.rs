@@ -8,7 +8,6 @@
 //! plain frontier queue.
 
 use crate::{CsrGraph, VertexId};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -42,10 +41,10 @@ pub fn connected_components(graph: &CsrGraph) -> (Vec<VertexId>, usize) {
     let labels: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let changed = AtomicBool::new(true);
     // Relaxed atomics throughout: labels only ever decrease (fetch_min
-    // keeps races monotone), stale reads merely cost extra rounds, and
-    // the per-round rayon joins order the `changed` flag hand-off.
+    // keeps them monotone), and the rounds run on one thread, so the
+    // `changed` flag is read after every store of its round.
     while changed.swap(false, Ordering::Relaxed) {
-        (0..n as VertexId).into_par_iter().for_each(|u| {
+        (0..n as VertexId).for_each(|u| {
             let mut best = labels[u as usize].load(Ordering::Relaxed);
             for &v in graph.neighbors(u) {
                 best = best.min(labels[v as usize].load(Ordering::Relaxed));
@@ -59,7 +58,7 @@ pub fn connected_components(graph: &CsrGraph) -> (Vec<VertexId>, usize) {
         // Pointer-jumping: compress label chains so long paths converge
         // in O(log n) rounds instead of O(diameter).
         // (Relaxed label walks: monotone, as above.)
-        (0..n).into_par_iter().for_each(|u| {
+        (0..n).for_each(|u| {
             let mut l = labels[u].load(Ordering::Relaxed);
             loop {
                 let parent = labels[l as usize].load(Ordering::Relaxed);

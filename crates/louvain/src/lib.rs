@@ -20,7 +20,6 @@ use gve_leiden::timing::{PassStats, PhaseTimings};
 use gve_leiden::{aggregate, localmove};
 use gve_prim::atomics::{atomic_f64_from_slice, AtomicF64};
 use gve_prim::{AtomicBitset, CommunityMap, PerThread};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -130,7 +129,7 @@ impl Louvain {
             let t2 = Instant::now();
             // Relaxed: post-join read-back of local_move's stores.
             let moved_membership: Vec<VertexId> = membership
-                .par_iter()
+                .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect();
             let (dense, k) = dendrogram::renumber(&moved_membership);

@@ -19,7 +19,7 @@
 //! * [`workspace`] — per-worker scratch buffers sized once per pass (the
 //!   `O(T·N)` memory term in the paper's space complexity);
 //! * [`parfor`] — OpenMP's `schedule(dynamic, chunk)` and
-//!   `schedule(static)` loops on top of rayon;
+//!   `schedule(static)` loops on the persistent worker pool;
 //! * [`sched`] — arc-aware scheduling policies (guided shrinking chunks
 //!   and work-stealing over arc-balanced segments) for the phase loops;
 //! * [`simd`] — lane-chunked candidate scoring, the "choose" half of

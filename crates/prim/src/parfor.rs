@@ -1,18 +1,27 @@
-//! OpenMP-style parallel loops on top of rayon.
+//! OpenMP-style parallel loops on the workspace's one runtime.
+//!
+//! Every loop here is one [`rayon::broadcast`] on the current pool: the
+//! calling thread runs worker 0 and the pool's persistent, parked
+//! workers run the rest, so a loop costs a wake-up, not a thread spawn.
+//! These are the only parallel loops in the workspace; anything else is
+//! a plain sequential `std` iterator.
 //!
 //! The paper attributes part of GVE-Leiden's load balance to OpenMP's
 //! *dynamic* loop schedule: workers repeatedly grab fixed-size chunks of
 //! the iteration space from a shared counter, so a worker stuck on a hub
 //! vertex does not stall the rest of its static share. [`dynamic_workers`]
-//! reproduces that exactly with an atomic cursor and
-//! [`rayon::broadcast`], and is the scheduling primitive used by the
-//! local-moving, refinement and aggregation phases.
+//! reproduces that exactly with an atomic cursor, and is the scheduling
+//! primitive used by the local-moving, refinement and aggregation
+//! phases.
 //!
 //! [`static_blocks`] is the `schedule(static)` counterpart: one
 //! contiguous block of the iteration space per worker, results in block
-//! order. Graph construction runs on it, since its blocks are a pure
-//! function of the length and the worker count, so a later loop over
-//! the same length sees the same blocks.
+//! order. Its blocks are a pure function of the length and the worker
+//! count, so a later loop over the same length sees the same blocks,
+//! and at one thread the single block runs in index order, exactly as a
+//! sequential loop would. Graph construction, the prefix scan, and the
+//! pass loop's fills, copies, renumbering and aggregation set-up run on
+//! it; [`static_for`] and [`static_for_mut`] are its per-index forms.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,7 +70,7 @@ impl Iterator for ChunkClaims<'_> {
     }
 }
 
-/// Runs `worker` once on every rayon worker thread; each invocation pulls
+/// Runs `worker` once on every pool worker; each invocation pulls
 /// dynamic chunks of `0..len` from a shared cursor until the range is
 /// exhausted. Returns each worker's result.
 ///
@@ -128,6 +137,12 @@ where
     .sum()
 }
 
+/// Number of workers of a loop started now on this thread, which is
+/// also the number of blocks [`static_blocks`] splits a range into.
+pub fn workers() -> usize {
+    rayon::current_num_threads()
+}
+
 /// Block `block` of `0..len` split into `blocks` contiguous near-equal
 /// blocks: the first `len % blocks` blocks hold one index more.
 ///
@@ -142,7 +157,7 @@ pub fn block_range(len: usize, blocks: usize, block: usize) -> Range<usize> {
 }
 
 /// Static-scheduled parallel loop over `0..len`: runs `body(block,
-/// range)` once per rayon worker, where `range` is
+/// range)` once per pool worker, where `range` is
 /// [`block_range`]`(len, workers, block)`, and returns the results in
 /// block order.
 ///
@@ -162,10 +177,58 @@ where
     })
 }
 
+/// Static-scheduled `for i in 0..len { body(i) }`, for bodies that
+/// write through shared state (atomics, disjoint [`crate::SharedSlice`]
+/// indices).
+pub fn static_for<F>(len: usize, body: F)
+where
+    F: Fn(usize) + Sync,
+{
+    static_blocks(len, |_, range| range.for_each(&body));
+}
+
+/// Static-scheduled `for (i, x) in slice.iter_mut().enumerate() {
+/// body(i, x) }`: each worker gets its block of `slice` exclusively.
+pub fn static_for_mut<T, F>(slice: &mut [T], body: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let shared = crate::SharedSlice::new(slice);
+    static_blocks(shared.len(), |_, range| {
+        let start = range.start;
+        // SAFETY: the blocks of one static split are disjoint.
+        let block = unsafe { shared.slice_mut(range) };
+        for (offset, item) in block.iter_mut().enumerate() {
+            body(start + offset, item);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn static_for_forms_visit_every_index_once() {
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let counts: Vec<AtomicU64> = (0..1001).map(|_| AtomicU64::new(0)).collect();
+            let mut squares = vec![0usize; 1001];
+            pool.install(|| {
+                static_for(counts.len(), |i| {
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                });
+                static_for_mut(&mut squares, |i, x| *x = i * i);
+            });
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            assert!(squares.iter().enumerate().all(|(i, &x)| x == i * i));
+        }
+    }
 
     #[test]
     fn blocks_tile_the_range_in_order() {

@@ -2,19 +2,32 @@
 //!
 //! The aggregation phase builds two CSR offset arrays per pass with
 //! exclusive scans over per-community counts (Algorithm 4, lines 3–4 and
-//! 8–9). The parallel scan is the classic two-pass chunked algorithm:
-//! per-chunk sums, a small sequential scan of the chunk totals, then a
-//! parallel local scan with offsets — the same structure as
-//! `__parallel_scan` in GCC's libstdc++ parallel mode that the original
-//! C++ implementation relies on.
+//! 8–9). The parallel scan is the classic two-pass blocked algorithm:
+//! per-block sums over one static block per worker, a small sequential
+//! scan of the block totals, then a local scan of each block from its
+//! offset — the same structure as `__parallel_scan` in GCC's libstdc++
+//! parallel mode that the original C++ implementation relies on.
 
-use rayon::prelude::*;
+use crate::parfor::static_blocks;
+use crate::SharedSlice;
 use std::ops::Add;
 
-/// Minimum number of elements per parallel chunk; below
-/// `PARALLEL_THRESHOLD` the sequential scan is used outright.
-const CHUNK: usize = 16 * 1024;
+/// Below this length the sequential scan is used outright.
 const PARALLEL_THRESHOLD: usize = 64 * 1024;
+
+/// In-place exclusive prefix sum starting from `running`; returns the
+/// running total after the last value.
+fn exclusive_scan_from<T>(values: &mut [T], mut running: T) -> T
+where
+    T: Copy + Add<Output = T>,
+{
+    for v in values.iter_mut() {
+        let next = running + *v;
+        *v = running;
+        running = next;
+    }
+    running
+}
 
 /// In-place exclusive prefix sum; returns the total of all input values.
 /// Generic over the element type so `u32` ranks scan in their own
@@ -25,13 +38,7 @@ pub fn exclusive_scan_in_place<T>(values: &mut [T]) -> T
 where
     T: Copy + Default + Add<Output = T>,
 {
-    let mut running = T::default();
-    for v in values.iter_mut() {
-        let next = running + *v;
-        *v = running;
-        running = next;
-    }
-    running
+    exclusive_scan_from(values, T::default())
 }
 
 /// In-place inclusive prefix sum; returns the total.
@@ -52,28 +59,25 @@ pub fn parallel_exclusive_scan<T>(values: &mut [T]) -> T
 where
     T: Copy + Default + Add<Output = T> + Send + Sync,
 {
-    if values.len() < PARALLEL_THRESHOLD {
+    if values.len() < PARALLEL_THRESHOLD || rayon::current_num_threads() == 1 {
         return exclusive_scan_in_place(values);
     }
-    // Pass 1: per-chunk totals.
-    let mut chunk_totals: Vec<T> = values
-        .par_chunks(CHUNK)
-        .map(|chunk| chunk.iter().fold(T::default(), |sum, &v| sum + v))
-        .collect();
+    let len = values.len();
+    let values = SharedSlice::new(values);
+    // Pass 1: per-block totals.
+    let mut block_totals: Vec<T> = static_blocks(len, |_, range| {
+        // SAFETY: the blocks of one static split are disjoint.
+        let block = unsafe { values.slice_mut(range) };
+        block.iter().fold(T::default(), |sum, &v| sum + v)
+    });
     // Small sequential scan over the totals.
-    let grand_total = exclusive_scan_in_place(&mut chunk_totals);
-    // Pass 2: local exclusive scan with the chunk offset added.
-    values
-        .par_chunks_mut(CHUNK)
-        .zip(chunk_totals.par_iter())
-        .for_each(|(chunk, &offset)| {
-            let mut running = offset;
-            for v in chunk.iter_mut() {
-                let next = running + *v;
-                *v = running;
-                running = next;
-            }
-        });
+    let grand_total = exclusive_scan_in_place(&mut block_totals);
+    // Pass 2: local exclusive scan from the block's offset, over the
+    // same blocks (same length, same pool).
+    static_blocks(len, |block, range| {
+        // SAFETY: as above.
+        exclusive_scan_from(unsafe { values.slice_mut(range) }, block_totals[block]);
+    });
     grand_total
 }
 
@@ -168,14 +172,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_large() {
-        let input: Vec<u64> = (0..300_000u64).map(|i| (i * 2_654_435_761) % 97).collect();
-        let mut a = input.clone();
-        let mut b = input;
-        let ta = exclusive_scan_in_place(&mut a);
-        let tb = parallel_exclusive_scan(&mut b);
-        assert_eq!(ta, tb);
-        assert_eq!(a, b);
+    fn parallel_matches_sequential_large_at_every_thread_count() {
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for len in [PARALLEL_THRESHOLD, PARALLEL_THRESHOLD + 1, 300_001] {
+                let input: Vec<u64> = (0..len as u64).map(|i| (i * 2_654_435_761) % 97).collect();
+                let mut a = input.clone();
+                let mut b = input;
+                let ta = exclusive_scan_in_place(&mut a);
+                let tb = pool.install(|| parallel_exclusive_scan(&mut b));
+                assert_eq!(ta, tb, "{threads} threads, {len} values");
+                assert_eq!(a, b, "{threads} threads, {len} values");
+            }
+        }
     }
 
     #[test]

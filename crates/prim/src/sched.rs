@@ -35,7 +35,7 @@ pub const GUIDED_MIN_ARCS: u64 = 4096;
 
 /// Maximum workers the stealing policy tracks. Cursor state is a
 /// stack-resident array (no heap in the phase hot path), so the bound
-/// is a compile-time constant; extra rayon threads beyond it share
+/// is a compile-time constant; extra pool threads beyond it share
 /// segments, which the claim protocol tolerates.
 pub const MAX_WORKERS: usize = 64;
 
@@ -277,7 +277,7 @@ impl Iterator for Claims<'_> {
     }
 }
 
-/// Runs `worker` once on every rayon worker thread, each pulling claims
+/// Runs `worker` once on every pool worker, each pulling claims
 /// of `0..len` under the given schedule until the range is exhausted.
 /// Returns each worker's result plus the region's scheduling counters.
 ///

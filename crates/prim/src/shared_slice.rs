@@ -119,7 +119,7 @@ impl<'a, T> SharedSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
+    use crate::parfor::static_for;
 
     #[test]
     fn disjoint_parallel_writes_land() {
@@ -127,7 +127,7 @@ mod tests {
         let mut buf = vec![0u64; n];
         {
             let shared = SharedSlice::new(&mut buf);
-            (0..n).into_par_iter().for_each(|i| {
+            static_for(n, |i| {
                 // SAFETY: each index written by exactly one task.
                 unsafe { shared.write(i, i as u64 * 3) };
             });
@@ -156,7 +156,8 @@ mod tests {
         let mut buf = vec![0u8; 10];
         {
             let shared = SharedSlice::new(&mut buf);
-            ranges.par_iter().enumerate().for_each(|(id, &(lo, hi))| {
+            static_for(ranges.len(), |id| {
+                let (lo, hi) = ranges[id];
                 for i in lo..hi {
                     // SAFETY: ranges are disjoint.
                     unsafe { shared.write(i, id as u8) };

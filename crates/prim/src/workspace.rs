@@ -2,8 +2,8 @@
 //!
 //! GVE-Leiden allocates one collision-free hashtable per thread, reused
 //! across iterations and passes (the `O(T·N)` space term). [`PerThread`]
-//! is the ownership story for that: a fixed array of slots, one per rayon
-//! worker, each claimed by the worker for the duration of a parallel
+//! is the ownership story for that: a fixed array of slots, one per pool
+//! worker index, each claimed by the worker for the duration of a parallel
 //! region. Slots are aligned to cache-line boundaries so the per-thread
 //! state is "well separated in memory addresses" as the paper puts it —
 //! the headers never false-share (the bulk of each scratch object lives in
@@ -26,10 +26,12 @@ struct Padded<T>(Mutex<Option<T>>);
 
 /// A pool of lazily created per-worker values of type `T`.
 ///
-/// `with` hands the calling rayon worker exclusive access to "its" slot,
-/// creating the value on first use. Access from outside a rayon pool (or
-/// from oversubscribed contexts) falls back to an overflow list, so the
-/// abstraction is always safe, merely fastest on the happy path.
+/// `with` hands the calling pool worker exclusive access to "its" slot,
+/// creating the value on first use. A worker keeps its index for the
+/// pool's lifetime, so it finds the same slot loop after loop. Access
+/// from outside a parallel loop (or from oversubscribed contexts) falls
+/// back to an overflow list, so the abstraction is always safe, merely
+/// fastest on the happy path.
 pub struct PerThread<T> {
     slots: Vec<Padded<T>>,
     overflow: Mutex<Vec<T>>,
@@ -37,7 +39,7 @@ pub struct PerThread<T> {
 }
 
 impl<T: Send> PerThread<T> {
-    /// Creates a pool sized for the current rayon thread pool, using
+    /// Creates a pool sized for the current thread pool, using
     /// `make` to lazily construct each worker's value.
     pub fn new(make: impl Fn() -> T + Send + Sync + 'static) -> Self {
         Self::with_capacity(rayon::current_num_threads(), make)
@@ -124,7 +126,6 @@ impl<T: Send> std::fmt::Debug for PerThread<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -156,7 +157,7 @@ mod tests {
             c.fetch_add(1, Ordering::SeqCst);
             0u64
         });
-        (0..10_000usize).into_par_iter().for_each(|_| {
+        crate::parfor::static_for(10_000, |_| {
             pool.with(|v| *v += 1);
         });
         let values = pool.into_values();

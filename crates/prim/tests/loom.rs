@@ -30,10 +30,21 @@
 //!    in `crates/prim/src/sched.rs`. Invariants: every index claimed
 //!    exactly once under owner/thief races, and no segment cursor runs
 //!    past its bound.
+//! 5. **Worker-pool handoff** — the wake and completion edges of the
+//!    persistent pool every parallel loop runs on (`Registry::run` and
+//!    `Registry::work` in `shims/rayon/src/lib.rs`): the caller posts a
+//!    job with a Release epoch bump the workers Acquire, and each worker
+//!    reports with an AcqRel decrement of a pending count the caller
+//!    Acquires. Invariants, over repeated epochs with a share panicking
+//!    in some of them: a Relaxed store the caller made before the
+//!    broadcast is seen by every worker, and every worker's Relaxed
+//!    store (and panic payload) is seen by the caller once the
+//!    broadcast returns.
 
 use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Model 1 helper: one worker's claim loop, verbatim from
 /// `ChunkClaims::next` (saturating compare-exchange; Relaxed is the
@@ -296,6 +307,94 @@ fn stealing_claims_each_index_exactly_once_under_races() {
             // Relaxed: post-join read-back.
             let end = cursor.load(Ordering::Relaxed);
             assert!(end <= bounds[v + 1], "cursor {v} overran: {end}");
+        }
+    });
+}
+
+/// Model 5 helper: one pool worker's loop, mirroring `Registry::work`:
+/// wait for the epoch to move (the production worker parks after a
+/// bounded spin; a yield stands in for the park), run its share under
+/// `catch_unwind`, record a panic payload, then decrement `pending`.
+fn pool_worker(
+    me: usize,
+    epochs: usize,
+    epoch: &AtomicUsize,
+    pending: &AtomicUsize,
+    input: &AtomicUsize,
+    outputs: &[AtomicUsize],
+    panic_slot: &AtomicUsize,
+) {
+    let mut seen = 0;
+    for _ in 0..epochs {
+        while epoch.load(Ordering::Acquire) == seen {
+            thread::yield_now();
+        }
+        seen = epoch.load(Ordering::Acquire);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            // Relaxed: the payload rides on the epoch's Release/Acquire.
+            let got = input.load(Ordering::Relaxed);
+            // Relaxed: published by the decrement below.
+            outputs[me].store(got * 10 + me + 1, Ordering::Relaxed);
+            if (me + seen).is_multiple_of(3) {
+                // `resume_unwind` skips the panic hook: a quiet panic.
+                panic::resume_unwind(Box::new(seen * 10 + me));
+            }
+        }));
+        if let Err(payload) = outcome {
+            let payload = *payload.downcast::<usize>().expect("usize payload");
+            // Relaxed: published by the decrement below, as in production
+            // where the payload goes into a mutex before it.
+            panic_slot.store(payload, Ordering::Relaxed);
+        }
+        pending.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+#[test]
+fn pool_handoff_publishes_across_every_broadcast() {
+    loom::model(|| {
+        const WORKERS: usize = 2;
+        const EPOCHS: usize = 3;
+        const NO_PANIC: usize = usize::MAX;
+        let epoch = Arc::new(AtomicUsize::new(0));
+        let pending = Arc::new(AtomicUsize::new(0));
+        let input = Arc::new(AtomicUsize::new(0));
+        let outputs: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..WORKERS).map(|_| AtomicUsize::new(0)).collect());
+        let panic_slot = Arc::new(AtomicUsize::new(NO_PANIC));
+        let handles: Vec<_> = (0..WORKERS)
+            .map(|me| {
+                let (epoch, pending, input) =
+                    (Arc::clone(&epoch), Arc::clone(&pending), Arc::clone(&input));
+                let (outputs, panic_slot) = (Arc::clone(&outputs), Arc::clone(&panic_slot));
+                thread::spawn(move || {
+                    pool_worker(me, EPOCHS, &epoch, &pending, &input, &outputs, &panic_slot);
+                })
+            })
+            .collect();
+        for e in 1..=EPOCHS {
+            // The caller's store before the broadcast (Relaxed: the
+            // epoch bump below publishes it).
+            input.store(e * 7, Ordering::Relaxed);
+            // Relaxed: published by the epoch bump, as in production.
+            panic_slot.store(NO_PANIC, Ordering::Relaxed);
+            pending.store(WORKERS, Ordering::Relaxed);
+            epoch.fetch_add(1, Ordering::Release);
+            while pending.load(Ordering::Acquire) != 0 {
+                thread::yield_now();
+            }
+            for (me, output) in outputs.iter().enumerate() {
+                // Relaxed: ordered by the Acquire load that saw zero.
+                let got = output.load(Ordering::Relaxed);
+                assert_eq!(got, e * 70 + me + 1, "epoch {e}, worker {me}");
+            }
+            let panicked = (0..WORKERS).find(|me| (me + e).is_multiple_of(3));
+            // Relaxed: ordered by the Acquire load that saw zero.
+            let payload = panic_slot.load(Ordering::Relaxed);
+            assert_eq!(payload, panicked.map_or(NO_PANIC, |me| e * 10 + me));
+        }
+        for h in handles {
+            h.join().unwrap();
         }
     });
 }

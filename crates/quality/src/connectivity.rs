@@ -6,10 +6,9 @@
 //! implementation (Figure 6(d)): Louvain-family methods and buggy Leiden
 //! implementations produce nonzero fractions; a correct Leiden must
 //! produce exactly zero. The check is a BFS restricted to each
-//! community's members, run over communities in parallel.
+//! community's members, one community after another.
 
 use gve_graph::{CsrGraph, GroupedCsr, VertexId};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 
 /// Result of the disconnected-community scan.
@@ -54,7 +53,6 @@ pub fn disconnected_communities(graph: &CsrGraph, membership: &[VertexId]) -> Co
     let groups = GroupedCsr::group_by(membership, num_ids);
 
     let (communities, disconnected) = (0..num_ids as VertexId)
-        .into_par_iter()
         .map(|c| {
             let members = groups.members(c);
             if members.is_empty() {
@@ -90,7 +88,7 @@ pub fn disconnected_communities(graph: &CsrGraph, membership: &[VertexId]) -> Co
             }
             (1, usize::from(reached < members.len()))
         })
-        .reduce(|| (0, 0), |(c1, d1), (c2, d2)| (c1 + c2, d1 + d2));
+        .fold((0, 0), |(c1, d1), (c2, d2)| (c1 + c2, d1 + d2));
 
     ConnectivityReport {
         communities,

@@ -7,7 +7,6 @@
 //! tests rely on.
 
 use gve_graph::{CsrGraph, VertexId};
-use rayon::prelude::*;
 
 /// Newman modularity `Q` of a membership vector (Equation 1 of the
 /// paper), computed as `Σ_c [σ_c/2m − (Σ_c/2m)²]`.
@@ -42,34 +41,23 @@ pub fn modularity_with_resolution(
         .max()
         .unwrap_or(0);
 
-    // Per-community totals, accumulated per worker and merged.
-    let (sigma, total) = (0..graph.num_vertices())
-        .into_par_iter()
-        .fold(
-            || (vec![0.0f64; num_communities], 0.0f64),
-            |(mut sigma, mut intra), u| {
-                let cu = membership[u];
-                let mut k_u = 0.0;
-                for (v, w) in graph.edges(u as VertexId) {
-                    let w = w as f64;
-                    k_u += w;
-                    if membership[v as usize] == cu {
-                        intra += w;
-                    }
+    // Per-community totals and the intra-community weight, in one sweep.
+    let (sigma, total) = (0..graph.num_vertices()).fold(
+        (vec![0.0f64; num_communities], 0.0f64),
+        |(mut sigma, mut intra), u| {
+            let cu = membership[u];
+            let mut k_u = 0.0;
+            for (v, w) in graph.edges(u as VertexId) {
+                let w = w as f64;
+                k_u += w;
+                if membership[v as usize] == cu {
+                    intra += w;
                 }
-                sigma[cu as usize] += k_u;
-                (sigma, intra)
-            },
-        )
-        .reduce(
-            || (vec![0.0f64; num_communities], 0.0f64),
-            |(mut a, ia), (b, ib)| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                (a, ia + ib)
-            },
-        );
+            }
+            sigma[cu as usize] += k_u;
+            (sigma, intra)
+        },
+    );
 
     let intra_fraction = total / two_m;
     let expected: f64 = sigma.iter().map(|&s| (s / two_m) * (s / two_m)).sum();
@@ -112,7 +100,6 @@ pub fn cpm(graph: &CsrGraph, membership: &[VertexId], gamma: f64) -> f64 {
         sizes[c as usize] += 1;
     }
     let intra: f64 = (0..graph.num_vertices())
-        .into_par_iter()
         .map(|u| {
             let cu = membership[u];
             graph
@@ -139,7 +126,6 @@ pub fn coverage(graph: &CsrGraph, membership: &[VertexId]) -> f64 {
         return 1.0;
     }
     let intra: f64 = (0..graph.num_vertices())
-        .into_par_iter()
         .map(|u| {
             let cu = membership[u];
             graph
@@ -168,35 +154,20 @@ pub fn average_conductance(graph: &CsrGraph, membership: &[VertexId]) -> f64 {
         .max()
         .unwrap_or(0);
     // volume[c] = Σ_{v∈c} K_v ; cut[c] = weight of arcs leaving c.
-    let (volume, cut) = (0..graph.num_vertices())
-        .into_par_iter()
-        .fold(
-            || (vec![0.0f64; num_communities], vec![0.0f64; num_communities]),
-            |(mut volume, mut cut), u| {
-                let cu = membership[u];
-                for (v, w) in graph.edges(u as VertexId) {
-                    let w = w as f64;
-                    volume[cu as usize] += w;
-                    if membership[v as usize] != cu {
-                        cut[cu as usize] += w;
-                    }
+    let (volume, cut) = (0..graph.num_vertices()).fold(
+        (vec![0.0f64; num_communities], vec![0.0f64; num_communities]),
+        |(mut volume, mut cut), u| {
+            let cu = membership[u];
+            for (v, w) in graph.edges(u as VertexId) {
+                let w = w as f64;
+                volume[cu as usize] += w;
+                if membership[v as usize] != cu {
+                    cut[cu as usize] += w;
                 }
-                (volume, cut)
-            },
-        )
-        .reduce(
-            || (vec![0.0f64; num_communities], vec![0.0f64; num_communities]),
-            |(mut va, ca), (vb, cb)| {
-                for (x, y) in va.iter_mut().zip(vb) {
-                    *x += y;
-                }
-                let mut ca = ca;
-                for (x, y) in ca.iter_mut().zip(cb) {
-                    *x += y;
-                }
-                (va, ca)
-            },
-        );
+            }
+            (volume, cut)
+        },
+    );
     let mut weighted = 0.0;
     let mut total_volume = 0.0;
     for c in 0..num_communities {

@@ -1,7 +1,6 @@
 //! Membership-vector utilities: validation, renumbering, size stats.
 
 use gve_graph::VertexId;
-use rayon::prelude::*;
 
 /// Checks that a membership vector is well-formed for a graph of `n`
 /// vertices: right length, and every id addressable as an index.
@@ -116,7 +115,7 @@ pub fn singleton_fraction(membership: &[VertexId]) -> f64 {
     }
     let sizes = community_sizes(membership);
     let singles: usize = membership
-        .par_iter()
+        .iter()
         .filter(|&&c| sizes[c as usize] == 1)
         .count();
     singles as f64 / membership.len() as f64

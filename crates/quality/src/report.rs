@@ -6,7 +6,6 @@
 //! Used by the `gve quality` CLI and the drill-down examples.
 
 use gve_graph::{CsrGraph, GroupedCsr, VertexId};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 
 /// Structural details of one community.
@@ -46,7 +45,6 @@ pub fn community_report(graph: &CsrGraph, membership: &[VertexId]) -> Vec<Commun
     let two_m = graph.total_arc_weight();
 
     let mut details: Vec<CommunityDetail> = (0..num_ids as VertexId)
-        .into_par_iter()
         .filter_map(|c| {
             let members = groups.members(c);
             if members.is_empty() {

@@ -1,47 +1,107 @@
 //! Offline stand-in for the subset of the `rayon` API this workspace
 //! uses, so the repo builds and tests in network-less containers where
-//! the real crates.io `rayon` is unavailable.
+//! the real crates.io `rayon` is unavailable. It is also the workspace's
+//! one parallel runtime: `gve_prim::parfor` and `gve_prim::sched` build
+//! every OpenMP-style loop on [`broadcast`].
 //!
-//! Semantics, not performance parity:
+//! * A [`ThreadPool`] of `n` threads spawns its `n - 1` workers **once**,
+//!   when it is built; the default pool does so on its first
+//!   [`broadcast`]. Worker `i` keeps index `i` for the pool's lifetime,
+//!   which is what `gve_prim::PerThread` keys its slots on.
+//! * [`broadcast`] runs the closure once per worker index: the calling
+//!   thread runs index 0 and the parked workers run `1..n`. The caller
+//!   posts the job and bumps an epoch counter (a Release store the
+//!   workers Acquire); each worker's completion is a Release decrement
+//!   of a pending count the caller Acquires. Everything a caller wrote
+//!   before `broadcast` is visible to every worker, and everything a
+//!   worker wrote is visible to the caller after `broadcast` returns.
+//! * An idle worker spins for at most [`SPIN_LIMIT`] before it parks, so
+//!   back-to-back loops skip the wake-up but an idle pool holds no core.
+//!   The caller waits for its workers the same way.
+//! * A one-thread broadcast runs inline on the caller and touches no
+//!   worker.
+//! * Concurrent callers on one pool (the server's job shards share the
+//!   default pool) take turns through a per-pool gate, one whole
+//!   broadcast at a time, so a worker never holds two jobs. A broadcast
+//!   nested in a job of the same pool runs its indices one after another
+//!   on the calling thread instead of waiting for the gate it holds.
+//! * A panic in any share is re-raised on the caller with its own
+//!   payload, after every worker has finished; the pool stays usable.
+//! * [`ThreadPool::install`] makes a pool current for the calling
+//!   thread, so thread-count sweeps (`fig9_scaling`, the deterministic
+//!   tests) choose the pool their loops run on.
 //!
-//! * [`broadcast`] runs the closure once per logical worker on **real
-//!   OS threads** (`std::thread::scope`), with a thread-local worker
-//!   index behind [`current_thread_index`]. This is the primitive
-//!   `gve_prim::parfor::dynamic_workers` builds its OpenMP-style
-//!   dynamic loops on, so the Leiden hot paths stay genuinely parallel
-//!   and every atomics/contention code path is still exercised.
-//! * The `prelude` iterator combinators (`par_iter`, `into_par_iter`,
-//!   `par_chunks`, ...) are sequential adapters over `std` iterators:
-//!   identical results, no data parallelism.
-//! * [`ThreadPoolBuilder`]/[`ThreadPool::install`] scope a logical
-//!   thread count that [`current_num_threads`] and [`broadcast`]
-//!   observe, so thread-count sweeps (`fig9_scaling`,
-//!   color-synchronous determinism tests) behave meaningfully.
+//! There are no parallel iterator adapters: a loop is either a
+//! `gve_prim::parfor` loop over [`broadcast`] or a plain `std` iterator.
 
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, UnsafeCell};
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
+use std::time::{Duration, Instant};
+
+/// Longest a waiting thread spins before it parks: an idle worker
+/// between two loops, or a caller waiting for its workers.
+pub const SPIN_LIMIT: Duration = Duration::from_micros(50);
 
 thread_local! {
     /// Worker index inside a `broadcast`, `None` outside one.
     static THREAD_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Logical pool size installed by `ThreadPool::install`.
-    static POOL_SIZE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Pool made current by `ThreadPool::install` (or a worker's own
+    /// pool); null means the default pool.
+    static CURRENT: Cell<*const Registry> = const { Cell::new(std::ptr::null()) };
+    /// Pool whose job this thread is running, null outside any job.
+    static RUNNING: Cell<*const Registry> = const { Cell::new(std::ptr::null()) };
+}
+
+/// Restores a thread-local cell when dropped, on return or unwind.
+struct Restore<T: Copy + 'static> {
+    key: &'static std::thread::LocalKey<Cell<T>>,
+    previous: T,
+}
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(key: &'static std::thread::LocalKey<Cell<T>>, value: T) -> Self {
+        let previous = key.with(|cell| cell.replace(value));
+        Self { key, previous }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        let previous = self.previous;
+        self.key.with(|cell| cell.set(previous));
+    }
 }
 
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
+    thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Number of logical worker threads of the current (scoped) pool.
+/// Number of worker threads of the current pool.
 pub fn current_num_threads() -> usize {
-    POOL_SIZE.with(|p| p.get()).unwrap_or_else(hardware_threads)
+    let current = CURRENT.with(Cell::get);
+    if current.is_null() {
+        GLOBAL
+            .get()
+            .map_or_else(hardware_threads, |r| r.num_threads)
+    } else {
+        // SAFETY: a non-null `CURRENT` is a live registry: `install`
+        // borrows its pool for as long as the pointer is set, and a
+        // worker holds an `Arc` to its own registry.
+        unsafe { (*current).num_threads }
+    }
 }
 
 /// Index of the current worker inside a [`broadcast`], if any.
 pub fn current_thread_index() -> Option<usize> {
-    THREAD_INDEX.with(|t| t.get())
+    THREAD_INDEX.with(Cell::get)
 }
 
 /// Context handed to every [`broadcast`] invocation.
@@ -63,63 +123,279 @@ impl BroadcastContext {
     }
 }
 
-/// Runs `f` once on every logical worker thread and collects the
-/// results in worker order. Workers are real OS threads.
+/// A posted job, type-erased: `call(data, index)` runs share `index`.
+#[derive(Clone, Copy)]
+struct JobRef {
+    data: *const (),
+    call: unsafe fn(*const (), usize),
+}
+
+/// The state a pool's caller and workers share.
+struct Registry {
+    num_threads: usize,
+    /// Held for a whole broadcast: concurrent callers take turns.
+    gate: Mutex<()>,
+    /// Bumped (Release) once per posted job; workers Acquire it.
+    epoch: AtomicUsize,
+    /// The posted job. Written by the gate holder before the epoch
+    /// bump, read by each worker after it sees the bump.
+    job: UnsafeCell<Option<JobRef>>,
+    /// The thread waiting for the job, written with `job`.
+    caller: UnsafeCell<Option<Thread>>,
+    /// Workers still running the posted job.
+    pending: AtomicUsize,
+    /// First panic payload raised by a worker of the posted job.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Worker handles, for waking them; set once, after spawning.
+    workers: OnceLock<Vec<Thread>>,
+    shutdown: AtomicBool,
+}
+
+// SAFETY: `job` and `caller` are written only by the gate holder while
+// no worker runs (pending is zero and the epoch has not moved yet), and
+// read by workers only between the epoch bump and their pending
+// decrement, ordered by that Release/Acquire pair. The job data itself
+// is `Sync` (see `broadcast`'s bounds).
+unsafe impl Sync for Registry {}
+// SAFETY: as above; every field is owned data or synchronized.
+unsafe impl Send for Registry {}
+
+impl Registry {
+    fn new(num_threads: usize) -> Arc<Self> {
+        Arc::new(Self {
+            num_threads,
+            gate: Mutex::new(()),
+            epoch: AtomicUsize::new(0),
+            job: UnsafeCell::new(None),
+            caller: UnsafeCell::new(None),
+            pending: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            workers: OnceLock::new(),
+            shutdown: AtomicBool::new(false),
+        })
+    }
+
+    /// Spawns workers `1..num_threads` and records their handles.
+    fn spawn(self: &Arc<Self>) -> Vec<JoinHandle<()>> {
+        let handles: Vec<JoinHandle<()>> = (1..self.num_threads)
+            .map(|index| {
+                let registry = Arc::clone(self);
+                thread::Builder::new()
+                    .name(format!("gve-pool-{index}"))
+                    .spawn(move || registry.work(index))
+                    .expect("failed to spawn a pool worker")
+            })
+            .collect();
+        let threads = handles.iter().map(|h| h.thread().clone()).collect();
+        let _ = self.workers.set(threads);
+        handles
+    }
+
+    /// A worker's loop: wait for the epoch to move, run its share of
+    /// the posted job, report completion.
+    fn work(&self, index: usize) {
+        CURRENT.with(|c| c.set(self));
+        let mut seen = 0usize;
+        loop {
+            wait_for(|| {
+                self.shutdown.load(Ordering::Acquire) || self.epoch.load(Ordering::Acquire) != seen
+            });
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            seen = self.epoch.load(Ordering::Acquire);
+            // SAFETY: the Acquire load above saw the bump that published
+            // `job` and `caller`; neither changes until this worker's
+            // decrement below.
+            let (job, caller) = unsafe { (*self.job.get(), (*self.caller.get()).clone()) };
+            let job = job.expect("an epoch bump always posts a job");
+            let outcome = {
+                let _index = Restore::set(&THREAD_INDEX, Some(index));
+                let _running = Restore::set(&RUNNING, self as *const Registry);
+                // SAFETY: the job's data lives until the caller has seen
+                // every decrement, which happens after this call.
+                panic::catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, index) }))
+            };
+            if let Err(payload) = outcome {
+                let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+                first.get_or_insert(payload);
+            }
+            if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                if let Some(caller) = caller {
+                    caller.unpark();
+                }
+            }
+        }
+    }
+
+    /// Runs `job` on every index: 0 on the calling thread, the rest on
+    /// the workers. Returns once every share has finished, re-raising
+    /// the first panic.
+    fn run(&self, job: JobRef) {
+        if std::ptr::eq(RUNNING.with(Cell::get), self) {
+            // Nested in one of this pool's own jobs: the gate is ours
+            // already, so run every share here, in index order.
+            for index in 0..self.num_threads {
+                let _index = Restore::set(&THREAD_INDEX, Some(index));
+                // SAFETY: the job's data outlives this call.
+                unsafe { (job.call)(job.data, index) };
+            }
+            return;
+        }
+        let gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        // SAFETY: the gate is held and every worker has finished the
+        // previous job (pending is zero), so nobody reads these now.
+        unsafe {
+            *self.job.get() = Some(job);
+            *self.caller.get() = Some(thread::current());
+        }
+        self.pending.store(self.num_threads - 1, Ordering::Relaxed);
+        // Release: publishes the job, the caller and everything this
+        // thread wrote before the broadcast to the workers.
+        self.epoch.fetch_add(1, Ordering::Release);
+        for worker in self.workers.get().into_iter().flatten() {
+            worker.unpark();
+        }
+        let own = {
+            let _index = Restore::set(&THREAD_INDEX, Some(0));
+            let _running = Restore::set(&RUNNING, self as *const Registry);
+            // SAFETY: the job's data outlives this call.
+            panic::catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, 0) }))
+        };
+        // Acquire: pairs with each worker's Release decrement, so their
+        // writes are visible once the count reads zero.
+        wait_for(|| self.pending.load(Ordering::Acquire) == 0);
+        let worker_panic = self
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        drop(gate);
+        if let Err(payload) = own {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = worker_panic {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        for worker in self.workers.get().into_iter().flatten() {
+            worker.unpark();
+        }
+    }
+}
+
+/// Spins until `done` holds or [`SPIN_LIMIT`] has passed, then parks
+/// between checks. Whoever makes `done` true unparks this thread, and a
+/// spurious or stale wake-up only costs one more check.
+fn wait_for(mut done: impl FnMut() -> bool) {
+    let mut spins = 0u32;
+    let mut started: Option<Instant> = None;
+    while !done() {
+        if spins < u32::MAX {
+            spins += 1;
+            std::hint::spin_loop();
+            if spins.is_multiple_of(64)
+                && started.get_or_insert_with(Instant::now).elapsed() >= SPIN_LIMIT
+            {
+                spins = u32::MAX;
+            }
+        } else {
+            thread::park();
+        }
+    }
+}
+
+/// The default pool, sized to the hardware (or by `build_global`).
+static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
+
+fn global_registry() -> &'static Registry {
+    GLOBAL.get_or_init(|| {
+        let registry = Registry::new(hardware_threads());
+        // The default pool's workers live as long as the process.
+        drop(registry.spawn());
+        registry
+    })
+}
+
+/// Types a broadcast shares with its workers: the closure and the
+/// result slots.
+struct BroadcastJob<'a, F, R> {
+    f: &'a F,
+    results: *mut MaybeUninit<R>,
+    num_threads: usize,
+}
+
+/// Runs share `index` of the [`BroadcastJob`] at `data`.
+///
+/// # Safety
+/// `data` points to a live `BroadcastJob<F, R>` whose result slot
+/// `index` no other share writes.
+unsafe fn call_broadcast<F, R>(data: *const (), index: usize)
+where
+    F: Fn(BroadcastContext) -> R + Sync,
+{
+    // SAFETY: the caller's contract.
+    let job = unsafe { &*data.cast::<BroadcastJob<'_, F, R>>() };
+    let result = (job.f)(BroadcastContext {
+        index,
+        num_threads: job.num_threads,
+    });
+    // SAFETY: slot `index` is in bounds and written by this share only.
+    unsafe { job.results.add(index).write(MaybeUninit::new(result)) };
+}
+
+/// Runs `f` once on every worker of the current pool and collects the
+/// results in worker order. Index 0 runs on the calling thread.
 pub fn broadcast<F, R>(f: F) -> Vec<R>
 where
     F: Fn(BroadcastContext) -> R + Sync,
     R: Send,
 {
-    let n = current_num_threads();
+    let current = CURRENT.with(Cell::get);
+    let registry: &Registry = if current.is_null() {
+        global_registry()
+    } else {
+        // SAFETY: see `current_num_threads`.
+        unsafe { &*current }
+    };
+    let n = registry.num_threads;
     if n <= 1 {
-        let previous = THREAD_INDEX.with(|t| t.replace(Some(0)));
-        let result = f(BroadcastContext {
+        let _index = Restore::set(&THREAD_INDEX, Some(0));
+        return vec![f(BroadcastContext {
             index: 0,
             num_threads: 1,
-        });
-        THREAD_INDEX.with(|t| t.set(previous));
-        return vec![result];
+        })];
     }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|index| {
-                scope.spawn(move || {
-                    THREAD_INDEX.with(|t| t.set(Some(index)));
-                    POOL_SIZE.with(|p| p.set(Some(n)));
-                    f(BroadcastContext {
-                        index,
-                        num_threads: n,
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("broadcast worker panicked"))
-            .collect()
-    })
+    // Zero-sized results (the common `()`) allocate nothing here.
+    let mut results: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
+    results.resize_with(n, MaybeUninit::uninit);
+    let job = BroadcastJob {
+        f: &f,
+        results: results.as_mut_ptr(),
+        num_threads: n,
+    };
+    // On a panic the results already written leak; they are not dropped.
+    registry.run(JobRef {
+        data: (&job as *const BroadcastJob<'_, F, R>).cast(),
+        call: call_broadcast::<F, R>,
+    });
+    let mut results = ManuallyDrop::new(results);
+    // SAFETY: `run` returned normally, so every share wrote its slot,
+    // and `MaybeUninit<R>` has the layout of `R`.
+    unsafe { Vec::from_raw_parts(results.as_mut_ptr().cast::<R>(), n, results.capacity()) }
 }
 
-/// Runs `a` and `b`, returning both results (sequentially here).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    (a(), b())
-}
-
-/// Error type produced by [`ThreadPoolBuilder::build`]. Never actually
-/// constructed by the shim.
+/// Error type produced by [`ThreadPoolBuilder::build_global`] when the
+/// default pool already exists.
 #[derive(Debug)]
 pub struct ThreadPoolBuildError(());
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
+        write!(f, "the global thread pool has already been initialized")
     }
 }
 
@@ -137,419 +413,240 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Sets the logical thread count; `0` means the hardware default.
+    /// Sets the thread count; `0` means the hardware default.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
         self
     }
 
-    /// Builds a logical pool.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 {
+    fn resolved_threads(&self) -> usize {
+        if self.num_threads == 0 {
             hardware_threads()
         } else {
             self.num_threads
-        };
-        Ok(ThreadPool { num_threads: n })
+        }
     }
 
-    /// Installs the pool size as the process-wide default for the
-    /// calling thread (best-effort shim of `build_global`).
+    /// Builds a pool and spawns its workers.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let registry = Registry::new(self.resolved_threads());
+        let handles = registry.spawn();
+        Ok(ThreadPool { registry, handles })
+    }
+
+    /// Sizes the default pool. Fails when the default pool already
+    /// exists, which its first [`broadcast`] brings about.
     pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 {
-            hardware_threads()
+        let mut created = false;
+        GLOBAL.get_or_init(|| {
+            created = true;
+            let registry = Registry::new(self.resolved_threads());
+            drop(registry.spawn());
+            registry
+        });
+        if created {
+            Ok(())
         } else {
-            self.num_threads
-        };
-        POOL_SIZE.with(|p| p.set(Some(n)));
-        Ok(())
+            Err(ThreadPoolBuildError(()))
+        }
     }
 }
 
-/// A logical thread pool: it scopes the thread count that
-/// [`current_num_threads`] and [`broadcast`] observe.
-#[derive(Debug)]
+/// A pool of parked worker threads. Dropping it stops and joins them.
 pub struct ThreadPool {
-    num_threads: usize,
+    registry: Arc<Registry>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for ThreadPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadPool")
+            .field("num_threads", &self.registry.num_threads)
+            .finish()
+    }
 }
 
 impl ThreadPool {
-    /// Runs `f` with this pool's thread count installed.
+    /// Runs `f` on the calling thread with this pool current, so the
+    /// loops inside it run on this pool's workers.
     pub fn install<F, R>(&self, f: F) -> R
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        let previous = POOL_SIZE.with(|p| p.replace(Some(self.num_threads)));
-        let result = f();
-        POOL_SIZE.with(|p| p.set(previous));
-        result
+        let _current = Restore::set(&CURRENT, Arc::as_ptr(&self.registry));
+        f()
     }
 
-    /// The pool's logical thread count.
+    /// The pool's thread count.
     pub fn current_num_threads(&self) -> usize {
-        self.num_threads
+        self.registry.num_threads
     }
 }
 
-/// Sequential stand-ins for rayon's parallel iterator traits.
-pub mod iter {
-    /// Wrapper over a `std` iterator exposing rayon-named combinators.
-    pub struct ParIter<I> {
-        inner: I,
-    }
-
-    impl<I: Iterator> ParIter<I> {
-        /// Wraps a sequential iterator.
-        pub fn new(inner: I) -> Self {
-            Self { inner }
-        }
-
-        /// Maps every item.
-        pub fn map<O, F: FnMut(I::Item) -> O>(self, f: F) -> ParIter<std::iter::Map<I, F>> {
-            ParIter::new(self.inner.map(f))
-        }
-
-        /// Keeps items matching the predicate.
-        pub fn filter<F: FnMut(&I::Item) -> bool>(self, f: F) -> ParIter<std::iter::Filter<I, F>> {
-            ParIter::new(self.inner.filter(f))
-        }
-
-        /// Filter + map in one pass.
-        pub fn filter_map<O, F: FnMut(I::Item) -> Option<O>>(
-            self,
-            f: F,
-        ) -> ParIter<std::iter::FilterMap<I, F>> {
-            ParIter::new(self.inner.filter_map(f))
-        }
-
-        /// Maps every item to an iterator and flattens.
-        pub fn flat_map<O: IntoIterator, F: FnMut(I::Item) -> O>(
-            self,
-            f: F,
-        ) -> ParIter<std::iter::FlatMap<I, O, F>> {
-            ParIter::new(self.inner.flat_map(f))
-        }
-
-        /// Rayon's serial-inner-iterator variant of `flat_map`; the
-        /// sequential shim treats them identically.
-        pub fn flat_map_iter<O: IntoIterator, F: FnMut(I::Item) -> O>(
-            self,
-            f: F,
-        ) -> ParIter<std::iter::FlatMap<I, O, F>> {
-            ParIter::new(self.inner.flat_map(f))
-        }
-
-        /// Pairs items with their index.
-        pub fn enumerate(self) -> ParIter<std::iter::Enumerate<I>> {
-            ParIter::new(self.inner.enumerate())
-        }
-
-        /// Zips with another parallel iterator.
-        pub fn zip<J: IntoParallelIterator>(self, other: J) -> ParIter<std::iter::Zip<I, J::Iter>> {
-            ParIter::new(self.inner.zip(other.into_par_iter().inner))
-        }
-
-        /// No-op splitting hint, for API compatibility.
-        pub fn with_min_len(self, _len: usize) -> Self {
-            self
-        }
-
-        /// No-op splitting hint, for API compatibility.
-        pub fn with_max_len(self, _len: usize) -> Self {
-            self
-        }
-
-        /// Runs `f` on every item.
-        pub fn for_each<F: FnMut(I::Item)>(self, f: F) {
-            self.inner.for_each(f)
-        }
-
-        /// Rayon-style fold: per-worker accumulator seeded by
-        /// `identity`. Sequentially there is one worker, hence one
-        /// folded value.
-        pub fn fold<A, ID, F>(self, identity: ID, fold_op: F) -> ParIter<std::iter::Once<A>>
-        where
-            ID: Fn() -> A,
-            F: FnMut(A, I::Item) -> A,
-        {
-            ParIter::new(std::iter::once(self.inner.fold(identity(), fold_op)))
-        }
-
-        /// Rayon-style reduce with an identity factory.
-        pub fn reduce<ID, F>(self, identity: ID, reduce_op: F) -> I::Item
-        where
-            ID: Fn() -> I::Item,
-            F: FnMut(I::Item, I::Item) -> I::Item,
-        {
-            self.inner.fold(identity(), reduce_op)
-        }
-
-        /// Sums the items.
-        pub fn sum<S: std::iter::Sum<I::Item>>(self) -> S {
-            self.inner.sum()
-        }
-
-        /// Counts the items.
-        pub fn count(self) -> usize {
-            self.inner.count()
-        }
-
-        /// Maximum item.
-        pub fn max(self) -> Option<I::Item>
-        where
-            I::Item: Ord,
-        {
-            self.inner.max()
-        }
-
-        /// Minimum item.
-        pub fn min(self) -> Option<I::Item>
-        where
-            I::Item: Ord,
-        {
-            self.inner.min()
-        }
-
-        /// Collects into any `FromIterator` container.
-        pub fn collect<C: FromIterator<I::Item>>(self) -> C {
-            self.inner.collect()
-        }
-
-        /// True if any item satisfies the predicate.
-        pub fn any<F: FnMut(I::Item) -> bool>(self, f: F) -> bool {
-            let mut inner = self.inner;
-            let f = f;
-            inner.any(f)
-        }
-
-        /// True if all items satisfy the predicate.
-        pub fn all<F: FnMut(I::Item) -> bool>(self, f: F) -> bool {
-            let mut inner = self.inner;
-            let f = f;
-            inner.all(f)
-        }
-
-        /// First item matching the predicate (sequential stand-in for
-        /// rayon's "any match" search).
-        pub fn find_any<F: FnMut(&I::Item) -> bool>(self, f: F) -> Option<I::Item> {
-            let mut inner = self.inner;
-            let mut f = f;
-            inner.find(move |x| f(x))
+impl Drop for ThreadPool {
+    fn drop(&mut self) {
+        self.registry.stop();
+        for handle in self.handles.drain(..) {
+            // A worker never unwinds: shares run under `catch_unwind`.
+            let _ = handle.join();
         }
     }
-
-    /// Conversion into a (sequential) parallel iterator by value.
-    pub trait IntoParallelIterator {
-        /// Item type.
-        type Item;
-        /// Underlying sequential iterator.
-        type Iter: Iterator<Item = Self::Item>;
-        /// Converts into the iterator wrapper.
-        fn into_par_iter(self) -> ParIter<Self::Iter>;
-    }
-
-    impl<I: Iterator> IntoParallelIterator for ParIter<I> {
-        type Item = I::Item;
-        type Iter = I;
-        fn into_par_iter(self) -> ParIter<I> {
-            self
-        }
-    }
-
-    macro_rules! impl_range {
-        ($($t:ty),*) => {$(
-            impl IntoParallelIterator for std::ops::Range<$t> {
-                type Item = $t;
-                type Iter = std::ops::Range<$t>;
-                fn into_par_iter(self) -> ParIter<Self::Iter> {
-                    ParIter::new(self)
-                }
-            }
-        )*};
-    }
-    impl_range!(u8, u16, u32, u64, usize, i32, i64);
-
-    impl<T> IntoParallelIterator for Vec<T> {
-        type Item = T;
-        type Iter = std::vec::IntoIter<T>;
-        fn into_par_iter(self) -> ParIter<Self::Iter> {
-            ParIter::new(self.into_iter())
-        }
-    }
-
-    impl<'a, T> IntoParallelIterator for &'a Vec<T> {
-        type Item = &'a T;
-        type Iter = std::slice::Iter<'a, T>;
-        fn into_par_iter(self) -> ParIter<Self::Iter> {
-            ParIter::new(self.iter())
-        }
-    }
-
-    impl<'a, T> IntoParallelIterator for &'a [T] {
-        type Item = &'a T;
-        type Iter = std::slice::Iter<'a, T>;
-        fn into_par_iter(self) -> ParIter<Self::Iter> {
-            ParIter::new(self.iter())
-        }
-    }
-
-    impl<'a, T> IntoParallelIterator for &'a mut [T] {
-        type Item = &'a mut T;
-        type Iter = std::slice::IterMut<'a, T>;
-        fn into_par_iter(self) -> ParIter<Self::Iter> {
-            ParIter::new(self.iter_mut())
-        }
-    }
-
-    /// `par_iter` / `par_iter_mut` on slices and `Vec`s.
-    pub trait IntoParallelRefIterator<'data> {
-        /// Item type (a reference).
-        type Item;
-        /// Underlying iterator type.
-        type Iter: Iterator<Item = Self::Item>;
-        /// Borrowing parallel iterator.
-        fn par_iter(&'data self) -> ParIter<Self::Iter>;
-    }
-
-    impl<'data, C: ?Sized + 'data> IntoParallelRefIterator<'data> for C
-    where
-        &'data C: IntoParallelIterator,
-    {
-        type Item = <&'data C as IntoParallelIterator>::Item;
-        type Iter = <&'data C as IntoParallelIterator>::Iter;
-        fn par_iter(&'data self) -> ParIter<Self::Iter> {
-            self.into_par_iter()
-        }
-    }
-
-    /// Mutable borrowing counterpart of [`IntoParallelRefIterator`].
-    pub trait IntoParallelRefMutIterator<'data> {
-        /// Item type (a mutable reference).
-        type Item;
-        /// Underlying iterator type.
-        type Iter: Iterator<Item = Self::Item>;
-        /// Mutably borrowing parallel iterator.
-        fn par_iter_mut(&'data mut self) -> ParIter<Self::Iter>;
-    }
-
-    impl<'data, T: 'data> IntoParallelRefMutIterator<'data> for [T] {
-        type Item = &'data mut T;
-        type Iter = std::slice::IterMut<'data, T>;
-        fn par_iter_mut(&'data mut self) -> ParIter<Self::Iter> {
-            ParIter::new(self.iter_mut())
-        }
-    }
-
-    impl<'data, T: 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-        type Item = &'data mut T;
-        type Iter = std::slice::IterMut<'data, T>;
-        fn par_iter_mut(&'data mut self) -> ParIter<Self::Iter> {
-            ParIter::new(self.iter_mut())
-        }
-    }
-
-    /// Chunking views over shared slices.
-    pub trait ParallelSlice<T> {
-        /// Sequential stand-in for `par_chunks`.
-        fn par_chunks(&self, size: usize) -> ParIter<std::slice::Chunks<'_, T>>;
-    }
-
-    impl<T> ParallelSlice<T> for [T] {
-        fn par_chunks(&self, size: usize) -> ParIter<std::slice::Chunks<'_, T>> {
-            ParIter::new(self.chunks(size))
-        }
-    }
-
-    /// Chunking and sorting over mutable slices.
-    pub trait ParallelSliceMut<T> {
-        /// Sequential stand-in for `par_chunks_mut`.
-        fn par_chunks_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksMut<'_, T>>;
-        /// Sequential stand-in for `par_sort_unstable`.
-        fn par_sort_unstable(&mut self)
-        where
-            T: Ord;
-        /// Sequential stand-in for `par_sort_unstable_by_key`.
-        fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, key: F);
-        /// Sequential stand-in for `par_sort_unstable_by`.
-        fn par_sort_unstable_by<F: FnMut(&T, &T) -> std::cmp::Ordering>(&mut self, compare: F);
-    }
-
-    impl<T> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksMut<'_, T>> {
-            ParIter::new(self.chunks_mut(size))
-        }
-        fn par_sort_unstable(&mut self)
-        where
-            T: Ord,
-        {
-            self.sort_unstable();
-        }
-        fn par_sort_unstable_by_key<K: Ord, F: FnMut(&T) -> K>(&mut self, key: F) {
-            self.sort_unstable_by_key(key);
-        }
-        fn par_sort_unstable_by<F: FnMut(&T, &T) -> std::cmp::Ordering>(&mut self, compare: F) {
-            self.sort_unstable_by(compare);
-        }
-    }
-}
-
-/// Drop-in for `rayon::prelude`.
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    fn pool(n: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    }
+
+    fn message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
 
     #[test]
     fn broadcast_runs_once_per_worker_with_distinct_indices() {
         let hits = AtomicUsize::new(0);
-        let indices = super::broadcast(|ctx| {
+        let indices = broadcast(|ctx| {
             hits.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(super::current_thread_index(), Some(ctx.index()));
+            assert_eq!(current_thread_index(), Some(ctx.index()));
             ctx.index()
         });
-        assert_eq!(hits.load(Ordering::Relaxed), super::current_num_threads());
-        let mut sorted = indices.clone();
-        sorted.sort_unstable();
-        assert_eq!(
-            sorted,
-            (0..super::current_num_threads()).collect::<Vec<_>>()
-        );
-        assert_eq!(super::current_thread_index(), None);
+        assert_eq!(hits.load(Ordering::Relaxed), current_num_threads());
+        assert_eq!(indices, (0..current_num_threads()).collect::<Vec<_>>());
+        assert_eq!(current_thread_index(), None);
     }
 
     #[test]
     fn pool_install_scopes_thread_count() {
-        let pool = super::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .unwrap();
-        assert_eq!(pool.install(super::current_num_threads), 3);
-        let results = pool.install(|| super::broadcast(|ctx| ctx.num_threads()));
+        let pool = pool(3);
+        assert_eq!(pool.install(current_num_threads), 3);
+        let results = pool.install(|| broadcast(|ctx| ctx.num_threads()));
         assert_eq!(results, vec![3, 3, 3]);
     }
 
     #[test]
-    fn sequential_combinators_match_std() {
-        let v: Vec<u32> = (0..100).collect();
-        let doubled: Vec<u32> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        let sum: u32 = (0u32..10).into_par_iter().sum();
-        assert_eq!(sum, 45);
-        let folded = (0u32..10)
-            .into_par_iter()
-            .fold(|| 0u32, |a, b| a + b)
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(folded, 45);
-        let mut data = vec![3, 1, 2];
-        data.par_sort_unstable_by_key(|&x| x);
-        assert_eq!(data, vec![1, 2, 3]);
+    fn workers_are_spawned_once_and_keep_their_index() {
+        let pool = pool(3);
+        let first = pool.install(|| broadcast(|_| thread::current().id()));
+        for _ in 0..100 {
+            let again = pool.install(|| broadcast(|_| thread::current().id()));
+            assert_eq!(again, first);
+        }
+        assert_eq!(first[0], thread::current().id(), "the caller runs index 0");
+    }
+
+    #[test]
+    fn nested_broadcast_runs_every_index_in_order() {
+        let pool = pool(2);
+        let nested = pool.install(|| broadcast(|_| broadcast(|ctx| ctx.index())));
+        assert_eq!(nested, vec![vec![0, 1], vec![0, 1]]);
+    }
+
+    #[test]
+    fn install_restores_the_pool_after_a_panic() {
+        let before = current_num_threads();
+        let pool = pool(7);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.install(|| panic!("inside"))));
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), before);
+    }
+
+    #[test]
+    fn one_thread_broadcast_restores_the_index_after_a_panic() {
+        let pool = pool(1);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| broadcast(|_| panic!("share")))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(current_thread_index(), None);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_message() {
+        let pool = pool(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.install(|| {
+                broadcast(|ctx| {
+                    if ctx.index() == 1 {
+                        panic!("worker one failed");
+                    }
+                })
+            })
+        }));
+        let payload = caught.expect_err("the worker's panic must propagate");
+        assert_eq!(message(payload.as_ref()), "worker one failed");
+        assert_eq!(current_thread_index(), None);
+    }
+
+    #[test]
+    fn broadcast_runs_on_every_worker_after_a_worker_panic() {
+        let pool = pool(3);
+        for round in 0..5 {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.install(|| {
+                    broadcast(|ctx| {
+                        if ctx.index() == 1 + round % 2 {
+                            panic!("round {round}");
+                        }
+                    })
+                })
+            }));
+            assert_eq!(
+                message(caught.unwrap_err().as_ref()),
+                format!("round {round}")
+            );
+            let hits = AtomicUsize::new(0);
+            let indices = pool.install(|| {
+                broadcast(|ctx| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    ctx.index()
+                })
+            });
+            assert_eq!(indices, vec![0, 1, 2]);
+            assert_eq!(hits.load(Ordering::Relaxed), 3);
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_on_one_pool_get_their_own_results() {
+        let pool = pool(2);
+        thread::scope(|scope| {
+            let callers: Vec<_> = (0..2u64)
+                .map(|caller| {
+                    let pool = &pool;
+                    scope.spawn(move || {
+                        for round in 0..500u64 {
+                            let tag = caller * 1_000_000 + round;
+                            let sum = AtomicU64::new(0);
+                            let got = pool.install(|| {
+                                broadcast(|ctx| {
+                                    sum.fetch_add(tag, Ordering::Relaxed);
+                                    (tag, ctx.index())
+                                })
+                            });
+                            assert_eq!(got, vec![(tag, 0), (tag, 1)]);
+                            assert_eq!(sum.load(Ordering::Relaxed), 2 * tag);
+                        }
+                    })
+                })
+                .collect();
+            for caller in callers {
+                caller.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn build_global_fails_once_the_default_pool_exists() {
+        broadcast(|_| ());
+        assert!(ThreadPoolBuilder::new().build_global().is_err());
     }
 }
