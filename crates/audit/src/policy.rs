@@ -496,7 +496,6 @@ hotpath crates/core/src/refine.rs
 hotpath crates/core/src/aggregate.rs
 hotpath crates/core/src/kernel.rs
 hotpath crates/prim/src/simd.rs
-hotpath crates/prim/src/sched.rs
 hotpath crates/net/src/server.rs
 hotpath crates/net/src/poller.rs
 
@@ -558,7 +557,6 @@ lock-allows-blocking graph_wal -- WAL appends fsync by design; only the per-grap
 hotpath-alloc crates/core/src/kernel.rs
 hotpath-alloc crates/prim/src/simd.rs
 hotpath-alloc crates/prim/src/smallmap.rs
-hotpath-alloc crates/prim/src/sched.rs
 hotpath-alloc crates/net/src/poller.rs fn=wait
 hotpath-alloc crates/net/src/server.rs fn=conn_ready,read_conn,advance_parser,start_write,flush_write,apply_completions,expire_deadlines,poll_timeout_ms,close_conn
 "#;

@@ -100,8 +100,8 @@ pub(crate) fn violation_at(
 }
 
 /// Entry points whose call chains count as parallel regions: rayon's,
-/// and the `gve_prim::parfor`/`sched` loops built on its `broadcast`.
-const RAYON_ENTRIES: [&str; 18] = [
+/// and the `gve_prim::parfor` loops built on its `broadcast`.
+const RAYON_ENTRIES: [&str; 17] = [
     "par_iter",
     "par_iter_mut",
     "into_par_iter",
@@ -114,7 +114,6 @@ const RAYON_ENTRIES: [&str; 18] = [
     "par_bridge",
     "broadcast",
     "dynamic_workers",
-    "scheduled_workers",
     "par_for_dynamic",
     "par_for_dynamic_sum",
     "static_blocks",

@@ -53,7 +53,7 @@ fn bench_aggregate(c: &mut Criterion) {
         b.iter(|| {
             let atomic: Vec<AtomicU32> = partition.iter().map(|&c| AtomicU32::new(c)).collect();
             black_box(aggregate::aggregate(
-                &graph, &atomic, &partition, k, 512, &tables, None,
+                &graph, &atomic, &partition, k, &tables, None,
             ))
         });
     });

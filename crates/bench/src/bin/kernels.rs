@@ -1,6 +1,6 @@
 //! Scan-kernel runner — the reproducible counterpart of
-//! `benches/kernels.rs`. Runs full GVE-Leiden under each scheduling and
-//! ordering variant on an R-MAT web graph (skewed degrees), a
+//! `benches/kernels.rs`. Runs full GVE-Leiden under each vertex
+//! ordering on an R-MAT web graph (skewed degrees), a
 //! planted-partition SBM (near-uniform degrees), and a Barabási–Albert
 //! power-law graph
 //! (heavy hub skew), takes the **minimum** wall time over `--reps`
@@ -18,26 +18,22 @@
 //! scan kernel and the split CSR layout; the kernel's own speed is
 //! guarded end to end by the benchmark ledger's detect workloads):
 //!
-//! * `default` — the default configuration (static chunking, original
-//!   vertex order);
+//! * `default` — the default configuration (original vertex order);
 //! * `degree` — degree-descending vertex relabeling;
-//! * `bfs` — BFS vertex relabeling;
-//! * `guided` — guided (arc-balanced, shrinking-chunk) scheduling;
-//! * `steal` — per-worker-deque work stealing.
+//! * `bfs` — BFS vertex relabeling.
 //!
 //! This binary installs the counting global allocator and runs every
 //! variant inside one pass-resident [`PassWorkspace`], so the report
 //! also carries the preallocation discipline's receipts: allocations
 //! and bytes of the first (cold) run vs the steady state, plus the
 //! live-byte high-water mark. `--assert-steady-allocs <n>` turns the
-//! steady-state column into a hard gate (exit 1 on violation) — run it
-//! with `--threads 1`, where the rayon shim executes parallel regions
-//! inline; at higher thread counts the shim spawns scoped OS threads
-//! per region and those spawns are counted too.
+//! steady-state column into a hard gate (exit 1 on violation). It holds
+//! at any thread count: the worker pool spawns its threads once, before
+//! the first timed run, and starting a parallel loop allocates nothing.
 
 use gve_bench::{report, report::Table, BenchArgs};
 use gve_graph::CsrGraph;
-use gve_leiden::{ChunkScheduling, Leiden, LeidenConfig, PassWorkspace, VertexOrdering};
+use gve_leiden::{Leiden, LeidenConfig, PassWorkspace, VertexOrdering};
 use gve_prim::alloc_count::{self, CountingAllocator};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -50,9 +46,7 @@ fn variants() -> Vec<(&'static str, LeidenConfig)> {
     vec![
         ("default", base.clone()),
         ("degree", base.clone().ordering(VertexOrdering::DegreeDesc)),
-        ("bfs", base.clone().ordering(VertexOrdering::Bfs)),
-        ("guided", base.clone().chunking(ChunkScheduling::Guided)),
-        ("steal", base.chunking(ChunkScheduling::Stealing)),
+        ("bfs", base.ordering(VertexOrdering::Bfs)),
     ]
 }
 
@@ -77,8 +71,8 @@ fn graphs(args: &BenchArgs) -> Vec<(String, CsrGraph)> {
         ),
         // Power-law-degree graph with heavy hub skew: preferential
         // attachment concentrates a large fraction of the arcs on a few
-        // early vertices, which is exactly what guided/stealing
-        // scheduling (and the kernel's hub table tier) are built for.
+        // early vertices, which is what the kernel's hub table tier is
+        // built for.
         (
             format!("pld_cross_web_{pld_n}"),
             gve_generate::ba::barabasi_albert(pld_n.max(1000), 8, args.seed),
@@ -108,7 +102,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(
-        "Scan kernel: scheduling and ordering variants (min wall time over reps)",
+        "Scan kernel: vertex ordering variants (min wall time over reps)",
         &[
             "Graph",
             "Variant",

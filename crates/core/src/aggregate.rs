@@ -16,10 +16,15 @@
 
 use crate::localmove::scan_communities;
 use gve_graph::{AggregateScratch, CsrGraph, VertexId};
-use gve_prim::parfor::dynamic_workers;
+use gve_prim::parfor::{dynamic_workers, DEFAULT_CHUNK};
 use gve_prim::scan::parallel_offsets_from_counts;
 use gve_prim::{CommunityMap, HashScanMap, PerThread};
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Communities per claim of the per-community scan: a quarter of the
+/// phase loops' chunk, since a community carries several vertices'
+/// arcs.
+const AGGREGATE_CHUNK: usize = DEFAULT_CHUNK / 4;
 
 /// Builds the super-vertex graph for a dense membership in
 /// `0..num_communities`.
@@ -33,7 +38,6 @@ pub fn aggregate(
     membership: &[AtomicU32],
     membership_plain: &[VertexId],
     num_communities: usize,
-    chunk_size: usize,
     tables: &PerThread<CommunityMap>,
     small_threshold: Option<usize>,
 ) -> CsrGraph {
@@ -43,7 +47,6 @@ pub fn aggregate(
         membership,
         membership_plain,
         num_communities,
-        chunk_size,
         tables,
         small_threshold,
         &mut scratch,
@@ -69,7 +72,6 @@ pub fn aggregate_into(
     membership: &[AtomicU32],
     membership_plain: &[VertexId],
     num_communities: usize,
-    chunk_size: usize,
     tables: &PerThread<CommunityMap>,
     small_threshold: Option<usize>,
     scratch: &mut AggregateScratch,
@@ -86,7 +88,7 @@ pub fn aggregate_into(
     // community sizes are wildly skewed.
     let small_cap = small_threshold.map(|t| t as u64);
     let shared = &*scratch;
-    dynamic_workers(num_communities, chunk_size.max(1), |claims| {
+    dynamic_workers(num_communities, AGGREGATE_CHUNK, |claims| {
         tables.with(|ht| {
             let mut small = HashScanMap::new();
             for range in claims {
@@ -194,7 +196,7 @@ mod tests {
             let n = graph.num_vertices().max(k);
             move || CommunityMap::new(n)
         });
-        aggregate(graph, &atomic, membership, k, 64, &tables, None)
+        aggregate(graph, &atomic, membership, k, &tables, None)
     }
 
     /// The stack tier emits every row exactly as the table path does:
@@ -210,13 +212,12 @@ mod tests {
         let membership: Vec<u32> = (0..500u32).map(|v| v % 100).collect();
         let atomic = atomic_membership(&membership);
         let tables = PerThread::new(|| CommunityMap::new(500));
-        let table = aggregate(&graph, &atomic, &membership, 100, 16, &tables, None);
+        let table = aggregate(&graph, &atomic, &membership, 100, &tables, None);
         let two_tier = aggregate(
             &graph,
             &atomic,
             &membership,
             100,
-            16,
             &tables,
             Some(gve_prim::HASH_SCAN_CAP),
         );
@@ -259,7 +260,6 @@ mod tests {
                     &atomic,
                     &membership,
                     613,
-                    16,
                     &tables,
                     Some(crate::SMALL_DEGREE_THRESHOLD),
                     &mut scratch,

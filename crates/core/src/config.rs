@@ -7,10 +7,13 @@
 //!
 //! The neighbourhood scan itself has no settings: there is one kernel
 //! and one edge layout, and its degree cutoff is the constant
-//! [`SMALL_DEGREE_THRESHOLD`]. What remains here are the
+//! [`SMALL_DEGREE_THRESHOLD`]. Nor does the loop schedule: local-moving
+//! and refinement claim chunks of
+//! [`gve_prim::parfor::DEFAULT_CHUNK`] vertices from a shared cursor,
+//! the paper's `schedule(dynamic, 2048)`. What remains here are the
 //! paper's parameters, its ablation comparators (random refinement,
-//! color-synchronous scheduling, sort-reduce aggregation), chunk
-//! scheduling and vertex ordering.
+//! color-synchronous scheduling, sort-reduce aggregation) and vertex
+//! ordering.
 
 use crate::objective::Objective;
 pub use gve_graph::VertexOrdering;
@@ -25,47 +28,6 @@ pub const SMALL_DEGREE_THRESHOLD: usize = 16;
 // Degree bounds the distinct candidates, so a stack-tier scan can never
 // overflow the map.
 const _: () = assert!(SMALL_DEGREE_THRESHOLD <= gve_prim::HASH_SCAN_CAP);
-
-/// How the parallel phase loops carve the vertex range into per-worker
-/// claims (orthogonal to [`Scheduling`], which governs the freshness of
-/// the state those workers observe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkScheduling {
-    /// Fixed-size vertex chunks off one shared cursor (the original
-    /// `dynamic_workers` behaviour).
-    #[default]
-    Static,
-    /// Arc-proportional shrinking chunks (OpenMP `schedule(guided)`
-    /// over arc mass): each claim takes `remaining_arcs / (2·workers)`
-    /// arcs, so skewed degree distributions self-balance.
-    Guided,
-    /// Arc-balanced per-worker segments with steal-on-empty: a
-    /// straggler chunk of hubs can be drained by idle workers.
-    Stealing,
-}
-
-impl ChunkScheduling {
-    /// Parses a CLI/config token: `static`, `guided` or `stealing`.
-    pub fn parse(token: &str) -> Result<Self, String> {
-        match token {
-            "static" => Ok(Self::Static),
-            "guided" => Ok(Self::Guided),
-            "stealing" => Ok(Self::Stealing),
-            other => Err(format!(
-                "unknown chunk scheduling '{other}' (expected static|guided|stealing)"
-            )),
-        }
-    }
-
-    /// Canonical token for fingerprints and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Static => "static",
-            Self::Guided => "guided",
-            Self::Stealing => "stealing",
-        }
-    }
-}
 
 /// How the refinement phase picks the target sub-community.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,11 +150,6 @@ pub struct LeidenConfig {
     pub scheduling: Scheduling,
     /// Aggregation-phase algorithm.
     pub aggregation: AggregationStrategy,
-    /// Dynamic-schedule chunk size for the parallel loops.
-    pub chunk_size: usize,
-    /// Claim policy for the phase loops (static chunks, guided
-    /// shrinking chunks, or work stealing over arc-balanced segments).
-    pub chunking: ChunkScheduling,
     /// Seed for the randomized refinement streams.
     pub seed: u64,
     /// Cache-aware vertex relabeling applied before detection
@@ -217,8 +174,6 @@ impl Default for LeidenConfig {
             record_dendrogram: false,
             scheduling: Scheduling::default(),
             aggregation: AggregationStrategy::default(),
-            chunk_size: gve_prim::parfor::DEFAULT_CHUNK,
-            chunking: ChunkScheduling::default(),
             seed: 0,
             ordering: VertexOrdering::default(),
         }
@@ -281,18 +236,6 @@ impl LeidenConfig {
         self
     }
 
-    /// Sets the dynamic-schedule chunk size.
-    pub fn chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size;
-        self
-    }
-
-    /// Sets the claim policy for the phase loops.
-    pub fn chunking(mut self, chunking: ChunkScheduling) -> Self {
-        self.chunking = chunking;
-        self
-    }
-
     /// Sets the cache-aware vertex ordering.
     pub fn ordering(mut self, ordering: VertexOrdering) -> Self {
         self.ordering = ordering;
@@ -315,9 +258,6 @@ impl LeidenConfig {
         }
         if !(0.0..=1.0).contains(&self.aggregation_tolerance) {
             return Err("aggregation_tolerance must be in [0, 1]".into());
-        }
-        if self.chunk_size == 0 {
-            return Err("chunk_size must be positive".into());
         }
         // partial_cmp keeps NaN resolutions rejected alongside <= 0.
         if self.objective.resolution().partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -377,11 +317,6 @@ mod tests {
             ..LeidenConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = LeidenConfig {
-            chunk_size: 0,
-            ..LeidenConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -403,29 +338,11 @@ mod tests {
             .refinement(RefinementStrategy::Random)
             .labeling(Labeling::RefineBased)
             .seed(99)
-            .chunk_size(512)
             .ordering(VertexOrdering::DegreeDesc);
         assert_eq!(c.refinement, RefinementStrategy::Random);
         assert_eq!(c.labeling, Labeling::RefineBased);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.chunk_size, 512);
         assert_eq!(c.ordering, VertexOrdering::DegreeDesc);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn chunk_scheduling_tokens_round_trip() {
-        for s in [
-            ChunkScheduling::Static,
-            ChunkScheduling::Guided,
-            ChunkScheduling::Stealing,
-        ] {
-            assert_eq!(ChunkScheduling::parse(s.label()), Ok(s));
-        }
-        assert!(ChunkScheduling::parse("dynamic").is_err());
-        assert_eq!(LeidenConfig::default().chunking, ChunkScheduling::Static);
-        let c = LeidenConfig::default().chunking(ChunkScheduling::Guided);
-        assert_eq!(c.chunking, ChunkScheduling::Guided);
         assert!(c.validate().is_ok());
     }
 }

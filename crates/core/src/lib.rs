@@ -65,8 +65,8 @@ pub mod timing;
 pub mod workspace;
 
 pub use config::{
-    AggregationStrategy, ChunkScheduling, Labeling, LeidenConfig, RefinementStrategy, Scheduling,
-    Variant, VertexOrdering, SMALL_DEGREE_THRESHOLD,
+    AggregationStrategy, Labeling, LeidenConfig, RefinementStrategy, Scheduling, Variant,
+    VertexOrdering, SMALL_DEGREE_THRESHOLD,
 };
 pub use localmove::MoveOutcome;
 pub use math::delta_modularity;
@@ -122,9 +122,6 @@ pub struct LeidenResult {
     pub pass_stats: Vec<PassStats>,
     /// Why the pass loop ended.
     pub stop: StopReason,
-    /// Chunk scheduling policy the run used (config echo, so metrics
-    /// and traces can label the scheduler counters).
-    pub chunking: ChunkScheduling,
     /// Dendrogram levels, recorded only when
     /// [`LeidenConfig::record_dendrogram`] is set: level `l` maps each
     /// vertex of the pass-`l` graph to its refined community (a vertex
@@ -354,7 +351,6 @@ impl Leiden {
                 timings,
                 pass_stats,
                 stop: StopReason::Converged,
-                chunking: config.chunking,
                 dendrogram: Vec::new(),
             };
         }
@@ -470,7 +466,7 @@ impl Leiden {
             // `init_buf` prefix, whose seeds were consumed above and
             // which the labeling step overwrites only after the
             // renumber below has read it.
-            let (outcome, refine_moves, refine_sched) = match config.scheduling {
+            let (outcome, refine_moves, refine_chunks) = match config.scheduling {
                 Scheduling::Asynchronous => {
                     // Reinitialize the atomic prefix in place (static-block
                     // fills — no fresh atomic vectors). Relaxed stores:
@@ -554,7 +550,7 @@ impl Leiden {
                     timings.other += t2.elapsed();
 
                     let t3 = Instant::now();
-                    let (refine_moves, refine_sched) = refine::refine(
+                    let (refine_moves, refine_chunks) = refine::refine(
                         g,
                         bounds,
                         membership,
@@ -585,7 +581,7 @@ impl Leiden {
                             &totals,
                         );
                     }
-                    (outcome, refine_moves, refine_sched)
+                    (outcome, refine_moves, refine_chunks)
                 }
                 Scheduling::ColorSynchronous => {
                     // Deterministic path: plain state, decisions per
@@ -662,15 +658,13 @@ impl Leiden {
                     analysis::assert_phase_state("refinement", pass, n_cur, membership, pen, sigma);
                     init_buf[..n_cur].copy_from_slice(membership);
                     // The color-synchronous path schedules per color
-                    // class through `par_for_dynamic`; chunk scheduling
-                    // (and its counters) apply to the async path only.
-                    (outcome, refine_moves, gve_prim::SchedStats::default())
+                    // class; the chunk counter covers the async path
+                    // only.
+                    (outcome, refine_moves, 0)
                 }
             };
             let li = outcome.gains.len();
             move_iterations += li;
-            let mut pass_sched = outcome.sched;
-            pass_sched.merge(refine_sched);
 
             // The phases may only have touched this pass's prefix: the
             // poisoned suffix must be byte-for-byte intact.
@@ -705,8 +699,8 @@ impl Leiden {
                 pruning_processed: outcome.pruning_processed,
                 pruning_skipped: outcome.pruning_skipped,
                 tolerance,
-                sched_chunks: pass_sched.chunks,
-                sched_steals: pass_sched.steals,
+                sched_chunks: outcome.chunks + refine_chunks,
+                sched_steals: 0,
                 local_move_time: timings.local_move - lm_before,
                 refinement_time: timings.refinement - rf_before,
                 aggregation_time: Duration::ZERO,
@@ -750,7 +744,6 @@ impl Leiden {
                         memb,
                         &dense[..n_cur],
                         k,
-                        (config.chunk_size / 4).max(1),
                         tables,
                         Some(SMALL_DEGREE_THRESHOLD),
                         agg,
@@ -850,7 +843,6 @@ impl Leiden {
             timings,
             pass_stats,
             stop,
-            chunking: config.chunking,
             dendrogram,
         }
     }

@@ -11,33 +11,20 @@
 //! via an atomic test-and-clear on the `unprocessed` bitset, and a moved
 //! vertex re-marks its neighbours. This replaces NetworKit's global
 //! queues and is one of the paper's named optimizations.
+//!
+//! Each iteration is one `schedule(dynamic, 2048)` loop: workers claim
+//! [`DEFAULT_CHUNK`] vertices at a time from a shared cursor
+//! ([`dynamic_workers`]), so an iteration makes `n.div_ceil(2048)`
+//! claims — the count [`MoveOutcome::chunks`] sums. Refinement runs the
+//! same loop.
 
-use crate::config::{ChunkScheduling, LeidenConfig};
+use crate::config::LeidenConfig;
 use crate::objective::GainCoeffs;
 use gve_graph::{CsrGraph, VertexId};
 use gve_prim::atomics::AtomicF64;
-use gve_prim::sched::{scheduled_workers, SchedStats, Schedule};
+use gve_prim::parfor::{dynamic_workers, DEFAULT_CHUNK};
 use gve_prim::{AtomicBitset, CommunityMap, HashScanMap, PerThread};
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Maps the configured chunking policy onto a concrete [`Schedule`] for
-/// `graph`'s vertex range. The arc-aware policies feed on the CSR
-/// offset array (a degree prefix sum) the graph already carries.
-#[inline]
-pub(crate) fn schedule_for<'g>(config: &LeidenConfig, graph: &'g CsrGraph) -> Schedule<'g> {
-    match config.chunking {
-        ChunkScheduling::Static => Schedule::Static {
-            chunk: config.chunk_size,
-        },
-        ChunkScheduling::Guided => Schedule::Guided {
-            offsets: graph.offsets(),
-        },
-        ChunkScheduling::Stealing => Schedule::Stealing {
-            offsets: graph.offsets(),
-            chunk: config.chunk_size,
-        },
-    }
-}
 
 /// Scans the communities adjacent to `i` into the per-thread hashtable
 /// (`scanCommunities` of Algorithm 2). `include_self` controls whether
@@ -115,9 +102,10 @@ pub struct MoveOutcome {
     /// Vertices skipped because their unprocessed flag was already
     /// clear — work the pruning optimization avoided.
     pub pruning_skipped: u64,
-    /// Scheduling counters (chunks claimed / chunks stolen) summed over
-    /// all iterations of the phase.
-    pub sched: SchedStats,
+    /// Chunks claimed from the shared cursor, summed over all
+    /// iterations: `n.div_ceil(DEFAULT_CHUNK)` per iteration, since
+    /// every claim starts on a chunk boundary.
+    pub chunks: u64,
 }
 
 /// Runs the local-moving phase; see [`MoveOutcome`] for what comes back
@@ -141,7 +129,7 @@ pub fn local_move(
     let n = graph.num_vertices();
     let mut outcome = MoveOutcome::default();
     while outcome.gains.len() < config.max_iterations {
-        let (results, sched) = scheduled_workers(n, schedule_for(config, graph), |claims| {
+        let results = dynamic_workers(n, DEFAULT_CHUNK, |claims| {
             tables.with(|ht| {
                 // Stack tier of the two-tier scan kernel.
                 let mut hash = HashScanMap::new();
@@ -194,7 +182,7 @@ pub fn local_move(
         outcome.gains.push(delta_q);
         outcome.pruning_processed += processed;
         outcome.pruning_skipped += skipped;
-        outcome.sched.merge(sched);
+        outcome.chunks += n.div_ceil(DEFAULT_CHUNK) as u64;
         if delta_q <= tolerance {
             break;
         }

@@ -19,7 +19,7 @@
 //! stay untouched, and observation can never perturb the measurement
 //! it reports.
 
-use crate::{ChunkScheduling, Leiden, LeidenResult, StopReason};
+use crate::{Leiden, LeidenResult, StopReason};
 use gve_graph::CsrGraph;
 use gve_obs::{Counter, FloatCounter, Gauge, MetricsRegistry, Tracer, Value};
 
@@ -56,14 +56,8 @@ pub struct CoreMetrics {
     pub aggregation_seconds: FloatCounter,
     /// Seconds in everything else (init, renumbering, resets).
     pub other_seconds: FloatCounter,
-    /// Scheduler chunks claimed under static chunking.
-    pub chunks_static: Counter,
-    /// Scheduler chunks claimed under guided chunking.
-    pub chunks_guided: Counter,
-    /// Scheduler chunks claimed under work-stealing chunking.
-    pub chunks_stealing: Counter,
-    /// Chunks a stealing worker claimed from another worker's segment.
-    pub steals: Counter,
+    /// Chunks claimed by the local-moving and refinement loops.
+    pub chunks: Counter,
 }
 
 impl CoreMetrics {
@@ -135,23 +129,11 @@ impl CoreMetrics {
                 handle,
             );
         }
-        for (policy, handle) in [
-            ("static", &self.chunks_static),
-            ("guided", &self.chunks_guided),
-            ("stealing", &self.chunks_stealing),
-        ] {
-            registry.register_counter(
-                "gve_core_chunks_total",
-                "Scheduler chunks claimed by the local-moving and refinement phases.",
-                &[("policy", policy)],
-                handle,
-            );
-        }
         registry.register_counter(
-            "gve_core_steals_total",
-            "Chunks a work-stealing worker claimed from another worker's segment.",
+            "gve_core_chunks_total",
+            "Chunks claimed by the local-moving and refinement phases.",
             &[],
-            &self.steals,
+            &self.chunks,
         );
     }
 
@@ -160,17 +142,11 @@ impl CoreMetrics {
         self.runs.inc();
         self.passes.add(result.passes as u64);
         self.move_iterations.add(result.move_iterations as u64);
-        let chunk_counter = match result.chunking {
-            ChunkScheduling::Static => &self.chunks_static,
-            ChunkScheduling::Guided => &self.chunks_guided,
-            ChunkScheduling::Stealing => &self.chunks_stealing,
-        };
         for stats in &result.pass_stats {
             self.pruning_processed.add(stats.pruning_processed);
             self.pruning_skipped.add(stats.pruning_skipped);
             self.refine_moves.add(stats.refine_moves);
-            chunk_counter.add(stats.sched_chunks);
-            self.steals.add(stats.sched_steals);
+            self.chunks.add(stats.sched_chunks);
         }
         if result.stop == StopReason::AggregationTolerance {
             self.tolerance_skips.inc();
@@ -241,7 +217,6 @@ fn trace_run(tracer: &Tracer, result: &LeidenResult) {
         &[
             ("vertices", Value::from(vertices)),
             ("passes", Value::from(result.passes)),
-            ("chunking", Value::from(result.chunking.label())),
         ],
     );
     for stats in &result.pass_stats {
@@ -286,7 +261,6 @@ fn trace_run(tracer: &Tracer, result: &LeidenResult) {
                 ("pruning_skipped", Value::from(stats.pruning_skipped)),
                 ("tolerance", Value::F64(stats.tolerance)),
                 ("sched_chunks", Value::from(stats.sched_chunks)),
-                ("sched_steals", Value::from(stats.sched_steals)),
                 (
                     "dur_us",
                     Value::U64((stats.duration.as_secs_f64() * US_PER_SEC) as u64),
@@ -389,7 +363,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         let metrics = CoreMetrics::new();
         metrics.attach_to(&registry);
-        metrics.record(&Leiden::default().run(&sample_graph()));
+        let result = Leiden::default().run(&sample_graph());
+        metrics.record(&result);
         let text = registry.render();
         for name in [
             "gve_leiden_runs_total",
@@ -402,44 +377,25 @@ mod tests {
             "gve_leiden_aggregation_shrink_ratio",
             "gve_leiden_phase_seconds_total",
             "gve_core_chunks_total",
-            "gve_core_steals_total",
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
         assert!(text.contains("gve_leiden_phase_seconds_total{phase=\"local_move\"}"));
         assert!(text.contains("gve_leiden_phase_seconds_total{phase=\"aggregation\"}"));
-        for policy in ["static", "guided", "stealing"] {
-            assert!(
-                text.contains(&format!("gve_core_chunks_total{{policy=\"{policy}\"}}")),
-                "missing chunks counter for {policy}:\n{text}"
-            );
-        }
-        // The default config schedules statically, so its chunk claims
-        // land on the static policy counter.
-        assert!(metrics.chunks_static.get() > 0);
-        assert_eq!(metrics.chunks_guided.get(), 0);
-        assert_eq!(metrics.steals.get(), 0);
-    }
-
-    #[test]
-    fn scheduling_policies_fill_their_own_counters() {
-        let graph = sample_graph();
-        for (chunking, expect_counter) in [
-            (ChunkScheduling::Guided, 1usize),
-            (ChunkScheduling::Stealing, 2usize),
-        ] {
-            let metrics = CoreMetrics::new();
-            let config = LeidenConfig::default().chunking(chunking);
-            let result =
-                Leiden::new(config).run_observed(&graph, &RunObserver::with_metrics(&metrics));
-            assert!(result.num_communities > 1);
-            let (guided, stealing) = (metrics.chunks_guided.get(), metrics.chunks_stealing.get());
-            match expect_counter {
-                1 => assert!(guided > 0 && stealing == 0, "guided={guided}"),
-                _ => assert!(stealing > 0 && guided == 0, "stealing={stealing}"),
-            }
-            assert_eq!(metrics.chunks_static.get(), 0);
-        }
+        // One unlabelled chunk counter carrying the run's claims; no
+        // policy label and no steal counter beside it.
+        let chunks: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("gve_core_chunks_total "))
+            .unwrap_or_else(|| panic!("no unlabelled gve_core_chunks_total in:\n{text}"))
+            .trim()
+            .parse()
+            .unwrap();
+        assert!(chunks > 0);
+        let expected: u64 = result.pass_stats.iter().map(|p| p.sched_chunks).sum();
+        assert_eq!(chunks, expected);
+        assert!(!text.contains("policy="), "{text}");
+        assert!(!text.contains("gve_core_steals_total"), "{text}");
     }
 
     #[test]
@@ -476,9 +432,10 @@ mod tests {
         assert!(text.contains("\"event\":\"iteration\""));
         assert!(text.contains("\"gain\":"));
         assert!(text.contains(&format!("\"stop\":\"{}\"", result.stop.label())));
-        // Scheduling policy and per-pass scheduler counters are traced.
-        assert!(text.contains("\"chunking\":\"static\""));
+        // Per-pass chunk counts are traced; the retired policy label and
+        // steal counter are not.
         assert!(text.contains("\"sched_chunks\":"));
-        assert!(text.contains("\"sched_steals\":0"));
+        assert!(!text.contains("\"chunking\""));
+        assert!(!text.contains("\"sched_steals\""));
     }
 }

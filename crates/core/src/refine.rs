@@ -15,11 +15,10 @@
 //! original Leiden behaviour).
 
 use crate::config::{LeidenConfig, RefinementStrategy};
-use crate::localmove::schedule_for;
 use crate::objective::GainCoeffs;
 use gve_graph::{CsrGraph, VertexId};
 use gve_prim::atomics::AtomicF64;
-use gve_prim::sched::{scheduled_workers, SchedStats};
+use gve_prim::parfor::{dynamic_workers, DEFAULT_CHUNK};
 use gve_prim::{CommunityMap, HashScanMap, PerThread, Xorshift32};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -46,8 +45,8 @@ fn scan_bounded(
 }
 
 /// Runs the refinement phase; returns the number of vertices that
-/// changed community (the paper's `l_j`) plus the phase's scheduling
-/// counters.
+/// changed community (the paper's `l_j`) plus the chunks the phase
+/// claimed (`n.div_ceil(DEFAULT_CHUNK)`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine(
     graph: &CsrGraph,
@@ -59,10 +58,10 @@ pub(crate) fn refine(
     config: &LeidenConfig,
     tables: &PerThread<CommunityMap>,
     pass_seed: u64,
-) -> (u64, SchedStats) {
+) -> (u64, u64) {
     let n = graph.num_vertices();
 
-    let (results, sched) = scheduled_workers(n, schedule_for(config, graph), |claims| {
+    let results = dynamic_workers(n, DEFAULT_CHUNK, |claims| {
         tables.with(|ht| {
             let mut hash = HashScanMap::new();
             let mut candidates: Vec<(VertexId, f64)> = Vec::new();
@@ -144,7 +143,7 @@ pub(crate) fn refine(
             moves
         })
     });
-    (results.into_iter().sum(), sched)
+    (results.into_iter().sum(), n.div_ceil(DEFAULT_CHUNK) as u64)
 }
 
 /// Random-proportional community choice over positive-gain candidates.
@@ -232,7 +231,7 @@ mod tests {
         let m = graph.total_arc_weight() / 2.0;
         let config = LeidenConfig::default();
         let tables = PerThread::new(|| CommunityMap::new(6));
-        let (moved, sched) = refine(
+        let (moved, chunks) = refine(
             &graph,
             &bounds,
             &membership,
@@ -244,7 +243,7 @@ mod tests {
             0,
         );
         assert!(moved > 0);
-        assert!(sched.chunks > 0, "refinement must report claimed chunks");
+        assert_eq!(chunks, 1, "six vertices fit in one chunk");
         let mem = snapshot(&membership);
         // Refinement merges isolated vertices into sub-communities; the
         // partition must be strictly coarser than singletons and every

@@ -79,11 +79,13 @@ pub struct PassStats {
     /// Per-iteration gain tolerance this pass ran with (the threshold
     /// scaling schedule: `initial_tolerance / tolerance_drop^pass`).
     pub tolerance: f64,
-    /// Chunks claimed by the local-moving + refinement schedulers this
-    /// pass (static, guided, and stealing all count claims).
+    /// Chunks claimed by the local-moving and refinement loops this
+    /// pass: `vertices.div_ceil(DEFAULT_CHUNK)` per loop, 0 on the
+    /// color-synchronous path.
     pub sched_chunks: u64,
-    /// Chunks a stealing worker claimed from another worker's segment
-    /// (always 0 under static/guided scheduling).
+    /// Always 0: every chunk is claimed from the one shared cursor, so
+    /// none is stolen. Kept only because the benchmark ledger reads it
+    /// (as `leiden.sched_steals`); remove it together with that reader.
     pub sched_steals: u64,
     /// Wall time of the local-moving phase of this pass.
     pub local_move_time: Duration,

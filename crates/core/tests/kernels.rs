@@ -9,8 +9,7 @@
 use gve_graph::{CsrGraph, GraphBuilder};
 use gve_leiden::kernel::{best_move, two_pass_best_move, v3_best_move};
 use gve_leiden::{
-    ChunkScheduling, Labeling, Leiden, LeidenConfig, Objective, RefinementStrategy, Scheduling,
-    VertexOrdering,
+    Labeling, Leiden, LeidenConfig, Objective, RefinementStrategy, Scheduling, VertexOrdering,
 };
 use gve_prim::atomics::{atomic_f64_from_slice, AtomicF64};
 use gve_prim::{CommunityMap, HashScanMap};
@@ -185,7 +184,8 @@ fn membership_fnv(membership: &[u32]) -> u64 {
 }
 
 /// 1-thread asynchronous runs reproduce pinned digests — membership
-/// FNV, pass count, local-moving iterations and modularity bits — on
+/// FNV, pass count, local-moving iterations, modularity bits and
+/// claimed chunks — on
 /// R-MAT, SBM and road graphs under the default, refine-based, CPM and
 /// random-refinement configurations. At one thread the asynchronous
 /// schedule is deterministic, and every move goes through
@@ -226,21 +226,22 @@ fn async_one_thread_digests_are_pinned() {
                 .seed(7),
         ),
     ];
-    // (graph, config, membership FNV, passes, iterations, modularity bits)
+    // (graph, config, membership FNV, passes, iterations, modularity
+    // bits, chunks claimed over all passes)
     #[rustfmt::skip]
-    const PINNED: [(&str, &str, u64, usize, usize, u64); 12] = [
-        ("rmat_web", "default", 0xd80e95c6d66ac7fe, 3, 7, 0x3fc32ec858c91c81),
-        ("rmat_web", "refine_based", 0x441a394dfceeafe0, 3, 9, 0x3fc30ce9f1f26a92),
-        ("rmat_web", "cpm", 0xd4e9db6528e5badc, 2, 5, 0x3fa2947c9e824810),
-        ("rmat_web", "random", 0x81959e0c586b04ba, 3, 8, 0x3fc255a88ad3c3ce),
-        ("sbm", "default", 0xa59b66bd0a69155b, 4, 18, 0x3fe9ae9ed622a922),
-        ("sbm", "refine_based", 0xa59b66bd0a69155b, 4, 21, 0x3fe9ae9ed622a922),
-        ("sbm", "cpm", 0xdd64f3942df33d09, 5, 21, 0x3fe82c2f9cff2cd6),
-        ("sbm", "random", 0xa59b66bd0a69155b, 5, 18, 0x3fe9ae9ed622a922),
-        ("road", "default", 0x62b3a56555ee5c21, 5, 18, 0x3feea209df21772c),
-        ("road", "refine_based", 0xf9d773d9bacb9200, 5, 20, 0x3feea244b20a07b3),
-        ("road", "cpm", 0xbfbe22b36fbd4bf5, 3, 9, 0x3fea792f2e66d11d),
-        ("road", "random", 0xd67e70b77ff8a296, 5, 18, 0x3feea1e243a5dcb6),
+    const PINNED: [(&str, &str, u64, usize, usize, u64, u64); 12] = [
+        ("rmat_web", "default", 0xd80e95c6d66ac7fe, 3, 7, 0x3fc32ec858c91c81, 10),
+        ("rmat_web", "refine_based", 0x441a394dfceeafe0, 3, 9, 0x3fc30ce9f1f26a92, 12),
+        ("rmat_web", "cpm", 0xd4e9db6528e5badc, 2, 5, 0x3fa2947c9e824810, 7),
+        ("rmat_web", "random", 0x81959e0c586b04ba, 3, 8, 0x3fc255a88ad3c3ce, 11),
+        ("sbm", "default", 0xa59b66bd0a69155b, 4, 18, 0x3fe9ae9ed622a922, 33),
+        ("sbm", "refine_based", 0xa59b66bd0a69155b, 4, 21, 0x3fe9ae9ed622a922, 36),
+        ("sbm", "cpm", 0xdd64f3942df33d09, 5, 21, 0x3fe82c2f9cff2cd6, 35),
+        ("sbm", "random", 0xa59b66bd0a69155b, 5, 18, 0x3fe9ae9ed622a922, 34),
+        ("road", "default", 0x62b3a56555ee5c21, 5, 18, 0x3feea209df21772c, 27),
+        ("road", "refine_based", 0xf9d773d9bacb9200, 5, 20, 0x3feea244b20a07b3, 29),
+        ("road", "cpm", 0xbfbe22b36fbd4bf5, 3, 9, 0x3fea792f2e66d11d, 15),
+        ("road", "random", 0xd67e70b77ff8a296, 5, 18, 0x3feea1e243a5dcb6, 27),
     ];
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -256,15 +257,20 @@ fn async_one_thread_digests_are_pinned() {
                 result.passes,
                 result.move_iterations,
                 q.to_bits(),
+                result
+                    .pass_stats
+                    .iter()
+                    .map(|p| p.sched_chunks)
+                    .sum::<u64>(),
             );
-            let &(.., fnv, passes, iterations, q_bits) = PINNED
+            let &(.., fnv, passes, iterations, q_bits, chunks) = PINNED
                 .iter()
                 .find(|p| p.0 == *graph_name && p.1 == *config_name)
                 .expect("digest pinned");
             assert_eq!(
                 got,
-                (fnv, passes, iterations, q_bits),
-                "{graph_name}/{config_name}: (membership FNV, passes, iterations, Q bits)"
+                (fnv, passes, iterations, q_bits, chunks),
+                "{graph_name}/{config_name}: (membership FNV, passes, iterations, Q bits, chunks)"
             );
             checked += 1;
         }
@@ -272,36 +278,37 @@ fn async_one_thread_digests_are_pinned() {
     assert_eq!(checked, PINNED.len());
 }
 
-/// The asynchronous path reaches the same quality under every
-/// chunk-scheduling policy, and the scheduler counters report the work
-/// distribution the policy promises.
+/// Local-moving and refinement claim `DEFAULT_CHUNK`-vertex chunks, so
+/// every pass reports exactly `vertices.div_ceil(DEFAULT_CHUNK)` chunks
+/// per local-moving iteration plus one refinement's worth, at any
+/// thread count, and never a steal.
 #[test]
-fn async_quality_and_sched_counters() {
-    let planted = gve_generate::PlantedPartition::new(2000, 10, 14.0, 1.0)
+fn async_chunk_counts_follow_the_vertex_count() {
+    let planted = gve_generate::PlantedPartition::new(6000, 30, 14.0, 1.0)
         .seed(23)
         .generate();
     let g = &planted.graph;
-    let q_static =
-        gve_quality::modularity(g, &Leiden::new(LeidenConfig::default()).run(g).membership);
-    for chunking in [
-        ChunkScheduling::Static,
-        ChunkScheduling::Guided,
-        ChunkScheduling::Stealing,
-    ] {
-        let result = Leiden::new(LeidenConfig::default().chunking(chunking)).run(g);
-        let q = gve_quality::modularity(g, &result.membership);
-        assert!(
-            (q_static - q).abs() < 0.05,
-            "{chunking:?}: Q {q} vs static Q {q_static}"
-        );
-        assert_eq!(result.chunking, chunking);
-        let chunks: u64 = result.pass_stats.iter().map(|p| p.sched_chunks).sum();
-        assert!(chunks > 0, "{chunking:?}: no chunks recorded");
-        if chunking != ChunkScheduling::Stealing {
-            let steals: u64 = result.pass_stats.iter().map(|p| p.sched_steals).sum();
-            assert_eq!(steals, 0, "{chunking:?}: impossible steals recorded");
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let result = pool.install(|| Leiden::new(LeidenConfig::default()).run(g));
+        assert!(result.passes > 1, "want a multi-pass run");
+        for stats in &result.pass_stats {
+            let per_loop = stats.vertices.div_ceil(gve_prim::parfor::DEFAULT_CHUNK) as u64;
+            assert_eq!(
+                stats.sched_chunks,
+                per_loop * (stats.move_iterations as u64 + 1),
+                "{threads} threads, pass {}",
+                stats.pass
+            );
+            assert_eq!(stats.sched_steals, 0);
         }
         let report = gve_quality::disconnected_communities(g, &result.membership);
-        assert!(report.all_connected(), "{chunking:?}: disconnected output");
+        assert!(
+            report.all_connected(),
+            "{threads} threads: disconnected output"
+        );
     }
 }

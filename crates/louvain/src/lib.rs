@@ -148,8 +148,8 @@ impl Louvain {
                 pruning_processed: outcome.pruning_processed,
                 pruning_skipped: outcome.pruning_skipped,
                 tolerance,
-                sched_chunks: outcome.sched.chunks,
-                sched_steals: outcome.sched.steals,
+                sched_chunks: outcome.chunks,
+                sched_steals: 0,
                 local_move_time,
                 refinement_time: Duration::ZERO,
                 aggregation_time: Duration::ZERO,
@@ -175,7 +175,6 @@ impl Louvain {
                 &dense_atomic,
                 &dense,
                 k,
-                (config.chunk_size / 4).max(1),
                 &tables,
                 Some(gve_leiden::SMALL_DEGREE_THRESHOLD),
             );

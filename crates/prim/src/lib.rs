@@ -20,8 +20,6 @@
 //!   `O(T·N)` memory term in the paper's space complexity);
 //! * [`parfor`] — OpenMP's `schedule(dynamic, chunk)` and
 //!   `schedule(static)` loops on the persistent worker pool;
-//! * [`sched`] — arc-aware scheduling policies (guided shrinking chunks
-//!   and work-stealing over arc-balanced segments) for the phase loops;
 //! * [`simd`] — lane-chunked candidate scoring, the "choose" half of
 //!   the scan kernel's stack tier (scalar fallback behind the
 //!   `scalar-scan` feature);
@@ -39,7 +37,6 @@ pub mod hashtable;
 pub mod parfor;
 pub mod rng;
 pub mod scan;
-pub mod sched;
 pub mod shared_slice;
 pub mod simd;
 pub mod smallmap;
@@ -51,7 +48,6 @@ pub use bitset::AtomicBitset;
 pub use hashtable::CommunityMap;
 pub use rng::Xorshift32;
 pub use scan::{exclusive_scan_in_place, parallel_exclusive_scan};
-pub use sched::{scheduled_workers, SchedStats, Schedule};
 pub use shared_slice::SharedSlice;
 pub use smallmap::{HashScanMap, HASH_SCAN_CAP};
 pub use workspace::PerThread;

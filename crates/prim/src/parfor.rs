@@ -10,9 +10,12 @@
 //! *dynamic* loop schedule: workers repeatedly grab fixed-size chunks of
 //! the iteration space from a shared counter, so a worker stuck on a hub
 //! vertex does not stall the rest of its static share. [`dynamic_workers`]
-//! reproduces that exactly with an atomic cursor, and is the scheduling
-//! primitive used by the local-moving, refinement and aggregation
-//! phases.
+//! reproduces that exactly with an atomic cursor, and is the only claim
+//! policy of the local-moving and refinement phases (at
+//! [`DEFAULT_CHUNK`], the paper's `schedule(dynamic, 2048)`) and of
+//! aggregation. Every claim starts on a chunk boundary, so a loop over
+//! `len` indices makes exactly `len.div_ceil(chunk)` claims whatever the
+//! thread count.
 //!
 //! [`static_blocks`] is the `schedule(static)` counterpart: one
 //! contiguous block of the iteration space per worker, results in block

@@ -1,5 +1,5 @@
-//! Loom models for the three inter-thread claim protocols the Leiden
-//! core relies on.
+//! Loom models for the inter-thread protocols the Leiden core relies
+//! on: three claim protocols and the worker pool's handoff.
 //!
 //! Each model re-implements the protocol on `loom::sync::atomic` types
 //! (the standard loom methodology: the model *is* the specification of
@@ -25,12 +25,7 @@
 //!    `crates/graph/src/holey.rs` `add_arc`. Invariants: claimed slots
 //!    are unique, no slot exceeds the degree bound, and every payload
 //!    lands intact in its claimed slot.
-//! 4. **Work-stealing segment claim** — the per-worker cursor drain +
-//!    steal-on-empty protocol of `Claims::next_range`'s `Stealing` arm
-//!    in `crates/prim/src/sched.rs`. Invariants: every index claimed
-//!    exactly once under owner/thief races, and no segment cursor runs
-//!    past its bound.
-//! 5. **Worker-pool handoff** — the wake and completion edges of the
+//! 4. **Worker-pool handoff** — the wake and completion edges of the
 //!    persistent pool every parallel loop runs on (`Registry::run` and
 //!    `Registry::work` in `shims/rayon/src/lib.rs`): the caller posts a
 //!    job with a Release epoch bump the workers Acquire, and each worker
@@ -216,102 +211,7 @@ fn holey_slot_claims_are_unique_and_payloads_intact() {
     });
 }
 
-/// Model 4 helper: a single saturating chunk claim against one cursor,
-/// verbatim from `claim_chunk` in `crates/prim/src/sched.rs` (the same
-/// protocol the per-worker stealing cursors use for both the owner's
-/// drain and a thief's steal).
-fn claim_one(cursor: &AtomicUsize, hi: usize, chunk: usize) -> Option<std::ops::Range<usize>> {
-    // Relaxed: mirrors the production cursor protocol — the cursor
-    // carries no payload and the joins publish the claimed work.
-    let mut start = cursor.load(Ordering::Relaxed);
-    loop {
-        if start >= hi {
-            return None;
-        }
-        let end = (start + chunk).min(hi);
-        match cursor.compare_exchange_weak(start, end, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return Some(start..end),
-            Err(observed) => start = observed,
-        }
-    }
-}
-
-/// Model 4 helper: one stealing worker's loop, mirroring the `Stealing`
-/// arm of `Claims::next_range` in `crates/prim/src/sched.rs`: drain
-/// your own arc-balanced segment, then claim from any victim cursor
-/// with work remaining. (Production picks the richest victim by
-/// remaining arcs; that changes only the victim *order*, not the claim
-/// protocol this model checks.)
-fn steal_chunks(
-    cursors: &[AtomicUsize],
-    bounds: &[usize],
-    me: usize,
-    chunk: usize,
-    claims: &mut Vec<usize>,
-) {
-    loop {
-        if let Some(r) = claim_one(&cursors[me], bounds[me + 1], chunk) {
-            claims.extend(r);
-            continue;
-        }
-        let mut stole = false;
-        for v in 0..cursors.len() {
-            if v == me {
-                continue;
-            }
-            if let Some(r) = claim_one(&cursors[v], bounds[v + 1], chunk) {
-                claims.extend(r);
-                stole = true;
-                break;
-            }
-        }
-        if !stole {
-            return;
-        }
-    }
-}
-
-#[test]
-fn stealing_claims_each_index_exactly_once_under_races() {
-    loom::model(|| {
-        // Two workers over uneven arc-balanced segments ([0,4) and
-        // [4,6)): worker 1 drains its short segment fast and races
-        // worker 0 for the remainder of segment 0 — the exact owner vs
-        // thief interleaving the per-worker deques must survive.
-        const LEN: usize = 6;
-        let bounds = [0usize, 4, LEN];
-        let cursors = Arc::new([AtomicUsize::new(bounds[0]), AtomicUsize::new(bounds[1])]);
-        let handles: Vec<_> = (0..2)
-            .map(|me| {
-                let cursors = Arc::clone(&cursors);
-                thread::spawn(move || {
-                    let mut claims = Vec::new();
-                    steal_chunks(&cursors[..], &bounds, me, 2, &mut claims);
-                    claims
-                })
-            })
-            .collect();
-        let mut seen = [0u32; LEN];
-        for h in handles {
-            for i in h.join().unwrap() {
-                seen[i] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "each index claimed exactly once, got {seen:?}"
-        );
-        // No cursor — owner-advanced or thief-advanced — may run past
-        // its segment bound (the saturating CX invariant, per segment).
-        for (v, cursor) in cursors.iter().enumerate() {
-            // Relaxed: post-join read-back.
-            let end = cursor.load(Ordering::Relaxed);
-            assert!(end <= bounds[v + 1], "cursor {v} overran: {end}");
-        }
-    });
-}
-
-/// Model 5 helper: one pool worker's loop, mirroring `Registry::work`:
+/// Model 4 helper: one pool worker's loop, mirroring `Registry::work`:
 /// wait for the epoch to move (the production worker parks after a
 /// bounded spin; a yield stands in for the park), run its share under
 /// `catch_unwind`, record a panic payload, then decrement `pending`.

@@ -1,6 +1,7 @@
 //! Property-based tests of the primitive substrate against reference
 //! models.
 
+use gve_prim::parfor::dynamic_workers;
 use gve_prim::scan::{
     exclusive_scan_in_place, inclusive_scan_in_place, offsets_from_counts, parallel_exclusive_scan,
     parallel_offsets_from_counts,
@@ -8,6 +9,20 @@ use gve_prim::scan::{
 use gve_prim::{AtomicBitset, CommunityMap, Xorshift32};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// 1-, 2- and 3-thread pools, built once for every proptest case.
+fn pools() -> &'static [rayon::ThreadPool; 3] {
+    static POOLS: OnceLock<[rayon::ThreadPool; 3]> = OnceLock::new();
+    POOLS.get_or_init(|| {
+        [1, 2, 3].map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+        })
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -144,96 +159,26 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Arc-balanced worker bounds partition `[0, n)` exactly — monotone,
-    /// starting at 0, ending at n, no gaps, no overlaps — for any degree
-    /// sequence (zero-degree tails, uniform rows, and extreme hubs
-    /// alike) and any requested worker count.
+    /// `dynamic_workers` claims every index exactly once under 1-, 2-
+    /// and 3-thread pools, in exactly `len.div_ceil(chunk)` claims —
+    /// every claim starts on a chunk boundary, which is why
+    /// `PassStats::sched_chunks` can report that count without a
+    /// counter.
     #[test]
-    fn arc_balanced_bounds_partition_exactly(
-        degrees in proptest::collection::vec(0u64..10_000, 0..300),
-        workers in 1usize..96,
+    fn dynamic_workers_claim_each_index_once(
+        len in 0usize..5_000,
+        chunk in 1usize..300,
     ) {
-        let mut offsets = Vec::with_capacity(degrees.len() + 1);
-        offsets.push(0u64);
-        for &d in &degrees {
-            let next = offsets.last().unwrap() + d;
-            offsets.push(next);
-        }
-        let (bounds, w) = gve_prim::sched::arc_balanced_bounds(&offsets, degrees.len(), workers);
-        prop_assert!((1..=gve_prim::sched::MAX_WORKERS).contains(&w));
-        prop_assert_eq!(bounds[0], 0);
-        prop_assert_eq!(bounds[w], degrees.len());
-        for i in 0..w {
-            prop_assert!(bounds[i] <= bounds[i + 1], "bounds not monotone at {i}");
-        }
-    }
-
-    /// Adversarial hub sequences: a single vertex holding nearly every
-    /// arc. The partition property must hold, and the hub's segment may
-    /// not also swallow the balanced remainder when enough other work
-    /// exists to split off.
-    #[test]
-    fn arc_balanced_bounds_survive_hub_adversaries(
-        hub_at in 0usize..100,
-        hub_degree in 1u64..1_000_000_000,
-        tail in proptest::collection::vec(0u64..4, 100..200),
-    ) {
-        let mut degrees = tail;
-        let hub = hub_at % degrees.len();
-        degrees[hub] = hub_degree;
-        let n = degrees.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        for &d in &degrees {
-            let next = offsets.last().unwrap() + d;
-            offsets.push(next);
-        }
-        let (bounds, w) = gve_prim::sched::arc_balanced_bounds(&offsets, n, 8);
-        prop_assert_eq!(bounds[0], 0);
-        prop_assert_eq!(bounds[w], n);
-        for i in 0..w {
-            prop_assert!(bounds[i] <= bounds[i + 1]);
-        }
-    }
-
-    /// Every scheduling policy claims every vertex exactly once — the
-    /// end-to-end exactly-once property over the real `scheduled_workers`
-    /// entry point with arbitrary degree sequences.
-    #[test]
-    fn scheduled_workers_claim_each_vertex_once(
-        degrees in proptest::collection::vec(0u64..50, 0..500),
-        policy in 0usize..3,
-        chunk in 1usize..64,
-    ) {
-        use gve_prim::sched::{scheduled_workers, Schedule};
-        let n = degrees.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        for &d in &degrees {
-            let next = offsets.last().unwrap() + d;
-            offsets.push(next);
-        }
-        let schedule = match policy {
-            0 => Schedule::Static { chunk },
-            1 => Schedule::Guided { offsets: &offsets },
-            _ => Schedule::Stealing { offsets: &offsets, chunk },
-        };
-        let (per_worker, stats) = scheduled_workers(n, schedule, |claims| {
-            let mut mine = Vec::new();
-            for range in claims {
-                mine.extend(range);
-            }
-            mine
-        });
-        let mut all: Vec<usize> = per_worker.into_iter().flatten().collect();
-        all.sort_unstable();
-        let expect: Vec<usize> = (0..n).collect();
-        prop_assert_eq!(all, expect, "policy {} lost or duplicated vertices", policy);
-        if n > 0 {
-            prop_assert!(stats.chunks > 0);
-        }
-        if policy != 2 {
-            prop_assert_eq!(stats.steals, 0);
+        for pool in pools() {
+            let per_worker = pool.install(|| {
+                dynamic_workers(len, chunk, |claims| claims.collect::<Vec<_>>())
+            });
+            prop_assert_eq!(per_worker.len(), pool.current_num_threads());
+            let ranges: Vec<_> = per_worker.into_iter().flatten().collect();
+            prop_assert_eq!(ranges.len(), len.div_ceil(chunk));
+            let mut all: Vec<usize> = ranges.into_iter().flatten().collect();
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..len).collect::<Vec<_>>());
         }
     }
 }

@@ -14,8 +14,7 @@ use crate::json::Json;
 use crate::pool::WorkspacePool;
 use crate::registry::GraphRegistry;
 use gve_leiden::{
-    ChunkScheduling, CoreMetrics, Leiden, LeidenConfig, Objective, RunObserver, Scheduling,
-    VertexOrdering,
+    CoreMetrics, Leiden, LeidenConfig, Objective, RunObserver, Scheduling, VertexOrdering,
 };
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
@@ -37,16 +36,11 @@ pub struct DetectRequest {
     pub seed: u64,
     /// Cap on passes (default: library default).
     pub max_passes: usize,
-    /// Dynamic-scheduling chunk size.
-    pub chunk_size: usize,
     /// Cache-aware vertex relabeling applied before detection.
     pub ordering: VertexOrdering,
     /// Phase scheduling: fast `async` (default) or reproducible
     /// `color-sync`.
     pub scheduling: Scheduling,
-    /// Chunk scheduling of the async phases: `static`, `guided`, or
-    /// work-`stealing`.
-    pub chunking: ChunkScheduling,
 }
 
 impl Default for DetectRequest {
@@ -57,10 +51,8 @@ impl Default for DetectRequest {
             resolution: 1.0,
             seed: defaults.seed,
             max_passes: defaults.max_passes,
-            chunk_size: defaults.chunk_size,
             ordering: defaults.ordering,
             scheduling: defaults.scheduling,
-            chunking: defaults.chunking,
         }
     }
 }
@@ -85,17 +77,11 @@ impl DetectRequest {
         if let Some(max_passes) = body.get("max_passes").and_then(Json::as_u64) {
             request.max_passes = max_passes as usize;
         }
-        if let Some(chunk_size) = body.get("chunk_size").and_then(Json::as_u64) {
-            request.chunk_size = chunk_size as usize;
-        }
         if let Some(ordering) = body.get("ordering").and_then(Json::as_str) {
             request.ordering = VertexOrdering::parse(ordering)?;
         }
         if let Some(scheduling) = body.get("scheduling").and_then(Json::as_str) {
             request.scheduling = Scheduling::parse(scheduling)?;
-        }
-        if let Some(chunking) = body.get("chunking").and_then(Json::as_str) {
-            request.chunking = ChunkScheduling::parse(chunking)?;
         }
         request.to_config()?; // surface invalid configs at submit time
         Ok(request)
@@ -115,10 +101,8 @@ impl DetectRequest {
         let mut config = LeidenConfig::default()
             .objective(objective)
             .seed(self.seed)
-            .chunk_size(self.chunk_size)
             .ordering(self.ordering)
-            .scheduling(self.scheduling)
-            .chunking(self.chunking);
+            .scheduling(self.scheduling);
         config.max_passes = self.max_passes;
         config.validate()?;
         Ok(config)
@@ -128,15 +112,13 @@ impl DetectRequest {
     /// textual form, so semantically equal requests collide on purpose).
     pub fn fingerprint(&self) -> u64 {
         let canonical = format!(
-            "objective={};resolution={};seed={};max_passes={};chunk_size={};ordering={};scheduling={};chunking={}",
+            "objective={};resolution={};seed={};max_passes={};ordering={};scheduling={}",
             self.objective,
             self.resolution,
             self.seed,
             self.max_passes,
-            self.chunk_size,
             self.ordering.label(),
             self.scheduling.label(),
-            self.chunking.label(),
         );
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in canonical.bytes() {
@@ -153,10 +135,8 @@ impl DetectRequest {
             ("resolution", Json::from(self.resolution)),
             ("seed", Json::from(self.seed)),
             ("max_passes", Json::from(self.max_passes)),
-            ("chunk_size", Json::from(self.chunk_size)),
             ("ordering", Json::from(self.ordering.label())),
             ("scheduling", Json::from(self.scheduling.label())),
-            ("chunking", Json::from(self.chunking.label())),
         ])
     }
 }
@@ -994,20 +974,16 @@ mod tests {
         assert!(DetectRequest::from_json(&bad).is_err());
     }
 
-    /// Ordering/chunk-size/scheduling are part of the fingerprint, so
+    /// Ordering and scheduling are part of the fingerprint, so
     /// the partition cache never serves one configuration's result for
     /// another, and bad tokens are rejected at parse time.
     #[test]
     fn detect_knobs_fingerprint_and_validate() {
-        let body = crate::json::parse(
-            r#"{"ordering":"degree","chunk_size":512,"scheduling":"color-sync","chunking":"guided"}"#,
-        )
-        .unwrap();
+        let body =
+            crate::json::parse(r#"{"ordering":"degree","scheduling":"color-sync"}"#).unwrap();
         let request = DetectRequest::from_json(&body).unwrap();
         assert_eq!(request.ordering, VertexOrdering::DegreeDesc);
-        assert_eq!(request.chunk_size, 512);
         assert_eq!(request.scheduling, Scheduling::ColorSynchronous);
-        assert_eq!(request.chunking, ChunkScheduling::Guided);
 
         let defaults = DetectRequest::default();
         for other in [
@@ -1016,48 +992,49 @@ mod tests {
                 ..defaults.clone()
             },
             DetectRequest {
-                chunk_size: defaults.chunk_size + 1,
-                ..defaults.clone()
-            },
-            DetectRequest {
                 scheduling: Scheduling::ColorSynchronous,
-                ..defaults.clone()
-            },
-            DetectRequest {
-                chunking: ChunkScheduling::Stealing,
                 ..defaults.clone()
             },
         ] {
             assert_ne!(other.fingerprint(), defaults.fingerprint());
         }
 
-        for bad in [
-            r#"{"ordering":"random"}"#,
-            r#"{"chunk_size":0}"#,
-            r#"{"scheduling":"chaotic"}"#,
-            r#"{"chunking":"chaotic"}"#,
-        ] {
+        for bad in [r#"{"ordering":"random"}"#, r#"{"scheduling":"chaotic"}"#] {
             let body = crate::json::parse(bad).unwrap();
             assert!(DetectRequest::from_json(&body).is_err(), "accepted {bad}");
         }
     }
 
-    /// `kernel` and `layout` are no longer request fields: a body naming
-    /// them — even with values that were never valid — parses to the
-    /// defaults and fingerprints like `{}`, and the echo omits them.
+    /// `kernel`, `layout`, `chunking` and `chunk_size` are no longer
+    /// request fields: a body naming them — even with values that were
+    /// never valid, or that would overflow a chunk cursor — parses to
+    /// the defaults, fingerprints like `{}`, and is served from the
+    /// default request's cached partition; the echo omits them.
     #[test]
-    fn retired_kernel_and_layout_fields_are_ignored() {
+    fn retired_detect_fields_are_ignored() {
         let empty = DetectRequest::from_json(&crate::json::parse("{}").unwrap()).unwrap();
+        assert_eq!(empty, DetectRequest::default());
+        let (engine, _cache) = engine_with_graph("sbm");
+        let first = engine.submit("sbm", empty.clone()).unwrap();
+        let record = engine.wait(first.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(record.state, JobState::Done, "error: {:?}", record.error);
         for body in [
             r#"{"kernel":"v1","layout":"interleaved"}"#,
             r#"{"kernel":"v9","layout":"columnar"}"#,
+            r#"{"chunking":"stealing","chunk_size":18446744073709551615}"#,
+            r#"{"chunking":"guided","chunk_size":0}"#,
         ] {
             let request = DetectRequest::from_json(&crate::json::parse(body).unwrap()).unwrap();
             assert_eq!(request, empty, "{body}");
             assert_eq!(request.fingerprint(), empty.fingerprint(), "{body}");
+            let submitted = engine.submit("sbm", request).unwrap();
+            assert!(submitted.cached, "{body}");
         }
+        assert_eq!(engine.stats.full_detections.get(), 1);
         let echo = empty.to_json();
-        assert!(echo.get("kernel").is_none() && echo.get("layout").is_none());
+        for retired in ["kernel", "layout", "chunking", "chunk_size"] {
+            assert!(echo.get(retired).is_none(), "{retired}");
+        }
     }
 
     #[test]

@@ -1021,7 +1021,7 @@ mod tests {
         let mut expected = Vec::new();
         for (payload, len, checksum) in [
             (&batch_payload, 49u32, 0x9232_7997_3ede_3072u64),
-            (&partition_payload, 229, 0x9e20_1fab_3475_327a),
+            (&partition_payload, 191, 0xda61_eeaa_acab_8b48),
         ] {
             expected.extend_from_slice(&len.to_le_bytes());
             expected.extend_from_slice(&checksum.to_le_bytes());
@@ -1043,74 +1043,84 @@ mod tests {
         );
     }
 
-    /// A WAL written before `kernel`/`layout` left the detect request
-    /// holds partition records whose request JSON names them, keyed by
-    /// the old fingerprint. Recovery keeps the graph, every batch (also
-    /// those logged after the stale record) and the epoch, and drops
-    /// only that derived partition.
+    /// A WAL written by an older version holds partition records whose
+    /// request JSON names retired fields (`kernel`/`layout`, later
+    /// `chunk_size`/`chunking`), keyed by the old fingerprint. Recovery
+    /// keeps the graph, every batch (also those logged after the stale
+    /// record) and the epoch, and drops only that derived partition.
     #[test]
     fn old_format_partition_record_is_dropped_alone() {
-        // The default request as the old format rendered and
+        // The default request as each old format rendered and
         // fingerprinted it, bytes captured from that version.
-        const OLD_JSON: &str = r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"chunk_size":2048,"kernel":"v2","ordering":"original","layout":"split","scheduling":"async","chunking":"static"}"#;
-        const OLD_FINGERPRINT: u64 = 0xb44b_4c5d_f594_ac64;
-        assert_ne!(OLD_FINGERPRINT, DetectRequest::default().fingerprint());
+        const OLD_RECORDS: [(&str, u64); 2] = [
+            (
+                r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"chunk_size":2048,"kernel":"v2","ordering":"original","layout":"split","scheduling":"async","chunking":"static"}"#,
+                0xb44b_4c5d_f594_ac64,
+            ),
+            (
+                r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"chunk_size":2048,"ordering":"original","scheduling":"async","chunking":"static"}"#,
+                0x62e2_4cd7_2519_2c61,
+            ),
+        ];
+        for (index, (old_json, old_fingerprint)) in OLD_RECORDS.into_iter().enumerate() {
+            assert_ne!(old_fingerprint, DetectRequest::default().fingerprint());
 
-        let store = temp_store("old-partition");
-        let mut graph = path_graph();
-        store.register_graph("g", &graph, "inline").unwrap();
-        let mut batch = BatchUpdate::new();
-        batch.insert(0, 3, 2.0);
-        graph = apply_batch(&graph, &batch);
-        store.append_batch("g", 1, &batch, &graph).unwrap();
+            let store = temp_store(&format!("old-partition-{index}"));
+            let mut graph = path_graph();
+            store.register_graph("g", &graph, "inline").unwrap();
+            let mut batch = BatchUpdate::new();
+            batch.insert(0, 3, 2.0);
+            graph = apply_batch(&graph, &batch);
+            store.append_batch("g", 1, &batch, &graph).unwrap();
 
-        // Hand-encoded old-format partition record at epoch 1.
-        let mut payload = vec![KIND_PARTITION];
-        payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
-        payload.extend_from_slice(&OLD_FINGERPRINT.to_le_bytes());
-        payload.push(0); // detection
-        payload.extend_from_slice(&2u64.to_le_bytes()); // communities
-        payload.extend_from_slice(&0.25f64.to_le_bytes());
-        payload.extend_from_slice(&0.5f64.to_le_bytes());
-        put_bytes(&mut payload, OLD_JSON.as_bytes());
-        payload.extend_from_slice(&4u64.to_le_bytes());
-        for community in [0u32, 0, 1, 1] {
-            payload.extend_from_slice(&community.to_le_bytes());
+            // Hand-encoded old-format partition record at epoch 1.
+            let mut payload = vec![KIND_PARTITION];
+            payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+            payload.extend_from_slice(&old_fingerprint.to_le_bytes());
+            payload.push(0); // detection
+            payload.extend_from_slice(&2u64.to_le_bytes()); // communities
+            payload.extend_from_slice(&0.25f64.to_le_bytes());
+            payload.extend_from_slice(&0.5f64.to_le_bytes());
+            put_bytes(&mut payload, old_json.as_bytes());
+            payload.extend_from_slice(&4u64.to_le_bytes());
+            for community in [0u32, 0, 1, 1] {
+                payload.extend_from_slice(&community.to_le_bytes());
+            }
+            assert!(
+                matches!(parse_record(&payload), Some(Record::StalePartition)),
+                "{old_json}"
+            );
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            let wal_path = store.graph_dir("g").join("wal.log");
+            OpenOptions::new()
+                .append(true)
+                .open(&wal_path)
+                .unwrap()
+                .write_all(&frame)
+                .unwrap();
+
+            // Acked after the stale record: must survive recovery.
+            let mut batch = BatchUpdate::new();
+            batch.insert(1, 3, 1.5).delete(1, 2);
+            graph = apply_batch(&graph, &batch);
+            store.append_batch("g", 2, &batch, &graph).unwrap();
+            let wal_len = fs::metadata(&wal_path).unwrap().len();
+
+            let recovered = reopen(&store).recover().unwrap();
+            assert_eq!(recovered.len(), 1);
+            let g = &recovered[0];
+            assert_eq!(g.epoch, 2);
+            assert_eq!(g.graph, graph);
+            assert_eq!(g.tail_dropped, 0, "the stale record is not a torn tail");
+            assert!(g.partitions.is_empty());
+            assert_eq!(
+                fs::metadata(&wal_path).unwrap().len(),
+                wal_len,
+                "recovery truncated the log"
+            );
         }
-        assert!(matches!(
-            parse_record(&payload),
-            Some(Record::StalePartition)
-        ));
-        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let wal_path = store.graph_dir("g").join("wal.log");
-        OpenOptions::new()
-            .append(true)
-            .open(&wal_path)
-            .unwrap()
-            .write_all(&frame)
-            .unwrap();
-
-        // Acked after the stale record: must survive recovery.
-        let mut batch = BatchUpdate::new();
-        batch.insert(1, 3, 1.5).delete(1, 2);
-        graph = apply_batch(&graph, &batch);
-        store.append_batch("g", 2, &batch, &graph).unwrap();
-        let wal_len = fs::metadata(&wal_path).unwrap().len();
-
-        let recovered = reopen(&store).recover().unwrap();
-        assert_eq!(recovered.len(), 1);
-        let g = &recovered[0];
-        assert_eq!(g.epoch, 2);
-        assert_eq!(g.graph, graph);
-        assert_eq!(g.tail_dropped, 0, "the stale record is not a torn tail");
-        assert!(g.partitions.is_empty());
-        assert_eq!(
-            fs::metadata(&wal_path).unwrap().len(),
-            wal_len,
-            "recovery truncated the log"
-        );
     }
 
     #[test]

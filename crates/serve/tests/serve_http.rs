@@ -90,11 +90,13 @@ fn detect_flow_end_to_end() {
     server.stop();
 }
 
-/// `kernel` and `layout` are no longer detect options: a body naming
-/// them fingerprints like `{}`, so once `{}` is cached it is answered
-/// with the same 200 cache hit, and no second detection runs.
+/// `kernel`, `layout`, `chunking` and `chunk_size` are no longer detect
+/// options: a body naming them fingerprints like `{}`, so once `{}` is
+/// cached it is answered with the same 200 cache hit, and no second
+/// detection runs — also for a chunk size that would overflow a chunk
+/// cursor, and for one that used to be rejected.
 #[test]
-fn retired_kernel_and_layout_fields_hit_the_default_partition() {
+fn retired_detect_fields_hit_the_default_partition() {
     let server = boot(false);
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "retired", 400);
@@ -107,18 +109,24 @@ fn retired_kernel_and_layout_fields_hit_the_default_partition() {
     let (status, plain) =
         client_request(&addr, "POST", "/graphs/retired/detect", Some("{}")).unwrap();
     assert_eq!(status, 200, "{plain}");
-    let (status, retired) = client_request(
-        &addr,
-        "POST",
-        "/graphs/retired/detect",
-        Some(r#"{"kernel":"v1","layout":"interleaved"}"#),
-    )
-    .unwrap();
-    assert_eq!(status, 200, "{retired}");
-    assert!(retired.contains("\"cached\":true"), "{retired}");
     let request_echo = |body: &str| body[body.find("\"request\"").unwrap()..].to_string();
-    assert_eq!(request_echo(&retired), request_echo(&plain));
-    assert!(!retired.contains("kernel") && !retired.contains("layout"));
+    for retired_body in [
+        r#"{"kernel":"v1","layout":"interleaved"}"#,
+        r#"{"chunking":"stealing","chunk_size":18446744073709551615}"#,
+        r#"{"chunking":"guided","chunk_size":0}"#,
+    ] {
+        let (status, retired) =
+            client_request(&addr, "POST", "/graphs/retired/detect", Some(retired_body)).unwrap();
+        assert_eq!(status, 200, "{retired_body}: {retired}");
+        assert!(
+            retired.contains("\"cached\":true"),
+            "{retired_body}: {retired}"
+        );
+        assert_eq!(request_echo(&retired), request_echo(&plain));
+        for field in ["kernel", "layout", "chunking", "chunk_size"] {
+            assert!(!retired.contains(field), "{field} in {retired}");
+        }
+    }
     assert_eq!(metric_value(&addr, "gve_jobs_full_detections_total"), 1.0);
     server.stop();
 }

@@ -28,8 +28,7 @@ fn usage() -> ! {
          [--degree <f>] [--seed <n>] --out <path>\n  \
          gve detect <graph> [--algorithm <leiden|louvain|seq-leiden|seq-louvain|nk-leiden>] \
          [--objective <modularity|cpm>] [--resolution <f>] [--threads <n>] \
-         [--chunk-size <n>] [--ordering <original|degree|bfs>] \
-         [--scheduling <static|guided|stealing>] \
+         [--ordering <original|degree|bfs>] \
          [--trace <path>] [--repeat <n>] [--out <path>]\n  \
          gve quality <graph> <membership> [--detail <n>]\n  \
          gve stats <graph>\n  \
@@ -202,25 +201,9 @@ fn cmd_detect(args: &[String]) {
         }
     };
     let mut leiden_config = gve::leiden::LeidenConfig::default().objective(objective);
-    if let Some(raw) = flag_value(args, "--chunk-size") {
-        let chunk_size: usize = raw.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad --chunk-size '{raw}' (expected a positive integer)");
-            exit(2);
-        });
-        leiden_config = leiden_config.chunk_size(chunk_size);
-    }
     if let Some(token) = flag_value(args, "--ordering") {
         match gve::leiden::VertexOrdering::parse(token) {
             Ok(ordering) => leiden_config = leiden_config.ordering(ordering),
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(token) = flag_value(args, "--scheduling") {
-        match gve::leiden::ChunkScheduling::parse(token) {
-            Ok(chunking) => leiden_config = leiden_config.chunking(chunking),
             Err(e) => {
                 eprintln!("error: {e}");
                 exit(2);
@@ -634,11 +617,8 @@ fn cmd_top(args: &[String]) {
         get("gve_leiden_tolerance_skips_total"),
     );
     println!(
-        "scheduler    chunks static {} / guided {} / stealing {}; {} steals",
-        get("gve_core_chunks_total{policy=\"static\"}"),
-        get("gve_core_chunks_total{policy=\"guided\"}"),
-        get("gve_core_chunks_total{policy=\"stealing\"}"),
-        get("gve_core_steals_total"),
+        "scheduler    {} chunks claimed",
+        get("gve_core_chunks_total"),
     );
     let hits = get("gve_cache_hits_total");
     let misses = get("gve_cache_misses_total");

@@ -111,7 +111,7 @@ proptest! {
         let atomic: Vec<std::sync::atomic::AtomicU32> =
             dense.iter().map(|&c| std::sync::atomic::AtomicU32::new(c)).collect();
         let tables = gve::prim::PerThread::new(move || gve::prim::CommunityMap::new(n.max(1)));
-        let sup = gve::leiden::aggregate::aggregate(&graph, &atomic, &dense, k, 64, &tables, None);
+        let sup = gve::leiden::aggregate::aggregate(&graph, &atomic, &dense, k, &tables, None);
         prop_assert_eq!(sup.num_vertices(), k);
         prop_assert!((sup.total_arc_weight() - graph.total_arc_weight()).abs() < 1e-6);
         let singleton: Vec<u32> = (0..k as u32).collect();
