@@ -1,16 +1,19 @@
 //! Criterion microbenchmarks of the neighbourhood-scan kernel, on an
 //! R-MAT web graph (skewed degrees — exercises both tiers of the degree
-//! dispatch) and a planted-partition SBM (near-uniform degrees — almost
-//! every vertex rides the stack tier). Also measures the vertex-ordering
-//! variant of the full pipeline. The machine-readable counterpart of this
+//! dispatch), a planted-partition SBM (near-uniform degrees — almost
+//! every vertex rides the stack tier) and the suite's `road-europe`
+//! grid (degree 2.1 — a visit's fixed costs outweigh its arcs). Also
+//! measures one `best_move` per vertex on frozen singleton state, and
+//! the vertex-ordering variant of the full pipeline. The machine-readable counterpart of this
 //! suite is the `kernels` binary, which emits `BENCH_kernels.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gve_graph::props::vertex_weights;
 use gve_graph::CsrGraph;
+use gve_leiden::kernel::best_move;
 use gve_leiden::{localmove, Leiden, LeidenConfig, Objective, VertexOrdering};
 use gve_prim::atomics::atomic_f64_from_slice;
-use gve_prim::{AtomicBitset, CommunityMap, PerThread};
+use gve_prim::{AtomicBitset, CommunityMap, HashScanMap, PerThread};
 use std::hint::black_box;
 use std::sync::atomic::AtomicU32;
 
@@ -27,7 +30,51 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
                 .generate()
                 .graph,
         ),
+        (
+            "road_europe",
+            gve_generate::suite::suite()
+                .into_iter()
+                .find(|d| d.name == "road-europe")
+                .expect("the suite has road-europe")
+                .generate(1.0, 1),
+        ),
     ]
+}
+
+/// One `kernel::best_move` per vertex on frozen singleton state (every
+/// vertex its own community, the first local-moving iteration's view),
+/// per graph: the scan kernel's cost without pruning or commits.
+fn bench_best_move(c: &mut Criterion) {
+    for (graph_name, graph) in graphs() {
+        let n = graph.num_vertices();
+        let weights = vertex_weights(&graph);
+        let coeffs = Objective::default().coeffs(graph.total_arc_weight() / 2.0);
+        let membership: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
+        let sigma = atomic_f64_from_slice(&weights);
+        let mut ht = CommunityMap::new(n);
+        let mut hash = HashScanMap::new();
+        c.bench_function(format!("kernel/best_move/{graph_name}"), |b| {
+            b.iter(|| {
+                let mut moves = 0u32;
+                for i in 0..n as u32 {
+                    let got = best_move(
+                        &mut ht,
+                        &mut hash,
+                        &graph,
+                        &membership,
+                        None,
+                        i,
+                        i,
+                        weights[i as usize],
+                        &sigma,
+                        coeffs,
+                    );
+                    moves += u32::from(got.is_some());
+                }
+                black_box(moves)
+            });
+        });
+    }
 }
 
 /// One full local-moving phase from singletons, per graph.
@@ -82,6 +129,6 @@ fn bench_full_runs(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_local_move, bench_full_runs
+    targets = bench_best_move, bench_local_move, bench_full_runs
 }
 criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! Scan-kernel runner — the reproducible counterpart of
 //! `benches/kernels.rs`. Runs full GVE-Leiden under each vertex
 //! ordering on an R-MAT web graph (skewed degrees), a
-//! planted-partition SBM (near-uniform degrees), and a Barabási–Albert
-//! power-law graph
-//! (heavy hub skew), takes the **minimum** wall time over `--reps`
+//! planted-partition SBM (near-uniform degrees), a Barabási–Albert
+//! power-law graph (heavy hub skew), and the suite's `road-europe`
+//! grid (average degree 2.1, where fixed per-vertex costs outweigh the
+//! arc scans), takes the **minimum** wall time over `--reps`
 //! repetitions (the stable statistic on a shared box), and emits a
 //! machine-readable JSON report.
 //!
@@ -55,6 +56,13 @@ fn graphs(args: &BenchArgs) -> Vec<(String, CsrGraph)> {
     let rmat_scale = if args.quick { 12 } else { 14 } + (args.scale.log2().round() as i32).max(-8);
     let sbm_n = (((if args.quick { 20_000 } else { 100_000 }) as f64) * args.scale) as usize;
     let pld_n = (((if args.quick { 15_000 } else { 75_000 }) as f64) * args.scale) as usize;
+    // The ledger's `detect_road` graph is road-europe at scale 4.
+    let road_scale = if args.quick { 1.0 } else { 4.0 } * args.scale;
+    let road = gve_generate::suite::suite()
+        .into_iter()
+        .find(|d| d.name == "road-europe")
+        .expect("the suite has road-europe")
+        .generate(road_scale, args.seed);
     vec![
         (
             format!("rmat_web_{rmat_scale}"),
@@ -77,6 +85,7 @@ fn graphs(args: &BenchArgs) -> Vec<(String, CsrGraph)> {
             format!("pld_cross_web_{pld_n}"),
             gve_generate::ba::barabasi_albert(pld_n.max(1000), 8, args.seed),
         ),
+        (format!("road_europe_{}", road.num_vertices()), road),
     ]
 }
 

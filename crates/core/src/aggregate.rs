@@ -12,7 +12,9 @@
 //!
 //! Cross-community weights are tallied in the per-thread collision-free
 //! hashtable, then flushed as super-arcs (including the `(c, c)`
-//! self-loop carrying the intra-community weight `σ_c`).
+//! self-loop carrying the intra-community weight `σ_c`). The worker
+//! that claims a community writes its whole row at once
+//! ([`AggregateScratch::write_row`]), so no arc pays a slot claim.
 
 use crate::localmove::scan_communities;
 use gve_graph::{AggregateScratch, CsrGraph, VertexId};
@@ -109,9 +111,8 @@ pub fn aggregate_into(
                                 small.add_with(d, w as f64, |_| 0.0);
                             }
                         }
-                        for (&d, &w) in small.keys().iter().zip(small.weights()) {
-                            shared.add_arc(c, d, w as f32);
-                        }
+                        let row = small.keys().iter().zip(small.weights());
+                        shared.write_row(c, row.map(|(&d, &w)| (d, w as f32)));
                         continue;
                     }
                     ht.clear();
@@ -120,9 +121,7 @@ pub fn aggregate_into(
                         // weight into the super-vertex self-loop.
                         scan_communities(ht, graph, membership, i, true);
                     }
-                    for (d, w) in ht.iter() {
-                        shared.add_arc(c, d, w as f32);
-                    }
+                    shared.write_row(c, ht.iter().map(|(d, w)| (d, w as f32)));
                 }
             }
         })

@@ -116,21 +116,7 @@ pub fn v3_best_move(
     coeffs: GainCoeffs,
     use_small: bool,
 ) -> Option<(VertexId, f64)> {
-    let lin = coeffs.lin;
-    let qp = coeffs.quad * p_i;
-    let (best, k_to_current) = if use_small {
-        hash.clear();
-        scan(graph, membership, bounds, i, |c, w| {
-            // Σ' prefetch: the aux callback runs on a candidate's first
-            // touch, issuing its scattered load while the edge scan
-            // still has misses to hide behind, so the choose pass below
-            // touches only the stack.
-            hash.add_with(c, w, |key| sigma[key as usize].load());
-        });
-        let best =
-            simd::choose_prefetched(hash.keys(), hash.weights(), hash.aux(), current, lin, qp)?;
-        (best, hash.weight(current))
-    } else {
+    if !use_small {
         // Hub tier: the dense table plus the two-pass choose loop.
         // Measured head-to-head against a lane-gathered fold over the
         // table's key list, the loop wins on hubs — the fold's weight
@@ -140,7 +126,35 @@ pub fn v3_best_move(
         return two_pass_best_move(
             ht, graph, membership, bounds, i, current, p_i, sigma, coeffs,
         );
-    };
+    }
+    hash.clear();
+    // `K_{i→current}` stays in a register instead of the map, so the
+    // choose pass never meets `current` and nothing re-probes for it.
+    // `-0.0` is the exact additive identity: the sum starts from the
+    // first weight and adds the rest in edge order, as the map would.
+    // With no arc into `current` it stays `-0.0` where the table reads
+    // `0.0`; `K_c − K_current` then differs only in the sign of a zero
+    // difference, which changes no gain that can be positive.
+    let mut k_to_current = -0.0;
+    scan(graph, membership, bounds, i, |c, w| {
+        if c == current {
+            k_to_current += w;
+        } else {
+            // Σ' prefetch: the aux callback runs on a candidate's first
+            // touch, issuing its scattered load while the edge scan
+            // still has misses to hide behind, so the choose pass below
+            // touches only the stack.
+            hash.add_with(c, w, |key| sigma[key as usize].load());
+        }
+    });
+    let best = simd::choose_prefetched(
+        hash.keys(),
+        hash.weights(),
+        hash.aux(),
+        current,
+        coeffs.lin,
+        coeffs.quad * p_i,
+    )?;
     let sigma_current = sigma[current as usize].load();
     let gain = coeffs.gain(best.weight, k_to_current, p_i, best.sigma, sigma_current);
     (gain > 0.0).then_some((best.key, gain))

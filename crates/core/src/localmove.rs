@@ -10,7 +10,13 @@
 //! Vertex pruning is flag-based: a vertex is claimed ("marked processed")
 //! via an atomic test-and-clear on the `unprocessed` bitset, and a moved
 //! vertex re-marks its neighbours. This replaces NetworKit's global
-//! queues and is one of the paper's named optimizations.
+//! queues and is one of the paper's named optimizations. The visit loop
+//! reads a flag word before it writes one
+//! ([`AtomicBitset::take_next`]): a word of processed vertices is jumped
+//! over with one load, and only a flag that reads as set pays the
+//! `fetch_and`. At one thread this visits exactly the vertices a
+//! bit-by-bit test-and-clear does — nothing moves between the read and
+//! the jump, so no skipped flag can have been set meanwhile.
 //!
 //! Each iteration is one `schedule(dynamic, 2048)` loop: workers claim
 //! [`DEFAULT_CHUNK`] vertices at a time from a shared cursor
@@ -70,6 +76,11 @@ pub fn choose_best(
     sigma: &[AtomicF64],
     coeffs: GainCoeffs,
 ) -> Option<(VertexId, f64)> {
+    // A branchy argmax, unlike the stack tier's branch-free fold: over
+    // a hub's many candidates the leader rarely changes, so the branch
+    // predicts and the scattered Σ' loads of later candidates overlap.
+    // The branch-free fold here cost about 40% more per hub arc
+    // (EXPERIMENTS.md, "Per-vertex overhead").
     // (candidate, score, K_{i→d}, Σ'_d)
     let mut best: Option<(VertexId, f64, f64, f64)> = None;
     for (d, k_to_d) in ht.iter() {
@@ -137,13 +148,22 @@ pub fn local_move(
                 let mut local_processed = 0u64;
                 let mut local_skipped = 0u64;
                 for range in claims {
-                    for i in range {
-                        // Vertex pruning: claim i, skipping already
-                        // processed vertices.
-                        if config.pruning && !unprocessed.take(i) {
-                            local_skipped += 1;
-                            continue;
+                    let mut next = range.start;
+                    loop {
+                        // Vertex pruning: claim the next unprocessed
+                        // vertex, jumping over clear flag words whole;
+                        // every index jumped over was already processed.
+                        let i = if config.pruning {
+                            let i = unprocessed.take_next(next, range.end);
+                            local_skipped += (i - next) as u64;
+                            i
+                        } else {
+                            next
+                        };
+                        if i >= range.end {
+                            break;
                         }
+                        next = i + 1;
                         local_processed += 1;
                         let i = i as VertexId;
                         // Relaxed: only this worker moves `i` (the bitset

@@ -19,9 +19,9 @@
 //! * `init_labels` — super-vertex labels (or seeds) for the pass start;
 //!   between the seeding and the labeling step it holds the refined
 //!   membership snapshot;
-//! * `first_seen` — scratch for the parallel first-seen renumber
-//!   ([`crate::dendrogram::renumber_into`], which keeps its ranks in
-//!   its output buffer); it doubles as the scatter target of the
+//! * `first_seen` — the remap table of the serial first-seen renumber
+//!   ([`crate::dendrogram::renumber_into`], one sweep over its input);
+//!   it doubles as the scatter target of the
 //!   move-based `label_of` map, whose values are then staged in
 //!   `bounds[..k]`;
 //! * `sizes`/`sizes_next` — the CPM vertex-size double buffer (swapped
@@ -122,8 +122,8 @@ pub struct PassWorkspace {
     /// holds the post-refinement snapshot until the labeling step
     /// writes the next pass's labels.
     pub(crate) init_labels: Vec<VertexId>,
-    /// First-occurrence scratch of the parallel renumber; doubles as
-    /// the `label_of` scatter target between renumber calls.
+    /// Remap table of the serial first-seen renumber; doubles as the
+    /// `label_of` scatter target between renumber calls.
     pub(crate) first_seen: Vec<AtomicU32>,
     /// CPM vertex sizes (current pass).
     pub(crate) sizes: Vec<f64>,

@@ -193,9 +193,9 @@ fn membership_fnv(membership: &[u32]) -> u64 {
 /// The digests were captured from the earlier fused stack-map kernel
 /// (the previous default), which the single kernel must reproduce bit
 /// for bit.
-#[test]
-fn async_one_thread_digests_are_pinned() {
-    let graphs: [(&str, CsrGraph); 3] = [
+/// The graphs and configurations whose 1-thread runs are pinned.
+fn pinned_graphs() -> [(&'static str, CsrGraph); 3] {
+    [
         (
             "rmat_web",
             gve_generate::rmat::Rmat::web(11, 8.0).seed(42).generate(),
@@ -208,8 +208,11 @@ fn async_one_thread_digests_are_pinned() {
                 .graph,
         ),
         ("road", gve_generate::grid::road_grid(60, 50, 2.1, 7)),
-    ];
-    let configs = [
+    ]
+}
+
+fn pinned_configs() -> [(&'static str, LeidenConfig); 4] {
+    [
         ("default", LeidenConfig::default()),
         (
             "refine_based",
@@ -225,7 +228,13 @@ fn async_one_thread_digests_are_pinned() {
                 .refinement(RefinementStrategy::Random)
                 .seed(7),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn async_one_thread_digests_are_pinned() {
+    let graphs = pinned_graphs();
+    let configs = pinned_configs();
     // (graph, config, membership FNV, passes, iterations, modularity
     // bits, chunks claimed over all passes)
     #[rustfmt::skip]
@@ -311,4 +320,57 @@ fn async_chunk_counts_follow_the_vertex_count() {
             "{threads} threads: disconnected output"
         );
     }
+}
+
+/// Per-pass pruning tallies of the same 1-thread runs: vertices
+/// processed, vertices skipped on a clear flag, and local-moving
+/// iterations. The visit loop jumps over clear flag words without
+/// touching each bit, so these pin that it visits exactly the vertices
+/// a bit-by-bit test-and-clear would, and that every jumped index is
+/// still counted as skipped (the ledger's `leiden.pruning_skip_ratio`
+/// reads the two counts).
+#[test]
+fn async_one_thread_pruning_tallies_are_pinned() {
+    /// Per pass: (processed, skipped, move iterations).
+    type Tallies = &'static [(u64, u64, usize)];
+    #[rustfmt::skip]
+    const PINNED: [(&str, &str, Tallies); 12] = [
+        ("rmat_web", "default", &[(3561, 2583, 3), (967, 531, 2), (558, 508, 2)]),
+        ("rmat_web", "refine_based", &[(3561, 2583, 3), (1152, 1095, 3), (585, 1011, 3)]),
+        ("rmat_web", "cpm", &[(3203, 2941, 3), (1470, 1138, 2)]),
+        ("rmat_web", "random", &[(3561, 2583, 3), (1236, 1146, 3), (628, 496, 2)]),
+        ("sbm", "default", &[(17548, 12452, 10), (1814, 3022, 4), (371, 436, 3), (35, 0, 1)]),
+        ("sbm", "refine_based", &[(17548, 12452, 10), (4175, 3079, 6), (612, 198, 3), (64, 2, 2)]),
+        ("sbm", "cpm", &[(17591, 6409, 8), (3551, 3451, 6), (768, 528, 4), (157, 39, 2), (62, 0, 1)]),
+        ("sbm", "random", &[(17548, 12452, 10), (1644, 2108, 4), (341, 209, 2), (79, 0, 1), (31, 0, 1)]),
+        ("road", "default", &[(5070, 3930, 3), (2785, 2743, 4), (1267, 2023, 5), (576, 800, 4), (267, 173, 2)]),
+        ("road", "refine_based", &[(5070, 3930, 3), (2800, 2728, 4), (1293, 1997, 5), (599, 1121, 5), (280, 380, 3)]),
+        ("road", "cpm", &[(4282, 1718, 2), (2865, 2863, 4), (894, 1143, 3)]),
+        ("road", "random", &[(5070, 3930, 3), (2785, 2731, 4), (1263, 1982, 5), (558, 786, 4), (251, 179, 2)]),
+    ];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let mut checked = 0;
+    for (graph_name, graph) in &pinned_graphs() {
+        for (config_name, config) in &pinned_configs() {
+            let result = pool.install(|| Leiden::new(config.clone()).run(graph));
+            let got: Vec<(u64, u64, usize)> = result
+                .pass_stats
+                .iter()
+                .map(|p| (p.pruning_processed, p.pruning_skipped, p.move_iterations))
+                .collect();
+            let &(.., expected) = PINNED
+                .iter()
+                .find(|p| p.0 == *graph_name && p.1 == *config_name)
+                .expect("tallies pinned");
+            assert_eq!(
+                got, expected,
+                "{graph_name}/{config_name}: per pass (processed, skipped, iterations)"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, PINNED.len());
 }

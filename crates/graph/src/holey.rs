@@ -115,8 +115,8 @@ fn plain_u32_mut(atomics: &mut [AtomicU32]) -> &mut [u32] {
 /// supergraph is written into.
 const MAX_SPARE_SETS: usize = 2;
 
-/// One set of holey slot buffers: the arc slots [`AggregateScratch::add_arc`]
-/// claims and the offsets [`AggregateScratch::squeeze`] writes the
+/// One set of holey slot buffers: the arc slots [`AggregateScratch::write_row`]
+/// fills and the offsets [`AggregateScratch::squeeze`] writes the
 /// dense rows' starts into. After the squeeze the same three buffers
 /// are a [`CsrGraph`]; [`AggregateScratch::recycle`] turns a retired
 /// graph back into a set.
@@ -162,8 +162,9 @@ impl SlotSet {
 ///   and one sized exactly for the first supergraph's arcs, created
 ///   only when a run aggregates twice.
 ///
-/// Protocol per pass: [`AggregateScratch::prepare`], then concurrent
-/// [`AggregateScratch::add_arc`] guided by
+/// Protocol per pass: [`AggregateScratch::prepare`], then one
+/// [`AggregateScratch::write_row`] per super-vertex (rows in parallel),
+/// guided by
 /// [`AggregateScratch::members`] / [`AggregateScratch::capacity`],
 /// then [`AggregateScratch::squeeze`].
 #[derive(Debug, Default)]
@@ -374,9 +375,10 @@ impl AggregateScratch {
             });
         }
 
-        // The scatter is done with the cursors: from here on they count
-        // each super-vertex's claimed arc slots. Relaxed stores: bulk
-        // reinitialization; the end of the loop publishes them.
+        // The scatter is done with the cursors: from here on they hold
+        // each super-vertex's row length, 0 until its row is written.
+        // Relaxed stores: bulk reinitialization; the end of the loop
+        // publishes them.
         let cursors = &self.cursors[..g];
         static_for(g, |c| cursors[c].store(0, Ordering::Relaxed));
 
@@ -430,35 +432,51 @@ impl AggregateScratch {
         )
     }
 
-    /// Adds arc `u → v` with weight `w` to the holey super-CSR.
-    /// Thread-safe; slots are claimed with a `fetch_add` on the
-    /// super-vertex's fill count.
+    /// Writes super-vertex `u`'s row — its arcs in iteration order — into
+    /// the holey super-CSR, replacing whatever the epoch held for it.
+    ///
+    /// Each row has one writer: the aggregation worker that claimed
+    /// community `u` writes the whole row at once. So the row costs one
+    /// range lookup, plain payload stores and one fill-count store, and
+    /// no slot is claimed arc by arc. Concurrent calls for distinct rows
+    /// are fine; the end of the filling loop publishes every row to
+    /// [`AggregateScratch::squeeze`].
     ///
     /// # Panics
-    /// Panics when super-vertex `u`'s capacity is exceeded (a bug in the
-    /// degree overestimate, never expected in correct use).
+    /// Panics when the row outgrows super-vertex `u`'s capacity (a bug
+    /// in the degree overestimate, never expected in correct use).
     #[inline]
-    pub fn add_arc(&self, u: VertexId, v: VertexId, w: EdgeWeight) {
+    pub fn write_row(&self, u: VertexId, arcs: impl IntoIterator<Item = (VertexId, EdgeWeight)>) {
         let u = u as usize;
-        // Relaxed slot claim: fetch_add alone guarantees the claimed
-        // index is unique; readers only run after the building join.
-        let slot = self.cursors[u].fetch_add(1, Ordering::Relaxed) as u64;
         let (lo, hi) = self.holey_range(u);
+        let (lo, hi) = (lo as usize, hi as usize);
+        let slots = self.slots.targets[lo..hi]
+            .iter()
+            .zip(&self.slots.weights[lo..hi]);
+        let mut arcs = arcs.into_iter();
+        let mut fill = 0u32;
+        // `zip` polls the slots first, so an arc past the capacity stays
+        // in `arcs` for the check below.
+        for ((target, weight), (v, w)) in slots.zip(&mut arcs) {
+            // Relaxed: this row has one writer, and readers only run
+            // after the filling loop's join.
+            target.store(v, Ordering::Relaxed);
+            // Relaxed: as above.
+            weight.store(w.to_bits(), Ordering::Relaxed);
+            fill += 1;
+        }
         assert!(
-            lo + slot < hi,
+            arcs.next().is_none(),
             "holey CSR capacity exceeded for vertex {u}: cap {}",
             hi - lo
         );
-        let index = (lo + slot) as usize;
-        // Relaxed: payload stores into the uniquely claimed slot;
-        // readers only run after the building phase's join.
-        self.slots.targets[index].store(v, Ordering::Relaxed);
-        self.slots.weights[index].store(w.to_bits(), Ordering::Relaxed);
+        // Relaxed: published with the payloads at the loop's join.
+        self.cursors[u].store(fill, Ordering::Relaxed);
     }
 
     /// Squeezes the holes out of the slot arrays **in place** and hands
     /// the same buffers to the returned [`CsrGraph`]: no second buffer
-    /// and no copy beyond moving rows down. Rows keep their claim order
+    /// and no copy beyond moving rows down. Rows keep their arc order
     /// and weight bits.
     ///
     /// Row `u`'s dense start sums the fill counts before it and its
@@ -534,7 +552,7 @@ impl AggregateScratch {
         }
         targets.truncate(total as usize);
         weights.truncate(total as usize);
-        // Trusted: targets are dense ids < g written by `add_arc`,
+        // Trusted: targets are dense ids < g written by `write_row`,
         // offsets are a prefix sum over the fill counts.
         CsrGraph::from_raw_trusted(offsets, targets, weights)
     }
@@ -599,7 +617,7 @@ mod tests {
         assert_eq!(g.num_members(), 0);
     }
 
-    /// One epoch in which every member `v` of group `c` adds the arc
+    /// One epoch in which group `c`'s row holds, per member `v`, the arc
     /// `c → v % num_groups` with weight `slot + 1`, returning the
     /// supergraph and the rows a naive per-row build gives.
     fn epoch(
@@ -617,11 +635,14 @@ mod tests {
                 .map(|&v| degrees[v as usize])
                 .sum();
             assert_eq!(scratch.capacity(c), expected, "fused capacity of {c}");
-            for (slot, &v) in scratch.members(c).iter().enumerate() {
-                let (d, w) = (v % num_groups as u32, slot as f32 + 1.0);
-                scratch.add_arc(c, d, w);
-                rows[c as usize].push((d, w.to_bits()));
-            }
+            let row: Vec<(VertexId, EdgeWeight)> = scratch
+                .members(c)
+                .iter()
+                .enumerate()
+                .map(|(slot, &v)| (v % num_groups as u32, slot as f32 + 1.0))
+                .collect();
+            scratch.write_row(c, row.iter().copied());
+            rows[c as usize] = row.iter().map(|&(d, w)| (d, w.to_bits())).collect();
         }
         (scratch.squeeze(), rows)
     }
@@ -746,19 +767,38 @@ mod tests {
     fn aggregate_scratch_overflow_panics() {
         let mut scratch = AggregateScratch::new();
         scratch.prepare(&[0], 1, |_| 1);
-        scratch.add_arc(0, 0, 1.0);
-        scratch.add_arc(0, 0, 1.0);
+        scratch.write_row(0, [(0, 1.0), (0, 1.0)]);
     }
 
+    /// A row written to exactly its capacity, an empty row, and a
+    /// rewritten row: the last write of a row is the one squeezed.
     #[test]
-    fn concurrent_fill_squeezes_every_arc() {
+    fn row_writes_fill_to_capacity_and_replace() {
+        let mut scratch = AggregateScratch::new();
+        scratch.prepare(&[0, 1, 2], 3, |_| 2);
+        scratch.write_row(0, [(1, 1.0), (2, 2.0)]);
+        scratch.write_row(2, [(0, 4.0), (1, 5.0)]);
+        scratch.write_row(2, [(1, 6.0)]);
+        let graph = scratch.squeeze();
+        assert_rows(
+            &graph,
+            &[
+                vec![(1, 1f32.to_bits()), (2, 2f32.to_bits())],
+                vec![],
+                vec![(1, 6f32.to_bits())],
+            ],
+        );
+    }
+
+    /// Rows written concurrently, one writer each, all land intact.
+    #[test]
+    fn concurrent_row_writes_squeeze_every_arc() {
         let (n, per) = (100u32, 50u32);
         let keys: Vec<u32> = (0..n).collect();
         let mut scratch = AggregateScratch::new();
         scratch.prepare(&keys, n as usize, |_| per as u64 + 3);
-        static_for((n * per) as usize, |i| {
-            let i = i as u32;
-            scratch.add_arc(i % n, i / n, 1.0);
+        static_for(n as usize, |u| {
+            scratch.write_row(u as u32, (0..per).rev().map(|v| (v, 1.0)));
         });
         let graph = scratch.squeeze();
         assert_eq!(graph.num_arcs(), (n * per) as usize);

@@ -2,6 +2,7 @@
 
 use gve_graph::holey::{AggregateScratch, GroupedCsr};
 use gve_graph::{io, AdjacencyList, CsrGraph, GraphBuilder};
+use gve_prim::parfor::static_for;
 use proptest::prelude::*;
 
 fn arb_edges(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)> {
@@ -121,16 +122,22 @@ proptest! {
             let fitting = scratch.spare_capacities().into_iter().find(|&c| c >= need);
 
             scratch.prepare(&keys, num_groups, |i| elements[i].degree as u64);
-            let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_groups];
+            let mut rows: Vec<Vec<(u32, f32)>> = vec![Vec::new(); num_groups];
             for (i, e) in elements.iter().enumerate() {
                 for j in 0..e.emit {
                     let target = (e.target + j) % num_groups as u32;
                     let weight = e.weight as f32 + j as f32 * 0.25 + i as f32;
-                    scratch.add_arc(e.key, target, weight);
-                    rows[e.key as usize].push((target, weight.to_bits()));
+                    rows[e.key as usize].push((target, weight));
                 }
             }
+            // One writer per row, rows written concurrently, as the
+            // aggregation's per-community workers do.
+            static_for(num_groups, |u| scratch.write_row(u as u32, rows[u].iter().copied()));
             let graph = scratch.squeeze();
+            let rows: Vec<Vec<(u32, u32)>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&(v, w)| (v, w.to_bits())).collect())
+                .collect();
 
             graph.validate().unwrap();
             prop_assert_eq!(graph.num_vertices(), num_groups);

@@ -69,12 +69,19 @@ impl AtomicBitset {
     }
 
     /// Sets bit `index`; returns the previous value.
+    ///
+    /// A bit that already reads as set costs one load and no RMW: the
+    /// pruning loops mark every neighbour of a moved vertex, and most of
+    /// those flags are still set.
     #[inline]
     pub fn set(&self, index: usize) -> bool {
         let (word, mask) = self.split(index);
-        // Relaxed: the RMW atomicity alone carries the claim semantics;
-        // no payload is published through the bit.
-        self.words[word].fetch_or(mask, Ordering::Relaxed) & mask != 0
+        let word = &self.words[word];
+        // Relaxed: a set bit stays set until its owner takes it, so the
+        // load alone answers; otherwise the RMW atomicity carries the
+        // claim semantics. No payload is published through the bit.
+        word.load(Ordering::Relaxed) & mask != 0
+            || word.fetch_or(mask, Ordering::Relaxed) & mask != 0
     }
 
     /// Clears bit `index`; returns the previous value.
@@ -90,10 +97,53 @@ impl AtomicBitset {
     ///
     /// This is the pruning primitive: "if unprocessed { mark processed }"
     /// becomes a single `fetch_and`, so two threads racing on the same
-    /// vertex cannot both claim it within one iteration.
+    /// vertex cannot both claim it within one iteration. A bit that
+    /// reads as clear costs one load and no RMW.
     #[inline]
     pub fn take(&self, index: usize) -> bool {
-        self.clear(index)
+        let (word, mask) = self.split(index);
+        // Relaxed: a clear read means no claim, exactly as a losing RMW.
+        self.words[word].load(Ordering::Relaxed) & mask != 0 && self.clear(index)
+    }
+
+    /// Takes the first set bit in `[from, end)` and returns its index,
+    /// or `end` when no bit in the range is set; `end` must not exceed
+    /// [`AtomicBitset::len`].
+    ///
+    /// Reads a word before it writes one: a word with no set bit in the
+    /// range is skipped with one load, and only a bit that reads as set
+    /// pays the `fetch_and` that claims it. A bit lost to a concurrent
+    /// `take` is passed over like a clear one. Every index in
+    /// `[from, result)` was clear (or lost) when it was passed, which is
+    /// what a loop of single-bit [`AtomicBitset::take`]s from `from`
+    /// would have found at the same moments.
+    #[inline]
+    pub fn take_next(&self, from: usize, end: usize) -> usize {
+        debug_assert!(end <= self.len, "range end {end} out of range {}", self.len);
+        let mut index = from;
+        while index < end {
+            let (w, base) = (index / BITS, index - index % BITS);
+            // Bits at and after `index`, and before `end`, of word `w`.
+            let mut live = u64::MAX << (index % BITS);
+            if end - base < BITS {
+                live &= (1u64 << (end - base)) - 1;
+            }
+            // Relaxed: flag reads tolerate staleness; the claim below is
+            // the RMW.
+            let bits = self.words[w].load(Ordering::Relaxed) & live;
+            if bits == 0 {
+                index = base + BITS;
+                continue;
+            }
+            let found = base + bits.trailing_zeros() as usize;
+            let mask = 1u64 << (found % BITS);
+            // Relaxed: as in `clear` — RMW atomicity is the claim.
+            if self.words[w].fetch_and(!mask, Ordering::Relaxed) & mask != 0 {
+                return found;
+            }
+            index = found + 1;
+        }
+        end
     }
 
     /// Sets every bit.
@@ -258,6 +308,43 @@ mod tests {
         b.set(0);
         assert!(b.take(0));
         assert!(!b.take(0));
+    }
+
+    /// `take_next` claims exactly the bits a bit-by-bit `take` loop
+    /// claims, in the same order, and stops at `end` — across whole
+    /// clear words, ranges that start and end mid-word, and the tail.
+    #[test]
+    fn take_next_matches_a_take_loop() {
+        let len = 300;
+        let pattern = |i: usize| i % 7 == 3 || (130..140).contains(&i) || i == 299;
+        for (from, end) in [
+            (0, 300),
+            (5, 64),
+            (64, 128),
+            (70, 250),
+            (128, 192),
+            (299, 300),
+            (9, 9),
+        ] {
+            let (fast, slow) = (AtomicBitset::new(len), AtomicBitset::new(len));
+            for i in (0..len).filter(|&i| pattern(i)) {
+                fast.set(i);
+                slow.set(i);
+            }
+            let expected: Vec<usize> = (from..end).filter(|&i| slow.take(i)).collect();
+            let mut got = Vec::new();
+            let mut i = from;
+            loop {
+                i = fast.take_next(i, end);
+                if i == end {
+                    break;
+                }
+                got.push(i);
+                i += 1;
+            }
+            assert_eq!(got, expected, "range {from}..{end}");
+            assert_eq!(fast.count_ones(), slow.count_ones(), "range {from}..{end}");
+        }
     }
 
     #[test]

@@ -1,24 +1,17 @@
 //! Lane-chunked candidate evaluation — the "choose" half of the scan
 //! kernel's stack tier.
 //!
-//! The table tier's `choose_best` interleaves, per candidate community,
-//! a `Σ'` load with the score evaluation and the running argmax, all
-//! inside one serial loop whose iterations chain through the comparison.
-//! The stack tier removes the scattered loads from the choose pass
-//! entirely: each
-//! candidate's `Σ'` is *prefetched* into the scan map's aux slot on
-//! first touch (while the edge scan still has misses to hide behind), so
-//! [`choose_prefetched`] folds over three parallel dense slices in
-//! lane-sized blocks of [`LANES`] candidates — a branch-free
-//! multiply/subtract the compiler autovectorizes, then a cheap
-//! in-register argmax reduction. [`fold_candidates`] keeps the
-//! gather-at-choose-time variant (the same blocks, with the `Σ'` loads
-//! issued per block) as the slice-folding reference. The arithmetic is
-//! *exactly* `choose_best`'s `GainCoeffs::score` with the vertex-constant
-//! `quad · p_i` factor hoisted:
-//! `score = lin · K_{i→c} − (quad · p_i) · Σ'_c`, which is bit-identical
-//! because `quad * p_i * sigma` already associates left-to-right in the
-//! scalar kernel.
+//! The stack tier *prefetches* each candidate's `Σ'` into the scan map's
+//! aux slot on first touch (while the edge scan still has misses to
+//! hide behind), so [`choose_prefetched`] folds over three parallel
+//! dense slices in lane-sized blocks of [`LANES`] candidates — a
+//! branch-free multiply/subtract the compiler autovectorizes, then an
+//! in-register argmax reduction through [`RunningBest::offer`], itself
+//! branch-free. The arithmetic is *exactly* the table tier's
+//! `GainCoeffs::score` with the vertex-constant `quad · p_i` factor
+//! hoisted: `score = lin · K_{i→c} − (quad · p_i) · Σ'_c`, which is
+//! bit-identical because `quad * p_i * sigma` already associates left
+//! to right in the scalar kernel.
 //!
 //! The `scalar-scan` cargo feature replaces the lane-blocked fold with a
 //! plain per-candidate loop using the same arithmetic, giving a
@@ -26,7 +19,7 @@
 //! the blocked form pessimizes. Both paths must (and are tested to)
 //! produce bit-identical choices.
 
-use crate::atomics::AtomicF64;
+use std::hint::select_unpredictable;
 
 /// Candidates evaluated per block: wide enough to fill two AVX2 `f64`
 /// vectors and to keep eight independent `Σ'` loads in flight, small
@@ -56,7 +49,8 @@ pub struct Choice {
 pub struct RunningBest {
     found: bool,
     key: u32,
-    score: f64,
+    /// [`rank`] of the leading score.
+    rank: u64,
     weight: f64,
     sigma: f64,
 }
@@ -67,6 +61,20 @@ impl Default for RunningBest {
     }
 }
 
+/// A score as an unsigned integer in the score's own order: `a > b`
+/// exactly when `rank(a) > rank(b)`, and equal scores — `-0.0` and
+/// `0.0` included — have equal ranks. NaN, which compares with nothing,
+/// ranks 0, below every number (`-∞` ranks above 0).
+#[inline(always)]
+fn rank(score: f64) -> u64 {
+    // `+ 0.0` turns `-0.0` into `0.0` and leaves every other value as
+    // it is; then a negative score's bits flip whole and a positive
+    // one's sign bit is set, the usual order-preserving map.
+    let bits = (score + 0.0).to_bits();
+    let ordered = bits ^ (((bits as i64 >> 63) as u64) | (1 << 63));
+    select_unpredictable(score.is_nan(), 0, ordered)
+}
+
 impl RunningBest {
     /// Empty state: no candidate seen yet.
     #[inline]
@@ -74,24 +82,35 @@ impl RunningBest {
         Self {
             found: false,
             key: u32::MAX,
-            score: f64::NEG_INFINITY,
+            rank: 0,
             weight: 0.0,
             sigma: 0.0,
         }
     }
 
-    /// Offers one candidate to the running argmax.
-    #[inline]
-    fn offer(&mut self, key: u32, score: f64, weight: f64, sigma: f64) {
-        if !self.found || score > self.score || (score == self.score && key < self.key) {
-            *self = Self {
-                found: true,
-                key,
-                score,
-                weight,
-                sigma,
-            };
-        }
+    /// Offers one candidate to the running argmax, unless `key` is
+    /// `skip` (the vertex's current community). The first candidate
+    /// offered always takes the lead — even with a NaN score, which no
+    /// later candidate beats.
+    ///
+    /// Branch-free: the score becomes an integer [`rank`], the
+    /// comparisons fold into one flag, and every field is a select on
+    /// it, so the loop-carried chain is a few integer operations and a
+    /// run of near-equal scores costs no mispredicted branch.
+    #[inline(always)]
+    pub fn offer(&mut self, key: u32, score: f64, weight: f64, sigma: f64, skip: u32) {
+        let rank = rank(score);
+        let wins = (key != skip)
+            & (!self.found | (rank > self.rank) | ((rank == self.rank) & (key < self.key)));
+        // A NaN leader ranks above everything, so nothing displaces it.
+        let lead = select_unpredictable(score.is_nan(), u64::MAX, rank);
+        self.rank = select_unpredictable(wins, lead, self.rank);
+        self.key = select_unpredictable(wins, key, self.key);
+        // Selected as integers: an `f64` select lowers to a branch.
+        let (weight, sigma) = (weight.to_bits(), sigma.to_bits());
+        self.weight = f64::from_bits(select_unpredictable(wins, weight, self.weight.to_bits()));
+        self.sigma = f64::from_bits(select_unpredictable(wins, sigma, self.sigma.to_bits()));
+        self.found |= wins;
     }
 
     /// The winner, or `None` if no candidate was ever offered (all keys
@@ -106,105 +125,10 @@ impl RunningBest {
     }
 }
 
-/// Folds one candidate through the scalar score path. Shared by the
-/// lane tail, the `scalar-scan` build, and the reference implementation.
-#[inline]
-fn fold_one(
-    best: &mut RunningBest,
-    key: u32,
-    weight: f64,
-    skip: u32,
-    lin: f64,
-    qp: f64,
-    sigma: &[AtomicF64],
-) {
-    if key == skip {
-        return;
-    }
-    let sig = sigma[key as usize].load();
-    let score = lin * weight - qp * sig;
-    best.offer(key, score, weight, sig);
-}
-
-/// Reference fold: one candidate at a time, `choose_best` loop shape. Always
-/// compiled (the differential tests pit it against the lane path).
-pub fn fold_candidates_scalar(
-    best: &mut RunningBest,
-    keys: &[u32],
-    weights: &[f64],
-    skip: u32,
-    lin: f64,
-    qp: f64,
-    sigma: &[AtomicF64],
-) {
-    let len = keys.len().min(weights.len());
-    for k in 0..len {
-        fold_one(best, keys[k], weights[k], skip, lin, qp, sigma);
-    }
-}
-
-/// Folds a block of candidates into `best`, lane-chunked.
-///
-/// `keys[k]` pairs with `weights[k]` (`K_{i→keys[k]}`); every key must
-/// index into `sigma`. `skip` (the vertex's current community) is
-/// excluded from the argmax, exactly as `choose_best` skips it. `lin` and `qp` are
-/// `GainCoeffs::lin` and `quad · p_i`.
-#[cfg(not(feature = "scalar-scan"))]
-pub fn fold_candidates(
-    best: &mut RunningBest,
-    keys: &[u32],
-    weights: &[f64],
-    skip: u32,
-    lin: f64,
-    qp: f64,
-    sigma: &[AtomicF64],
-) {
-    let len = keys.len().min(weights.len());
-    let keys = &keys[..len];
-    let weights = &weights[..len];
-    let mut sig = [0.0f64; LANES];
-    let mut score = [0.0f64; LANES];
-    let mut idx = 0;
-    while idx + LANES <= len {
-        // Gather: eight independent Σ' loads, no serial dependence.
-        for k in 0..LANES {
-            sig[k] = sigma[keys[idx + k] as usize].load();
-        }
-        // Evaluate: branch-free over the whole block (autovectorizes).
-        for k in 0..LANES {
-            score[k] = lin * weights[idx + k] - qp * sig[k];
-        }
-        // Reduce: in-register argmax with `choose_best`'s exact tie-break.
-        for k in 0..LANES {
-            let key = keys[idx + k];
-            if key != skip {
-                best.offer(key, score[k], weights[idx + k], sig[k]);
-            }
-        }
-        idx += LANES;
-    }
-    for k in idx..len {
-        fold_one(best, keys[k], weights[k], skip, lin, qp, sigma);
-    }
-}
-
-/// `scalar-scan` build: the fold is the reference loop.
-#[cfg(feature = "scalar-scan")]
-pub fn fold_candidates(
-    best: &mut RunningBest,
-    keys: &[u32],
-    weights: &[f64],
-    skip: u32,
-    lin: f64,
-    qp: f64,
-    sigma: &[AtomicF64],
-) {
-    fold_candidates_scalar(best, keys, weights, skip, lin, qp, sigma);
-}
-
 /// Reference prefetched fold: per-candidate loop over slices whose `Σ'`
 /// values were gathered during the edge scan. Always compiled (the
 /// differential tests pit it against the lane path).
+#[inline]
 pub fn fold_prefetched_scalar(
     best: &mut RunningBest,
     keys: &[u32],
@@ -216,10 +140,8 @@ pub fn fold_prefetched_scalar(
 ) {
     let len = keys.len().min(weights.len()).min(sig.len());
     for k in 0..len {
-        if keys[k] != skip {
-            let score = lin * weights[k] - qp * sig[k];
-            best.offer(keys[k], score, weights[k], sig[k]);
-        }
+        let score = lin * weights[k] - qp * sig[k];
+        best.offer(keys[k], score, weights[k], sig[k], skip);
     }
 }
 
@@ -228,8 +150,9 @@ pub fn fold_prefetched_scalar(
 /// slot on first touch *during* the edge scan, so this pass reads three
 /// parallel dense slices: the score block is branch-free arithmetic the
 /// compiler autovectorizes, and the serial argmax only walks registers.
-/// Same arithmetic, same tie-break as [`fold_candidates`].
+/// Same arithmetic, same tie-break as [`fold_prefetched_scalar`].
 #[cfg(not(feature = "scalar-scan"))]
+#[inline]
 pub fn fold_prefetched(
     best: &mut RunningBest,
     keys: &[u32],
@@ -252,23 +175,25 @@ pub fn fold_prefetched(
         }
         // Reduce: in-register argmax with `choose_best`'s exact tie-break.
         for k in 0..LANES {
-            let key = keys[idx + k];
-            if key != skip {
-                best.offer(key, score[k], weights[idx + k], sig[idx + k]);
-            }
+            best.offer(
+                keys[idx + k],
+                score[k],
+                weights[idx + k],
+                sig[idx + k],
+                skip,
+            );
         }
         idx += LANES;
     }
     for k in idx..len {
-        if keys[k] != skip {
-            let s = lin * weights[k] - qp * sig[k];
-            best.offer(keys[k], s, weights[k], sig[k]);
-        }
+        let s = lin * weights[k] - qp * sig[k];
+        best.offer(keys[k], s, weights[k], sig[k], skip);
     }
 }
 
 /// `scalar-scan` build: the prefetched fold is the reference loop.
 #[cfg(feature = "scalar-scan")]
+#[inline]
 pub fn fold_prefetched(
     best: &mut RunningBest,
     keys: &[u32],
@@ -284,6 +209,7 @@ pub fn fold_prefetched(
 /// One-shot prefetched choose over parallel candidate slices (the
 /// low-degree path: keys, weights, and cached `Σ'` all sit in the stack
 /// scan map).
+#[inline]
 pub fn choose_prefetched(
     keys: &[u32],
     weights: &[f64],
@@ -297,56 +223,48 @@ pub fn choose_prefetched(
     best.finish()
 }
 
-/// One-shot choose over parallel candidate slices (the low-degree path:
-/// the whole candidate set already sits in the stack scan map).
-pub fn choose_from_slices(
-    keys: &[u32],
-    weights: &[f64],
-    skip: u32,
-    lin: f64,
-    qp: f64,
-    sigma: &[AtomicF64],
-) -> Option<Choice> {
-    let mut best = RunningBest::new();
-    fold_candidates(&mut best, keys, weights, skip, lin, qp, sigma);
-    best.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atomics::atomic_f64_from_slice;
+
+    fn choose(
+        keys: &[u32],
+        weights: &[f64],
+        sig: &[f64],
+        skip: u32,
+        lin: f64,
+        qp: f64,
+    ) -> Option<Choice> {
+        choose_prefetched(keys, weights, sig, skip, lin, qp)
+    }
 
     fn choose_scalar(
         keys: &[u32],
         weights: &[f64],
+        sig: &[f64],
         skip: u32,
         lin: f64,
         qp: f64,
-        sigma: &[AtomicF64],
     ) -> Option<Choice> {
         let mut best = RunningBest::new();
-        fold_candidates_scalar(&mut best, keys, weights, skip, lin, qp, sigma);
+        fold_prefetched_scalar(&mut best, keys, weights, sig, skip, lin, qp);
         best.finish()
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        let sigma = atomic_f64_from_slice(&[1.0; 4]);
-        assert_eq!(choose_from_slices(&[], &[], 0, 1.0, 0.5, &sigma), None);
+        assert_eq!(choose(&[], &[], &[], 0, 1.0, 0.5), None);
     }
 
     #[test]
     fn all_skipped_yields_none() {
-        let sigma = atomic_f64_from_slice(&[1.0; 4]);
-        assert_eq!(choose_from_slices(&[2], &[3.0], 2, 1.0, 0.5, &sigma), None);
+        assert_eq!(choose(&[2], &[3.0], &[1.0], 2, 1.0, 0.5), None);
     }
 
     #[test]
     fn picks_max_score_with_tie_to_smaller_key() {
         // lin=1, qp=0 ⇒ score = weight. Keys 5 and 1 tie on weight.
-        let sigma = atomic_f64_from_slice(&[0.0; 8]);
-        let got = choose_from_slices(&[5, 1, 3], &[2.0, 2.0, 1.0], 7, 1.0, 0.0, &sigma);
+        let got = choose(&[5, 1, 3], &[2.0, 2.0, 1.0], &[0.0; 3], 7, 1.0, 0.0);
         assert_eq!(
             got,
             Some(Choice {
@@ -360,10 +278,17 @@ mod tests {
     #[test]
     fn sigma_penalty_flips_winner() {
         // Key 0 has more weight but a huge Σ'; key 1 wins on score.
-        let sigma = atomic_f64_from_slice(&[100.0, 1.0]);
-        let got = choose_from_slices(&[0, 1], &[5.0, 4.0], 9, 1.0, 1.0, &sigma).unwrap();
+        let got = choose(&[0, 1], &[5.0, 4.0], &[100.0, 1.0], 9, 1.0, 1.0).unwrap();
         assert_eq!(got.key, 1);
         assert_eq!(got.sigma, 1.0);
+    }
+
+    #[test]
+    fn first_candidate_leads_even_with_a_nan_score() {
+        let got = choose(&[4, 2], &[f64::NAN, 1.0], &[0.0; 2], 9, 1.0, 0.0).unwrap();
+        assert_eq!(got.key, 4);
+        let got = choose(&[4, 2], &[1.0, f64::NAN], &[0.0; 2], 9, 1.0, 0.0).unwrap();
+        assert_eq!(got.key, 4);
     }
 
     #[test]
@@ -373,22 +298,37 @@ mod tests {
         let keys: Vec<u32> = (0..11).collect();
         let mut weights = vec![1.0f64; 11];
         weights[10] = 9.0;
-        let sigma = atomic_f64_from_slice(&[0.0; 11]);
-        let got = choose_from_slices(&keys, &weights, 99, 1.0, 0.0, &sigma).unwrap();
+        let got = choose(&keys, &weights, &[0.0; 11], 99, 1.0, 0.0).unwrap();
         assert_eq!(got.key, 10);
         assert_eq!(got.weight, 9.0);
     }
 
     #[test]
     fn blockwise_fold_matches_one_shot() {
-        // Hub path shape: fold the same candidates in two chunks.
+        // Fold the same candidates in two chunks.
         let keys: Vec<u32> = (0..20).collect();
         let weights: Vec<f64> = (0..20).map(|k| ((k * 7) % 13) as f64).collect();
-        let sigma = atomic_f64_from_slice(&(0..20).map(|k| (k % 5) as f64).collect::<Vec<_>>());
-        let whole = choose_from_slices(&keys, &weights, 3, 0.25, 0.125, &sigma);
+        let sig: Vec<f64> = (0..20).map(|k| (k % 5) as f64).collect();
+        let whole = choose(&keys, &weights, &sig, 3, 0.25, 0.125);
         let mut best = RunningBest::new();
-        fold_candidates(&mut best, &keys[..9], &weights[..9], 3, 0.25, 0.125, &sigma);
-        fold_candidates(&mut best, &keys[9..], &weights[9..], 3, 0.25, 0.125, &sigma);
+        fold_prefetched(
+            &mut best,
+            &keys[..9],
+            &weights[..9],
+            &sig[..9],
+            3,
+            0.25,
+            0.125,
+        );
+        fold_prefetched(
+            &mut best,
+            &keys[9..],
+            &weights[9..],
+            &sig[9..],
+            3,
+            0.25,
+            0.125,
+        );
         assert_eq!(best.finish(), whole);
     }
 
@@ -412,11 +352,10 @@ mod tests {
                 .filter(|&k| !std::mem::replace(&mut seen[k as usize], true))
                 .collect();
             let weights: Vec<f64> = keys.iter().map(|_| (next() % 1000) as f64 / 17.0).collect();
-            let sigma_vals: Vec<f64> = (0..64).map(|_| (next() % 1000) as f64 / 3.0).collect();
-            let sigma = atomic_f64_from_slice(&sigma_vals);
+            let sig: Vec<f64> = keys.iter().map(|_| (next() % 1000) as f64 / 3.0).collect();
             for &skip in &[0u32, 5, 63, 99] {
-                let a = choose_from_slices(&keys, &weights, skip, 0.01, 0.003, &sigma);
-                let b = choose_scalar(&keys, &weights, skip, 0.01, 0.003, &sigma);
+                let a = choose(&keys, &weights, &sig, skip, 0.01, 0.003);
+                let b = choose_scalar(&keys, &weights, &sig, skip, 0.01, 0.003);
                 assert_eq!(a, b, "len={} skip={skip}", keys.len());
             }
         }

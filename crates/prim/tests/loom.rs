@@ -1,5 +1,5 @@
 //! Loom models for the inter-thread protocols the Leiden core relies
-//! on: three claim protocols and the worker pool's handoff.
+//! on: two claim protocols and the worker pool's handoff.
 //!
 //! Each model re-implements the protocol on `loom::sync::atomic` types
 //! (the standard loom methodology: the model *is* the specification of
@@ -21,11 +21,7 @@
 //!    claim an isolated vertex by swapping its community weight from
 //!    exactly `K'[i]` to `0`. Invariants: at most one claimant wins,
 //!    and weight is conserved when the winner re-deposits.
-//! 3. **Holey-CSR slot claim** — the `fetch_add` arc-slot claim in
-//!    `crates/graph/src/holey.rs` `add_arc`. Invariants: claimed slots
-//!    are unique, no slot exceeds the degree bound, and every payload
-//!    lands intact in its claimed slot.
-//! 4. **Worker-pool handoff** — the wake and completion edges of the
+//! 3. **Worker-pool handoff** — the wake and completion edges of the
 //!    persistent pool every parallel loop runs on (`Registry::run` and
 //!    `Registry::work` in `shims/rayon/src/lib.rs`): the caller posts a
 //!    job with a Release epoch bump the workers Acquire, and each worker
@@ -166,52 +162,7 @@ fn sigma_isolation_claim_has_single_winner_and_conserves_weight() {
     });
 }
 
-#[test]
-fn holey_slot_claims_are_unique_and_payloads_intact() {
-    loom::model(|| {
-        const SLOTS: usize = 6;
-        // Per-vertex arc-slot cursor, as in `AggregateScratch::add_arc`: each
-        // writer claims `fetch_add(1)` then owns slot exclusively.
-        let cursor = Arc::new(AtomicUsize::new(0));
-        // One atomic per slot standing in for the (target, weight)
-        // payload; 0 means "unwritten".
-        let slots: Arc<Vec<AtomicU64>> = Arc::new((0..SLOTS).map(|_| AtomicU64::new(0)).collect());
-        let handles: Vec<_> = (0..3)
-            .map(|t| {
-                let cursor = Arc::clone(&cursor);
-                let slots = Arc::clone(&slots);
-                thread::spawn(move || {
-                    for a in 0..2u64 {
-                        // Relaxed: mirrors the production slot claim —
-                        // the claim only needs the RMW's atomicity; the
-                        // payload is published by the build-phase join.
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        assert!(slot < SLOTS, "claim exceeded the degree bound");
-                        // Tagged payload: writer id and arc number, so
-                        // torn or duplicated writes are detectable.
-                        let payload = 1 + (t as u64) * 10 + a;
-                        // Relaxed: exclusive slot, published at join.
-                        slots[slot].store(payload, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(cursor.load(Ordering::Relaxed), SLOTS);
-        // Relaxed: post-join read-back.
-        let mut payloads: Vec<u64> = slots.iter().map(|s| s.load(Ordering::Relaxed)).collect();
-        payloads.sort_unstable();
-        assert_eq!(
-            payloads,
-            vec![1, 2, 11, 12, 21, 22],
-            "every claimed slot holds exactly its writer's payload"
-        );
-    });
-}
-
-/// Model 4 helper: one pool worker's loop, mirroring `Registry::work`:
+/// Model 3 helper: one pool worker's loop, mirroring `Registry::work`:
 /// wait for the epoch to move (the production worker parks after a
 /// bounded spin; a yield stands in for the park), run its share under
 /// `catch_unwind`, record a panic payload, then decrement `pending`.

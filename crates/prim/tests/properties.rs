@@ -6,10 +6,32 @@ use gve_prim::scan::{
     exclusive_scan_in_place, inclusive_scan_in_place, offsets_from_counts, parallel_exclusive_scan,
     parallel_offsets_from_counts,
 };
+use gve_prim::simd::{choose_prefetched, Choice, RunningBest};
 use gve_prim::{AtomicBitset, CommunityMap, Xorshift32};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::OnceLock;
+
+/// The branchy argmax the kernel used before `RunningBest::offer` went
+/// branch-free, kept as the reference it must reproduce: maximum score,
+/// ties to the smaller key, the first offer always leading.
+#[derive(Default)]
+struct BranchyBest(Option<Choice>, f64);
+
+impl BranchyBest {
+    fn offer(&mut self, key: u32, score: f64, weight: f64, sigma: f64, skip: u32) {
+        if key == skip {
+            return;
+        }
+        let leads = match self.0 {
+            None => true,
+            Some(best) => score > self.1 || (score == self.1 && key < best.key),
+        };
+        if leads {
+            *self = Self(Some(Choice { key, weight, sigma }), score);
+        }
+    }
+}
 
 /// 1-, 2- and 3-thread pools, built once for every proptest case.
 fn pools() -> &'static [rayon::ThreadPool; 3] {
@@ -45,6 +67,45 @@ proptest! {
         let total_par = parallel_exclusive_scan(&mut par);
         prop_assert_eq!(&par, &expected);
         prop_assert_eq!(total_par, running);
+    }
+
+    /// The branch-free argmax picks exactly what the branchy reference
+    /// picks — key, weight and Σ' bits — over candidate lists of 0–40
+    /// (full 8-lane blocks and tails) whose scores collide often, with
+    /// the skipped key both among the candidates and absent. Offered
+    /// one by one and through the lane-blocked `choose_prefetched`.
+    #[test]
+    fn branch_free_argmax_matches_branchy_reference(
+        candidates in proptest::collection::vec((0u32..256, 0u32..4, 0u32..3), 0..41),
+        skip_slot in 0usize..41,
+        qp_level in 0u32..3,
+    ) {
+        // Distinct keys (the kernel contract), each with one of a few
+        // weight and Σ' levels, so equal scores are common.
+        let mut seen = [false; 256];
+        let candidates: Vec<(u32, u32, u32)> = candidates
+            .into_iter()
+            .filter(|&(k, ..)| !std::mem::replace(&mut seen[k as usize], true))
+            .collect();
+        let keys: Vec<u32> = candidates.iter().map(|c| c.0).collect();
+        let weights: Vec<f64> = candidates.iter().map(|c| 0.5 * c.1 as f64).collect();
+        let sig: Vec<f64> = candidates.iter().map(|c| c.2 as f64).collect();
+        let (lin, qp) = (1.0, 0.5 * qp_level as f64);
+        // A skipped key among the candidates, and one that is absent.
+        let present = keys.get(skip_slot % keys.len().max(1)).copied().unwrap_or(0);
+        for skip in [present, u32::MAX] {
+            let mut reference = BranchyBest::default();
+            let mut best = RunningBest::new();
+            for k in 0..keys.len() {
+                let score = lin * weights[k] - qp * sig[k];
+                reference.offer(keys[k], score, weights[k], sig[k], skip);
+                best.offer(keys[k], score, weights[k], sig[k], skip);
+            }
+            let bits = |c: Option<Choice>| c.map(|c| (c.key, c.weight.to_bits(), c.sigma.to_bits()));
+            prop_assert_eq!(bits(best.finish()), bits(reference.0), "skip {}", skip);
+            let folded = choose_prefetched(&keys, &weights, &sig, skip, lin, qp);
+            prop_assert_eq!(bits(folded), bits(reference.0), "lanes, skip {}", skip);
+        }
     }
 
     /// Inclusive scan is the exclusive scan shifted by each element.

@@ -1,8 +1,8 @@
 //! Offline stand-in for the subset of the `rayon` API this workspace
 //! uses, so the repo builds and tests in network-less containers where
 //! the real crates.io `rayon` is unavailable. It is also the workspace's
-//! one parallel runtime: `gve_prim::parfor` and `gve_prim::sched` build
-//! every OpenMP-style loop on [`broadcast`].
+//! one parallel runtime: `gve_prim::parfor` builds every OpenMP-style
+//! loop on [`broadcast`].
 //!
 //! * A [`ThreadPool`] of `n` threads spawns its `n - 1` workers **once**,
 //!   when it is built; the default pool does so on its first
@@ -17,7 +17,9 @@
 //!   worker wrote is visible to the caller after `broadcast` returns.
 //! * An idle worker spins for at most [`SPIN_LIMIT`] before it parks, so
 //!   back-to-back loops skip the wake-up but an idle pool holds no core.
-//!   The caller waits for its workers the same way.
+//!   The caller waits for its workers the same way. The spin yields its
+//!   time slice on every check, so a spinning thread does not starve
+//!   the one it waits for when both land on one core.
 //! * A one-thread broadcast runs inline on the caller and touches no
 //!   worker.
 //! * Concurrent callers on one pool (the server's job shards share the
@@ -46,7 +48,13 @@ use std::time::{Duration, Instant};
 
 /// Longest a waiting thread spins before it parks: an idle worker
 /// between two loops, or a caller waiting for its workers.
-pub const SPIN_LIMIT: Duration = Duration::from_micros(50);
+///
+/// It must sit well above the host's wake-up latency. A park costs its
+/// waker a wake-up of some tens of µs; with a bound just below that
+/// latency, a worker parks just before each broadcast arrives and the
+/// caller parks just before the workers finish, so every loop pays the
+/// wake-up twice. A pass's loops follow each other well within 1 ms.
+pub const SPIN_LIMIT: Duration = Duration::from_millis(1);
 
 thread_local! {
     /// Worker index inside a `broadcast`, `None` outside one.
@@ -290,13 +298,20 @@ impl Registry {
 /// Spins until `done` holds or [`SPIN_LIMIT`] has passed, then parks
 /// between checks. Whoever makes `done` true unparks this thread, and a
 /// spurious or stale wake-up only costs one more check.
+///
+/// Each spin yields the time slice. With nothing else runnable a yield
+/// returns at once, so the hand-off still takes about a microsecond.
+/// When the awaited thread shares this core — a busy host, or a pool
+/// larger than the hardware — the yield hands the core over; a pure
+/// spin would hold it until the bound, so each side would wait
+/// [`SPIN_LIMIT`] for the other and a broadcast would cost two bounds.
 fn wait_for(mut done: impl FnMut() -> bool) {
     let mut spins = 0u32;
     let mut started: Option<Instant> = None;
     while !done() {
         if spins < u32::MAX {
             spins += 1;
-            std::hint::spin_loop();
+            thread::yield_now();
             if spins.is_multiple_of(64)
                 && started.get_or_insert_with(Instant::now).elapsed() >= SPIN_LIMIT
             {
