@@ -3,15 +3,15 @@
 //! dispatch), a planted-partition SBM (near-uniform degrees — almost
 //! every vertex rides the stack tier) and the suite's `road-europe`
 //! grid (degree 2.1 — a visit's fixed costs outweigh its arcs). Also
-//! measures one `best_move` per vertex on frozen singleton state, and
-//! the vertex-ordering variant of the full pipeline. The machine-readable counterpart of this
-//! suite is the `kernels` binary, which emits `BENCH_kernels.json`.
+//! measures one `best_move` per vertex on frozen singleton state and the
+//! full pipeline. The machine-readable counterpart of this suite is the
+//! `kernels` binary, which emits `BENCH_kernels.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gve_graph::props::vertex_weights;
 use gve_graph::CsrGraph;
 use gve_leiden::kernel::best_move;
-use gve_leiden::{localmove, Leiden, LeidenConfig, Objective, VertexOrdering};
+use gve_leiden::{localmove, Leiden, LeidenConfig, Objective};
 use gve_prim::atomics::atomic_f64_from_slice;
 use gve_prim::{AtomicBitset, CommunityMap, HashScanMap, PerThread};
 use std::hint::black_box;
@@ -106,23 +106,13 @@ fn bench_local_move(c: &mut Criterion) {
     }
 }
 
-/// Full detection runs, including the ordering variant that only pays
-/// off (or costs) across whole passes.
+/// Full detection runs in the default configuration, per graph.
 fn bench_full_runs(c: &mut Criterion) {
-    let variants: Vec<(&'static str, LeidenConfig)> = {
-        let base = LeidenConfig::default();
-        vec![
-            ("default", base.clone()),
-            ("degree", base.ordering(VertexOrdering::DegreeDesc)),
-        ]
-    };
+    let runner = Leiden::default();
     for (graph_name, graph) in graphs() {
-        for (variant, config) in &variants {
-            let runner = Leiden::new(config.clone());
-            c.bench_function(format!("kernel/full/{variant}/{graph_name}"), |b| {
-                b.iter(|| black_box(runner.run(&graph)));
-            });
-        }
+        c.bench_function(format!("kernel/full/{graph_name}"), |b| {
+            b.iter(|| black_box(runner.run(&graph)));
+        });
     }
 }
 

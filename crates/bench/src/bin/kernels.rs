@@ -1,6 +1,6 @@
 //! Scan-kernel runner — the reproducible counterpart of
-//! `benches/kernels.rs`. Runs full GVE-Leiden under each vertex
-//! ordering on an R-MAT web graph (skewed degrees), a
+//! `benches/kernels.rs`. Runs full GVE-Leiden in its default
+//! configuration on an R-MAT web graph (skewed degrees), a
 //! planted-partition SBM (near-uniform degrees), a Barabási–Albert
 //! power-law graph (heavy hub skew), and the suite's `road-europe`
 //! grid (average degree 2.1, where fixed per-vertex costs outweigh the
@@ -15,16 +15,12 @@
 //!
 //! Without `--json` the report is written to `BENCH_kernels.json` in the
 //! working directory; it records the rayon thread count and the
-//! checkout's `git describe --always --dirty`. Variants (all on the one
-//! scan kernel and the split CSR layout; the kernel's own speed is
-//! guarded end to end by the benchmark ledger's detect workloads):
-//!
-//! * `default` — the default configuration (original vertex order);
-//! * `degree` — degree-descending vertex relabeling;
-//! * `bfs` — BFS vertex relabeling.
+//! checkout's `git describe --always --dirty`. The report holds
+//! absolute times only; the kernel's speed is guarded end to end by
+//! the benchmark ledger's detect workloads.
 //!
 //! This binary installs the counting global allocator and runs every
-//! variant inside one pass-resident [`PassWorkspace`], so the report
+//! graph inside one pass-resident [`PassWorkspace`], so the report
 //! also carries the preallocation discipline's receipts: allocations
 //! and bytes of the first (cold) run vs the steady state, plus the
 //! live-byte high-water mark. `--assert-steady-allocs <n>` turns the
@@ -34,22 +30,13 @@
 
 use gve_bench::{report, report::Table, BenchArgs};
 use gve_graph::CsrGraph;
-use gve_leiden::{Leiden, LeidenConfig, PassWorkspace, VertexOrdering};
+use gve_leiden::{Leiden, PassWorkspace};
 use gve_prim::alloc_count::{self, CountingAllocator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
-
-fn variants() -> Vec<(&'static str, LeidenConfig)> {
-    let base = LeidenConfig::default();
-    vec![
-        ("default", base.clone()),
-        ("degree", base.clone().ordering(VertexOrdering::DegreeDesc)),
-        ("bfs", base.ordering(VertexOrdering::Bfs)),
-    ]
-}
 
 fn graphs(args: &BenchArgs) -> Vec<(String, CsrGraph)> {
     // --quick halves the R-MAT scale and the SBM size on top of --scale.
@@ -93,7 +80,6 @@ struct Row {
     graph: String,
     vertices: usize,
     arcs: usize,
-    variant: &'static str,
     seconds: f64,
     modularity: f64,
     passes: usize,
@@ -111,104 +97,76 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Table::new(
-        "Scan kernel: vertex ordering variants (min wall time over reps)",
+        "Scan kernel: full detection (min wall time over reps)",
         &[
             "Graph",
-            "Variant",
             "Time",
-            "vs default",
             "Modularity",
             "Passes",
             "Allocs fresh\u{2192}steady",
         ],
     );
 
+    let runner = Leiden::default();
     for (graph_name, graph) in graphs(&args) {
-        // Round-robin the repetitions across variants (after one warmup
-        // run each) so slow drift on a shared box biases every variant
-        // equally instead of whichever ran last. Every variant owns one
-        // pass-resident arena for the whole graph, so the warmup run is
-        // the *cold* allocation measurement and every timed rep is a
+        // One pass-resident arena for the whole graph, so the warmup run
+        // is the *cold* allocation measurement and every timed rep is a
         // *steady-state* one.
-        let runners: Vec<(&'static str, Leiden)> = variants()
-            .into_iter()
-            .map(|(name, config)| (name, Leiden::new(config)))
-            .collect();
-        let mut workspaces: Vec<PassWorkspace> =
-            runners.iter().map(|_| PassWorkspace::new()).collect();
-        let mut best = vec![f64::INFINITY; runners.len()];
-        // (allocs, bytes) of the cold run; (allocs, bytes, peak) of the
-        // quietest steady rep.
-        let mut fresh = vec![(0u64, 0u64); runners.len()];
-        let mut steady = vec![(u64::MAX, 0u64, 0u64); runners.len()];
-        let mut results = Vec::new();
-        for (i, (_, runner)) in runners.iter().enumerate() {
-            let before = alloc_count::snapshot();
-            results.push(runner.run_in(&graph, &mut workspaces[i])); // warmup, keep the result
-            let after = alloc_count::snapshot();
-            fresh[i] = (after.allocs_since(&before), after.bytes_since(&before));
-        }
+        let mut workspace = PassWorkspace::new();
+        let before = alloc_count::snapshot();
+        let mut result = runner.run_in(&graph, &mut workspace); // warmup, keep the result
+        let after = alloc_count::snapshot();
+        let fresh = (after.allocs_since(&before), after.bytes_since(&before));
+        let mut best = f64::INFINITY;
+        // (allocs, bytes, peak) of the quietest steady rep.
+        let mut steady = (u64::MAX, 0u64, 0u64);
         for _ in 0..args.reps {
-            for (i, (_, runner)) in runners.iter().enumerate() {
-                // Scope the live-byte high-water mark to this rep. The
-                // base includes whatever is resident (the graph and all
-                // variants' arenas), which is exactly the footprint a
-                // resident service would carry.
-                alloc_count::reset_watermarks();
-                let before = alloc_count::snapshot();
-                let start = Instant::now();
-                let result = runner.run_in(&graph, &mut workspaces[i]);
-                let seconds = start.elapsed().as_secs_f64();
-                let after = alloc_count::snapshot();
-                if seconds < best[i] {
-                    best[i] = seconds;
-                    results[i] = result; // keep the min-time rep's stats
-                }
-                let allocs = after.allocs_since(&before);
-                if allocs < steady[i].0 {
-                    steady[i] = (allocs, after.bytes_since(&before), after.peak);
-                }
+            // Scope the live-byte high-water mark to this rep. The base
+            // includes whatever is resident (the graph and the arena),
+            // which is exactly the footprint a resident service would
+            // carry.
+            alloc_count::reset_watermarks();
+            let before = alloc_count::snapshot();
+            let start = Instant::now();
+            let rep = runner.run_in(&graph, &mut workspace);
+            let seconds = start.elapsed().as_secs_f64();
+            let after = alloc_count::snapshot();
+            if seconds < best {
+                best = seconds;
+                result = rep; // keep the min-time rep's stats
+            }
+            let allocs = after.allocs_since(&before);
+            if allocs < steady.0 {
+                steady = (allocs, after.bytes_since(&before), after.peak);
             }
         }
-        let mut default_seconds = f64::NAN;
-        for (i, (variant, _)) in runners.iter().enumerate() {
-            let variant = *variant;
-            let best = best[i];
-            let result = &results[i];
-            if variant == "default" {
-                default_seconds = best;
-            }
-            let modularity = gve_quality::modularity(&graph, &result.membership);
-            table.push(vec![
-                graph_name.clone(),
-                variant.to_string(),
-                report::fmt_secs(best),
-                report::fmt_speedup(default_seconds / best),
-                format!("{modularity:.4}"),
-                result.passes.to_string(),
-                format!("{}\u{2192}{}", fresh[i].0, steady[i].0),
-            ]);
-            rows.push(Row {
-                graph: graph_name.clone(),
-                vertices: graph.num_vertices(),
-                arcs: graph.num_arcs(),
-                variant,
-                seconds: best,
-                modularity,
-                passes: result.passes,
-                phases: [
-                    result.timings.local_move.as_secs_f64(),
-                    result.timings.refinement.as_secs_f64(),
-                    result.timings.aggregation.as_secs_f64(),
-                    result.timings.other.as_secs_f64(),
-                ],
-                allocs_fresh: fresh[i].0,
-                allocs_steady: steady[i].0,
-                alloc_bytes_fresh: fresh[i].1,
-                alloc_bytes_steady: steady[i].1,
-                peak_bytes: steady[i].2,
-            });
-        }
+        let modularity = gve_quality::modularity(&graph, &result.membership);
+        table.push(vec![
+            graph_name.clone(),
+            report::fmt_secs(best),
+            format!("{modularity:.4}"),
+            result.passes.to_string(),
+            format!("{}\u{2192}{}", fresh.0, steady.0),
+        ]);
+        rows.push(Row {
+            graph: graph_name,
+            vertices: graph.num_vertices(),
+            arcs: graph.num_arcs(),
+            seconds: best,
+            modularity,
+            passes: result.passes,
+            phases: [
+                result.timings.local_move.as_secs_f64(),
+                result.timings.refinement.as_secs_f64(),
+                result.timings.aggregation.as_secs_f64(),
+                result.timings.other.as_secs_f64(),
+            ],
+            allocs_fresh: fresh.0,
+            allocs_steady: steady.0,
+            alloc_bytes_fresh: fresh.1,
+            alloc_bytes_steady: steady.1,
+            peak_bytes: steady.2,
+        });
     }
     table.print();
     if let Some(csv) = &args.csv {
@@ -230,7 +188,7 @@ fn main() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"graph\": \"{}\", \"vertices\": {}, \"arcs\": {}, \"variant\": \"{}\", \
+            "    {{\"graph\": \"{}\", \"vertices\": {}, \"arcs\": {}, \
              \"seconds\": {:.6}, \"modularity\": {:.6}, \"passes\": {}, \
              \"local_move\": {:.6}, \"refinement\": {:.6}, \"aggregation\": {:.6}, \
              \"other\": {:.6}, \
@@ -240,7 +198,6 @@ fn main() {
             row.graph,
             row.vertices,
             row.arcs,
-            row.variant,
             row.seconds,
             row.modularity,
             row.passes,
@@ -268,9 +225,9 @@ fn main() {
             if row.allocs_steady > bound {
                 violated = true;
                 eprintln!(
-                    "alloc gate FAILED: {}/{} performed {} steady-state allocations \
+                    "alloc gate FAILED: {} performed {} steady-state allocations \
                      (bound {bound}, cold run {})",
-                    row.graph, row.variant, row.allocs_steady, row.allocs_fresh
+                    row.graph, row.allocs_steady, row.allocs_fresh
                 );
             }
         }

@@ -12,11 +12,9 @@
 //! [`gve_prim::parfor::DEFAULT_CHUNK`] vertices from a shared cursor,
 //! the paper's `schedule(dynamic, 2048)`. What remains here are the
 //! paper's parameters, its ablation comparators (random refinement,
-//! color-synchronous scheduling, sort-reduce aggregation) and vertex
-//! ordering.
+//! color-synchronous scheduling, sort-reduce aggregation).
 
 use crate::objective::Objective;
-pub use gve_graph::VertexOrdering;
 
 /// Degree cutoff of the scan kernel's stack tier
 /// ([`crate::kernel::best_move`]): vertices of degree ≤ this scan into a
@@ -152,9 +150,6 @@ pub struct LeidenConfig {
     pub aggregation: AggregationStrategy,
     /// Seed for the randomized refinement streams.
     pub seed: u64,
-    /// Cache-aware vertex relabeling applied before detection
-    /// (memberships are still reported in the caller's original ids).
-    pub ordering: VertexOrdering,
 }
 
 impl Default for LeidenConfig {
@@ -175,7 +170,6 @@ impl Default for LeidenConfig {
             scheduling: Scheduling::default(),
             aggregation: AggregationStrategy::default(),
             seed: 0,
-            ordering: VertexOrdering::default(),
         }
     }
 }
@@ -236,12 +230,6 @@ impl LeidenConfig {
         self
     }
 
-    /// Sets the cache-aware vertex ordering.
-    pub fn ordering(mut self, ordering: VertexOrdering) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
     /// Validates parameter sanity.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_passes == 0 {
@@ -284,7 +272,6 @@ mod tests {
         assert!(c.threshold_scaling);
         assert!(c.use_aggregation_tolerance);
         assert!(c.pruning);
-        assert_eq!(c.ordering, VertexOrdering::Original);
         assert!(c.validate().is_ok());
     }
 
@@ -337,12 +324,10 @@ mod tests {
         let c = LeidenConfig::default()
             .refinement(RefinementStrategy::Random)
             .labeling(Labeling::RefineBased)
-            .seed(99)
-            .ordering(VertexOrdering::DegreeDesc);
+            .seed(99);
         assert_eq!(c.refinement, RefinementStrategy::Random);
         assert_eq!(c.labeling, Labeling::RefineBased);
         assert_eq!(c.seed, 99);
-        assert_eq!(c.ordering, VertexOrdering::DegreeDesc);
         assert!(c.validate().is_ok());
     }
 }

@@ -66,7 +66,7 @@ pub mod workspace;
 
 pub use config::{
     AggregationStrategy, Labeling, LeidenConfig, RefinementStrategy, Scheduling, Variant,
-    VertexOrdering, SMALL_DEGREE_THRESHOLD,
+    SMALL_DEGREE_THRESHOLD,
 };
 pub use localmove::MoveOutcome;
 pub use math::delta_modularity;
@@ -75,7 +75,7 @@ pub use obs::{CoreMetrics, RunObserver};
 pub use timing::{PassStats, PhaseTimings};
 pub use workspace::PassWorkspace;
 
-use gve_graph::{reorder::Relabeling, CsrGraph, VertexId};
+use gve_graph::{CsrGraph, VertexId};
 use gve_prim::parfor::{static_for, static_for_mut};
 use gve_prim::{CommunityMap, PerThread};
 use std::sync::atomic::Ordering;
@@ -222,7 +222,18 @@ impl Leiden {
     /// path. Results are bit-identical to [`Leiden::run`] — both share
     /// this code path.
     pub fn run_in(&self, graph: &CsrGraph, workspace: &mut PassWorkspace) -> LeidenResult {
-        self.run_inner(graph, None, None, workspace)
+        self.run_core(graph, None, None, false, workspace)
+    }
+
+    /// Runs GVE-Louvain, the paper's prior substrate (\[23\]): the same
+    /// pass loop with the refinement phase skipped. Each pass
+    /// local-moves, aggregates the local-moving communities directly,
+    /// and the next pass starts from singletons; the refinement-specific
+    /// configuration fields are ignored and `timings.refinement` stays
+    /// zero. Louvain may leave communities internally disconnected —
+    /// the defect the refinement phase exists to repair (Figure 6(d)).
+    pub fn run_louvain_in(&self, graph: &CsrGraph, workspace: &mut PassWorkspace) -> LeidenResult {
+        self.run_core(graph, None, None, true, workspace)
     }
 
     /// Runs the algorithm seeded with a previous community membership —
@@ -249,7 +260,7 @@ impl Leiden {
     ) -> LeidenResult {
         assert_eq!(previous.len(), graph.num_vertices());
         let (dense, _) = dendrogram::renumber(previous);
-        self.run_inner(graph, Some(dense), None, workspace)
+        self.run_core(graph, Some(dense), None, false, workspace)
     }
 
     /// Runs the algorithm seeded with a previous membership *and* an
@@ -287,40 +298,13 @@ impl Leiden {
             .iter()
             .all(|&v| (v as usize) < graph.num_vertices()));
         let (dense, _) = dendrogram::renumber(previous);
-        self.run_inner(graph, Some(dense), Some(frontier.to_vec()), workspace)
-    }
-
-    /// Applies the configured cache-aware relabeling (if any) around
-    /// [`Leiden::run_core`]: the algorithm runs on the permuted graph,
-    /// and memberships (plus the dendrogram's level 0, whose indices are
-    /// vertex ids of the input graph) are mapped back so callers always
-    /// see their original vertex ids.
-    fn run_inner(
-        &self,
-        graph: &CsrGraph,
-        first_init: Option<Vec<VertexId>>,
-        first_frontier: Option<Vec<VertexId>>,
-        workspace: &mut PassWorkspace,
-    ) -> LeidenResult {
-        let Some(relabel) = Relabeling::for_ordering(graph, self.config.ordering) else {
-            return self.run_core(graph, first_init, first_frontier, workspace);
-        };
-        let t_reorder = Instant::now();
-        let permuted = relabel.apply(graph);
-        let init = first_init.map(|labels| relabel.push_to_new(&labels));
-        let frontier = first_frontier.map(|f| {
-            f.iter()
-                .map(|&v| relabel.perm[v as usize])
-                .collect::<Vec<_>>()
-        });
-        let reorder_time = t_reorder.elapsed();
-        let mut result = self.run_core(&permuted, init, frontier, workspace);
-        result.timings.other += reorder_time;
-        result.membership = relabel.pull_to_original(&result.membership);
-        if let Some(level0) = result.dendrogram.first_mut() {
-            *level0 = relabel.pull_to_original(level0);
-        }
-        result
+        self.run_core(
+            graph,
+            Some(dense),
+            Some(frontier.to_vec()),
+            false,
+            workspace,
+        )
     }
 
     fn run_core(
@@ -328,6 +312,7 @@ impl Leiden {
         graph: &CsrGraph,
         first_init: Option<Vec<VertexId>>,
         first_frontier: Option<Vec<VertexId>>,
+        skip_refinement: bool,
         workspace: &mut PassWorkspace,
     ) -> LeidenResult {
         let config = &self.config;
@@ -460,9 +445,10 @@ impl Leiden {
             let lm_before = timings.local_move;
             let rf_before = timings.refinement;
 
-            // Local-moving (Algorithm 2) and refinement (Algorithm 3),
-            // under the configured scheduling. Bounds land in their
-            // workspace prefix; the refined membership lands in the
+            // Local-moving (Algorithm 2) and refinement (Algorithm 3,
+            // skipped for Louvain), under the configured scheduling.
+            // Bounds land in their workspace prefix; the refined (or,
+            // for Louvain, the local-moving) membership lands in the
             // `init_buf` prefix, whose seeds were consumed above and
             // which the labeling step overwrites only after the
             // renumber below has read it.
@@ -534,43 +520,49 @@ impl Leiden {
                         );
                     }
 
-                    // Reset to singletons within bounds (line 6), one
-                    // fused loop: vertex v reads and rewrites only its own
-                    // slots. Relaxed loads/stores throughout: the ends of
-                    // the parallel loops are the synchronization points;
-                    // no store here races with a reader.
-                    let t2 = Instant::now();
-                    let bounds = &mut bounds[..n_cur];
-                    static_for_mut(bounds, |v, b| {
-                        // Relaxed: between-loops reset, as above.
-                        *b = membership[v].load(Ordering::Relaxed);
-                        membership[v].store(v as u32, Ordering::Relaxed);
-                        sigma[v].store(pen[v]);
-                    });
-                    timings.other += t2.elapsed();
+                    let (refine_moves, refine_chunks) = if skip_refinement {
+                        (0, 0)
+                    } else {
+                        // Reset to singletons within bounds (line 6), one
+                        // fused loop: vertex v reads and rewrites only its
+                        // own slots. Relaxed loads/stores throughout: the
+                        // ends of the parallel loops are the
+                        // synchronization points; no store here races
+                        // with a reader.
+                        let t2 = Instant::now();
+                        let bounds = &mut bounds[..n_cur];
+                        static_for_mut(bounds, |v, b| {
+                            // Relaxed: between-loops reset, as above.
+                            *b = membership[v].load(Ordering::Relaxed);
+                            membership[v].store(v as u32, Ordering::Relaxed);
+                            sigma[v].store(pen[v]);
+                        });
+                        timings.other += t2.elapsed();
 
-                    let t3 = Instant::now();
-                    let (refine_moves, refine_chunks) = refine::refine(
-                        g,
-                        bounds,
-                        membership,
-                        pen,
-                        sigma,
-                        coeffs,
-                        config,
-                        tables,
-                        pass as u64,
-                    );
-                    timings.refinement += t3.elapsed();
+                        let t3 = Instant::now();
+                        let refined = refine::refine(
+                            g,
+                            bounds,
+                            membership,
+                            pen,
+                            sigma,
+                            coeffs,
+                            config,
+                            tables,
+                            pass as u64,
+                        );
+                        timings.refinement += t3.elapsed();
+                        refined
+                    };
 
-                    // Relaxed: the end of refine's loops already
+                    // Relaxed: the end of the last phase's loops already
                     // published all membership stores.
                     static_for_mut(&mut init_buf[..n_cur], |v, r| {
                         *r = membership[v].load(Ordering::Relaxed);
                     });
 
                     #[cfg(feature = "analysis")]
-                    {
+                    if !skip_refinement {
                         let totals = gve_prim::atomics::atomic_f64_snapshot(sigma);
                         analysis::assert_phase_state(
                             "refinement",
@@ -631,31 +623,43 @@ impl Leiden {
                         sigma,
                     );
 
-                    let t2 = Instant::now();
-                    let bounds = &mut bounds[..n_cur];
-                    bounds.copy_from_slice(membership);
-                    static_for_mut(membership, |v, c| *c = v as VertexId);
-                    sigma.copy_from_slice(pen);
-                    timings.other += t2.elapsed();
+                    let refine_moves = if skip_refinement {
+                        0
+                    } else {
+                        let t2 = Instant::now();
+                        let bounds = &mut bounds[..n_cur];
+                        bounds.copy_from_slice(membership);
+                        static_for_mut(membership, |v, c| *c = v as VertexId);
+                        sigma.copy_from_slice(pen);
+                        timings.other += t2.elapsed();
 
-                    let t3 = Instant::now();
-                    let refine_moves = sync::refine_sync(
-                        g,
-                        bounds,
-                        membership,
-                        pen,
-                        sigma,
-                        coeffs,
-                        config,
-                        tables,
-                        &coloring,
-                        pass as u64,
-                        sync_decisions,
-                    );
-                    timings.refinement += t3.elapsed();
+                        let t3 = Instant::now();
+                        let refine_moves = sync::refine_sync(
+                            g,
+                            bounds,
+                            membership,
+                            pen,
+                            sigma,
+                            coeffs,
+                            config,
+                            tables,
+                            &coloring,
+                            pass as u64,
+                            sync_decisions,
+                        );
+                        timings.refinement += t3.elapsed();
 
-                    #[cfg(feature = "analysis")]
-                    analysis::assert_phase_state("refinement", pass, n_cur, membership, pen, sigma);
+                        #[cfg(feature = "analysis")]
+                        analysis::assert_phase_state(
+                            "refinement",
+                            pass,
+                            n_cur,
+                            membership,
+                            pen,
+                            sigma,
+                        );
+                        refine_moves
+                    };
                     init_buf[..n_cur].copy_from_slice(membership);
                     // The color-synchronous path schedules per color
                     // class; the chunk counter covers the async path
@@ -766,10 +770,13 @@ impl Leiden {
             #[cfg(feature = "analysis")]
             analysis::assert_aggregate_state(pass, g, &supergraph, k);
 
-            // Super-vertex labeling for the next pass (line 14).
+            // Super-vertex labeling for the next pass (line 14). Without
+            // refinement each super-vertex is a whole local-moving
+            // community, so the next pass starts from singletons, as
+            // Louvain's does.
             let t6 = Instant::now();
             has_init = match config.labeling {
-                Labeling::MoveBased => {
+                Labeling::MoveBased if !skip_refinement => {
                     // Every member of a refined community shares the same
                     // bound, so any member defines the mapping — the
                     // concurrent stores per slot all carry the same
@@ -791,7 +798,7 @@ impl Leiden {
                     dendrogram::renumber_into(lab, &mut init_buf[..k], n_cur, first_seen);
                     true
                 }
-                Labeling::RefineBased => false,
+                _ => false,
             };
             timings.other += t6.elapsed();
 

@@ -29,7 +29,6 @@ pub mod csr;
 pub mod holey;
 pub mod io;
 pub mod props;
-pub mod reorder;
 pub mod subgraph;
 pub mod traversal;
 
@@ -37,7 +36,6 @@ pub use adjacency::AdjacencyList;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use holey::{AggregateScratch, GroupedCsr};
-pub use reorder::{Relabeling, VertexOrdering};
 
 /// Vertex identifier. The paper uses 32-bit ids (§5.1.2).
 pub type VertexId = u32;

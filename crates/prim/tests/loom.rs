@@ -165,7 +165,8 @@ fn sigma_isolation_claim_has_single_winner_and_conserves_weight() {
 /// Model 3 helper: one pool worker's loop, mirroring `Registry::work`:
 /// wait for the epoch to move (the production worker parks after a
 /// bounded spin; a yield stands in for the park), run its share under
-/// `catch_unwind`, record a panic payload, then decrement `pending`.
+/// `catch_unwind`, record a panic payload in its own slot, then
+/// decrement `pending`.
 fn pool_worker(
     me: usize,
     epochs: usize,
@@ -173,7 +174,7 @@ fn pool_worker(
     pending: &AtomicUsize,
     input: &AtomicUsize,
     outputs: &[AtomicUsize],
-    panic_slot: &AtomicUsize,
+    panic_slots: &[AtomicUsize],
 ) {
     let mut seen = 0;
     for _ in 0..epochs {
@@ -193,9 +194,9 @@ fn pool_worker(
         }));
         if let Err(payload) = outcome {
             let payload = *payload.downcast::<usize>().expect("usize payload");
-            // Relaxed: published by the decrement below, as in production
-            // where the payload goes into a mutex before it.
-            panic_slot.store(payload, Ordering::Relaxed);
+            // Relaxed: published by the decrement below, as in production,
+            // where each worker writes its own slot before it.
+            panic_slots[me].store(payload, Ordering::Relaxed);
         }
         pending.fetch_sub(1, Ordering::AcqRel);
     }
@@ -212,14 +213,15 @@ fn pool_handoff_publishes_across_every_broadcast() {
         let input = Arc::new(AtomicUsize::new(0));
         let outputs: Arc<Vec<AtomicUsize>> =
             Arc::new((0..WORKERS).map(|_| AtomicUsize::new(0)).collect());
-        let panic_slot = Arc::new(AtomicUsize::new(NO_PANIC));
+        let panic_slots: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..WORKERS).map(|_| AtomicUsize::new(NO_PANIC)).collect());
         let handles: Vec<_> = (0..WORKERS)
             .map(|me| {
                 let (epoch, pending, input) =
                     (Arc::clone(&epoch), Arc::clone(&pending), Arc::clone(&input));
-                let (outputs, panic_slot) = (Arc::clone(&outputs), Arc::clone(&panic_slot));
+                let (outputs, panic_slots) = (Arc::clone(&outputs), Arc::clone(&panic_slots));
                 thread::spawn(move || {
-                    pool_worker(me, EPOCHS, &epoch, &pending, &input, &outputs, &panic_slot);
+                    pool_worker(me, EPOCHS, &epoch, &pending, &input, &outputs, &panic_slots);
                 })
             })
             .collect();
@@ -228,7 +230,6 @@ fn pool_handoff_publishes_across_every_broadcast() {
             // epoch bump below publishes it).
             input.store(e * 7, Ordering::Relaxed);
             // Relaxed: published by the epoch bump, as in production.
-            panic_slot.store(NO_PANIC, Ordering::Relaxed);
             pending.store(WORKERS, Ordering::Relaxed);
             epoch.fetch_add(1, Ordering::Release);
             while pending.load(Ordering::Acquire) != 0 {
@@ -239,10 +240,14 @@ fn pool_handoff_publishes_across_every_broadcast() {
                 let got = output.load(Ordering::Relaxed);
                 assert_eq!(got, e * 70 + me + 1, "epoch {e}, worker {me}");
             }
-            let panicked = (0..WORKERS).find(|me| (me + e).is_multiple_of(3));
-            // Relaxed: ordered by the Acquire load that saw zero.
-            let payload = panic_slot.load(Ordering::Relaxed);
-            assert_eq!(payload, panicked.map_or(NO_PANIC, |me| e * 10 + me));
+            for (me, slot) in panic_slots.iter().enumerate() {
+                let panicked = (me + e).is_multiple_of(3);
+                // Relaxed: ordered by the Acquire load that saw zero; the
+                // caller empties the slot before the next bump publishes
+                // it, as production takes it under the gate.
+                let payload = slot.swap(NO_PANIC, Ordering::Relaxed);
+                assert_eq!(payload, if panicked { e * 10 + me } else { NO_PANIC });
+            }
         }
         for h in handles {
             h.join().unwrap();

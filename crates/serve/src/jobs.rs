@@ -13,9 +13,7 @@ use crate::cache::{CachedPartition, PartitionCache, PartitionKey, PartitionOrigi
 use crate::json::Json;
 use crate::pool::WorkspacePool;
 use crate::registry::GraphRegistry;
-use gve_leiden::{
-    CoreMetrics, Leiden, LeidenConfig, Objective, RunObserver, Scheduling, VertexOrdering,
-};
+use gve_leiden::{CoreMetrics, Leiden, LeidenConfig, Objective, RunObserver, Scheduling};
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
 use std::collections::{HashMap, VecDeque};
@@ -36,8 +34,6 @@ pub struct DetectRequest {
     pub seed: u64,
     /// Cap on passes (default: library default).
     pub max_passes: usize,
-    /// Cache-aware vertex relabeling applied before detection.
-    pub ordering: VertexOrdering,
     /// Phase scheduling: fast `async` (default) or reproducible
     /// `color-sync`.
     pub scheduling: Scheduling,
@@ -51,7 +47,6 @@ impl Default for DetectRequest {
             resolution: 1.0,
             seed: defaults.seed,
             max_passes: defaults.max_passes,
-            ordering: defaults.ordering,
             scheduling: defaults.scheduling,
         }
     }
@@ -77,9 +72,6 @@ impl DetectRequest {
         if let Some(max_passes) = body.get("max_passes").and_then(Json::as_u64) {
             request.max_passes = max_passes as usize;
         }
-        if let Some(ordering) = body.get("ordering").and_then(Json::as_str) {
-            request.ordering = VertexOrdering::parse(ordering)?;
-        }
         if let Some(scheduling) = body.get("scheduling").and_then(Json::as_str) {
             request.scheduling = Scheduling::parse(scheduling)?;
         }
@@ -101,7 +93,6 @@ impl DetectRequest {
         let mut config = LeidenConfig::default()
             .objective(objective)
             .seed(self.seed)
-            .ordering(self.ordering)
             .scheduling(self.scheduling);
         config.max_passes = self.max_passes;
         config.validate()?;
@@ -112,12 +103,11 @@ impl DetectRequest {
     /// textual form, so semantically equal requests collide on purpose).
     pub fn fingerprint(&self) -> u64 {
         let canonical = format!(
-            "objective={};resolution={};seed={};max_passes={};ordering={};scheduling={}",
+            "objective={};resolution={};seed={};max_passes={};scheduling={}",
             self.objective,
             self.resolution,
             self.seed,
             self.max_passes,
-            self.ordering.label(),
             self.scheduling.label(),
         );
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -135,7 +125,6 @@ impl DetectRequest {
             ("resolution", Json::from(self.resolution)),
             ("seed", Json::from(self.seed)),
             ("max_passes", Json::from(self.max_passes)),
-            ("ordering", Json::from(self.ordering.label())),
             ("scheduling", Json::from(self.scheduling.label())),
         ])
     }
@@ -974,42 +963,32 @@ mod tests {
         assert!(DetectRequest::from_json(&bad).is_err());
     }
 
-    /// Ordering and scheduling are part of the fingerprint, so
-    /// the partition cache never serves one configuration's result for
-    /// another, and bad tokens are rejected at parse time.
+    /// Scheduling is part of the fingerprint, so the partition cache
+    /// never serves one configuration's result for another, and bad
+    /// tokens are rejected at parse time.
     #[test]
     fn detect_knobs_fingerprint_and_validate() {
-        let body =
-            crate::json::parse(r#"{"ordering":"degree","scheduling":"color-sync"}"#).unwrap();
+        let body = crate::json::parse(r#"{"scheduling":"color-sync"}"#).unwrap();
         let request = DetectRequest::from_json(&body).unwrap();
-        assert_eq!(request.ordering, VertexOrdering::DegreeDesc);
         assert_eq!(request.scheduling, Scheduling::ColorSynchronous);
 
         let defaults = DetectRequest::default();
-        for other in [
-            DetectRequest {
-                ordering: VertexOrdering::Bfs,
-                ..defaults.clone()
-            },
-            DetectRequest {
-                scheduling: Scheduling::ColorSynchronous,
-                ..defaults.clone()
-            },
-        ] {
-            assert_ne!(other.fingerprint(), defaults.fingerprint());
-        }
+        let other = DetectRequest {
+            scheduling: Scheduling::ColorSynchronous,
+            ..defaults.clone()
+        };
+        assert_ne!(other.fingerprint(), defaults.fingerprint());
 
-        for bad in [r#"{"ordering":"random"}"#, r#"{"scheduling":"chaotic"}"#] {
-            let body = crate::json::parse(bad).unwrap();
-            assert!(DetectRequest::from_json(&body).is_err(), "accepted {bad}");
-        }
+        let body = crate::json::parse(r#"{"scheduling":"chaotic"}"#).unwrap();
+        assert!(DetectRequest::from_json(&body).is_err());
     }
 
-    /// `kernel`, `layout`, `chunking` and `chunk_size` are no longer
-    /// request fields: a body naming them — even with values that were
-    /// never valid, or that would overflow a chunk cursor — parses to
-    /// the defaults, fingerprints like `{}`, and is served from the
-    /// default request's cached partition; the echo omits them.
+    /// `kernel`, `layout`, `chunking`, `chunk_size` and `ordering` are
+    /// no longer request fields: a body naming them — even with values
+    /// that were never valid, or that would overflow a chunk cursor —
+    /// parses to the defaults, fingerprints like `{}`, and is served
+    /// from the default request's cached partition; the echo omits
+    /// them.
     #[test]
     fn retired_detect_fields_are_ignored() {
         let empty = DetectRequest::from_json(&crate::json::parse("{}").unwrap()).unwrap();
@@ -1023,6 +1002,8 @@ mod tests {
             r#"{"kernel":"v9","layout":"columnar"}"#,
             r#"{"chunking":"stealing","chunk_size":18446744073709551615}"#,
             r#"{"chunking":"guided","chunk_size":0}"#,
+            r#"{"ordering":"degree"}"#,
+            r#"{"ordering":"random"}"#,
         ] {
             let request = DetectRequest::from_json(&crate::json::parse(body).unwrap()).unwrap();
             assert_eq!(request, empty, "{body}");
@@ -1032,7 +1013,7 @@ mod tests {
         }
         assert_eq!(engine.stats.full_detections.get(), 1);
         let echo = empty.to_json();
-        for retired in ["kernel", "layout", "chunking", "chunk_size"] {
+        for retired in ["kernel", "layout", "chunking", "chunk_size", "ordering"] {
             assert!(echo.get(retired).is_none(), "{retired}");
         }
     }

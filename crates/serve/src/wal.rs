@@ -756,7 +756,10 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use gve_graph::GraphBuilder;
+    use gve_leiden::Scheduling;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_store(tag: &str) -> DurabilityStore {
@@ -1021,7 +1024,7 @@ mod tests {
         let mut expected = Vec::new();
         for (payload, len, checksum) in [
             (&batch_payload, 49u32, 0x9232_7997_3ede_3072u64),
-            (&partition_payload, 191, 0xda61_eeaa_acab_8b48),
+            (&partition_payload, 169, 0x9b89_beaa_ebe4_a4c1),
         ] {
             expected.extend_from_slice(&len.to_le_bytes());
             expected.extend_from_slice(&checksum.to_le_bytes());
@@ -1043,16 +1046,81 @@ mod tests {
         );
     }
 
-    /// A WAL written by an older version holds partition records whose
-    /// request JSON names retired fields (`kernel`/`layout`, later
-    /// `chunk_size`/`chunking`), keyed by the old fingerprint. Recovery
-    /// keeps the graph, every batch (also those logged after the stale
-    /// record) and the epoch, and drops only that derived partition.
+    /// Appends a hand-encoded partition record at epoch 1 — `old_json`
+    /// keyed by `old_fingerprint`, as an older request format wrote it —
+    /// between two acked batches, then recovers. Recovery must keep the
+    /// graph, every batch (also the one logged after the stale record)
+    /// and the epoch, drop only that derived partition, and leave the
+    /// log untruncated.
+    fn assert_stale_record_dropped_alone(tag: &str, old_json: &str, old_fingerprint: u64) {
+        assert_ne!(old_fingerprint, DetectRequest::default().fingerprint());
+
+        let store = temp_store(tag);
+        let mut graph = path_graph();
+        store.register_graph("g", &graph, "inline").unwrap();
+        let mut batch = BatchUpdate::new();
+        batch.insert(0, 3, 2.0);
+        graph = apply_batch(&graph, &batch);
+        store.append_batch("g", 1, &batch, &graph).unwrap();
+
+        // Hand-encoded old-format partition record at epoch 1.
+        let mut payload = vec![KIND_PARTITION];
+        payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+        payload.extend_from_slice(&old_fingerprint.to_le_bytes());
+        payload.push(0); // detection
+        payload.extend_from_slice(&2u64.to_le_bytes()); // communities
+        payload.extend_from_slice(&0.25f64.to_le_bytes());
+        payload.extend_from_slice(&0.5f64.to_le_bytes());
+        put_bytes(&mut payload, old_json.as_bytes());
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        for community in [0u32, 0, 1, 1] {
+            payload.extend_from_slice(&community.to_le_bytes());
+        }
+        assert!(
+            matches!(parse_record(&payload), Some(Record::StalePartition)),
+            "{old_json}"
+        );
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let wal_path = store.graph_dir("g").join("wal.log");
+        OpenOptions::new()
+            .append(true)
+            .open(&wal_path)
+            .unwrap()
+            .write_all(&frame)
+            .unwrap();
+
+        // Acked after the stale record: must survive recovery.
+        let mut batch = BatchUpdate::new();
+        batch.insert(1, 3, 1.5).delete(1, 2);
+        graph = apply_batch(&graph, &batch);
+        store.append_batch("g", 2, &batch, &graph).unwrap();
+        let wal_len = fs::metadata(&wal_path).unwrap().len();
+
+        let recovered = reopen(&store).recover().unwrap();
+        assert_eq!(recovered.len(), 1, "{old_json}");
+        let g = &recovered[0];
+        assert_eq!(g.epoch, 2, "{old_json}");
+        assert_eq!(g.graph, graph, "{old_json}");
+        assert_eq!(g.tail_dropped, 0, "the stale record is not a torn tail");
+        assert!(g.partitions.is_empty(), "{old_json}");
+        assert_eq!(
+            fs::metadata(&wal_path).unwrap().len(),
+            wal_len,
+            "recovery truncated the log"
+        );
+        let _ = fs::remove_dir_all(&store.config.root);
+    }
+
+    /// A partition record of an older version whose request JSON names
+    /// retired fields (`kernel`/`layout`, later `chunk_size`/`chunking`,
+    /// later `ordering`), keyed by the old fingerprint, is dropped alone.
     #[test]
     fn old_format_partition_record_is_dropped_alone() {
         // The default request as each old format rendered and
         // fingerprinted it, bytes captured from that version.
-        const OLD_RECORDS: [(&str, u64); 2] = [
+        const OLD_RECORDS: [(&str, u64); 3] = [
             (
                 r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"chunk_size":2048,"kernel":"v2","ordering":"original","layout":"split","scheduling":"async","chunking":"static"}"#,
                 0xb44b_4c5d_f594_ac64,
@@ -1061,65 +1129,87 @@ mod tests {
                 r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"chunk_size":2048,"ordering":"original","scheduling":"async","chunking":"static"}"#,
                 0x62e2_4cd7_2519_2c61,
             ),
+            (
+                r#"{"objective":"modularity","resolution":1,"seed":0,"max_passes":10,"ordering":"original","scheduling":"async"}"#,
+                0xfa62_0eca_04f1_f403,
+            ),
         ];
         for (index, (old_json, old_fingerprint)) in OLD_RECORDS.into_iter().enumerate() {
-            assert_ne!(old_fingerprint, DetectRequest::default().fingerprint());
-
-            let store = temp_store(&format!("old-partition-{index}"));
-            let mut graph = path_graph();
-            store.register_graph("g", &graph, "inline").unwrap();
-            let mut batch = BatchUpdate::new();
-            batch.insert(0, 3, 2.0);
-            graph = apply_batch(&graph, &batch);
-            store.append_batch("g", 1, &batch, &graph).unwrap();
-
-            // Hand-encoded old-format partition record at epoch 1.
-            let mut payload = vec![KIND_PARTITION];
-            payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
-            payload.extend_from_slice(&old_fingerprint.to_le_bytes());
-            payload.push(0); // detection
-            payload.extend_from_slice(&2u64.to_le_bytes()); // communities
-            payload.extend_from_slice(&0.25f64.to_le_bytes());
-            payload.extend_from_slice(&0.5f64.to_le_bytes());
-            put_bytes(&mut payload, old_json.as_bytes());
-            payload.extend_from_slice(&4u64.to_le_bytes());
-            for community in [0u32, 0, 1, 1] {
-                payload.extend_from_slice(&community.to_le_bytes());
-            }
-            assert!(
-                matches!(parse_record(&payload), Some(Record::StalePartition)),
-                "{old_json}"
+            assert_stale_record_dropped_alone(
+                &format!("old-partition-{index}"),
+                old_json,
+                old_fingerprint,
             );
-            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            let wal_path = store.graph_dir("g").join("wal.log");
-            OpenOptions::new()
-                .append(true)
-                .open(&wal_path)
-                .unwrap()
-                .write_all(&frame)
-                .unwrap();
+        }
+        // The test-local copy of the last format reproduces its pinned
+        // default record byte for byte.
+        let defaults = DetectRequest::default();
+        assert_eq!(
+            ordering_format_record(
+                &defaults.objective,
+                defaults.resolution,
+                defaults.seed,
+                defaults.max_passes,
+                "original",
+                defaults.scheduling,
+            ),
+            (OLD_RECORDS[2].0.to_string(), OLD_RECORDS[2].1)
+        );
+    }
 
-            // Acked after the stale record: must survive recovery.
-            let mut batch = BatchUpdate::new();
-            batch.insert(1, 3, 1.5).delete(1, 2);
-            graph = apply_batch(&graph, &batch);
-            store.append_batch("g", 2, &batch, &graph).unwrap();
-            let wal_len = fs::metadata(&wal_path).unwrap().len();
+    /// A detect request as the format that still carried `ordering`
+    /// rendered (its JSON echo) and fingerprinted (FNV-1a over its
+    /// canonical text) it.
+    fn ordering_format_record(
+        objective: &str,
+        resolution: f64,
+        seed: u64,
+        max_passes: usize,
+        ordering: &str,
+        scheduling: Scheduling,
+    ) -> (String, u64) {
+        let canonical = format!(
+            "objective={objective};resolution={resolution};seed={seed};max_passes={max_passes};\
+             ordering={ordering};scheduling={}",
+            scheduling.label(),
+        );
+        let json = Json::obj([
+            ("objective", Json::from(objective)),
+            ("resolution", Json::from(resolution)),
+            ("seed", Json::from(seed)),
+            ("max_passes", Json::from(max_passes)),
+            ("ordering", Json::from(ordering)),
+            ("scheduling", Json::from(scheduling.label())),
+        ]);
+        (json.render(), fnv1a(canonical.as_bytes()))
+    }
 
-            let recovered = reopen(&store).recover().unwrap();
-            assert_eq!(recovered.len(), 1);
-            let g = &recovered[0];
-            assert_eq!(g.epoch, 2);
-            assert_eq!(g.graph, graph);
-            assert_eq!(g.tail_dropped, 0, "the stale record is not a torn tail");
-            assert!(g.partitions.is_empty());
-            assert_eq!(
-                fs::metadata(&wal_path).unwrap().len(),
-                wal_len,
-                "recovery truncated the log"
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every record the `ordering` format could have written — any
+        /// objective, resolution, seed, pass cap, scheduling and
+        /// ordering — is dropped alone on recovery.
+        #[test]
+        fn ordering_format_records_are_dropped_alone(
+            cpm in 0u8..2,
+            resolution in 0.01f64..4.0,
+            seed in 0u64..1_000_000,
+            max_passes in 1usize..40,
+            color_sync in 0u8..2,
+            ordering in 0usize..3,
+        ) {
+            let objective = if cpm == 1 { "cpm" } else { "modularity" };
+            let scheduling = if color_sync == 1 {
+                Scheduling::ColorSynchronous
+            } else {
+                Scheduling::Asynchronous
+            };
+            let ordering = ["original", "degree", "bfs"][ordering];
+            let (json, fingerprint) = ordering_format_record(
+                objective, resolution, seed, max_passes, ordering, scheduling,
             );
+            assert_stale_record_dropped_alone("ordering-format", &json, fingerprint);
         }
     }
 

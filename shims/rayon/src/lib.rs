@@ -29,6 +29,8 @@
 //!   on the calling thread instead of waiting for the gate it holds.
 //! * A panic in any share is re-raised on the caller with its own
 //!   payload, after every worker has finished; the pool stays usable.
+//!   Each worker parks its payload in a slot of its own, so the caller
+//!   collects it without taking a second lock under the gate.
 //! * [`ThreadPool::install`] makes a pool current for the calling
 //!   thread, so thread-count sweeps (`fig9_scaling`, the deterministic
 //!   tests) choose the pool their loops run on.
@@ -135,8 +137,16 @@ impl BroadcastContext {
 #[derive(Clone, Copy)]
 struct JobRef {
     data: *const (),
+    // SAFETY: `call` is `call_broadcast` instantiated for the type that
+    // `data` points to, and may be called only while that job is live
+    // and with an index whose result slot no other share writes (the
+    // contract of `call_broadcast`). `run` calls it once per index while
+    // the broadcasting caller keeps the job alive.
     call: unsafe fn(*const (), usize),
 }
+
+/// What a panicking share unwound with.
+type PanicPayload = Box<dyn Any + Send>;
 
 /// The state a pool's caller and workers share.
 struct Registry {
@@ -152,8 +162,12 @@ struct Registry {
     caller: UnsafeCell<Option<Thread>>,
     /// Workers still running the posted job.
     pending: AtomicUsize,
-    /// First panic payload raised by a worker of the posted job.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Panic payload of each worker's share of the posted job. Slot `i`
+    /// is written only by worker `i`, before its Release decrement of
+    /// `pending`, and emptied by the gate holder after its Acquire wait
+    /// has seen `pending` reach zero. Slot 0 (the caller's share) stays
+    /// empty: the caller keeps its own payload.
+    panics: Box<[UnsafeCell<Option<PanicPayload>>]>,
     /// Worker handles, for waking them; set once, after spawning.
     workers: OnceLock<Vec<Thread>>,
     shutdown: AtomicBool,
@@ -162,8 +176,11 @@ struct Registry {
 // SAFETY: `job` and `caller` are written only by the gate holder while
 // no worker runs (pending is zero and the epoch has not moved yet), and
 // read by workers only between the epoch bump and their pending
-// decrement, ordered by that Release/Acquire pair. The job data itself
-// is `Sync` (see `broadcast`'s bounds).
+// decrement, ordered by that Release/Acquire pair. A `panics` slot is
+// written by its one worker before that decrement and read by the gate
+// holder only after every decrement, ordered by the same decrement and
+// the caller's Acquire wait. The job data itself is `Sync` (see
+// `broadcast`'s bounds).
 unsafe impl Sync for Registry {}
 // SAFETY: as above; every field is owned data or synchronized.
 unsafe impl Send for Registry {}
@@ -177,7 +194,7 @@ impl Registry {
             job: UnsafeCell::new(None),
             caller: UnsafeCell::new(None),
             pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
+            panics: (0..num_threads).map(|_| UnsafeCell::new(None)).collect(),
             workers: OnceLock::new(),
             shutdown: AtomicBool::new(false),
         })
@@ -225,8 +242,9 @@ impl Registry {
                 panic::catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, index) }))
             };
             if let Err(payload) = outcome {
-                let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                first.get_or_insert(payload);
+                // SAFETY: slot `index` is this worker's alone until its
+                // decrement below; the gate holder reads it only after.
+                unsafe { *self.panics[index].get() = Some(payload) };
             }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                 if let Some(caller) = caller {
@@ -257,6 +275,9 @@ impl Registry {
             *self.job.get() = Some(job);
             *self.caller.get() = Some(thread::current());
         }
+        // Relaxed: no worker reads `pending` before the Release epoch
+        // bump below publishes this store, and every worker's last
+        // decrement of the previous job was Acquired by its gate holder.
         self.pending.store(self.num_threads - 1, Ordering::Relaxed);
         // Release: publishes the job, the caller and everything this
         // thread wrote before the broadcast to the workers.
@@ -273,11 +294,17 @@ impl Registry {
         // Acquire: pairs with each worker's Release decrement, so their
         // writes are visible once the count reads zero.
         wait_for(|| self.pending.load(Ordering::Acquire) == 0);
-        let worker_panic = self
-            .panic
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
+        // Empty every slot, so the next job starts clean, and keep the
+        // lowest-indexed worker's payload.
+        let mut worker_panic = None;
+        for slot in &self.panics[1..] {
+            // SAFETY: the Acquire wait above saw every worker's
+            // decrement, which follows its last write to its slot, and
+            // no worker runs again before the next epoch bump, which only
+            // the gate holder makes.
+            let payload = unsafe { (*slot.get()).take() };
+            worker_panic = worker_panic.or(payload);
+        }
         drop(gate);
         if let Err(payload) = own {
             panic::resume_unwind(payload);

@@ -28,7 +28,6 @@ fn usage() -> ! {
          [--degree <f>] [--seed <n>] --out <path>\n  \
          gve detect <graph> [--algorithm <leiden|louvain|seq-leiden|seq-louvain|nk-leiden>] \
          [--objective <modularity|cpm>] [--resolution <f>] [--threads <n>] \
-         [--ordering <original|degree|bfs>] \
          [--trace <path>] [--repeat <n>] [--out <path>]\n  \
          gve quality <graph> <membership> [--detail <n>]\n  \
          gve stats <graph>\n  \
@@ -200,16 +199,7 @@ fn cmd_detect(args: &[String]) {
             usage()
         }
     };
-    let mut leiden_config = gve::leiden::LeidenConfig::default().objective(objective);
-    if let Some(token) = flag_value(args, "--ordering") {
-        match gve::leiden::VertexOrdering::parse(token) {
-            Ok(ordering) => leiden_config = leiden_config.ordering(ordering),
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(2);
-            }
-        }
-    }
+    let leiden_config = gve::leiden::LeidenConfig::default().objective(objective);
     if let Err(e) = leiden_config.validate() {
         eprintln!("error: {e}");
         exit(1);
