@@ -14,13 +14,15 @@
 //! hashtable, then flushed as super-arcs (including the `(c, c)`
 //! self-loop carrying the intra-community weight `σ_c`). The worker
 //! that claims a community writes its whole row at once
-//! ([`AggregateScratch::write_row`]), so no arc pays a slot claim.
+//! ([`AggregateScratch::write_row`]), so no arc pays a slot claim, and
+//! hands back the row's length and weighted degree: the next pass's
+//! `K'` and hub test need no second walk over the supergraph.
 
 use crate::localmove::scan_communities;
 use gve_graph::{AggregateScratch, CsrGraph, VertexId};
 use gve_prim::parfor::{dynamic_workers, DEFAULT_CHUNK};
 use gve_prim::scan::parallel_offsets_from_counts;
-use gve_prim::{CommunityMap, HashScanMap, PerThread};
+use gve_prim::{CommunityMap, HashScanMap, PerThread, SharedSlice};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Communities per claim of the per-community scan: a quarter of the
@@ -44,7 +46,8 @@ pub fn aggregate(
     small_threshold: Option<usize>,
 ) -> CsrGraph {
     let mut scratch = AggregateScratch::new();
-    aggregate_into(
+    let mut degrees = vec![0.0; num_communities];
+    let (supergraph, _) = aggregate_into(
         graph,
         membership,
         membership_plain,
@@ -52,7 +55,9 @@ pub fn aggregate(
         tables,
         small_threshold,
         &mut scratch,
-    )
+        &mut degrees,
+    );
+    supergraph
 }
 
 /// Builds the super-vertex graph into (and out of) a reusable
@@ -67,7 +72,13 @@ pub fn aggregate(
 /// total degree bounds the distinct neighbour communities, so a bound
 /// ≤ [`gve_prim::HASH_SCAN_CAP`] cannot overflow the map. Both maps
 /// flush in insertion order, so the tier changes no row's arc order or
-/// weight bits. `None` keeps every community on the table path.
+/// weight bits. `None` keeps every community on the table path. The
+/// table path's keys are the dense ids, so `tables` need only hold keys
+/// below `num_communities`.
+///
+/// `degrees[c]` receives super-vertex `c`'s weighted degree, bit-equal
+/// to the supergraph's [`CsrGraph::weighted_degree`]; the second result
+/// is the supergraph's largest degree.
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_into(
     graph: &CsrGraph,
@@ -77,7 +88,8 @@ pub fn aggregate_into(
     tables: &PerThread<CommunityMap>,
     small_threshold: Option<usize>,
     scratch: &mut AggregateScratch,
-) -> CsrGraph {
+    degrees: &mut [f64],
+) -> (CsrGraph, usize) {
     // Community-vertices CSR fused with the capacity overestimates
     // (Algorithm 4, lines 3–6 and 8–9 in one sweep). A community of
     // isolated vertices has total degree 0 and emits no arcs, so 0
@@ -90,14 +102,20 @@ pub fn aggregate_into(
     // community sizes are wildly skewed.
     let small_cap = small_threshold.map(|t| t as u64);
     let shared = &*scratch;
-    dynamic_workers(num_communities, AGGREGATE_CHUNK, |claims| {
+    let degrees = SharedSlice::new(&mut degrees[..num_communities]);
+    let max_degrees = dynamic_workers(num_communities, AGGREGATE_CHUNK, |claims| {
         tables.with(|ht| {
             let mut small = HashScanMap::new();
+            let mut max_degree = 0;
             for range in claims {
+                let start = range.start;
+                // SAFETY: every claimed range goes to one worker, and the
+                // ranges of one loop are disjoint.
+                let degrees = unsafe { degrees.slice_mut(range.clone()) };
                 for c in range {
                     let c = c as VertexId;
                     let cap = shared.capacity(c);
-                    if small_cap.is_some_and(|t| cap <= t) {
+                    let (len, weighted) = if small_cap.is_some_and(|t| cap <= t) {
                         // Low-degree tier: the community's total degree
                         // bounds the arcs scanned, hence the distinct
                         // target communities.
@@ -112,22 +130,26 @@ pub fn aggregate_into(
                             }
                         }
                         let row = small.keys().iter().zip(small.weights());
-                        shared.write_row(c, row.map(|(&d, &w)| (d, w as f32)));
-                        continue;
-                    }
-                    ht.clear();
-                    for &i in shared.members(c) {
-                        // include_self = true: self-loops carry intra
-                        // weight into the super-vertex self-loop.
-                        scan_communities(ht, graph, membership, i, true);
-                    }
-                    shared.write_row(c, ht.iter().map(|(d, w)| (d, w as f32)));
+                        shared.write_row(c, row.map(|(&d, &w)| (d, w as f32)))
+                    } else {
+                        ht.clear();
+                        for &i in shared.members(c) {
+                            // include_self = true: self-loops carry intra
+                            // weight into the super-vertex self-loop.
+                            scan_communities(ht, graph, membership, i, true);
+                        }
+                        shared.write_row(c, ht.iter().map(|(d, w)| (d, w as f32)))
+                    };
+                    degrees[c as usize - start] = weighted;
+                    max_degree = max_degree.max(len);
                 }
             }
+            max_degree
         })
     });
 
-    scratch.squeeze()
+    let max_degree = max_degrees.into_iter().max().unwrap_or(0);
+    (scratch.squeeze(), max_degree)
 }
 
 /// Sort-reduce aggregation: the alternative design the paper's related
@@ -252,9 +274,11 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let tables = PerThread::new(move || CommunityMap::new(n));
+                // The table path's keys are dense ids: `k` slots suffice.
+                let tables = PerThread::new(|| CommunityMap::new(613));
                 let mut scratch = AggregateScratch::new();
-                let sup = aggregate_into(
+                let mut degrees = vec![f64::NAN; 613];
+                let (sup, max_degree) = aggregate_into(
                     &graph,
                     &atomic,
                     &membership,
@@ -262,7 +286,15 @@ mod tests {
                     &tables,
                     Some(crate::SMALL_DEGREE_THRESHOLD),
                     &mut scratch,
+                    &mut degrees,
                 );
+                // The handed-back degrees are the supergraph's own.
+                for c in 0..613u32 {
+                    let expected = sup.weighted_degree(c).to_bits();
+                    assert_eq!(degrees[c as usize].to_bits(), expected, "community {c}");
+                }
+                let widest = (0..613u32).map(|c| sup.degree(c)).max();
+                assert_eq!(Some(max_degree), widest);
                 let (offsets, targets, weights) = sup.into_raw();
                 let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
                 (offsets, targets, bits)

@@ -33,13 +33,18 @@ pub fn renumber(membership: &[VertexId]) -> (Vec<VertexId>, usize) {
     (out, next as usize)
 }
 
-/// Allocation-free variant of [`renumber`]: densifies `src` into `out`
-/// (same length) in first-seen order and returns `k`, using
-/// caller-provided scratch so it fits the pass workspace:
+/// Allocation-free, in-place variant of [`renumber`]: overwrites every
+/// value of `values` with its dense rank in first-seen order and
+/// returns `k`, using caller-provided scratch so it fits the pass
+/// workspace:
 ///
-/// * `id_bound` — exclusive upper bound on the values in `src`
+/// * `id_bound` — exclusive upper bound on the values in `values`
 ///   (`first.len() >= id_bound` required);
 /// * `first` — the remap table, at least `id_bound` slots.
+///
+/// A value's rank depends only on the value itself and on the values
+/// before it, which the sweep has already read, so the ranks can
+/// replace the ids they are computed from.
 ///
 /// It is the serial single sweep on purpose. A four-pass parallel
 /// version (a `fetch_min` race for first occurrences, flags, a prefix
@@ -48,23 +53,17 @@ pub fn renumber(membership: &[VertexId]) -> (Vec<VertexId>, usize) {
 /// each of its passes streams the whole input again.
 ///
 /// # Panics
-/// Panics (via index checks) when a value of `src` is `>= id_bound` or
-/// `first` is too short.
-pub fn renumber_into(
-    src: &[VertexId],
-    out: &mut [VertexId],
-    id_bound: usize,
-    first: &[AtomicU32],
-) -> usize {
-    assert_eq!(src.len(), out.len());
+/// Panics (via index checks) when a value is `>= id_bound` or `first`
+/// is too short.
+pub fn renumber_in_place(values: &mut [VertexId], id_bound: usize, first: &[AtomicU32]) -> usize {
     // Relaxed throughout: the sweep runs on one thread.
     let first = &first[..id_bound];
     for slot in first {
         slot.store(VertexId::MAX, Ordering::Relaxed);
     }
     let mut next: VertexId = 0;
-    for (o, &c) in out.iter_mut().zip(src) {
-        let slot = &first[c as usize];
+    for c in values.iter_mut() {
+        let slot = &first[*c as usize];
         // Relaxed: single-threaded sweep, as above.
         let mut dense = slot.load(Ordering::Relaxed);
         if dense == VertexId::MAX {
@@ -72,7 +71,7 @@ pub fn renumber_into(
             slot.store(dense, Ordering::Relaxed);
             next += 1;
         }
-        *o = dense;
+        *c = dense;
     }
     next as usize
 }
@@ -101,22 +100,25 @@ mod tests {
         assert_eq!(k, 0);
     }
 
-    fn renumber_into_checked(src: &[VertexId], id_bound: usize) -> (Vec<VertexId>, usize) {
+    fn renumber_in_place_checked(src: &[VertexId], id_bound: usize) -> (Vec<VertexId>, usize) {
         let first: Vec<AtomicU32> = (0..id_bound).map(|_| AtomicU32::new(0)).collect();
-        let mut out = vec![0; src.len()];
-        let k = renumber_into(src, &mut out, id_bound, &first);
+        let mut out = src.to_vec();
+        let k = renumber_in_place(&mut out, id_bound, &first);
         (out, k)
     }
 
     #[test]
-    fn renumber_into_matches_serial_small() {
+    fn renumber_in_place_matches_serial_small() {
         let src = vec![5, 2, 5, 0];
-        assert_eq!(renumber_into_checked(&src, 6), renumber(&src));
-        assert_eq!(renumber_into_checked(&[], 0), (vec![], 0));
+        assert_eq!(renumber_in_place_checked(&src, 6), renumber(&src));
+        assert_eq!(renumber_in_place_checked(&[], 0), (vec![], 0));
+        // Ranks overwrite ids that later values still name.
+        let src = vec![3, 0, 1, 2, 0, 3];
+        assert_eq!(renumber_in_place_checked(&src, 4), renumber(&src));
     }
 
     #[test]
-    fn renumber_into_and_lookup_match_serial_at_every_thread_count() {
+    fn renumber_in_place_and_lookup_match_serial_at_every_thread_count() {
         let n = 1 << 16;
         let src: Vec<u32> = (0..n as u64)
             .map(|i| ((i.wrapping_mul(2_654_435_761)) % 4099) as u32)
@@ -130,9 +132,9 @@ mod tests {
                 .build()
                 .unwrap();
             pool.install(|| {
-                assert_eq!(renumber_into_checked(&src, 4099), expected);
+                assert_eq!(renumber_in_place_checked(&src, 4099), expected);
                 // Scratch larger than needed is fine too (workspace reuse).
-                assert_eq!(renumber_into_checked(&src, 10_000), expected);
+                assert_eq!(renumber_in_place_checked(&src, 10_000), expected);
                 let mut top = src.clone();
                 lookup(&mut top, &child);
                 assert_eq!(top, composed, "{threads} threads");

@@ -76,8 +76,7 @@ pub use timing::{PassStats, PhaseTimings};
 pub use workspace::PassWorkspace;
 
 use gve_graph::{CsrGraph, VertexId};
-use gve_prim::parfor::{static_for, static_for_mut};
-use gve_prim::{CommunityMap, PerThread};
+use gve_prim::parfor::{static_blocks_mut, static_for, static_for_mut};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -362,7 +361,6 @@ impl Leiden {
             sigma,
             penalty,
             bounds,
-            dense,
             init_labels: init_buf,
             first_seen,
             sizes,
@@ -372,13 +370,13 @@ impl Leiden {
             sync_decisions,
             unprocessed,
             aggregate: agg,
-            // The per-worker collision-free hashtables (the O(T·N)
-            // memory term) live in the arena too, reused across phases,
-            // passes, and runs.
+            // The per-worker collision-free hashtables live in the arena
+            // too, reused across phases, passes, and runs. Each phase
+            // grows them to the keys it can meet, on the caller, before
+            // it starts.
             tables,
             ..
         } = &mut *workspace;
-        let tables: &PerThread<CommunityMap> = tables;
         if use_sizes {
             static_for_mut(&mut sizes[..n], |_, s| *s = 1.0);
         }
@@ -399,6 +397,9 @@ impl Leiden {
         let mut passes = 0usize;
         let mut dendrogram: Vec<Vec<VertexId>> = Vec::new();
         let mut stop = StopReason::PassCap;
+        // The current graph's largest degree when the aggregation that
+        // built it also wrote its weighted degrees into `penalty`.
+        let mut carried: Option<usize> = None;
 
         for pass in 0..config.max_passes {
             let g: &CsrGraph = current.as_ref().unwrap_or(graph);
@@ -417,15 +418,47 @@ impl Leiden {
             // parent communities instead of singletons.
             let t0 = Instant::now();
             // Penalty weights: weighted degrees K' for modularity,
-            // carried vertex sizes for CPM — refreshed in place.
-            let pen = &mut penalty[..n_cur];
-            if use_sizes {
-                let sizes = &sizes[..n_cur];
-                static_for_mut(pen, |v, p| *p = sizes[v]);
-            } else {
-                static_for_mut(pen, |v, p| *p = g.weighted_degree(v as VertexId));
-            }
+            // carried vertex sizes for CPM — refreshed in place, unless
+            // the hashtable aggregation already wrote a supergraph's K'.
+            // The same loop finds the largest degree, which decides
+            // whether any scan reaches the tables below.
+            let max_degree = match carried.take() {
+                Some(max_degree) if !use_sizes => max_degree,
+                _ => {
+                    let sizes = &sizes[..];
+                    static_blocks_mut(&mut penalty[..n_cur], |start, block| {
+                        let mut widest = 0;
+                        for (offset, p) in block.iter_mut().enumerate() {
+                            let v = (start + offset) as VertexId;
+                            *p = if use_sizes {
+                                sizes[v as usize]
+                            } else {
+                                g.weighted_degree(v)
+                            };
+                            widest = widest.max(g.degree(v));
+                        }
+                        widest
+                    })
+                    .into_iter()
+                    .max()
+                    .unwrap_or(0)
+                }
+            };
             let pen = &penalty[..n_cur];
+            // Key bound of the scans: community ids `< n_cur`, met only
+            // by hubs (the stack tier takes every other vertex) and by
+            // the color-synchronous decisions; random refinement scans
+            // every vertex through a table.
+            let sync = config.scheduling == Scheduling::ColorSynchronous;
+            let move_keys = if sync || max_degree > SMALL_DEGREE_THRESHOLD {
+                n_cur
+            } else {
+                0
+            };
+            let refine_keys = match config.refinement {
+                config::RefinementStrategy::Random => n_cur,
+                config::RefinementStrategy::Greedy => move_keys,
+            };
             // Pruning flags: everything unprocessed, or only the given
             // frontier on the first pass of a dynamic run. One bitset,
             // prefix-reset per pass (set_first clears the tail).
@@ -449,9 +482,8 @@ impl Leiden {
             // skipped for Louvain), under the configured scheduling.
             // Bounds land in their workspace prefix; the refined (or,
             // for Louvain, the local-moving) membership lands in the
-            // `init_buf` prefix, whose seeds were consumed above and
-            // which the labeling step overwrites only after the
-            // renumber below has read it.
+            // `init_buf` prefix, whose seeds were consumed above; the
+            // renumber below turns it into the dense ranks in place.
             let (outcome, refine_moves, refine_chunks) = match config.scheduling {
                 Scheduling::Asynchronous => {
                     // Reinitialize the atomic prefix in place (static-block
@@ -494,7 +526,7 @@ impl Leiden {
                         coeffs,
                         tolerance,
                         config,
-                        tables,
+                        tables.reach(move_keys),
                         unprocessed,
                     );
                     timings.local_move += t1.elapsed();
@@ -548,7 +580,7 @@ impl Leiden {
                             sigma,
                             coeffs,
                             config,
-                            tables,
+                            tables.reach(refine_keys),
                             pass as u64,
                         );
                         timings.refinement += t3.elapsed();
@@ -606,7 +638,7 @@ impl Leiden {
                         coeffs,
                         tolerance,
                         config,
-                        tables,
+                        tables.reach(move_keys),
                         &coloring,
                         unprocessed,
                         sync_decisions,
@@ -642,7 +674,7 @@ impl Leiden {
                             sigma,
                             coeffs,
                             config,
-                            tables,
+                            tables.reach(refine_keys),
                             &coloring,
                             pass as u64,
                             sync_decisions,
@@ -676,18 +708,16 @@ impl Leiden {
             workspace::assert_suffix_poisoned(&membership[n_cur..], &sigma[n_cur..], pass, n_cur);
 
             // Renumber refined communities and update the dendrogram
-            // (lines 11–12 / 16) — serial first-seen renumber into the
-            // workspace's `dense` prefix, then a static-block lookup.
+            // (lines 11–12 / 16) — serial first-seen renumber of the
+            // snapshot in place, then a static-block lookup. The dense
+            // ranks stay in `init_buf` until the labeling step, their
+            // last reader, overwrites them.
             let t4 = Instant::now();
-            let k = dendrogram::renumber_into(
-                &init_buf[..n_cur],
-                &mut dense[..n_cur],
-                n_cur,
-                first_seen,
-            );
-            dendrogram::lookup(&mut top, &dense[..n_cur]);
+            let k = dendrogram::renumber_in_place(&mut init_buf[..n_cur], n_cur, first_seen);
+            let dense = &init_buf[..n_cur];
+            dendrogram::lookup(&mut top, dense);
             if config.record_dendrogram {
-                dendrogram.push(dense[..n_cur].to_vec());
+                dendrogram.push(dense.to_vec());
             }
             timings.other += t4.elapsed();
 
@@ -738,23 +768,28 @@ impl Leiden {
                     // prefix in place (the phases are done with it) —
                     // this replaces the old per-pass fresh atomic vec.
                     let memb = &membership[..n_cur];
-                    let dense = &dense[..n_cur];
+                    let dense = &init_buf[..n_cur];
                     static_for(n_cur, |v| {
                         // Relaxed: bulk restage between loops, as above.
                         memb[v].store(dense[v], Ordering::Relaxed);
                     });
-                    aggregate::aggregate_into(
+                    // The table path's keys are the dense ids `< k`;
+                    // each row's writer hands the next pass its K'.
+                    let (supergraph, max_degree) = aggregate::aggregate_into(
                         g,
                         memb,
-                        &dense[..n_cur],
+                        dense,
                         k,
-                        tables,
+                        tables.reach(k),
                         Some(SMALL_DEGREE_THRESHOLD),
                         agg,
-                    )
+                        &mut penalty[..k],
+                    );
+                    carried = Some(max_degree);
+                    supergraph
                 }
                 config::AggregationStrategy::SortReduce => {
-                    aggregate::aggregate_sort_reduce(g, &dense[..n_cur], k)
+                    aggregate::aggregate_sort_reduce(g, &init_buf[..n_cur], k)
                 }
             };
             let aggregation_time = t5.elapsed();
@@ -770,6 +805,23 @@ impl Leiden {
             #[cfg(feature = "analysis")]
             analysis::assert_aggregate_state(pass, g, &supergraph, k);
 
+            // Fold vertex sizes into the super-vertices (CPM only) via
+            // the free Σ' atomics: the addends are integral vertex
+            // counts, so the `fetch_add`s are exact and the result is
+            // independent of thread interleaving. Double-buffer swap
+            // replaces the old per-pass clone. It reads the dense ranks,
+            // so it runs before the labeling step overwrites them.
+            if use_sizes {
+                let acc = &sigma[..k];
+                static_for(k, |c| acc[c].store(0.0));
+                let (sz, dense) = (&sizes[..n_cur], &init_buf[..n_cur]);
+                static_for(n_cur, |v| {
+                    acc[dense[v] as usize].fetch_add(sz[v]);
+                });
+                static_for_mut(&mut sizes_next[..k], |c, o| *o = acc[c].load());
+                std::mem::swap(sizes, sizes_next);
+            }
+
             // Super-vertex labeling for the next pass (line 14). Without
             // refinement each super-vertex is a whole local-moving
             // community, so the next pass starts from singletons, as
@@ -781,42 +833,26 @@ impl Leiden {
                     // bound, so any member defines the mapping — the
                     // concurrent stores per slot all carry the same
                     // value. `first_seen` serves as the scatter target;
-                    // the values are copied out to the `bounds` prefix
-                    // (read for the last time by the scatter) before
-                    // `renumber_into` reclaims the scratch.
+                    // the values are copied out over the dense ranks
+                    // (read for the last time by the scatter) before the
+                    // renumber reclaims the scratch.
                     let fs = &first_seen[..k];
                     {
-                        let (dense, bounds) = (&dense[..n_cur], &bounds[..n_cur]);
+                        let (dense, bounds) = (&init_buf[..n_cur], &bounds[..n_cur]);
                         static_for(n_cur, |v| {
                             // Relaxed: same-value stores, published by the
                             // end of the loop.
                             fs[dense[v] as usize].store(bounds[v], Ordering::Relaxed);
                         });
                     }
-                    let lab = &mut bounds[..k];
-                    static_for_mut(lab, |c, l| *l = fs[c].load(Ordering::Relaxed));
-                    dendrogram::renumber_into(lab, &mut init_buf[..k], n_cur, first_seen);
+                    let labels = &mut init_buf[..k];
+                    static_for_mut(labels, |c, l| *l = fs[c].load(Ordering::Relaxed));
+                    dendrogram::renumber_in_place(labels, n_cur, first_seen);
                     true
                 }
                 _ => false,
             };
             timings.other += t6.elapsed();
-
-            // Fold vertex sizes into the super-vertices (CPM only) via
-            // the free Σ' atomics: the addends are integral vertex
-            // counts, so the `fetch_add`s are exact and the result is
-            // independent of thread interleaving. Double-buffer swap
-            // replaces the old per-pass clone.
-            if use_sizes {
-                let acc = &sigma[..k];
-                static_for(k, |c| acc[c].store(0.0));
-                let (sz, dense) = (&sizes[..n_cur], &dense[..n_cur]);
-                static_for(n_cur, |v| {
-                    acc[dense[v] as usize].fetch_add(sz[v]);
-                });
-                static_for_mut(&mut sizes_next[..k], |c, o| *o = acc[c].load());
-                std::mem::swap(sizes, sizes_next);
-            }
 
             // Swap in the super-vertex graph; the displaced one's
             // buffers go back to the aggregation scratch as a spare slot
@@ -835,15 +871,14 @@ impl Leiden {
             agg.recycle(last);
         }
 
-        // Final dense renumbering of the top-level membership (the
-        // output vector is the one allocation the result must own).
+        // Final dense renumbering of the top-level membership, in place:
+        // `top` is the one vertex-sized vector the result owns.
         let t7 = Instant::now();
-        let mut final_membership = vec![0; n];
-        let num_communities = dendrogram::renumber_into(&top, &mut final_membership, n, first_seen);
+        let num_communities = dendrogram::renumber_in_place(&mut top, n, first_seen);
         timings.other += t7.elapsed();
 
         LeidenResult {
-            membership: final_membership,
+            membership: top,
             num_communities,
             passes,
             move_iterations,

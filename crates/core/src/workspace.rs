@@ -15,15 +15,18 @@
 //! * `membership`/`sigma` — the async phases' atomic state; after
 //!   refinement their prefix is re-staged with the dense community ids
 //!   for aggregation (replacing the old serial `dense_atomic` rebuild);
-//! * `penalty`, `bounds`, `dense` — per-pass plain views;
+//! * `penalty`, `bounds` — per-pass plain views; the hashtable
+//!   aggregation writes each super-vertex's weighted degree into
+//!   `penalty[..k]`, so the next pass starts from it;
 //! * `init_labels` — super-vertex labels (or seeds) for the pass start;
 //!   between the seeding and the labeling step it holds the refined
-//!   membership snapshot;
+//!   membership snapshot, which the renumber overwrites in place with
+//!   the dense ranks;
 //! * `first_seen` — the remap table of the serial first-seen renumber
-//!   ([`crate::dendrogram::renumber_into`], one sweep over its input);
-//!   it doubles as the scatter target of the
-//!   move-based `label_of` map, whose values are then staged in
-//!   `bounds[..k]`;
+//!   ([`crate::dendrogram::renumber_in_place`], one sweep over its
+//!   input); it doubles as the scatter target of the move-based
+//!   `label_of` map, whose values are then copied over the dead ranks
+//!   in `init_labels[..k]`;
 //! * `sizes`/`sizes_next` — the CPM vertex-size double buffer (swapped
 //!   per pass instead of cloned), sized only for CPM runs;
 //! * `unprocessed` — one capacity-`N` pruning bitset, prefix-reset per
@@ -37,7 +40,14 @@
 //!   place, and a retired supergraph's buffers come back as the slot
 //!   arrays of a later pass. Two slot sets ping-pong: one reserved here
 //!   for the input's arcs, and one sized exactly for the first
-//!   supergraph's arcs, created only when a run aggregates twice.
+//!   supergraph's arcs, created only when a run aggregates twice;
+//! * `tables` — one collision-free scan table per worker, 8 B per key,
+//!   grown by the pass loop (not by [`PassWorkspace::ensure`]) to the
+//!   key bound of the phase about to run: `n` for local-moving and
+//!   greedy refinement only when the graph has a vertex above
+//!   [`crate::SMALL_DEGREE_THRESHOLD`], `n` always for random
+//!   refinement and the color-synchronous phases, and `k` for the
+//!   hashtable aggregation, whose keys are the dense community ids.
 //!
 //! What [`PassWorkspace::ensure`] allocates per vertex (plus 8 B per
 //! arc for the first slot set; `crates/core/tests/footprint.rs` holds
@@ -48,21 +58,21 @@
 //! ```text
 //!  buffer                      B/vertex   hosts as well
 //!  membership, sigma           4 + 8      dense ids for aggregation
-//!  penalty                     8
-//!  bounds                      4          label_of staging  [..k]
-//!  dense                       4          renumber ranks
-//!  init_labels                 4          refined snapshot  [..n]
+//!  penalty                     8          next pass's K'    [..k]
+//!  bounds                      4
+//!  init_labels                 4          refined snapshot, then its
+//!                                         dense ranks, then label_of
 //!  first_seen                  4          label_of scatter  [..k]
 //!  unprocessed (bitset)        0.125
 //!  aggregate: cursors          4          arc fill counts
-//!             group_offsets    8
+//!             group_offsets    4
 //!             members          4
 //!             holey_offsets    8          capacity tallies
-//!  total                       60.125     (100.125 before the plain
-//!                                          sync state went lazy and
-//!                                          refined, labels, rank,
-//!                                          capacities and fill went)
+//!  total                       52.125     (DESIGN.md §10 has the
+//!                                          buffers this replaced)
 //! ```
+//!
+//! Each scan table adds 8 B per key of its bound.
 //!
 //! One pass of the default asynchronous loop, for the shared hosts:
 //!
@@ -73,11 +83,12 @@
 //!  bounds copy          ·                    bounds             ·
 //!  refinement           ·                    bounds (read)      ·
 //!  snapshot             refined              bounds             ·
-//!  renumber → dense     refined (read)       bounds             first seen
-//!  aggregation          ·                    bounds             ·
-//!  label_of scatter     ·                    bounds (read)      label_of
-//!  label_of staging     ·                    label_of [..k]     label_of (read)
-//!  renumber → labels    next labels [..k]    label_of (read)    first seen
+//!  renumber in place    dense ranks          bounds             first seen
+//!  aggregation          ranks (read)         bounds             ·
+//!  CPM size fold        ranks (read)         bounds             ·
+//!  label_of scatter     ranks (read)         bounds (read)      label_of
+//!  label_of copy        label_of [..k]       ·                  label_of (read)
+//!  renumber in place    next labels [..k]    ·                  first seen
 //! ```
 
 use gve_graph::{AggregateScratch, VertexId};
@@ -111,16 +122,13 @@ pub struct PassWorkspace {
     pub(crate) sigma: Vec<AtomicF64>,
     /// Per-vertex penalty weights (weighted degrees, or CPM sizes).
     pub(crate) penalty: Vec<f64>,
-    /// Local-moving result: refinement bounds. Once the move-based
-    /// labeling's `first_seen` scatter has read them, the `[..k]`
-    /// prefix stages the `label_of` values.
+    /// Local-moving result: refinement bounds.
     pub(crate) bounds: Vec<VertexId>,
-    /// Dense renumbering of the refined membership.
-    pub(crate) dense: Vec<VertexId>,
     /// Initial labels of a pass (move-based labeling or seeds). Dead
     /// once the pass start has seeded from them, so the same prefix
-    /// holds the post-refinement snapshot until the labeling step
-    /// writes the next pass's labels.
+    /// holds the post-refinement snapshot, renumbered in place into
+    /// the dense ranks, until the labeling step writes the next pass's
+    /// labels.
     pub(crate) init_labels: Vec<VertexId>,
     /// Remap table of the serial first-seen renumber; doubles as the
     /// `label_of` scatter target between renumber calls.
@@ -140,26 +148,78 @@ pub struct PassWorkspace {
     pub(crate) unprocessed: AtomicBitset,
     /// Fused grouped/holey aggregation scratch and its slot sets.
     pub(crate) aggregate: AggregateScratch,
-    /// One collision-free scan hashtable per worker — the `O(T·N)`
-    /// memory term — lazily materialized and reused across phases,
-    /// passes, *and* runs.
-    pub(crate) tables: PerThread<CommunityMap>,
-    /// Capacity newly materialized tables must cover (grow-only; shared
-    /// with the `tables` factory closure).
-    table_capacity: Arc<AtomicUsize>,
+    /// One collision-free scan hashtable per worker, sized by the key
+    /// bound of the phases that meet them.
+    pub(crate) tables: ScanTables,
+}
+
+/// The per-worker collision-free scan hashtables — the paper's `O(T·N)`
+/// memory term, here `O(T·K)` for the largest key bound `K ≤ N` a
+/// phase has met — lazily materialized and reused across phases,
+/// passes, *and* runs.
+///
+/// A phase that sends no scan to a table needs no slots at all: the
+/// stack tier takes every vertex of degree ≤
+/// [`crate::SMALL_DEGREE_THRESHOLD`], so on a hub-free graph only the
+/// aggregation, whose keys are the `k` dense community ids, grows them.
+#[derive(Debug)]
+pub(crate) struct ScanTables {
+    tables: PerThread<CommunityMap>,
+    /// Capacity every table covers, and newly materialized ones get
+    /// (grow-only; shared with the `tables` factory closure).
+    capacity: Arc<AtomicUsize>,
+}
+
+impl Default for ScanTables {
+    fn default() -> Self {
+        let capacity = Arc::new(AtomicUsize::new(0));
+        let cell = Arc::clone(&capacity);
+        Self {
+            tables: PerThread::new(move || {
+                // Relaxed: `reach` stores the capacity under `&mut self`
+                // before any parallel region can materialize a table, and
+                // the pool's start of that region publishes the store.
+                CommunityMap::new(cell.load(Ordering::Relaxed))
+            }),
+            capacity,
+        }
+    }
+}
+
+impl ScanTables {
+    /// Grows every table, and the capacity of tables not yet
+    /// materialized, to hold keys below `bound` (grow-only and exact),
+    /// and returns them for the phase about to run. Called on the
+    /// caller between phases.
+    pub(crate) fn reach(&mut self, bound: usize) -> &PerThread<CommunityMap> {
+        // Relaxed: read and stored under `&mut self`, before any
+        // parallel loop that reads it. Every loop starts with the pool's
+        // Release epoch bump, which its workers Acquire, so they see
+        // every store the caller made before the loop, this one
+        // included.
+        if self.capacity.load(Ordering::Relaxed) < bound {
+            self.capacity.store(bound, Ordering::Relaxed);
+            self.tables
+                .for_each_mut(|table| table.ensure_capacity(bound));
+        }
+        &self.tables
+    }
+
+    /// Key capacity every table covers.
+    fn capacity(&self) -> usize {
+        // Relaxed: as in `reach`.
+        self.capacity.load(Ordering::Relaxed)
+    }
 }
 
 impl Default for PassWorkspace {
     fn default() -> Self {
-        let table_capacity = Arc::new(AtomicUsize::new(0));
-        let capacity = Arc::clone(&table_capacity);
         Self {
             cap_vertices: 0,
             membership: Vec::new(),
             sigma: Vec::new(),
             penalty: Vec::new(),
             bounds: Vec::new(),
-            dense: Vec::new(),
             init_labels: Vec::new(),
             first_seen: Vec::new(),
             sizes: Vec::new(),
@@ -169,13 +229,7 @@ impl Default for PassWorkspace {
             sync_decisions: Vec::new(),
             unprocessed: AtomicBitset::new(0),
             aggregate: AggregateScratch::new(),
-            tables: PerThread::new(move || {
-                // Relaxed: `ensure` stores the capacity under `&mut self`
-                // before any parallel region can materialize a table, and
-                // the spawn of those workers publishes the store.
-                CommunityMap::new(capacity.load(Ordering::Relaxed))
-            }),
-            table_capacity,
+            tables: ScanTables::default(),
         }
     }
 }
@@ -200,10 +254,12 @@ impl PassWorkspace {
         self.cap_vertices
     }
 
-    /// Grows (never shrinks) every buffer to cover a graph with
-    /// `vertices` and `arcs`. No-op when already large enough; growth
-    /// allocates exactly what the new size needs, so a pooled workspace
-    /// that meets a slightly larger graph does not double.
+    /// Grows (never shrinks) every vertex- and arc-sized buffer to cover
+    /// a graph with `vertices` and `arcs`. No-op when already large
+    /// enough; growth allocates exactly what the new size needs, so a
+    /// pooled workspace that meets a slightly larger graph does not
+    /// double. The scan tables are left to the runs, which grow them to
+    /// the key bounds their phases reach.
     pub fn ensure(&mut self, vertices: usize, arcs: usize) {
         if self.cap_vertices < vertices {
             let n = vertices;
@@ -211,16 +267,9 @@ impl PassWorkspace {
             resize_exact(&mut self.sigma, n, || AtomicF64::new(0.0));
             resize_exact(&mut self.penalty, n, || 0.0);
             resize_exact(&mut self.bounds, n, || 0);
-            resize_exact(&mut self.dense, n, || 0);
             resize_exact(&mut self.init_labels, n, || 0);
             resize_exact(&mut self.first_seen, n, || AtomicU32::new(0));
             self.unprocessed = AtomicBitset::new(n);
-            // Relaxed: stored under `&mut self`, before any parallel loop
-            // that reads it. Every loop starts with the pool's Release
-            // epoch bump, which its workers Acquire, so they see every
-            // store the caller made before the loop, this one included.
-            self.table_capacity.store(n, Ordering::Relaxed);
-            self.tables.for_each_mut(|table| table.ensure_capacity(n));
             self.cap_vertices = n;
         }
         self.aggregate.reserve(vertices, arcs);
@@ -242,6 +291,14 @@ impl PassWorkspace {
             resize_exact(&mut self.plain_membership, vertices, || 0);
             resize_exact(&mut self.plain_sigma, vertices, || 0.0);
         }
+    }
+
+    /// Key capacity of the scan tables: the largest key bound a phase
+    /// run on this workspace has met, zero until one needed a table.
+    /// [`PassWorkspace::ensure`] does not grow the tables; each run
+    /// grows them to what its phases reach.
+    pub fn table_capacity(&self) -> usize {
+        self.tables.capacity()
     }
 
     /// Vertex capacity of the color-synchronous plain state: zero until
@@ -341,6 +398,28 @@ mod tests {
         let ws = PassWorkspace::with_capacity(64, 256);
         assert_eq!(ws.capacity(), 64);
         assert_eq!(ws.first_seen.len(), 64);
+    }
+
+    #[test]
+    fn scan_tables_grow_to_the_bound_they_reach() {
+        let mut ws = PassWorkspace::with_capacity(100, 400);
+        assert_eq!(ws.table_capacity(), 0, "ensure must not size the tables");
+        // A table materialized now starts at the current bound.
+        ws.tables
+            .reach(0)
+            .with(|table| assert_eq!(table.capacity(), 0));
+        ws.tables
+            .reach(40)
+            .with(|table| assert_eq!(table.capacity(), 40));
+        assert_eq!(ws.table_capacity(), 40);
+        // Lower bounds keep what is there; higher ones grow exactly.
+        ws.tables
+            .reach(10)
+            .with(|table| assert_eq!(table.capacity(), 40));
+        ws.tables
+            .reach(41)
+            .with(|table| assert_eq!(table.capacity(), 41));
+        assert_eq!(ws.table_capacity(), 41);
     }
 
     #[test]

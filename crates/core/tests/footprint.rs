@@ -2,20 +2,25 @@
 //! an allocation-counting global allocator.
 //!
 //! `PassWorkspace::with_capacity(n, m)` must allocate at most
-//! `60.2·n + 8·m` bytes plus a constant. The per-vertex figure is the sum
+//! `52.2·n + 8·m` bytes plus a constant. The per-vertex figure is the sum
 //! of the buffers the default asynchronous pass loop needs (see the
 //! table in DESIGN.md §10); the per-arc figure is the first holey slot
 //! set's targets and weights. A buffer added to `ensure` must raise
 //! this budget in the same diff.
 //!
 //! A warm workspace may hold, beyond that budget, only what the runs
-//! add lazily: the per-thread scan tables (9 B per vertex each), the
-//! supergraph offsets that come back with each retired slot set, and,
-//! once a run aggregates twice, a second slot set sized exactly for the
-//! first supergraph's arcs.
+//! add lazily: the per-thread scan tables (8 B per key of the largest
+//! key bound a phase met: the vertex count when the input has a vertex
+//! above the hub threshold, else the first aggregation's community
+//! count), the supergraph offsets that come back with each retired
+//! slot set, and, once a run aggregates twice, a second slot set sized
+//! exactly for the first supergraph's arcs.
 
 use gve_graph::{CsrGraph, GraphBuilder};
-use gve_leiden::{Leiden, LeidenConfig, LeidenResult, PassStats, PassWorkspace, Scheduling};
+use gve_leiden::{
+    Leiden, LeidenConfig, LeidenResult, PassStats, PassWorkspace, Scheduling,
+    SMALL_DEGREE_THRESHOLD,
+};
 use gve_prim::alloc_count::{self, CountingAllocator};
 
 #[global_allocator]
@@ -24,9 +29,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// The allocator counters are process-global; serialize the tests.
 static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Bytes per vertex the default arena may hold (60 B of buffers plus
+/// Bytes per vertex the default arena may hold (52 B of buffers plus
 /// the pruning bitset's bit).
-const BYTES_PER_VERTEX: f64 = 60.2;
+const BYTES_PER_VERTEX: f64 = 52.2;
 /// Bytes per arc: the holey slot targets and f32 weight bits.
 const BYTES_PER_ARC: f64 = 8.0;
 /// Size-independent overhead (the shared table-capacity cell and
@@ -122,13 +127,22 @@ fn result_bytes(result: &LeidenResult) -> u64 {
         + levels) as u64
 }
 
+/// What a warmed workspace holds: the bytes beyond the warm results,
+/// the warm results, the bytes a third run left behind beyond its own
+/// result, and the scan tables' key capacity.
+struct Warm {
+    held: f64,
+    runs: Vec<LeidenResult>,
+    left: u64,
+    table_capacity: usize,
+}
+
 /// Warms a fresh workspace with a 1-thread and a 2-thread run, as the
-/// benchmark ledger does, and returns the bytes it then holds, the two
-/// warm results, and the bytes a third run leaves behind beyond its
-/// own result. The third run has one thread, so it repeats the first
-/// exactly: 2-thread runs differ in their supergraph sizes, and one
-/// larger than both warm runs' may legitimately grow the workspace.
-fn warm_footprint(graph: &CsrGraph) -> (f64, Vec<LeidenResult>, u64) {
+/// benchmark ledger does, then runs a third time. The third run has one
+/// thread, so it repeats the first exactly: 2-thread runs differ in
+/// their supergraph sizes, and one larger than both warm runs' may
+/// legitimately grow the workspace.
+fn warm_footprint(graph: &CsrGraph) -> Warm {
     let leiden = Leiden::default();
     let pool = |threads| {
         rayon::ThreadPoolBuilder::new()
@@ -150,11 +164,37 @@ fn warm_footprint(graph: &CsrGraph) -> (f64, Vec<LeidenResult>, u64) {
     let third = single.install(|| leiden.run_in(graph, &mut ws));
     let left =
         (alloc_count::snapshot().current - before_third).saturating_sub(result_bytes(&third));
-    (held as f64, warm, left)
+    Warm {
+        held: held as f64,
+        runs: warm,
+        left,
+        table_capacity: ws.table_capacity(),
+    }
 }
 
 /// Worker threads of the warm runs, hence scan tables in the workspace.
 const THREADS: f64 = 2.0;
+
+/// Largest vertex degree of `graph`.
+fn max_degree(graph: &CsrGraph) -> usize {
+    (0..graph.num_vertices() as u32)
+        .map(|u| graph.degree(u))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The largest key bound the default phases of `warm` met: every
+/// community id of the input when it has a hub, else the dense ids of
+/// the largest first aggregation (every later graph is no larger).
+fn key_bound(graph: &CsrGraph, warm: &[LeidenResult]) -> usize {
+    if max_degree(graph) > SMALL_DEGREE_THRESHOLD {
+        return graph.num_vertices();
+    }
+    warm.iter()
+        .filter_map(|r| r.pass_stats.get(1).map(|s| s.vertices))
+        .max()
+        .unwrap_or(0)
+}
 
 /// The resident bound of a warm workspace: the `with_capacity` budget,
 /// the scan tables, and the supergraph offsets that came back with the
@@ -170,11 +210,12 @@ fn warm_bound(graph: &CsrGraph, warm: &[LeidenResult], second_set: bool) -> f64 
             .unwrap_or(0)
     };
     let k1 = largest(1, |s| s.vertices);
-    // A scan table is 9 B per vertex plus its key list, which holds the
-    // distinct communities of one scan: at most a vertex's degree in
-    // the first pass and at most k₁ after it, in a doubling vector.
-    let max_degree = (0..n as u32).map(|u| graph.degree(u)).max().unwrap_or(0);
-    let table = 9.0 * n as f64 + 4.0 * max_degree.max(k1).next_power_of_two() as f64;
+    // A scan table is 8 B per key of the key bound plus its key list,
+    // which holds the distinct communities of one scan: at most a
+    // vertex's degree in the first pass and at most k₁ after it, in a
+    // doubling vector.
+    let keys = key_bound(graph, warm);
+    let table = 8.0 * keys as f64 + 4.0 * max_degree(graph).max(k1).next_power_of_two() as f64;
     let mut bound = budget(n, m) + THREADS * table + 8.0 * (k1 + 1) as f64;
     if second_set {
         bound +=
@@ -186,9 +227,10 @@ fn warm_bound(graph: &CsrGraph, warm: &[LeidenResult], second_set: bool) -> f64 
 /// Asserts the warm bound and that a third run left nothing behind, on
 /// a graph whose warm runs aggregate exactly once (`twice == false`) or
 /// at least twice.
-fn assert_warm_footprint(graph: &CsrGraph, twice: bool) {
-    let (held, warm, left) = warm_footprint(graph);
-    for run in &warm {
+fn assert_warm_footprint(graph: &CsrGraph, twice: bool) -> Warm {
+    let warm = warm_footprint(graph);
+    let Warm { held, left, .. } = warm;
+    for run in &warm.runs {
         let aggregations = run.pass_stats.len() - 1;
         assert!(
             if twice {
@@ -199,12 +241,18 @@ fn assert_warm_footprint(graph: &CsrGraph, twice: bool) {
             "a warm run aggregated {aggregations} times"
         );
     }
-    let bound = warm_bound(graph, &warm, twice);
+    let bound = warm_bound(graph, &warm.runs, twice);
     assert!(
         held <= bound,
         "warm workspace holds {held} B; bound {bound:.0} B"
     );
     assert_eq!(left, 0, "a third run grew the workspace by {left} B");
+    assert!(
+        warm.table_capacity <= key_bound(graph, &warm.runs),
+        "scan tables hold {} keys",
+        warm.table_capacity
+    );
+    warm
 }
 
 #[test]
@@ -219,4 +267,29 @@ fn warm_workspace_holds_two_slot_sets_when_runs_aggregate_twice() {
     let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let graph = gve_generate::rmat::Rmat::web(12, 8.0).seed(5).generate();
     assert_warm_footprint(&graph, true);
+}
+
+/// On a graph with no vertex above the hub threshold, local-moving and
+/// refinement send every scan to the stack tier, so only the first
+/// aggregation's dense ids reach the tables: they stay well below the
+/// vertex count.
+#[test]
+fn hub_free_warm_workspace_sizes_tables_by_the_first_aggregation() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let graph = gve_generate::grid::road_grid(200, 100, 2.1, 3);
+    assert!(max_degree(&graph) <= SMALL_DEGREE_THRESHOLD);
+    let warm = assert_warm_footprint(&graph, true);
+    let k0 = warm
+        .runs
+        .iter()
+        .map(|r| r.pass_stats[0].communities)
+        .max()
+        .unwrap();
+    assert!(warm.table_capacity > 0, "no aggregation met a table");
+    assert!(
+        warm.table_capacity <= k0,
+        "tables hold {} keys; the first aggregation had {k0} communities",
+        warm.table_capacity
+    );
+    assert!(2 * k0 < graph.num_vertices(), "the grid barely coarsened");
 }

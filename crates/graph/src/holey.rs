@@ -178,7 +178,9 @@ pub struct AggregateScratch {
     /// `[(b - 3) * num_groups, (b - 2) * num_groups)`.
     block_cursors: Vec<u32>,
     /// Member offsets of the grouped CSR (`num_groups + 1` live slots).
-    group_offsets: Vec<u64>,
+    /// 32 bits suffice: they index the member array, whose length is
+    /// the vertex count of the graph being aggregated.
+    group_offsets: Vec<u32>,
     /// Member array of the grouped CSR (`keys.len()` live slots).
     members: Vec<VertexId>,
     /// Count rows of key blocks 1 and 2 during `prepare`'s member
@@ -336,7 +338,7 @@ impl AggregateScratch {
                     .map(|b| {
                         let (rows, base) = row(b);
                         // SAFETY: column `c` is read by this body only.
-                        u64::from(unsafe { rows.read(base + c) })
+                        unsafe { rows.read(base + c) }
                     })
                     .sum();
             });
@@ -345,7 +347,7 @@ impl AggregateScratch {
             debug_assert_eq!(total as usize, len);
             let offsets = &offsets[..g];
             static_for(g, |c| {
-                let mut cursor = offsets[c] as u32;
+                let mut cursor = offsets[c];
                 for b in 0..blocks {
                     let (rows, base) = row(b);
                     // SAFETY: column `c` is touched by this body only.
@@ -442,11 +444,20 @@ impl AggregateScratch {
     /// are fine; the end of the filling loop publishes every row to
     /// [`AggregateScratch::squeeze`].
     ///
+    /// Returns the row's length (the super-vertex's degree) and its
+    /// weighted degree: its weights widened to `f64` and summed in row
+    /// order, bit-identical to [`CsrGraph::weighted_degree`] of the
+    /// squeezed row, so the next pass need not walk the row again.
+    ///
     /// # Panics
     /// Panics when the row outgrows super-vertex `u`'s capacity (a bug
     /// in the degree overestimate, never expected in correct use).
     #[inline]
-    pub fn write_row(&self, u: VertexId, arcs: impl IntoIterator<Item = (VertexId, EdgeWeight)>) {
+    pub fn write_row(
+        &self,
+        u: VertexId,
+        arcs: impl IntoIterator<Item = (VertexId, EdgeWeight)>,
+    ) -> (usize, f64) {
         let u = u as usize;
         let (lo, hi) = self.holey_range(u);
         let (lo, hi) = (lo as usize, hi as usize);
@@ -457,14 +468,18 @@ impl AggregateScratch {
         let mut fill = 0u32;
         // `zip` polls the slots first, so an arc past the capacity stays
         // in `arcs` for the check below.
-        for ((target, weight), (v, w)) in slots.zip(&mut arcs) {
-            // Relaxed: this row has one writer, and readers only run
-            // after the filling loop's join.
-            target.store(v, Ordering::Relaxed);
-            // Relaxed: as above.
-            weight.store(w.to_bits(), Ordering::Relaxed);
-            fill += 1;
-        }
+        let weighted_degree = slots
+            .zip(&mut arcs)
+            .map(|((target, weight), (v, w))| {
+                // Relaxed: this row has one writer, and readers only run
+                // after the filling loop's join.
+                target.store(v, Ordering::Relaxed);
+                // Relaxed: as above.
+                weight.store(w.to_bits(), Ordering::Relaxed);
+                fill += 1;
+                w as f64
+            })
+            .sum();
         assert!(
             arcs.next().is_none(),
             "holey CSR capacity exceeded for vertex {u}: cap {}",
@@ -472,6 +487,7 @@ impl AggregateScratch {
         );
         // Relaxed: published with the payloads at the loop's join.
         self.cursors[u].store(fill, Ordering::Relaxed);
+        (fill as usize, weighted_degree)
     }
 
     /// Squeezes the holes out of the slot arrays **in place** and hands
@@ -628,6 +644,7 @@ mod tests {
     ) -> (CsrGraph, Vec<Vec<(VertexId, u32)>>) {
         scratch.prepare(keys, num_groups, |v| degrees[v]);
         let mut rows = vec![Vec::new(); num_groups];
+        let mut written = Vec::with_capacity(num_groups);
         for c in 0..num_groups as u32 {
             let expected: u64 = scratch
                 .members(c)
@@ -641,10 +658,20 @@ mod tests {
                 .enumerate()
                 .map(|(slot, &v)| (v % num_groups as u32, slot as f32 + 1.0))
                 .collect();
-            scratch.write_row(c, row.iter().copied());
+            written.push(scratch.write_row(c, row.iter().copied()));
             rows[c as usize] = row.iter().map(|&(d, w)| (d, w.to_bits())).collect();
         }
-        (scratch.squeeze(), rows)
+        let graph = scratch.squeeze();
+        for (c, &(len, weighted)) in written.iter().enumerate() {
+            let c = c as VertexId;
+            assert_eq!(len, graph.degree(c), "row {c} length");
+            assert_eq!(
+                weighted.to_bits(),
+                graph.weighted_degree(c).to_bits(),
+                "row {c} weighted degree"
+            );
+        }
+        (graph, rows)
     }
 
     fn assert_rows(graph: &CsrGraph, rows: &[Vec<(VertexId, u32)>]) {

@@ -132,8 +132,19 @@ proptest! {
             }
             // One writer per row, rows written concurrently, as the
             // aggregation's per-community workers do.
-            static_for(num_groups, |u| scratch.write_row(u as u32, rows[u].iter().copied()));
+            let written: Vec<std::sync::Mutex<(usize, f64)>> =
+                (0..num_groups).map(|_| std::sync::Mutex::new((0, 0.0))).collect();
+            static_for(num_groups, |u| {
+                *written[u].lock().unwrap() = scratch.write_row(u as u32, rows[u].iter().copied());
+            });
             let graph = scratch.squeeze();
+            // Each row's length and weighted degree come back from its
+            // write, bit-identical to what the squeezed graph reports.
+            for (u, cell) in written.iter().enumerate() {
+                let (len, weighted) = *cell.lock().unwrap();
+                prop_assert_eq!(len, graph.degree(u as u32));
+                prop_assert_eq!(weighted.to_bits(), graph.weighted_degree(u as u32).to_bits());
+            }
             let rows: Vec<Vec<(u32, u32)>> = rows
                 .iter()
                 .map(|row| row.iter().map(|&(v, w)| (v, w.to_bits())).collect())

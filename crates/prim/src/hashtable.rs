@@ -7,11 +7,29 @@
 //! single array access; clearing walks only the touched keys, so a scan of
 //! a degree-`d` vertex costs O(d) regardless of the table size.
 //!
-//! This trades memory (O(N) per thread, the `T·N` term in the paper's
-//! space complexity) for the removal of all hashing and probing from the
-//! innermost loop of the algorithm.
+//! The table is one `f64` array: a slot nobody touched since the last
+//! clear holds `EMPTY_BITS`, a NaN whose low 29 payload bits are set.
+//! An `f32` weight widened to `f64` keeps its payload in the high 23
+//! mantissa bits and zeroes the low 29, and arithmetic on NaNs yields
+//! either the default NaN or an operand's payload, so no accumulated
+//! edge weight — NaN weights included — can read as empty. A first
+//! touch, a later add and a lookup each read the slot once.
+//!
+//! This trades memory for the removal of all hashing and probing from
+//! the innermost loop: 8 B per possible key per thread, the `T·N` term
+//! in the paper's space complexity. The Leiden pass loop sizes the
+//! tables by the keys a phase can actually meet (see
+//! `gve_leiden::workspace`), which is often far below `N`.
 
 use crate::workspace::resize_exact;
+
+/// Bit pattern of an untouched slot: a quiet NaN whose low 29 payload
+/// bits are nonzero, which no `f32` weight widened to `f64`, and no
+/// NaN computed from such weights, can carry.
+const EMPTY_BITS: u64 = 0x7FF8_0000_0DEA_D5ED;
+
+/// Value of an untouched slot (compared by bits, never by `==`).
+const EMPTY: f64 = f64::from_bits(EMPTY_BITS);
 
 /// Dense accumulator map from community id (`u32`) to accumulated weight.
 ///
@@ -21,10 +39,9 @@ use crate::workspace::resize_exact;
 /// phase.
 #[derive(Debug, Clone)]
 pub struct CommunityMap {
-    /// values[c] = accumulated weight towards community c.
+    /// values[c] = accumulated weight towards community c, or
+    /// `EMPTY_BITS` when c is not live.
     values: Vec<f64>,
-    /// Whether slot c currently holds live data.
-    touched: Vec<bool>,
     /// List of live keys, for O(touched) iteration and clearing.
     keys: Vec<u32>,
 }
@@ -33,8 +50,7 @@ impl CommunityMap {
     /// Creates a map able to hold keys in `0..capacity`.
     pub fn new(capacity: usize) -> Self {
         Self {
-            values: vec![0.0; capacity],
-            touched: vec![false; capacity],
+            values: vec![EMPTY; capacity],
             keys: Vec::new(),
         }
     }
@@ -60,42 +76,38 @@ impl CommunityMap {
     /// Grows the table to hold keys in `0..capacity`, keeping live
     /// entries. Growth allocates exactly `capacity` slots.
     ///
-    /// Capacity only ever needs to grow to the vertex count of the first
-    /// (largest) graph in a Leiden run; later passes reuse the same tables.
+    /// A Leiden run grows its tables to the largest key bound its phases
+    /// meet; later passes and runs reuse the same tables.
     pub fn ensure_capacity(&mut self, capacity: usize) {
         if capacity > self.values.len() {
-            resize_exact(&mut self.values, capacity, || 0.0);
-            resize_exact(&mut self.touched, capacity, || false);
+            resize_exact(&mut self.values, capacity, || EMPTY);
         }
     }
 
     /// Adds `weight` to key `key`'s accumulator.
+    ///
+    /// `weight` must not carry the empty-slot NaN pattern (see the
+    /// module docs); no weight derived from `f32` edge weights can.
     #[inline]
     pub fn add(&mut self, key: u32, weight: f64) {
-        let slot = key as usize;
-        debug_assert!(slot < self.values.len(), "key {key} exceeds capacity");
-        if !self.touched[slot] {
-            debug_assert!(
-                self.values[slot] == 0.0,
-                "untouched slot {key} must be zero on entry"
-            );
-            self.touched[slot] = true;
-            self.values[slot] = weight;
+        debug_assert!(
+            weight.to_bits() != EMPTY_BITS,
+            "weight carries the empty-slot pattern"
+        );
+        let slot = &mut self.values[key as usize];
+        if slot.to_bits() == EMPTY_BITS {
+            *slot = weight;
             self.keys.push(key);
         } else {
-            self.values[slot] += weight;
+            *slot += weight;
         }
     }
 
     /// Returns the accumulated weight for `key`, or `None` if untouched.
     #[inline]
     pub fn get(&self, key: u32) -> Option<f64> {
-        let slot = key as usize;
-        self.touched
-            .get(slot)
-            .copied()
-            .unwrap_or(false)
-            .then(|| self.values[slot])
+        let value = *self.values.get(key as usize)?;
+        (value.to_bits() != EMPTY_BITS).then_some(value)
     }
 
     /// Returns the accumulated weight for `key`, `0.0` if untouched.
@@ -107,7 +119,7 @@ impl CommunityMap {
     /// Whether `key` has been touched since the last clear.
     #[inline]
     pub fn contains(&self, key: u32) -> bool {
-        self.touched.get(key as usize).copied().unwrap_or(false)
+        self.get(key).is_some()
     }
 
     /// Iterates over live `(key, weight)` pairs in insertion order.
@@ -122,21 +134,12 @@ impl CommunityMap {
         &self.keys
     }
 
-    /// Clears the map in O(touched) time.
-    ///
-    /// Only the `touched` flags are reset: zeroing `values` here would
-    /// duplicate the store [`CommunityMap::add`] performs on a slot's
-    /// first touch, so the value write is kept in exactly one place. In
-    /// debug builds the values *are* zeroed so `add` can assert that
-    /// untouched slots hold zero on entry.
+    /// Clears the map in O(touched) time, writing the empty pattern back
+    /// into each live slot.
     #[inline]
     pub fn clear(&mut self) {
         for &k in &self.keys {
-            self.touched[k as usize] = false;
-            #[cfg(debug_assertions)]
-            {
-                self.values[k as usize] = 0.0;
-            }
+            self.values[k as usize] = EMPTY;
         }
         self.keys.clear();
     }
@@ -244,6 +247,73 @@ mod tests {
         // Shrinking is a no-op.
         m.ensure_capacity(10);
         assert_eq!(m.capacity(), 101);
+    }
+
+    /// Every slot of a fresh, cleared or grown table holds the empty
+    /// pattern, so a key reads as absent exactly until its first add.
+    fn assert_all_empty(m: &CommunityMap) {
+        assert!(m.is_empty());
+        for (k, v) in m.values.iter().enumerate() {
+            assert_eq!(v.to_bits(), EMPTY_BITS, "slot {k}");
+        }
+    }
+
+    #[test]
+    fn empty_pattern_round_trips_through_clear_and_growth() {
+        let mut m = CommunityMap::new(16);
+        assert_all_empty(&m);
+        for k in [0, 7, 15, 7] {
+            m.add(k, -0.0);
+        }
+        assert_eq!(m.keys(), &[0, 7, 15]);
+        m.clear();
+        assert_all_empty(&m);
+        // Growth fills only the new slots; live entries survive it.
+        m.add(3, 1.0);
+        m.ensure_capacity(40);
+        assert_eq!(m.get(3), Some(1.0));
+        m.clear();
+        assert_all_empty(&m);
+        m.add(39, 2.0);
+        assert_eq!(m.get(39), Some(2.0));
+        assert_eq!(m.get(40), None, "keys past the capacity are absent");
+    }
+
+    #[test]
+    fn nan_edge_weights_are_live_values_not_empty_slots() {
+        // Every f32 NaN, widened as the scans widen edge weights, and
+        // every NaN arithmetic on them yields, keeps the low payload
+        // bits clear — so a NaN accumulation stays a live key.
+        let nans = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0x7FFF_FFFF),
+            f32::from_bits(0xFFBF_FFFF),
+        ];
+        let mut m = CommunityMap::new(8);
+        for (k, &nan) in nans.iter().enumerate() {
+            let (k, w) = (k as u32, nan as f64);
+            assert_ne!(w.to_bits(), EMPTY_BITS);
+            m.add(k, 1.0);
+            m.add(k, w);
+            m.add(k, 2.0);
+            // A NaN on the first touch is live too.
+            m.add(7, w);
+            m.add(7, 3.0);
+            assert_eq!(m.keys(), &[k, 7]);
+            for key in [k, 7] {
+                assert!(m.get(key).is_some_and(f64::is_nan), "key {key}");
+                assert_ne!(m.values[key as usize].to_bits(), EMPTY_BITS);
+            }
+            m.clear();
+            assert_all_empty(&m);
+        }
+        let inf = f64::INFINITY;
+        m.add(6, inf);
+        m.add(6, -inf);
+        assert!(m.contains(6), "inf - inf is a live NaN");
+        assert_ne!(m.values[6].to_bits(), EMPTY_BITS);
     }
 
     #[test]

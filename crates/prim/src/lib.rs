@@ -7,8 +7,9 @@
 //!   used to build CSR offset arrays during the aggregation phase
 //!   (Algorithm 4, lines 3–4 and 8–9 of the paper);
 //! * [`hashtable`] — the *collision-free per-thread hashtable* (`H_t` in
-//!   Algorithms 2–4): a direct-indexed accumulator with a touched-key list,
-//!   giving O(1) insert/lookup and O(touched) clear;
+//!   Algorithms 2–4): a direct-indexed accumulator (one `f64` array whose
+//!   empty slots hold a reserved NaN) with a touched-key list, giving
+//!   O(1) insert/lookup and O(touched) clear;
 //! * [`atomics`] — an atomic `f64` add/CAS built on `AtomicU64` bit games,
 //!   used for the asynchronously updated community weights `Σ'`;
 //! * [`smallmap`] — a fixed-capacity, stack-resident open-addressed map:
@@ -16,8 +17,9 @@
 //! * [`bitset`] — an atomic bitset used for flag-based vertex pruning;
 //! * [`rng`] — the xorshift32 generator the paper uses for randomized
 //!   refinement;
-//! * [`workspace`] — per-worker scratch buffers sized once per pass (the
-//!   `O(T·N)` memory term in the paper's space complexity);
+//! * [`workspace`] — per-worker scratch buffers reused across passes
+//!   (the paper's `O(T·N)` memory term; the Leiden pass loop sizes its
+//!   tables by the keys a phase can meet);
 //! * [`parfor`] — OpenMP's `schedule(dynamic, chunk)` and
 //!   `schedule(static)` loops on the persistent worker pool;
 //! * [`simd`] — lane-chunked candidate scoring, the "choose" half of

@@ -190,6 +190,24 @@ where
     static_blocks(len, |_, range| range.for_each(&body));
 }
 
+/// [`static_blocks`] over the elements of `slice`: runs `body(start,
+/// block)` once per pool worker, where `block` is that worker's block
+/// of `slice`, held exclusively, and `start` its first index; returns
+/// the results in block order.
+pub fn static_blocks_mut<T, R, F>(slice: &mut [T], body: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    let shared = crate::SharedSlice::new(slice);
+    static_blocks(shared.len(), |_, range| {
+        let start = range.start;
+        // SAFETY: the blocks of one static split are disjoint.
+        body(start, unsafe { shared.slice_mut(range) })
+    })
+}
+
 /// Static-scheduled `for (i, x) in slice.iter_mut().enumerate() {
 /// body(i, x) }`: each worker gets its block of `slice` exclusively.
 pub fn static_for_mut<T, F>(slice: &mut [T], body: F)
@@ -197,11 +215,7 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let shared = crate::SharedSlice::new(slice);
-    static_blocks(shared.len(), |_, range| {
-        let start = range.start;
-        // SAFETY: the blocks of one static split are disjoint.
-        let block = unsafe { shared.slice_mut(range) };
+    static_blocks_mut(slice, |start, block| {
         for (offset, item) in block.iter_mut().enumerate() {
             body(start + offset, item);
         }

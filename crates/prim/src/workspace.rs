@@ -1,7 +1,8 @@
 //! Per-worker scratch buffers.
 //!
 //! GVE-Leiden allocates one collision-free hashtable per thread, reused
-//! across iterations and passes (the `O(T·N)` space term). [`PerThread`]
+//! across iterations and passes (the paper's `O(T·N)` space term, which
+//! the Leiden pass loop narrows to the keys a phase can meet). [`PerThread`]
 //! is the ownership story for that: a fixed array of slots, one per pool
 //! worker index, each claimed by the worker for the duration of a parallel
 //! region. Slots are aligned to cache-line boundaries so the per-thread

@@ -282,7 +282,11 @@ fn cmd_detect(args: &[String]) {
                 }
                 DetectOutcome::Leiden(Box::new(result.expect("repeat >= 1")))
             }
-            "louvain" => DetectOutcome::Plain(gve::louvain::louvain(&graph).membership),
+            "louvain" => DetectOutcome::Plain(
+                gve::leiden::Leiden::new(leiden_config)
+                    .run_louvain_in(&graph, &mut gve::leiden::PassWorkspace::new())
+                    .membership,
+            ),
             "seq-leiden" => {
                 DetectOutcome::Plain(gve::baselines::seq::sequential_leiden(&graph).membership)
             }

@@ -193,6 +193,53 @@ fn cpm_objective_flag_changes_results() {
     assert_ne!(modularity, cpm_fine);
 }
 
+/// GVE-Louvain runs under the same objective and resolution flags as
+/// GVE-Leiden: a CPM run must write a different membership file.
+#[test]
+fn louvain_honours_objective_and_resolution() {
+    let dir = temp_dir();
+    let graph = dir.join("louvain-cpm.mtx");
+    assert!(gve()
+        .args([
+            "generate",
+            "--class",
+            "web",
+            "--vertices",
+            "2000",
+            "--seed",
+            "5",
+            "--out",
+            graph.to_str().unwrap(),
+        ])
+        .status()
+        .unwrap()
+        .success());
+    let membership = |name: &str, extra: &[&str]| -> Vec<u8> {
+        let out = dir.join(name);
+        let mut args = vec![
+            "detect",
+            graph.to_str().unwrap(),
+            "--algorithm",
+            "louvain",
+            "--out",
+            out.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        assert!(gve().args(&args).status().unwrap().success());
+        std::fs::read(out).unwrap()
+    };
+    let modularity = membership("louvain-q.mem", &[]);
+    let cpm = membership(
+        "louvain-cpm.mem",
+        &["--objective", "cpm", "--resolution", "0.5"],
+    );
+    assert!(!modularity.is_empty());
+    assert!(
+        modularity != cpm,
+        "--objective cpm did not reach GVE-Louvain: identical memberships"
+    );
+}
+
 #[test]
 fn detect_trace_emits_parseable_spans_for_every_phase() {
     use gve::serve::json::{parse, Json};
