@@ -1,5 +1,5 @@
-//! Criterion benchmark of the dynamic update strategies: per-batch
-//! refresh cost for each strategy at a fixed batch size.
+//! Criterion benchmark of the dynamic refresh: per-batch cost of
+//! Dynamic Frontier against a full static rerun at a fixed batch size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gve_dynamic::{apply_batch, BatchUpdate, DynamicLeiden, DynamicStrategy};
@@ -31,8 +31,6 @@ fn bench_strategies(c: &mut Criterion) {
     group.sample_size(10);
     for (name, strategy) in [
         ("full_static", DynamicStrategy::FullStatic),
-        ("naive_dynamic", DynamicStrategy::NaiveDynamic),
-        ("delta_screening", DynamicStrategy::DeltaScreening),
         ("dynamic_frontier", DynamicStrategy::DynamicFrontier),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &strategy, |b, &s| {

@@ -1,4 +1,4 @@
-//! Extension experiment: dynamic Leiden strategies on a stream of edge
+//! Extension experiment: Dynamic Frontier Leiden on a stream of edge
 //! batches (the paper's §4.1 future-work direction, evaluated in the
 //! style of the DF-Leiden follow-up: batch sizes swept in powers of ten,
 //! quality and runtime vs a full static rerun).
@@ -43,8 +43,6 @@ fn main() {
     args.install_threads();
     let strategies = [
         ("full-static", DynamicStrategy::FullStatic),
-        ("naive-dynamic", DynamicStrategy::NaiveDynamic),
-        ("delta-screening", DynamicStrategy::DeltaScreening),
         ("dynamic-frontier", DynamicStrategy::DynamicFrontier),
     ];
     let batch_sizes = [100usize, 1000, 10_000];
@@ -65,8 +63,8 @@ fn main() {
     for dataset in args.suite() {
         let base = dataset.generate(args.scale, args.seed);
         for &batch_size in &batch_sizes {
-            // Pre-generate a fixed stream of batches so every strategy
-            // sees identical updates.
+            // Pre-generate a fixed stream of batches so both rows see
+            // identical updates.
             let mut stream = Vec::new();
             let mut graph = base.clone();
             for step in 0..args.reps.max(3) {

@@ -235,38 +235,14 @@ impl Leiden {
         self.run_core(graph, None, None, true, workspace)
     }
 
-    /// Runs the algorithm seeded with a previous community membership —
-    /// the *Naive-dynamic* strategy for evolving graphs (the paper
-    /// points at dynamic Leiden as the natural extension, §4.1).
-    ///
-    /// `previous` need not use dense ids; it is renumbered internally.
-    ///
-    /// # Panics
-    /// Panics when `previous.len() != graph.num_vertices()`.
-    pub fn run_seeded(&self, graph: &CsrGraph, previous: &[VertexId]) -> LeidenResult {
-        self.run_seeded_in(graph, previous, &mut PassWorkspace::new())
-    }
-
-    /// Workspace-reusing variant of [`Leiden::run_seeded`].
-    ///
-    /// # Panics
-    /// Panics when `previous.len() != graph.num_vertices()`.
-    pub fn run_seeded_in(
-        &self,
-        graph: &CsrGraph,
-        previous: &[VertexId],
-        workspace: &mut PassWorkspace,
-    ) -> LeidenResult {
-        assert_eq!(previous.len(), graph.num_vertices());
-        let (dense, _) = dendrogram::renumber(previous);
-        self.run_core(graph, Some(dense), None, false, workspace)
-    }
-
     /// Runs the algorithm seeded with a previous membership *and* an
     /// initial frontier: only the frontier vertices are initially
     /// unprocessed in the first pass's local-moving phase, and the wave
     /// expands outward through the pruning flags — the *Dynamic
-    /// Frontier* strategy for batch updates.
+    /// Frontier* strategy for batch updates. A frontier holding every
+    /// vertex is a plain seeded run.
+    ///
+    /// `previous` need not use dense ids; it is renumbered internally.
     ///
     /// # Panics
     /// Panics when `previous.len() != graph.num_vertices()` or a
@@ -1129,7 +1105,8 @@ mod tests {
             .generate();
         let g = &planted.graph;
         let from_scratch = leiden(g);
-        let seeded = Leiden::default().run_seeded(g, &from_scratch.membership);
+        let every: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        let seeded = Leiden::default().run_frontier(g, &from_scratch.membership, &every);
         let q0 = gve_quality::modularity(g, &from_scratch.membership);
         let q1 = gve_quality::modularity(g, &seeded.membership);
         assert!(q1 > q0 - 0.02, "seeded Q {q1} vs scratch {q0}");
@@ -1162,7 +1139,7 @@ mod tests {
     #[should_panic(expected = "assertion")]
     fn seeded_run_rejects_wrong_length() {
         let g = two_triangles();
-        Leiden::default().run_seeded(&g, &[0, 1]);
+        Leiden::default().run_frontier(&g, &[0, 1], &[0, 1]);
     }
 
     #[test]

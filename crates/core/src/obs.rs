@@ -192,8 +192,8 @@ impl<'a> RunObserver<'a> {
     }
 
     /// Records a finished run into whichever sinks are present. Called
-    /// by [`Leiden::run_observed`]; callers using `run_seeded` /
-    /// `run_frontier` can invoke it directly on their result.
+    /// by [`Leiden::run_observed`]; callers using `run_frontier` can
+    /// invoke it directly on their result.
     pub fn observe(&self, result: &LeidenResult) {
         if let Some(metrics) = self.metrics {
             metrics.record(result);

@@ -122,7 +122,8 @@ fn seeded_and_frontier_runs_compose_with_variants() {
         AggregationStrategy::SortReduce,
     ] {
         let runner = Leiden::new(LeidenConfig::default().aggregation(aggregation));
-        let seeded = runner.run_seeded(&graph, &base.membership);
+        let every: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        let seeded = runner.run_frontier(&graph, &base.membership, &every);
         gve_quality::validate_membership(&seeded.membership, graph.num_vertices()).unwrap();
         let frontier: Vec<u32> = (0..16).collect();
         let frontier_run = runner.run_frontier(&graph, &base.membership, &frontier);

@@ -177,8 +177,9 @@ fn seeded_and_frontier_runs_reuse_workspace() {
         .unwrap();
     pool.install(|| {
         let mut ws = dirty_workspace();
-        let fresh_seeded = leiden.run_seeded(&graph, &previous);
-        let reused_seeded = leiden.run_seeded_in(&graph, &previous, &mut ws);
+        let every: Vec<u32> = (0..n as u32).collect();
+        let fresh_seeded = leiden.run_frontier(&graph, &previous, &every);
+        let reused_seeded = leiden.run_frontier_in(&graph, &previous, &every, &mut ws);
         assert_identical(&fresh_seeded, &reused_seeded, "seeded");
 
         let fresh_frontier = leiden.run_frontier(&graph, &previous, &frontier);

@@ -1,21 +1,15 @@
-//! Affected-vertex frontiers for incremental detection.
+//! The affected-vertex frontier for incremental detection.
 //!
 //! Given a batch of edge updates and the pre-update communities, only
-//! some vertices can improve by moving; the rest keep their optima. Two
-//! published marking rules are implemented:
-//!
-//! * **Dynamic Frontier** (Sahu et al.): mark the endpoints of
-//!   *cross-community insertions* and *intra-community deletions*, plus
-//!   their immediate neighbours; the local-moving phase's pruning flags
-//!   then propagate the wave exactly as far as changes cascade.
-//! * **Delta screening** (Zarayeneh et al.): a coarser superset — for
-//!   each affected insertion source also mark the entire target
-//!   community that the vertex would most plausibly join, and for
-//!   intra-community deletions mark the whole former community (it may
-//!   split).
+//! some vertices can improve by moving; the rest keep their optima.
+//! **Dynamic Frontier** (Sahu et al.) marks the endpoints of
+//! *cross-community insertions* and *intra-community deletions*, plus
+//! their immediate neighbours, and vertices the batch adds; the
+//! local-moving phase's pruning flags then propagate the wave exactly
+//! as far as changes cascade.
 
 use crate::update::BatchUpdate;
-use gve_graph::{CsrGraph, GroupedCsr, VertexId};
+use gve_graph::{CsrGraph, VertexId};
 
 /// True for the update pairs that can change the community optimum.
 fn affects(u: VertexId, v: VertexId, membership: &[VertexId], insertion: bool) -> bool {
@@ -66,60 +60,6 @@ pub fn dynamic_frontier(
         if (s as usize) < n {
             for &j in graph.neighbors(s) {
                 mark(j, &mut marked);
-            }
-        }
-    }
-    marked
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &m)| m.then_some(v as VertexId))
-        .collect()
-}
-
-/// Computes the delta-screening frontier: the Dynamic Frontier plus the
-/// full membership of every community an affected update touches.
-pub fn delta_screening_frontier(
-    graph: &CsrGraph,
-    membership: &[VertexId],
-    batch: &BatchUpdate,
-) -> Vec<VertexId> {
-    let n = graph.num_vertices();
-    let mut marked = vec![false; n];
-    for v in dynamic_frontier(graph, membership, batch) {
-        marked[v as usize] = true;
-    }
-    // Group the previous communities once; mark whole communities whose
-    // structure the batch perturbs.
-    let num_ids = membership
-        .iter()
-        .map(|&c| c as usize + 1)
-        .max()
-        .unwrap_or(0);
-    if num_ids > 0 {
-        let groups = GroupedCsr::group_by(membership, num_ids);
-        let mark_community = |c: VertexId, marked: &mut Vec<bool>| {
-            for &member in groups.members(c) {
-                if (member as usize) < n {
-                    marked[member as usize] = true;
-                }
-            }
-        };
-        for &(u, v, _) in &batch.insertions {
-            if affects(u, v, membership, true) {
-                // The source may be pulled into the target's community.
-                if let Some(&cv) = membership.get(v as usize) {
-                    mark_community(cv, &mut marked);
-                }
-                if let Some(&cu) = membership.get(u as usize) {
-                    mark_community(cu, &mut marked);
-                }
-            }
-        }
-        for &(u, v) in &batch.deletions {
-            if affects(u, v, membership, false) {
-                if let Some(&cu) = membership.get(u as usize) {
-                    mark_community(cu, &mut marked);
-                }
             }
         }
     }
@@ -190,20 +130,6 @@ mod tests {
         let mut batch = BatchUpdate::new();
         batch.delete(2, 3); // the bridge — communities only separate further
         assert!(dynamic_frontier(&graph, &membership, &batch).is_empty());
-    }
-
-    #[test]
-    fn delta_screening_is_a_superset_marking_communities() {
-        let (graph, membership) = setup();
-        let mut batch = BatchUpdate::new();
-        batch.insert(0, 5, 1.0);
-        let df = dynamic_frontier(&graph, &membership, &batch);
-        let ds = delta_screening_frontier(&graph, &membership, &batch);
-        for v in &df {
-            assert!(ds.contains(v), "delta screening missed frontier vertex {v}");
-        }
-        // Both whole communities are marked.
-        assert_eq!(ds.len(), 6);
     }
 
     #[test]

@@ -8,17 +8,12 @@
 //! * [`BatchUpdate`] — a batch of edge insertions and deletions,
 //!   applied to a CSR graph with [`apply_batch`];
 //! * [`DynamicStrategy`] — how much prior work is reused per batch:
-//!   - `FullStatic`: rerun from scratch (the correctness reference);
-//!   - `NaiveDynamic`: seed the first pass with the previous
-//!     membership — all vertices reprocessed, but convergence is fast;
-//!   - `DeltaScreening`: seed with the previous membership and process
-//!     only vertices whose neighbourhood the batch could affect, plus
-//!     the communities they might join (Zarayeneh et al.'s screening
-//!     rule);
-//!   - `DynamicFrontier`: seed with the previous membership and mark
-//!     only the endpoints of changed edges (plus their neighbours);
-//!     the pruning flags spread the wave exactly as far as it needs to
-//!     go;
+//!   - `DynamicFrontier` (the default, and the one refresh `gve-serve`
+//!     runs): seed with the previous membership and mark only the
+//!     endpoints of changed edges (plus their neighbours); the pruning
+//!     flags spread the wave exactly as far as it needs to go;
+//!   - `FullStatic`: rerun from scratch, kept as the correctness
+//!     reference and the comparator the benches measure against;
 //! * [`DynamicLeiden`] — a stateful detector that owns the evolving
 //!   graph and its current membership and processes batches;
 //! * [`refresh_in`] — the same batch step on borrowed state, for callers
@@ -31,7 +26,7 @@ pub mod frontier;
 pub mod stream;
 pub mod update;
 
-pub use frontier::{delta_screening_frontier, dynamic_frontier};
+pub use frontier::dynamic_frontier;
 pub use stream::{collect_windows, ChurnStream, TimedUpdate, UpdateKind};
 pub use update::{apply_batch, BatchUpdate};
 
@@ -44,11 +39,6 @@ use std::borrow::Cow;
 pub enum DynamicStrategy {
     /// Rerun static GVE-Leiden from scratch on the updated graph.
     FullStatic,
-    /// Seed with the previous membership (Naive-dynamic).
-    NaiveDynamic,
-    /// Seed with the previous membership and restrict initial processing
-    /// via delta-screening.
-    DeltaScreening,
     /// Seed with the previous membership and restrict initial processing
     /// to the batch's frontier (Dynamic Frontier).
     #[default]
@@ -196,11 +186,6 @@ pub fn refresh_in(
 
     let result = match strategy {
         DynamicStrategy::FullStatic => runner.run_in(&new_graph, workspace),
-        DynamicStrategy::NaiveDynamic => runner.run_seeded_in(&new_graph, &previous, workspace),
-        DynamicStrategy::DeltaScreening => {
-            let frontier = delta_screening_frontier(&new_graph, &previous, batch);
-            runner.run_frontier_in(&new_graph, &previous, &frontier, workspace)
-        }
         DynamicStrategy::DynamicFrontier => {
             let frontier = dynamic_frontier(&new_graph, &previous, batch);
             runner.run_frontier_in(&new_graph, &previous, &frontier, workspace)
@@ -260,8 +245,6 @@ mod tests {
         let static_detector = Leiden::default();
         for strategy in [
             DynamicStrategy::FullStatic,
-            DynamicStrategy::NaiveDynamic,
-            DynamicStrategy::DeltaScreening,
             DynamicStrategy::DynamicFrontier,
         ] {
             let mut dynamic = DynamicLeiden::new(graph.clone(), LeidenConfig::default(), strategy);
@@ -310,7 +293,7 @@ mod tests {
         let mut dynamic = DynamicLeiden::new(
             graph,
             LeidenConfig::default(),
-            DynamicStrategy::NaiveDynamic,
+            DynamicStrategy::DynamicFrontier,
         );
         let mut batch = BatchUpdate::new();
         batch.insert(0, n, 1.0); // brand-new vertex n
@@ -402,22 +385,19 @@ mod tests {
             .build()
             .unwrap();
         pool.install(|| {
-            for strategy in [
-                DynamicStrategy::NaiveDynamic,
-                DynamicStrategy::DeltaScreening,
+            let mut fresh = DynamicLeiden::new(
+                graph.clone(),
+                LeidenConfig::default(),
                 DynamicStrategy::DynamicFrontier,
-            ] {
-                let mut fresh =
-                    DynamicLeiden::new(graph.clone(), LeidenConfig::default(), strategy);
-                let mut reused = fresh.clone();
-                let mut ws = PassWorkspace::new();
-                for step in 0..3 {
-                    let batch = random_batch(fresh.graph(), 50, 30, 900 + step);
-                    let a = fresh.apply(&batch);
-                    let b = reused.apply_in(&batch, &mut ws);
-                    assert_eq!(a.membership, b.membership, "{strategy:?} step {step}");
-                    assert_eq!(a.passes, b.passes, "{strategy:?} step {step}");
-                }
+            );
+            let mut reused = fresh.clone();
+            let mut ws = PassWorkspace::new();
+            for step in 0..3 {
+                let batch = random_batch(fresh.graph(), 50, 30, 900 + step);
+                let a = fresh.apply(&batch);
+                let b = reused.apply_in(&batch, &mut ws);
+                assert_eq!(a.membership, b.membership, "step {step}");
+                assert_eq!(a.passes, b.passes, "step {step}");
             }
         });
     }

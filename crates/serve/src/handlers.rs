@@ -542,19 +542,6 @@ fn communities(state: &ServerState, name: &str, community: &str) -> Result<Respo
 
 // --------------------------------------------------------------- updates
 
-fn parse_strategy(body: &Json) -> Result<DynamicStrategy, ApiError> {
-    match body.get("strategy").and_then(Json::as_str) {
-        None => Ok(DynamicStrategy::default()),
-        Some("full-static") => Ok(DynamicStrategy::FullStatic),
-        Some("naive") => Ok(DynamicStrategy::NaiveDynamic),
-        Some("delta-screening") => Ok(DynamicStrategy::DeltaScreening),
-        Some("dynamic-frontier") => Ok(DynamicStrategy::DynamicFrontier),
-        Some(other) => Err(ApiError::bad_request(format!(
-            "unknown strategy '{other}' (full-static|naive|delta-screening|dynamic-frontier)"
-        ))),
-    }
-}
-
 fn parse_batch(body: &Json) -> Result<BatchUpdate, ApiError> {
     let mut batch = BatchUpdate::new();
     if let Some(insertions) = body.get("insertions") {
@@ -581,10 +568,11 @@ fn parse_batch(body: &Json) -> Result<BatchUpdate, ApiError> {
 /// the graph is idle (200), deferred behind a busy graph (202), or
 /// rejected at the queue's edit cap (429). An empty batch is a no-op
 /// that reports the current epoch without bumping it or touching the
-/// cache.
+/// cache. `strategy` is a retired field: every refresh is Dynamic
+/// Frontier, and a body that names it is accepted with the field
+/// ignored, whatever its value.
 fn updates(state: &ServerState, name: &str, request: &Request) -> Result<Response, ApiError> {
     let body = parse_body(request)?;
-    let strategy = parse_strategy(&body)?;
     let batch = parse_batch(&body)?;
     if batch.is_empty() {
         let cell = state.registry.entry(name)?;
@@ -601,7 +589,7 @@ fn updates(state: &ServerState, name: &str, request: &Request) -> Result<Respons
             ]),
         ));
     }
-    match state.ingest.submit(state, name, batch, strategy)? {
+    match state.ingest.submit(state, name, batch)? {
         IngestOutcome::Applied(body) => Ok(ok(200, body)),
         IngestOutcome::Deferred {
             queue_depth,
@@ -625,8 +613,8 @@ fn updates(state: &ServerState, name: &str, request: &Request) -> Result<Respons
 }
 
 /// Applies an edge batch: bumps the graph epoch and, when a current
-/// partition is cached, refreshes it incrementally through
-/// `gve-dynamic` instead of forcing clients to re-detect from scratch.
+/// partition is cached, refreshes it with `gve-dynamic`'s Dynamic
+/// Frontier instead of forcing clients to re-detect from scratch.
 /// The caller holds the cell's update gate (witnessed by `_gate`), so
 /// at most one apply per graph is in flight. Returns the JSON body the
 /// synchronous 200 response carries.
@@ -636,7 +624,6 @@ pub(crate) fn apply_update(
     cell: &GraphCell,
     _gate: &MutexGuard<'_, ()>,
     batch: &BatchUpdate,
-    strategy: DynamicStrategy,
 ) -> Result<Json, ApiError> {
     // Updates to one graph are serialized through the cell's update
     // gate, NOT by holding the entry lock across the apply: the entry
@@ -672,7 +659,7 @@ pub(crate) fn apply_update(
             let alloc_before = gve_prim::alloc_count::snapshot();
             let (graph, result) = refresh_in(
                 &Leiden::new(config),
-                strategy,
+                DynamicStrategy::DynamicFrontier,
                 &old_graph,
                 &partition.membership,
                 batch,
@@ -758,7 +745,6 @@ pub(crate) fn apply_update(
         ("arcs".to_string(), Json::from(arcs)),
         ("insertions".to_string(), Json::from(batch.insertions.len())),
         ("deletions".to_string(), Json::from(batch.deletions.len())),
-        ("strategy".to_string(), Json::from(strategy_label(strategy))),
         ("seconds".to_string(), Json::from(seconds)),
     ];
     if let Some((num_communities, modularity)) = summary {
@@ -827,15 +813,6 @@ fn delta(state: &ServerState, name: &str, request: &Request) -> Result<Response,
                 ("changes", Json::Arr(Vec::new())),
             ]),
         )),
-    }
-}
-
-fn strategy_label(strategy: DynamicStrategy) -> &'static str {
-    match strategy {
-        DynamicStrategy::FullStatic => "full-static",
-        DynamicStrategy::NaiveDynamic => "naive",
-        DynamicStrategy::DeltaScreening => "delta-screening",
-        DynamicStrategy::DynamicFrontier => "dynamic-frontier",
     }
 }
 

@@ -23,7 +23,7 @@ use crate::handlers::{apply_update, ApiError};
 use crate::json::Json;
 use crate::registry::shard_hash;
 use crate::ServerState;
-use gve_dynamic::{BatchUpdate, DynamicStrategy};
+use gve_dynamic::BatchUpdate;
 use gve_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
@@ -125,16 +125,10 @@ pub enum IngestOutcome {
     },
 }
 
-/// A graph's merged pending batch.
-struct PendingBatch {
-    batch: BatchUpdate,
-    strategy: DynamicStrategy,
-}
-
 #[derive(Default)]
 struct ShardInner {
     /// Pending batch per graph (coalescing target).
-    pending: HashMap<String, PendingBatch>,
+    pending: HashMap<String, BatchUpdate>,
     /// FIFO of graph names with a pending batch.
     order: VecDeque<String>,
     /// Total edits across `pending`.
@@ -214,7 +208,6 @@ impl IngestQueue {
         state: &ServerState,
         name: &str,
         batch: BatchUpdate,
-        strategy: DynamicStrategy,
     ) -> Result<IngestOutcome, ApiError> {
         let cell = state.registry.entry(name)?;
         let shard = self.shard(name);
@@ -229,7 +222,7 @@ impl IngestQueue {
                 inner.pending.contains_key(name)
             };
             if !queued_behind {
-                let body = apply_update(state, name, &cell, &gate, &batch, strategy)?;
+                let body = apply_update(state, name, &cell, &gate, &batch)?;
                 return Ok(IngestOutcome::Applied(body));
             }
             // Something is queued ahead; fall through and join it.
@@ -245,18 +238,15 @@ impl IngestQueue {
         inner.queued_edits += batch.len();
         let coalesced = match inner.pending.get_mut(name) {
             Some(pending) => {
-                let before = pending.batch.len();
-                pending.batch.merge(&batch);
-                pending.strategy = strategy;
+                let before = pending.len();
+                pending.merge(&batch);
                 // Deletions cancelling queued insertions can shrink the
                 // merged batch; keep the edit accounting exact.
-                inner.queued_edits -= (before + batch.len()) - pending.batch.len();
+                inner.queued_edits -= (before + batch.len()) - pending.len();
                 true
             }
             None => {
-                inner
-                    .pending
-                    .insert(name.to_string(), PendingBatch { batch, strategy });
+                inner.pending.insert(name.to_string(), batch);
                 inner.order.push_back(name.to_string());
                 self.stats.queue_depth.inc();
                 false
@@ -361,7 +351,7 @@ fn drain_loop(shard: &IngestShard, state: &Weak<ServerState>, stats: &IngestStat
                 // the pending entry, keeping the accounting exact.
                 let mut inner = lock_shard(shard);
                 if let Some(pending) = inner.pending.remove(&name) {
-                    inner.queued_edits -= pending.batch.len();
+                    inner.queued_edits -= pending.len();
                     stats.queue_depth.dec();
                 }
                 drop(inner);
@@ -375,21 +365,14 @@ fn drain_loop(shard: &IngestShard, state: &Weak<ServerState>, stats: &IngestStat
             let mut inner = lock_shard(shard);
             let pending = inner.pending.remove(&name);
             if let Some(pending) = &pending {
-                inner.queued_edits -= pending.batch.len();
+                inner.queued_edits -= pending.len();
             }
             pending
         };
         // Raced with a removal that cleared it — nothing to do.
         let Some(pending) = pending else { continue };
         stats.queue_depth.dec();
-        match apply_update(
-            &state,
-            &name,
-            &cell,
-            &gate,
-            &pending.batch,
-            pending.strategy,
-        ) {
+        match apply_update(&state, &name, &cell, &gate, &pending) {
             Ok(_) => stats.drained.inc(),
             Err(e) => {
                 stats.failed.inc();

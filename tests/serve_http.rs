@@ -157,6 +157,8 @@ fn full_service_loop_over_http() {
     assert_eq!(status, 200, "{}", update.render());
     assert_eq!(update.get("epoch").and_then(Json::as_u64), Some(1));
     assert_eq!(update.get("refreshed").and_then(Json::as_bool), Some(true));
+    // `strategy` is retired: accepted, ignored, and not echoed.
+    assert!(update.get("strategy").is_none(), "{}", update.render());
     assert_eq!(ts.stat("updates", "incremental_refreshes"), 1);
     assert_eq!(
         ts.stat("jobs", "full_detections"),
