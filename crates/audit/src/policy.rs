@@ -6,7 +6,7 @@
 //!
 //! The policy ships in `audit.policy` at the workspace root so it is
 //! reviewable next to the code it governs; [`Policy::default_workspace`]
-//! embeds the same table as a fallback for running the engine against a
+//! compiles that file in as a fallback for running the engine against a
 //! bare checkout. Format (one entry per line, `#` comments):
 //!
 //! ```text
@@ -392,7 +392,7 @@ impl Policy {
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// The repository's canonical policy — mirrors `audit.policy` at the
+    /// The repository's canonical policy: `audit.policy` at the
     /// workspace root.
     pub fn default_workspace() -> Self {
         Self::parse(DEFAULT_POLICY).expect("embedded policy must parse")
@@ -484,89 +484,9 @@ fn declared_order_cycle(orders: &[LockOrder]) -> Option<String> {
         .map(|i| names[i].to_string())
 }
 
-/// Embedded copy of the workspace policy (kept in sync with
-/// `audit.policy`; the root file wins when present). The engine test
-/// `policy_file_on_disk_matches_embedded_default` enforces the sync.
-pub const DEFAULT_POLICY: &str = r#"# ---- gve-audit workspace policy -------------------------------------
-# Hot paths: no unwrap/expect/panic!/assert!/todo!/unimplemented!/
-# get_unchecked outside tests (debug_assert! is allowed). These are the
-# phase kernels the service runs per request plus the request loop.
-hotpath crates/core/src/localmove.rs
-hotpath crates/core/src/refine.rs
-hotpath crates/core/src/aggregate.rs
-hotpath crates/core/src/kernel.rs
-hotpath crates/prim/src/simd.rs
-hotpath crates/net/src/server.rs
-hotpath crates/net/src/poller.rs
-
-# Ordering policy table: values other threads synchronize on. The
-# shutdown flag gates joining worker threads: the store must be
-# Release (publish everything before the signal) and loads Acquire.
-publish crates/serve/src/jobs.rs shutdown.store Release,SeqCst -- workers observe queue + records writes made before shutdown
-publish crates/serve/src/jobs.rs shutdown.load Acquire,SeqCst -- pairs with the Release store above
-publish crates/net/src/server.rs stopping.store Release,SeqCst -- reactor must see all pre-stop writes before it begins draining
-publish crates/net/src/server.rs stopping.load Acquire,SeqCst -- pairs with the Release store above
-
-# Blanket Relaxed allowlists. Everything else needs an inline
-# justification comment mentioning "relaxed" within 8 lines.
-relaxed-ok crates/prim/src/alloc_count.rs -- advisory allocator statistics read at measurement boundaries; never synchronization
-
-# Never scanned: the stand-ins for third-party crates, and fixtures,
-# which are deliberately bad. `shims/rayon` is not skipped: it holds
-# the workspace's own persistent worker pool.
-skip shims/bytes/
-skip shims/criterion/
-skip shims/crossbeam/
-skip shims/loom/
-skip shims/parking_lot/
-skip shims/proptest/
-skip crates/audit/tests/fixtures/
-
-# ---- lock model ------------------------------------------------------
-# Teach the scope tracker about this workspace's lock wrappers: the
-# poison-recovering helpers acquire the lock named by their argument,
-# and the named constructors/accessors acquire a specific lock.
-lock-wrapper lock_clean
-lock-wrapper lock_table
-lock-fn begin_update update_gate -- GraphCell::begin_update claims the per-graph update gate
-lock-fn cache.get cache_inner -- ResultCache::get takes the single cache mutex
-lock-fn cache.insert cache_inner -- ResultCache::insert takes the single cache mutex
-lock-fn sender.send shard_queue -- modelled: a shard channel send publishes under the shard queue
-lock-fn try_begin_update update_gate -- GraphCell::try_begin_update try-claims the per-graph update gate
-lock-fn lock_shard ingest_shard -- ingest queue's poison-recovering shard lock helper
-lock-alias crates/serve/src/handlers.rs cell entry -- handler-local GraphCell variable is the registry entry mutex
-lock-alias crates/serve/src/registry.rs cell entry -- registry-local GraphCell variable is the entry mutex
-lock-alias crates/serve/src/cache.rs inner cache_inner -- ResultCache's single inner mutex
-lock-alias crates/serve/src/wal.rs wal graph_wal -- per-graph WAL mutex serializes appends and compaction
-lock-alias crates/serve/src/delta.rs inner delta_ring -- DeltaRing's single map mutex
-
-# Declared lock hierarchy. Observed nested acquisitions must follow
-# these (transitively); anything else is a lock-order finding.
-lock-order update_gate before entry -- updates claim the gate, then briefly the entry mutex to publish
-lock-order update_gate before cache_inner -- incremental refresh publishes the recomputed partition to the cache under the gate
-lock-order update_gate before ingest_shard -- the inline ingest fast path claims the gate, then checks the shard's pending map
-lock-order update_gate before graph_wal -- batch WAL appends happen under the update gate, before publish
-lock-order cache_inner before delta_ring -- the cache insert listener records the membership delta after the insert
-lock-order cache_inner before graph_wal -- the cache insert listener logs the partition record after the insert
-lock-order table before cache_inner -- submit consults the cache while holding the job table
-lock-order table before shard_queue -- submit enqueues shard work while holding the job table
-
-# Blocking model for guard-across-blocking: apply_batch is long graph
-# compute; the update gate alone is designed to be held across it.
-blocking-call apply_batch -- batch mutation replays the whole update set
-lock-allows-blocking update_gate -- serializes writers per graph; designed to be held across batch compute
-lock-allows-blocking graph_wal -- WAL appends fsync by design; only the per-graph WAL mutex is held
-
-# ---- hot-path allocation lint ----------------------------------------
-# Static complement of the PR 5 counting-allocator gate: no allocating
-# constructs in the kernels (whole files) or the reactor's steady-state
-# functions (fn-scoped: setup/accept paths may allocate).
-hotpath-alloc crates/core/src/kernel.rs
-hotpath-alloc crates/prim/src/simd.rs
-hotpath-alloc crates/prim/src/smallmap.rs
-hotpath-alloc crates/net/src/poller.rs fn=wait
-hotpath-alloc crates/net/src/server.rs fn=conn_ready,read_conn,advance_parser,start_write,flush_write,apply_completions,expire_deadlines,poll_timeout_ms,close_conn
-"#;
+/// The workspace policy, compiled in from `audit.policy` at the
+/// workspace root (the root file wins when present at run time).
+pub const DEFAULT_POLICY: &str = include_str!("../../../audit.policy");
 
 #[cfg(test)]
 mod tests {

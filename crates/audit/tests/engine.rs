@@ -99,24 +99,6 @@ fn live_workspace_audits_clean_with_default_policy() {
 }
 
 #[test]
-fn policy_file_on_disk_matches_embedded_default() {
-    let root = workspace_root();
-    let on_disk = Policy::load(&root.join("audit.policy")).expect("audit.policy loads");
-    let embedded = Policy::default_workspace();
-    assert_eq!(on_disk.hot_paths, embedded.hot_paths);
-    assert_eq!(on_disk.skip, embedded.skip);
-    assert_eq!(on_disk.publish.len(), embedded.publish.len());
-    assert_eq!(on_disk.relaxed_ok.len(), embedded.relaxed_ok.len());
-    assert_eq!(on_disk.lock_orders, embedded.lock_orders);
-    assert_eq!(on_disk.lock_fns, embedded.lock_fns);
-    assert_eq!(on_disk.lock_wrappers, embedded.lock_wrappers);
-    assert_eq!(on_disk.lock_aliases, embedded.lock_aliases);
-    assert_eq!(on_disk.lock_blocking_ok, embedded.lock_blocking_ok);
-    assert_eq!(on_disk.blocking_calls, embedded.blocking_calls);
-    assert_eq!(on_disk.hotpath_alloc, embedded.hotpath_alloc);
-}
-
-#[test]
 fn cli_exits_nonzero_on_seeded_workspace_and_zero_on_real_one() {
     // Build a throwaway "workspace" containing only the violation
     // fixture, then point the binary at it.

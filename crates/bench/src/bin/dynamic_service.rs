@@ -109,7 +109,6 @@ fn boot(data_dir: Option<&str>) -> Server {
     Server::start(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        shards: 2,
         data_dir: data_dir.map(str::to_string),
         ..ServeConfig::default()
     })

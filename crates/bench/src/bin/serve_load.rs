@@ -96,7 +96,6 @@ fn boot() -> Server {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        shards: 4,
         max_connections: 512,
         ..ServeConfig::default()
     })

@@ -3,12 +3,10 @@
 //! The paper's pipeline (Figure 5) consumes either a "Weighted
 //! 2D-vector-based" graph or a "Weighted CSR with degree" and produces
 //! super-vertex graphs stored in a "Weighted Holey CSR with degree". This
-//! crate provides all three representations plus the plumbing around them:
+//! crate provides the two CSR forms plus the plumbing around them:
 //!
 //! * [`CsrGraph`] — immutable weighted compressed-sparse-row graph, the
 //!   working representation for every algorithm crate;
-//! * [`AdjacencyList`] — the mutable 2D-vector form, convenient for
-//!   construction and tests;
 //! * [`holey::AggregateScratch`] — the aggregation arena: over-allocated
 //!   ("holey") CSR slots claimed atomically by concurrent writers, then
 //!   squeezed in place into the super-vertex graph;
@@ -22,7 +20,6 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod adjacency;
 pub mod builder;
 pub mod coloring;
 pub mod csr;
@@ -32,7 +29,6 @@ pub mod props;
 pub mod subgraph;
 pub mod traversal;
 
-pub use adjacency::AdjacencyList;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use holey::{AggregateScratch, GroupedCsr};

@@ -1,7 +1,7 @@
 //! Property-based tests of the graph substrate.
 
 use gve_graph::holey::{AggregateScratch, GroupedCsr};
-use gve_graph::{io, AdjacencyList, CsrGraph, GraphBuilder};
+use gve_graph::{io, CsrGraph, GraphBuilder};
 use gve_prim::parfor::static_for;
 use proptest::prelude::*;
 
@@ -80,14 +80,6 @@ proptest! {
         let loops: f64 = edges.iter().filter(|&&(u, v, _)| u == v).map(|&(_, _, w)| w as f64).sum();
         let nonloops: f64 = edges.iter().filter(|&&(u, v, _)| u != v).map(|&(_, _, w)| w as f64).sum();
         prop_assert!((g.total_arc_weight() - (2.0 * nonloops + loops)).abs() < 1e-6);
-    }
-
-    /// AdjacencyList ↔ CSR conversion is lossless.
-    #[test]
-    fn adjacency_roundtrip((n, edges) in arb_edges(60, 200)) {
-        let g = GraphBuilder::from_edges(n as usize, &edges);
-        let adj = AdjacencyList::from_csr(&g);
-        prop_assert_eq!(adj.to_csr(), g);
     }
 
     /// Matrix Market and binary formats round-trip any built graph.

@@ -655,7 +655,7 @@ pub(crate) fn apply_update(
             // Incremental refreshes reuse the same pooled arenas as the
             // detection workers, so update batches stay allocation-free
             // on the Leiden hot path too.
-            let mut workspace = state.jobs.workspaces_for(name).checkout();
+            let mut workspace = state.jobs.workspaces().checkout();
             let alloc_before = gve_prim::alloc_count::snapshot();
             let (graph, result) = refresh_in(
                 &Leiden::new(config),

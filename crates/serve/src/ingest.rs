@@ -5,45 +5,28 @@
 //! ahead of it. The queue changes the contract: when a graph's gate is
 //! free and nothing is queued, the batch applies inline and the client
 //! gets the classic synchronous 200. When the graph is busy, the batch
-//! is **deferred** (202 + queue depth) into a per-shard queue where all
+//! is **deferred** (202 + queue depth) into the queue, where all
 //! queued batches for the same graph coalesce into one merged batch via
 //! [`BatchUpdate::merge`] — insertions concatenate, deletions cancel
 //! queued insertions of the same pair. Coalescing is what makes the
 //! queue rate-adaptive: the longer an apply takes, the more batches
 //! fold into the single pending entry behind it, so the refresh rate
 //! degrades gracefully instead of the queue growing without bound.
-//! A hard cap on queued edits ([`IngestConfig::max_queued_edits`])
-//! still backstops it: past the cap, clients get 429 and retry later.
+//! A hard cap on edits queued across all graphs still backstops it:
+//! past the cap, clients get 429 and retry later.
 //!
-//! One drainer thread per registry shard applies deferred batches in
-//! FIFO order per shard. Drainers hold only a `Weak<ServerState>` so
-//! they never keep a stopped server alive.
+//! One drainer thread applies deferred batches in FIFO order across
+//! graphs. It holds only a `Weak<ServerState>` so it never keeps a
+//! stopped server alive.
 
 use crate::handlers::{apply_update, ApiError};
 use crate::json::Json;
-use crate::registry::shard_hash;
 use crate::ServerState;
 use gve_dynamic::BatchUpdate;
 use gve_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
-
-/// Ingest tuning, carried from `ServeConfig`.
-#[derive(Debug, Clone)]
-pub struct IngestConfig {
-    /// Cap on edits (insertions + deletions) queued per shard; batches
-    /// that would cross it are rejected with 429.
-    pub max_queued_edits: usize,
-}
-
-impl Default for IngestConfig {
-    fn default() -> Self {
-        Self {
-            max_queued_edits: 1 << 20,
-        }
-    }
-}
 
 /// Counters and gauges exported under `gve_ingest_*`.
 #[derive(Debug, Clone, Default)]
@@ -111,92 +94,81 @@ pub enum IngestOutcome {
     Applied(Json),
     /// Queued behind a busy graph.
     Deferred {
-        /// Pending batches on this shard after the enqueue.
+        /// Pending batches after the enqueue.
         queue_depth: usize,
-        /// Edits queued on this shard after the enqueue.
+        /// Edits queued after the enqueue.
         queued_edits: usize,
         /// Whether this batch merged into an already-queued one.
         coalesced: bool,
     },
-    /// The shard's edit cap was reached.
+    /// The edit cap was reached.
     Rejected {
-        /// Edits queued on the shard at rejection time.
+        /// Edits queued at rejection time.
         queued_edits: usize,
     },
 }
 
 #[derive(Default)]
-struct ShardInner {
+struct Pending {
     /// Pending batch per graph (coalescing target).
-    pending: HashMap<String, BatchUpdate>,
+    batches: HashMap<String, BatchUpdate>,
     /// FIFO of graph names with a pending batch.
     order: VecDeque<String>,
-    /// Total edits across `pending`.
+    /// Total edits across `batches`.
     queued_edits: usize,
     stopping: bool,
 }
 
-struct IngestShard {
-    inner: Mutex<ShardInner>,
-    /// Signals the shard's drainer that work (or a stop) arrived.
+/// The pending map and FIFO plus the signal that wakes the drainer.
+#[derive(Default)]
+struct Shared {
+    pending: Mutex<Pending>,
+    /// Signals the drainer that work (or a stop) arrived.
     work: Condvar,
 }
 
-fn lock_shard(shard: &IngestShard) -> MutexGuard<'_, ShardInner> {
-    match shard.inner.lock() {
+fn lock_queue(shared: &Shared) -> MutexGuard<'_, Pending> {
+    match shared.pending.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// The sharded ingest queue plus its drainer threads.
+/// The ingest queue plus its drainer thread.
 pub struct IngestQueue {
-    config: IngestConfig,
-    shards: Vec<Arc<IngestShard>>,
-    drainers: Mutex<Vec<JoinHandle<()>>>,
+    /// Cap on edits (insertions + deletions) queued across all graphs;
+    /// batches that would cross it are rejected with 429.
+    max_queued_edits: usize,
+    shared: Arc<Shared>,
+    drainer: Mutex<Option<JoinHandle<()>>>,
     /// Counter block (public for `/stats` reporting).
     pub stats: IngestStats,
 }
 
 impl IngestQueue {
-    /// Builds the queue with `shards` shards (min 1). Drainers start
-    /// separately via [`IngestQueue::start_drainers`], once the owning
-    /// `ServerState` exists.
-    pub fn new(shards: usize, config: IngestConfig) -> Self {
+    /// Builds the queue with a cap of `max_queued_edits` queued edits.
+    /// The drainer starts separately via [`IngestQueue::start_drainer`],
+    /// once the owning `ServerState` exists.
+    pub fn new(max_queued_edits: usize) -> Self {
         Self {
-            config,
-            shards: (0..shards.max(1))
-                .map(|_| {
-                    Arc::new(IngestShard {
-                        inner: Mutex::new(ShardInner::default()),
-                        work: Condvar::new(),
-                    })
-                })
-                .collect(),
-            drainers: Mutex::new(Vec::new()),
+            max_queued_edits,
+            shared: Arc::default(),
+            drainer: Mutex::new(None),
             stats: IngestStats::default(),
         }
     }
 
-    /// Spawns one drainer thread per shard. Drainers hold a `Weak`
-    /// reference so the queue never keeps a dropped server alive.
-    pub fn start_drainers(&self, state: &Arc<ServerState>) {
-        let mut drainers = self.drainers.lock().expect("drainer list poisoned");
-        for (index, shard) in self.shards.iter().enumerate() {
-            let shard = Arc::clone(shard);
-            let state: Weak<ServerState> = Arc::downgrade(state);
-            let stats = self.stats.clone();
-            drainers.push(
-                std::thread::Builder::new()
-                    .name(format!("gve-serve-ingest-{index}"))
-                    .spawn(move || drain_loop(&shard, &state, &stats))
-                    .expect("spawn ingest drainer"),
-            );
-        }
-    }
-
-    fn shard(&self, name: &str) -> &Arc<IngestShard> {
-        &self.shards[(shard_hash(name) % self.shards.len() as u64) as usize]
+    /// Spawns the drainer thread. It holds a `Weak` reference so the
+    /// queue never keeps a dropped server alive.
+    pub fn start_drainer(&self, state: &Arc<ServerState>) {
+        let shared = Arc::clone(&self.shared);
+        let state: Weak<ServerState> = Arc::downgrade(state);
+        let stats = self.stats.clone();
+        let handle = std::thread::Builder::new()
+            .name("gve-serve-ingest".to_string())
+            .spawn(move || drain_loop(&shared, &state, &stats))
+            .expect("spawn ingest drainer");
+        *self.drainer.lock().expect("drainer slot poisoned") = Some(handle);
     }
 
     /// Routes one update batch: inline apply when the graph is idle and
@@ -210,17 +182,13 @@ impl IngestQueue {
         batch: BatchUpdate,
     ) -> Result<IngestOutcome, ApiError> {
         let cell = state.registry.entry(name)?;
-        let shard = self.shard(name);
         // Fast path: graph idle and nothing queued for it. The gate is
-        // claimed with a try-lock BEFORE the shard lock (lock order:
-        // update_gate before ingest shard) and the pending check happens
-        // under the shard lock, so a queued batch can never be overtaken
+        // claimed with a try-lock BEFORE the queue lock (lock order:
+        // update_gate before ingest_queue) and the pending check happens
+        // under the queue lock, so a queued batch can never be overtaken
         // by this inline apply.
         if let Some(gate) = cell.try_begin_update() {
-            let queued_behind = {
-                let inner = lock_shard(shard);
-                inner.pending.contains_key(name)
-            };
+            let queued_behind = lock_queue(&self.shared).batches.contains_key(name);
             if !queued_behind {
                 let body = apply_update(state, name, &cell, &gate, &batch)?;
                 return Ok(IngestOutcome::Applied(body));
@@ -228,15 +196,15 @@ impl IngestQueue {
             // Something is queued ahead; fall through and join it.
             drop(gate);
         }
-        let mut inner = lock_shard(shard);
-        if inner.queued_edits.saturating_add(batch.len()) > self.config.max_queued_edits {
+        let mut inner = lock_queue(&self.shared);
+        if inner.queued_edits.saturating_add(batch.len()) > self.max_queued_edits {
             let queued_edits = inner.queued_edits;
             drop(inner);
             self.stats.rejected.inc();
             return Ok(IngestOutcome::Rejected { queued_edits });
         }
         inner.queued_edits += batch.len();
-        let coalesced = match inner.pending.get_mut(name) {
+        let coalesced = match inner.batches.get_mut(name) {
             Some(pending) => {
                 let before = pending.len();
                 pending.merge(&batch);
@@ -246,16 +214,16 @@ impl IngestQueue {
                 true
             }
             None => {
-                inner.pending.insert(name.to_string(), batch);
+                inner.batches.insert(name.to_string(), batch);
                 inner.order.push_back(name.to_string());
                 self.stats.queue_depth.inc();
                 false
             }
         };
-        let depth = inner.pending.len();
+        let depth = inner.batches.len();
         let queued_edits = inner.queued_edits;
         drop(inner);
-        shard.work.notify_one();
+        self.shared.work.notify_one();
         self.stats.deferred.inc();
         if coalesced {
             self.stats.coalesced.inc();
@@ -267,24 +235,12 @@ impl IngestQueue {
         })
     }
 
-    /// Edits currently queued on the shard `name` routes to.
-    pub fn queued_edits(&self, name: &str) -> usize {
-        lock_shard(self.shard(name)).queued_edits
-    }
-
-    /// True when no shard has a pending batch (brief per-shard locks).
-    fn all_idle(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|shard| lock_shard(shard).pending.is_empty())
-    }
-
-    /// Blocks until every shard's queue is empty (test aid; drainers
-    /// may still be mid-apply on the final batch's gate).
+    /// Blocks until the queue is empty (test aid; the drainer may still
+    /// be mid-apply on the final batch's gate).
     pub fn wait_idle(&self, timeout: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            if self.all_idle() {
+            if lock_queue(&self.shared).batches.is_empty() {
                 return true;
             }
             if std::time::Instant::now() >= deadline {
@@ -294,21 +250,19 @@ impl IngestQueue {
         }
     }
 
-    /// Stops and joins the drainers after letting them drain whatever
-    /// is already queued. Idempotent.
+    /// Stops and joins the drainer after letting it drain whatever is
+    /// already queued. Idempotent.
     pub fn stop(&self) {
-        for shard in &self.shards {
-            lock_shard(shard).stopping = true;
-            shard.work.notify_all();
-        }
-        let handles = {
-            let mut drainers = match self.drainers.lock() {
+        lock_queue(&self.shared).stopping = true;
+        self.shared.work.notify_all();
+        let handle = {
+            let mut drainer = match self.drainer.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            std::mem::take(&mut *drainers)
+            drainer.take()
         };
-        for handle in handles {
+        if let Some(handle) = handle {
             let _ = handle.join();
         }
     }
@@ -320,10 +274,10 @@ impl Drop for IngestQueue {
     }
 }
 
-fn drain_loop(shard: &IngestShard, state: &Weak<ServerState>, stats: &IngestStats) {
+fn drain_loop(shared: &Shared, state: &Weak<ServerState>, stats: &IngestStats) {
     loop {
         let name = {
-            let mut inner = lock_shard(shard);
+            let mut inner = lock_queue(shared);
             loop {
                 if let Some(name) = inner.order.pop_front() {
                     break name;
@@ -331,7 +285,7 @@ fn drain_loop(shard: &IngestShard, state: &Weak<ServerState>, stats: &IngestStat
                 if inner.stopping {
                     return;
                 }
-                inner = match shard.work.wait(inner) {
+                inner = match shared.work.wait(inner) {
                     Ok(guard) => guard,
                     Err(poisoned) => poisoned.into_inner(),
                 };
@@ -343,14 +297,14 @@ fn drain_loop(shard: &IngestShard, state: &Weak<ServerState>, stats: &IngestStat
         // The pending batch stays in the map — still coalescing late
         // arrivals — until this drainer actually holds the graph's
         // update gate. Lock order matches the inline path: update_gate
-        // BEFORE ingest shard.
+        // BEFORE ingest_queue.
         let cell = match state.registry.entry(&name) {
             Ok(cell) => cell,
             Err(e) => {
                 // Graph deregistered while its batch was queued: drop
                 // the pending entry, keeping the accounting exact.
-                let mut inner = lock_shard(shard);
-                if let Some(pending) = inner.pending.remove(&name) {
+                let mut inner = lock_queue(shared);
+                if let Some(pending) = inner.batches.remove(&name) {
                     inner.queued_edits -= pending.len();
                     stats.queue_depth.dec();
                 }
@@ -362,8 +316,8 @@ fn drain_loop(shard: &IngestShard, state: &Weak<ServerState>, stats: &IngestStat
         };
         let gate = cell.begin_update();
         let pending = {
-            let mut inner = lock_shard(shard);
-            let pending = inner.pending.remove(&name);
+            let mut inner = lock_queue(shared);
+            let pending = inner.batches.remove(&name);
             if let Some(pending) = &pending {
                 inner.queued_edits -= pending.len();
             }

@@ -333,7 +333,7 @@ impl JobStats {
     }
 }
 
-/// Message on a shard's worker queue: a job to run, or a shutdown
+/// Message on the worker queue: a job to run, or a shutdown
 /// sentinel (one per worker) so `stop` can wake blocked receivers
 /// without a poll timeout.
 enum JobMsg {
@@ -385,25 +385,14 @@ impl JobTable {
     }
 }
 
-/// One job-engine shard: its own queue, worker threads, and workspace
-/// pool. Graphs route to shards by [`crate::registry::shard_hash`], so
-/// detections on different graphs never contend on one queue or share
-/// workspace arenas across NUMA-unfriendly thread sets.
-struct JobShard {
-    sender: crossbeam::channel::Sender<JobMsg>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    workspaces: Arc<WorkspacePool>,
-    /// Jobs queued on this shard and not yet claimed (exported as
-    /// `gve_jobs_shard_queue_depth{shard="i"}`).
-    queue_depth: Gauge,
-}
-
-/// The sharded background worker pools plus the job table.
+/// The background worker pool plus the job table.
 pub struct JobEngine {
     registry: Arc<GraphRegistry>,
     cache: Arc<PartitionCache>,
     table: Arc<Mutex<JobTable>>,
-    shards: Vec<Arc<JobShard>>,
+    sender: crossbeam::channel::Sender<JobMsg>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    workspaces: Arc<WorkspacePool>,
     next_id: AtomicU64,
     shutdown: Arc<AtomicBool>,
     core_metrics: Arc<CoreMetrics>,
@@ -422,42 +411,21 @@ fn lock_table(table: &Mutex<JobTable>) -> std::sync::MutexGuard<'_, JobTable> {
 }
 
 impl JobEngine {
-    /// Starts a single-shard engine with `worker_count` worker threads
-    /// (minimum 1). Convenience for tests and embedded use; the serving
-    /// tier calls [`JobEngine::start_sharded`].
+    /// Starts `worker_count` worker threads (minimum 1) on one queue,
+    /// sharing one [`WorkspacePool`].
     pub fn start(
         registry: Arc<GraphRegistry>,
         cache: Arc<PartitionCache>,
         worker_count: usize,
     ) -> Self {
-        Self::start_sharded(registry, cache, 1, worker_count)
-    }
-
-    /// Starts `shard_count` independent worker pools (minimum 1 shard)
-    /// of `workers_per_shard` threads each (minimum 1). Each shard owns
-    /// its own queue and [`WorkspacePool`]; graph names route to shards
-    /// by the same stable hash the [`GraphRegistry`] uses.
-    pub fn start_sharded(
-        registry: Arc<GraphRegistry>,
-        cache: Arc<PartitionCache>,
-        shard_count: usize,
-        workers_per_shard: usize,
-    ) -> Self {
         let table = Arc::new(Mutex::new(JobTable::default()));
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(JobStats::default());
         let core_metrics = Arc::new(CoreMetrics::default());
-        let mut shards = Vec::new();
-        for shard_index in 0..shard_count.max(1) {
-            let (sender, receiver) = crossbeam::channel::unbounded::<JobMsg>();
-            let shard = Arc::new(JobShard {
-                sender,
-                workers: Mutex::new(Vec::new()),
-                workspaces: Arc::new(WorkspacePool::new()),
-                queue_depth: Gauge::new(),
-            });
-            let mut workers = Vec::new();
-            for worker in 0..workers_per_shard.max(1) {
+        let workspaces = Arc::new(WorkspacePool::new());
+        let (sender, receiver) = crossbeam::channel::unbounded::<JobMsg>();
+        let workers = (0..worker_count.max(1))
+            .map(|worker| {
                 let receiver = receiver.clone();
                 let registry = Arc::clone(&registry);
                 let cache = Arc::clone(&cache);
@@ -465,36 +433,31 @@ impl JobEngine {
                 let shutdown = Arc::clone(&shutdown);
                 let stats = Arc::clone(&stats);
                 let core_metrics = Arc::clone(&core_metrics);
-                let shard = Arc::clone(&shard);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("gve-serve-worker-{shard_index}-{worker}"))
-                        .spawn(move || {
-                            worker_loop(
-                                &receiver,
-                                &registry,
-                                &cache,
-                                &table,
-                                &shutdown,
-                                &stats,
-                                &core_metrics,
-                                &shard,
-                            )
-                        })
-                        .expect("spawn worker thread"),
-                );
-            }
-            match shard.workers.lock() {
-                Ok(mut slot) => *slot = workers,
-                Err(poisoned) => *poisoned.into_inner() = workers,
-            }
-            shards.push(shard);
-        }
+                let workspaces = Arc::clone(&workspaces);
+                std::thread::Builder::new()
+                    .name(format!("gve-serve-worker-{worker}"))
+                    .spawn(move || {
+                        worker_loop(
+                            &receiver,
+                            &registry,
+                            &cache,
+                            &table,
+                            &shutdown,
+                            &stats,
+                            &core_metrics,
+                            &workspaces,
+                        )
+                    })
+                    .expect("spawn worker thread")
+            })
+            .collect();
         Self {
             registry,
             cache,
             table,
-            shards,
+            sender,
+            workers: Mutex::new(workers),
+            workspaces,
             next_id: AtomicU64::new(1),
             shutdown,
             core_metrics,
@@ -502,56 +465,26 @@ impl JobEngine {
         }
     }
 
-    /// Registers the job counters, queue metrics, per-shard gauges, and
-    /// the algorithm core's metrics (fed by every worker detection)
+    /// Registers the job counters, queue metrics, the workspace pool,
+    /// and the algorithm core's metrics (fed by every worker detection)
     /// with `registry`.
     pub fn attach_to(&self, registry: &MetricsRegistry) {
         self.stats.attach_to(registry);
         self.core_metrics.attach_to(registry);
-        for (index, shard) in self.shards.iter().enumerate() {
-            let label = index.to_string();
-            registry.register_gauge(
-                "gve_jobs_shard_queue_depth",
-                "Jobs queued on one engine shard and not yet claimed.",
-                &[("shard", label.as_str())],
-                &shard.queue_depth,
-            );
-            shard
-                .workspaces
-                .attach_with_labels(registry, &[("shard", label.as_str())]);
-        }
+        self.workspaces.attach_to(registry);
     }
 
-    /// Number of job-engine shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The engine shard index `graph` routes to.
-    pub fn shard_of(&self, graph: &str) -> usize {
-        (crate::registry::shard_hash(graph) % self.shards.len() as u64) as usize
-    }
-
-    /// The workspace pool of the shard `graph` routes to — everything
-    /// that runs Leiden against `graph` (workers, the incremental
-    /// update path) should checkout from here so arenas stay warm per
-    /// shard.
-    pub fn workspaces_for(&self, graph: &str) -> &Arc<WorkspacePool> {
-        &self.shards[self.shard_of(graph)].workspaces
-    }
-
-    /// Total pooled idle workspaces across all shards (test/stats aid).
-    pub fn idle_workspaces(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.workspaces.idle_len())
-            .sum()
+    /// The workspace pool — everything that runs Leiden (workers, the
+    /// incremental update path) checks out from here so arenas stay
+    /// warm.
+    pub fn workspaces(&self) -> &Arc<WorkspacePool> {
+        &self.workspaces
     }
 
     /// Submits a detect request against `graph`. Returns the job record:
     /// already `Done` (with `cached = true`) on a cache hit; `coalesced`
     /// (attached to an identical queued/running job) when one is in
-    /// flight; otherwise `Queued` for the shard's worker pool.
+    /// flight; otherwise `Queued` for the worker pool.
     pub fn submit(&self, graph: &str, request: DetectRequest) -> Result<JobRecord, String> {
         let entry = self.registry.snapshot(graph).map_err(|e| e.to_string())?;
         let key = PartitionKey {
@@ -613,7 +546,7 @@ impl JobEngine {
             self.stats.coalesced.inc();
             return Ok(record);
         }
-        // (c) Fresh work: become the primary and enqueue on the shard.
+        // (c) Fresh work: become the primary and enqueue.
         let record = JobRecord {
             id,
             graph: graph.to_string(),
@@ -634,12 +567,9 @@ impl JobEngine {
                 waiters: Vec::new(),
             },
         );
-        let shard = &self.shards[self.shard_of(graph)];
         self.stats.queue_depth.inc();
-        shard.queue_depth.inc();
-        if shard.sender.send(JobMsg::Run(id)).is_err() {
+        if self.sender.send(JobMsg::Run(id)).is_err() {
             self.stats.queue_depth.dec();
-            shard.queue_depth.dec();
             table.inflight.remove(&key);
             if let Some(record) = table.records.get_mut(&id) {
                 record.state = JobState::Failed;
@@ -723,33 +653,31 @@ impl JobEngine {
         }
     }
 
-    /// Stops all shard worker pools (idempotent).
+    /// Stops the worker pool (idempotent).
     pub fn stop(&self) {
         // Release suffices (audit publish rule): workers' Acquire loads
         // observe everything written before the signal; no total order
         // across unrelated atomics is needed, so SeqCst was overkill.
         self.shutdown.store(true, Ordering::Release);
-        for shard in &self.shards {
-            // Take the handles out under the lock, then send sentinels
-            // and join with it released: joining (or touching the shard
-            // channel) while holding `workers` would hold the mutex for
-            // the whole drain and nest it under the channel send.
-            let handles = {
-                let mut workers = match shard.workers.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                std::mem::take(&mut *workers)
+        // Take the handles out under the lock, then send sentinels and
+        // join with it released: joining (or touching the channel)
+        // while holding `workers` would hold the mutex for the whole
+        // drain and nest it under the channel send.
+        let handles = {
+            let mut workers = match self.workers.lock() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
             };
-            // One sentinel per worker unblocks each parked receive in
-            // turn; workers that wake on a stale Run message exit at the
-            // shutdown check instead.
-            for _ in 0..handles.len() {
-                let _ = shard.sender.send(JobMsg::Shutdown);
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
+            std::mem::take(&mut *workers)
+        };
+        // One sentinel per worker unblocks each parked receive in turn;
+        // workers that wake on a stale Run message exit at the shutdown
+        // check instead.
+        for _ in 0..handles.len() {
+            let _ = self.sender.send(JobMsg::Shutdown);
+        }
+        for handle in handles {
+            let _ = handle.join();
         }
     }
 }
@@ -769,7 +697,7 @@ fn worker_loop(
     shutdown: &AtomicBool,
     stats: &JobStats,
     core_metrics: &CoreMetrics,
-    shard: &JobShard,
+    workspaces: &Arc<WorkspacePool>,
 ) {
     loop {
         // Blocking receive: an idle worker parks inside the channel —
@@ -790,7 +718,6 @@ fn worker_loop(
             JobMsg::Shutdown => return,
         };
         stats.queue_depth.dec();
-        shard.queue_depth.dec();
         // Claim the primary: mark it (and every already-attached
         // waiter) Running. The submit-time key is kept so the in-flight
         // entry can be resolved on completion even though the run may
@@ -834,7 +761,7 @@ fn worker_loop(
             &request,
             stats,
             core_metrics,
-            &shard.workspaces,
+            workspaces,
         );
         // Completion: the partition is already in the cache (inserted by
         // `run_detection` BEFORE this lock is taken), so the moment the
@@ -1122,10 +1049,9 @@ mod tests {
         registry
             .register("sbm", planted.graph, GraphSource::Generated("sbm".into()))
             .unwrap();
-        let engine = Arc::new(JobEngine::start_sharded(
+        let engine = Arc::new(JobEngine::start(
             Arc::clone(&registry),
             Arc::clone(&cache),
-            2,
             2,
         ));
         const CLIENTS: usize = 16;
@@ -1194,8 +1120,8 @@ mod tests {
         registry
             .register("small", small.graph, GraphSource::Generated("sbm".into()))
             .unwrap();
-        // One shard, one worker: everything funnels through one queue.
-        let engine = JobEngine::start_sharded(Arc::clone(&registry), Arc::clone(&cache), 1, 1);
+        // One worker: everything funnels through one queue.
+        let engine = JobEngine::start(Arc::clone(&registry), Arc::clone(&cache), 1);
         // Keep the sole worker busy long enough to exercise queued-state
         // cancels deterministically: several distinct detections ahead.
         for seed in 0..3 {
@@ -1233,44 +1159,29 @@ mod tests {
         assert_eq!(engine.job(primary.id).unwrap().state, JobState::Cancelled);
     }
 
-    /// Sharded engines route each graph to a stable shard with its own
-    /// workspace pool, and export per-shard queue gauges.
+    /// The workers check out from the engine's one pool and return the
+    /// arena after the run; the pool and queue gauge export unlabeled.
     #[test]
-    fn sharded_engine_routes_and_exports_per_shard_metrics() {
-        let registry = Arc::new(GraphRegistry::new());
-        let cache = Arc::new(PartitionCache::new());
-        let planted = PlantedPartition::new(300, 6, 10.0, 0.5).seed(11).generate();
-        registry
-            .register("sbm", planted.graph, GraphSource::Generated("sbm".into()))
-            .unwrap();
-        let engine = JobEngine::start_sharded(Arc::clone(&registry), Arc::clone(&cache), 4, 1);
-        assert_eq!(engine.num_shards(), 4);
-        assert_eq!(engine.shard_of("sbm"), engine.shard_of("sbm"));
+    fn detect_returns_its_workspace_to_the_pool() {
+        let (engine, _cache) = engine_with_graph("sbm");
         let metrics = MetricsRegistry::new();
         engine.attach_to(&metrics);
         let job = engine.submit("sbm", DetectRequest::default()).unwrap();
         let record = engine.wait(job.id, Duration::from_secs(60)).unwrap();
         assert_eq!(record.state, JobState::Done, "error: {:?}", record.error);
-        // The workspace landed back in the pool of the routed shard.
-        assert_eq!(engine.workspaces_for("sbm").idle_len(), 1);
-        assert_eq!(engine.idle_workspaces(), 1);
+        assert_eq!(engine.workspaces().idle_len(), 1);
+        engine.stop();
         let text = metrics.render();
-        for shard in 0..4 {
+        for sample in [
+            "gve_jobs_queue_depth 0",
+            "gve_workspace_checkouts_total 1",
+            "gve_workspace_idle 1",
+        ] {
             assert!(
-                text.contains(&format!(
-                    "gve_jobs_shard_queue_depth{{shard=\"{shard}\"}} 0"
-                )),
-                "missing shard {shard} gauge in:\n{text}"
+                text.lines().any(|line| line == sample),
+                "missing `{sample}` in:\n{text}"
             );
         }
-        let routed = engine.shard_of("sbm");
-        assert!(
-            text.contains(&format!(
-                "gve_workspace_checkouts_total{{shard=\"{routed}\"}} 1"
-            )),
-            "missing per-shard workspace counter in:\n{text}"
-        );
-        engine.stop();
     }
 
     #[test]

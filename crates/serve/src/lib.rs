@@ -51,7 +51,7 @@ pub use pool::{PooledWorkspace, WorkspacePool};
 use cache::PartitionCache;
 use delta::DeltaRing;
 use gve_obs::{Counter, MetricsRegistry};
-use ingest::{IngestConfig, IngestQueue};
+use ingest::IngestQueue;
 use jobs::JobEngine;
 use registry::{GraphRegistry, GraphSource};
 use std::sync::Arc;
@@ -65,16 +65,10 @@ use wal::{DurabilityConfig, DurabilityStore};
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Detection worker threads **per job-engine shard**.
+    /// Detection worker threads.
     pub workers: usize,
     /// Concurrent connection cap (further connections get 503).
     pub max_connections: usize,
-    /// Job-engine shards: independent worker pools + workspace arenas,
-    /// keyed by graph-name hash.
-    pub shards: usize,
-    /// Force the portable `poll(2)` reactor backend even where epoll
-    /// exists (testing aid).
-    pub force_portable_poll: bool,
     /// Directory for the write-ahead log + snapshots. `None` (default)
     /// keeps the server memory-only; `Some` makes registered graphs,
     /// applied batches, and published partitions survive restarts.
@@ -84,7 +78,8 @@ pub struct ServeConfig {
     /// fsync the WAL after every appended record. Turning this off
     /// trades the durability of the latest acked batches for latency.
     pub fsync_wal: bool,
-    /// Cap on edits queued in the ingest queue per shard (429 past it).
+    /// Cap on edits queued in the ingest queue, summed over all graphs
+    /// (429 past it).
     pub ingest_max_queued_edits: usize,
     /// Membership deltas retained per graph for `GET .../delta`.
     pub delta_capacity: usize,
@@ -105,8 +100,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7461".to_string(),
             workers: 2,
             max_connections: DEFAULT_MAX_CONNECTIONS,
-            shards: 4,
-            force_portable_poll: false,
             data_dir: None,
             snapshot_every: 64,
             fsync_wal: true,
@@ -183,16 +176,10 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Builds single-shard state with `workers` detection workers
-    /// (embedded/test convenience). Memory-only.
+    /// Builds memory-only state with `workers` detection workers
+    /// (embedded/test convenience).
     pub fn new(workers: usize) -> Arc<Self> {
-        Self::new_sharded(1, workers)
-    }
-
-    /// Builds sharded, memory-only state (no durability directory).
-    pub fn new_sharded(shards: usize, workers: usize) -> Arc<Self> {
         let config = ServeConfig {
-            shards,
             workers,
             data_dir: None,
             ..ServeConfig::default()
@@ -200,10 +187,9 @@ impl ServerState {
         Self::with_config(&config).expect("memory-only state construction cannot do IO")
     }
 
-    /// Builds the state, starts `shards` job-engine shards of `workers`
-    /// detection workers each, and wires every subsystem's metrics into
-    /// one registry. The graph registry uses the same shard count so a
-    /// graph's map shard and its worker pool line up.
+    /// Builds the state, starts the job engine's `workers` detection
+    /// workers and the ingest drainer, and wires every subsystem's
+    /// metrics into one registry.
     ///
     /// When `config.data_dir` is set, opens (or creates) the durability
     /// store there and **recovers**: every graph directory's newest
@@ -211,21 +197,10 @@ impl ServerState {
     /// epochs, and cached partitions to the pre-crash state before the
     /// listener starts logging new activity.
     pub fn with_config(config: &ServeConfig) -> std::io::Result<Arc<Self>> {
-        let shards = config.shards.max(1);
-        let registry = Arc::new(GraphRegistry::with_shards(shards));
+        let registry = Arc::new(GraphRegistry::new());
         let cache = Arc::new(PartitionCache::new());
-        let jobs = JobEngine::start_sharded(
-            Arc::clone(&registry),
-            Arc::clone(&cache),
-            shards,
-            config.workers,
-        );
-        let ingest = IngestQueue::new(
-            shards,
-            IngestConfig {
-                max_queued_edits: config.ingest_max_queued_edits,
-            },
-        );
+        let jobs = JobEngine::start(Arc::clone(&registry), Arc::clone(&cache), config.workers);
+        let ingest = IngestQueue::new(config.ingest_max_queued_edits);
         let delta = Arc::new(DeltaRing::new(config.delta_capacity));
         let updates = UpdateStats::default();
         let metrics = MetricsRegistry::new();
@@ -303,7 +278,7 @@ impl ServerState {
             metrics,
             started: Instant::now(),
         });
-        state.ingest.start_drainers(&state);
+        state.ingest.start_drainer(&state);
         Ok(state)
     }
 }
@@ -354,7 +329,6 @@ impl Server {
             config.addr.as_str(),
             gve_net::NetOptions {
                 max_connections: config.max_connections,
-                force_portable_poll: config.force_portable_poll,
                 inline: Some(inline),
                 metrics: Some(state.metrics.clone()),
                 ..gve_net::NetOptions::default()

@@ -59,28 +59,22 @@ impl WorkspacePool {
 
     /// Registers the pool's counters with `registry`.
     pub fn attach_to(&self, registry: &MetricsRegistry) {
-        self.attach_with_labels(registry, &[]);
-    }
-
-    /// Registers the pool's counters under extra labels (the sharded
-    /// job engine registers one pool per shard as `{shard="i"}`).
-    pub fn attach_with_labels(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.register_counter(
             "gve_workspace_checkouts_total",
             "Workspace checkouts by detection workers.",
-            labels,
+            &[],
             &self.checkouts,
         );
         registry.register_counter(
             "gve_workspace_created_total",
             "Workspaces built because the free list was empty.",
-            labels,
+            &[],
             &self.created,
         );
         registry.register_gauge(
             "gve_workspace_idle",
             "Workspaces currently parked in the free list.",
-            labels,
+            &[],
             &self.idle,
         );
     }

@@ -24,7 +24,6 @@ fn boot(data_dir: Option<&PathBuf>) -> Server {
     Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 2,
         data_dir: data_dir.map(|d| d.display().to_string()),
         ..ServeConfig::default()
     })
@@ -291,7 +290,6 @@ fn full_ingest_queue_rejects_with_429() {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        shards: 1,
         ingest_max_queued_edits: 3,
         ..ServeConfig::default()
     })

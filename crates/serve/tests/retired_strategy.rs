@@ -33,7 +33,6 @@ fn boot_detected() -> (Server, String) {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        shards: 1,
         ..ServeConfig::default()
     })
     .expect("server start");

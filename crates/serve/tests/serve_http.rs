@@ -1,16 +1,13 @@
-//! End-to-end HTTP tests over the `gve-net` event-loop reactor, on
-//! both of its backends (epoll and the portable `poll(2)` fallback).
+//! End-to-end HTTP tests over the `gve-net` event-loop reactor.
 
 use gve_serve::{client_request, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn boot(force_portable_poll: bool) -> Server {
+fn boot() -> Server {
     Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 2,
-        force_portable_poll,
         ..ServeConfig::default()
     })
     .expect("server start")
@@ -59,11 +56,24 @@ fn metric_value(addr: &str, name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
+/// Value of the sample whose name, labels included, is exactly `name`
+/// — the lookup `gve top` does. Unlike [`metric_value`], a labeled
+/// sample of the same family does not match.
+fn exact_sample(addr: &str, name: &str) -> Option<f64> {
+    let (status, body) = client_request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    body.lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .find(|(sample, _)| *sample == name)
+        .and_then(|(_, value)| value.parse().ok())
+}
+
 /// The full service flow — register, detect, poll, membership — over
 /// the event loop's default backend.
 #[test]
 fn detect_flow_end_to_end() {
-    let server = boot(false);
+    let server = boot();
     assert!(
         server.backend() == "epoll" || server.backend() == "poll",
         "unexpected backend {}",
@@ -90,6 +100,28 @@ fn detect_flow_end_to_end() {
     server.stop();
 }
 
+/// After one served detect, the workspace pool's totals are exported
+/// unlabeled, so `gve top`'s exact lookup reads them instead of zero.
+#[test]
+fn workspace_totals_are_exported_unlabeled() {
+    let server = boot();
+    let addr = format!("127.0.0.1:{}", server.port());
+    register_sbm(&addr, "arena", 400);
+    let (status, body) = client_request(&addr, "POST", "/graphs/arena/detect", Some("{}")).unwrap();
+    assert!(status == 200 || status == 202, "{status} {body}");
+    let id = json_u64(&body, "id").expect("job id in detect response");
+    assert!(wait_job_done(&addr, id).contains("\"done\""));
+    assert_eq!(
+        exact_sample(&addr, "gve_workspace_checkouts_total"),
+        Some(1.0)
+    );
+    assert_eq!(
+        exact_sample(&addr, "gve_workspace_created_total"),
+        Some(1.0)
+    );
+    server.stop();
+}
+
 /// `kernel`, `layout`, `chunking` and `chunk_size` are no longer detect
 /// options: a body naming them fingerprints like `{}`, so once `{}` is
 /// cached it is answered with the same 200 cache hit, and no second
@@ -97,7 +129,7 @@ fn detect_flow_end_to_end() {
 /// cursor, and for one that used to be rejected.
 #[test]
 fn retired_detect_fields_hit_the_default_partition() {
-    let server = boot(false);
+    let server = boot();
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "retired", 400);
     let (status, body) =
@@ -131,23 +163,12 @@ fn retired_detect_fields_hit_the_default_partition() {
     server.stop();
 }
 
-/// The portable `poll(2)` reactor backend answers requests like epoll.
-#[test]
-fn portable_poll_backend_serves() {
-    let server = boot(true);
-    assert_eq!(server.backend(), "poll");
-    let addr = format!("127.0.0.1:{}", server.port());
-    let (status, body) = client_request(&addr, "GET", "/healthz", None).unwrap();
-    assert_eq!(status, 200, "{body}");
-    server.stop();
-}
-
 /// Regression test for `Server::stop` vs in-flight keep-alive
 /// connections: an idle persistent connection must not wedge shutdown.
 /// Stop drains within its bounded budget and the port stops accepting.
 #[test]
 fn stop_drains_inflight_keepalive_connections() {
-    let server = Arc::new(boot(false));
+    let server = Arc::new(boot());
     let addr = format!("127.0.0.1:{}", server.port());
 
     // Park several idle keep-alive connections on the reactor, with one
@@ -196,7 +217,7 @@ fn stop_drains_inflight_keepalive_connections() {
 /// advances, and exactly one full detection executes.
 #[test]
 fn identical_concurrent_detects_coalesce_over_http() {
-    let server = Arc::new(boot(false));
+    let server = Arc::new(boot());
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "shared", 2500);
 
@@ -252,7 +273,7 @@ fn identical_concurrent_detects_coalesce_over_http() {
 /// refresh; a request that blocked behind it would hang this test.
 #[test]
 fn inline_requests_answer_while_an_update_holds_the_gate() {
-    let server = boot(false);
+    let server = boot();
     let addr = format!("127.0.0.1:{}", server.port());
     register_sbm(&addr, "busy", 400);
 
@@ -280,7 +301,7 @@ fn inline_requests_answer_while_an_update_holds_the_gate() {
 /// confirmed by the reuse counter.
 #[test]
 fn keepalive_connection_serves_many_requests() {
-    let server = boot(false);
+    let server = boot();
     let addr = format!("127.0.0.1:{}", server.port());
     let mut conn = gve_net::ClientConn::connect(addr.as_str()).unwrap();
     for _ in 0..32 {

@@ -29,7 +29,6 @@ fn membership_reads_never_meet_a_stale_epoch_during_updates() {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        shards: 2,
         data_dir: Some(dir.display().to_string()),
         ..ServeConfig::default()
     })
@@ -100,7 +99,6 @@ fn a_membership_that_does_not_cover_the_graph_answers_400() {
     let server = Server::start(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        shards: 1,
         ..ServeConfig::default()
     })
     .expect("server start");

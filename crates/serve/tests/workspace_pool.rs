@@ -137,8 +137,8 @@ fn two_detect_jobs_share_one_workspace_and_match() {
     );
 
     // The pool built exactly one workspace and parked it between jobs
-    // (single-shard engine: both graphs share one pool).
-    let pool = engine.workspaces_for("a");
+    // (both graphs share the engine's one pool).
+    let pool = engine.workspaces();
     assert_eq!(pool.created.get(), 1, "one arena built");
     assert_eq!(pool.checkouts.get(), 2, "both jobs pooled");
     assert_eq!(pool.idle_len(), 1, "arena parked after use");

@@ -73,6 +73,11 @@ done
 grep -q '^gve_leiden_runs_total 1$' <<<"$METRICS" ||
   { echo "FAIL: expected exactly one recorded run"; echo "$METRICS"; exit 1; }
 
+# The workspace pool's totals carry no labels: `gve top` reads this exact
+# sample for its workspaces row.
+grep -q '^gve_workspace_checkouts_total 1$' <<<"$METRICS" ||
+  { echo "FAIL: expected one unlabeled workspace checkout"; echo "$METRICS"; exit 1; }
+
 # Histogram buckets must be cumulative: within one series (same family
 # and labels apart from le), counts never decrease and end at +Inf.
 awk '

@@ -22,11 +22,12 @@
 //!   the one it waits for when both land on one core.
 //! * A one-thread broadcast runs inline on the caller and touches no
 //!   worker.
-//! * Concurrent callers on one pool (the server's job shards share the
-//!   default pool) take turns through a per-pool gate, one whole
-//!   broadcast at a time, so a worker never holds two jobs. A broadcast
-//!   nested in a job of the same pool runs its indices one after another
-//!   on the calling thread instead of waiting for the gate it holds.
+//! * Concurrent callers on one pool (the server's detect workers and
+//!   update path share the default pool) take turns through a per-pool
+//!   gate, one whole broadcast at a time, so a worker never holds two
+//!   jobs. A broadcast nested in a job of the same pool runs its
+//!   indices one after another on the calling thread instead of waiting
+//!   for the gate it holds.
 //! * A panic in any share is re-raised on the caller with its own
 //!   payload, after every worker has finished; the pool stays usable.
 //!   Each worker parks its payload in a slot of its own, so the caller

@@ -32,8 +32,7 @@ fn usage() -> ! {
          gve quality <graph> <membership> [--detail <n>]\n  \
          gve stats <graph>\n  \
          gve convert <input> <output>     (formats by extension: .mtx, .gveg, else edge list)\n  \
-         gve serve [--addr <host:port>] [--workers <n>] [--shards <n>] \
-         [--max-connections <n>] [--portable-poll] \
+         gve serve [--addr <host:port>] [--workers <n>] [--max-connections <n>] \
          [--data-dir <path>] [--snapshot-every <n>] [--no-fsync] [--load <name>=<path>]...\n  \
          gve client <method> <path> [--addr <host:port>] [--body <json>|--body-file <path>]\n  \
          gve top [--addr <host:port>]    (one-shot metrics summary of a running gve-serve)"
@@ -417,16 +416,6 @@ fn cmd_serve(args: &[String]) {
             exit(2);
         }
     }
-    if let Some(raw) = flag_value(args, "--shards") {
-        config.shards = raw.parse().expect("bad --shards");
-        if config.shards == 0 {
-            eprintln!("--shards must be >= 1");
-            exit(2);
-        }
-    }
-    if args.iter().any(|a| a == "--portable-poll") {
-        config.force_portable_poll = true;
-    }
     if let Some(dir) = flag_value(args, "--data-dir") {
         config.data_dir = Some(dir.to_string());
     }
@@ -494,11 +483,10 @@ fn cmd_serve(args: &[String]) {
     }
 
     eprintln!(
-        "gve-serve listening on port {} ({} front end, {} shards × {} \
-         detection workers; try: curl http://127.0.0.1:{}/healthz)",
+        "gve-serve listening on port {} ({} front end, {} detection \
+         workers; try: curl http://127.0.0.1:{}/healthz)",
         server.port(),
         server.backend(),
-        config.shards,
         workers,
         server.port()
     );
