@@ -9,7 +9,7 @@
 //! offline workspace has no `syn`; token-level views of comments vs.
 //! code are exactly what the rules need), and enforces the rule
 //! families documented in [`rules`], driven by the policy table in
-//! [`policy`]. v2 adds a scope-aware pass ([`scopes`]): lexical lock
+//! [`policy`]. v2 adds a scope-aware pass (`scopes`): lexical lock
 //! guard tracking feeding a workspace-wide acquisition graph
 //! ([`lockgraph`]), a hot-path allocation lint, and a
 //! guard-across-blocking check.

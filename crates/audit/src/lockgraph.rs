@@ -1,6 +1,6 @@
 //! The workspace-wide lock acquisition graph and the `lock-order` rule.
 //!
-//! [`crate::scopes`] contributes one edge per observed nested
+//! `crate::scopes` contributes one edge per observed nested
 //! acquisition — lock `from` held while acquiring lock `to`. This
 //! module judges the union of every file's edges against the policy's
 //! declared `lock-order` hierarchy:

@@ -502,8 +502,8 @@ mod tests {
         assert!(p.is_skipped("shims/loom/src/lib.rs"));
         assert!(p.is_skipped("crates/audit/tests/fixtures/bad.rs"));
         assert!(p
-            .publish_rules_for("crates/serve/src/jobs.rs")
-            .any(|r| r.field == "shutdown" && r.method == "store"));
+            .publish_rules_for("crates/net/src/server.rs")
+            .any(|r| r.field == "stopping" && r.method == "store"));
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! | `atomic-ordering`       | `Ordering::Relaxed` needs an inline justification mentioning "relaxed" within 8 lines, or a policy allowlist entry; publish sites must use their policy-mandated orderings |
 //! | `hotpath-panic`         | no `unwrap`/`expect`/`panic!`/`assert!`/`todo!`/`unimplemented!`/`unreachable!`/`get_unchecked` in designated hot paths (`debug_assert!` allowed) |
 //! | `rayon-blocking`        | no `std::thread::spawn`/`thread::sleep`/blocking I/O inside rayon parallel regions |
-//! | `lock-order`            | nested lock acquisitions follow the policy's declared `lock-order` hierarchy; no cycles in the observed acquisition graph (see [`crate::scopes`], [`crate::lockgraph`]) |
+//! | `lock-order`            | nested lock acquisitions follow the policy's declared `lock-order` hierarchy; no cycles in the observed acquisition graph (see `crate::scopes`, [`crate::lockgraph`]) |
 //! | `hotpath-alloc`         | no allocating constructs in policy-pinned allocation-free files/functions |
 //! | `guard-across-blocking` | no lock guard held across `recv`/`join`/`sleep`/`accept` or policy-declared blocking calls |
 //!
 //! Test code (brace-matched `#[cfg(test)]` / `#[test]` regions — see
-//! [`crate::view`]) is exempt from everything but `unsafe-safety`:
+//! `crate::view`) is exempt from everything but `unsafe-safety`:
 //! undocumented aliasing in tests is how soundness bugs hide.
 //!
 //! A finding can be suppressed in place with a comment containing
@@ -539,14 +539,14 @@ mod tests {
 
     #[test]
     fn publish_site_demotion_is_caught() {
-        let bad = "use std::sync::atomic::{AtomicBool, Ordering};\n// Relaxed: just a flag. (wrong!)\nfn f(s: &AtomicBool) { s.store(true, Ordering::Relaxed); }\nfn g(shutdown: &AtomicBool) { shutdown.store(true, Ordering::Relaxed); }";
-        let found = run("crates/serve/src/jobs.rs", bad);
-        // `s.store` is not a publish site; `shutdown.store` is.
+        let bad = "use std::sync::atomic::{AtomicBool, Ordering};\n// Relaxed: just a flag. (wrong!)\nfn f(s: &AtomicBool) { s.store(true, Ordering::Relaxed); }\nfn g(stopping: &AtomicBool) { stopping.store(true, Ordering::Relaxed); }";
+        let found = run("crates/net/src/server.rs", bad);
+        // `s.store` is not a publish site; `stopping.store` is.
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].message.contains("Release"));
 
-        let good = "use std::sync::atomic::{AtomicBool, Ordering};\nfn g(shutdown: &AtomicBool) { shutdown.store(true, Ordering::Release); }";
-        assert!(run("crates/serve/src/jobs.rs", good).is_empty());
+        let good = "use std::sync::atomic::{AtomicBool, Ordering};\nfn g(stopping: &AtomicBool) { stopping.store(true, Ordering::Release); }";
+        assert!(run("crates/net/src/server.rs", good).is_empty());
     }
 
     #[test]

@@ -5,23 +5,22 @@
 //! *global queues* and serializes community updates with *vertex and
 //! community locks*, and which (like other prior work) leaves the
 //! aggregation phase unoptimized. This module reproduces that design
-//! point: a shared frontier queue (`crossbeam::queue::SegQueue`),
-//! per-community `parking_lot` mutexes around every weight transfer, and
-//! a lock-guarded hash-map aggregation. It produces partitions of
-//! comparable quality while paying the synchronization costs GVE-Leiden
-//! avoids — the Figure 6(a)/(b) contrast. Its loops are plain sequential
-//! iterators (only `gve_prim::parfor` loops run on the worker pool), so
-//! its times measure those synchronization costs on one thread.
+//! point: a shared mutex-guarded frontier queue, per-community mutexes
+//! around every weight transfer, and a lock-guarded hash-map
+//! aggregation. It produces partitions of comparable quality while
+//! paying the synchronization costs GVE-Leiden avoids — the Figure
+//! 6(a)/(b) contrast. Its loops are plain sequential iterators (only
+//! `gve_prim::parfor` loops run on the worker pool), so its times
+//! measure those synchronization costs on one thread.
 
 use crate::BaselineResult;
-use crossbeam::queue::SegQueue;
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
 use gve_leiden::delta_modularity;
 use gve_prim::atomics::{atomic_f64_from_slice, AtomicF64};
 use gve_prim::{CommunityMap, PerThread, Xorshift32};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Configuration of the NetworKit-style baseline.
 #[derive(Debug, Clone)]
@@ -44,6 +43,12 @@ impl Default for NkLeidenConfig {
     }
 }
 
+/// Locks `mutex`, recovering the data if a panicking holder poisoned it:
+/// every critical section here leaves its data consistent.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Lock table guarding community weight transfers. Locks are acquired in
 /// id order to avoid deadlock.
 struct CommunityLocks {
@@ -60,9 +65,9 @@ impl CommunityLocks {
     /// Runs `f` while holding the locks of both communities.
     fn with_pair<R>(&self, a: VertexId, b: VertexId, f: impl FnOnce() -> R) -> R {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let _first = self.locks[lo as usize].lock();
+        let _first = lock(&self.locks[lo as usize]);
         let _second = if lo != hi {
-            Some(self.locks[hi as usize].lock())
+            Some(lock(&self.locks[hi as usize]))
         } else {
             None
         };
@@ -123,7 +128,8 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
             if frontier.is_empty() {
                 break;
             }
-            let next = SegQueue::new();
+            // The next round's frontier, in push order.
+            let next = Mutex::new(Vec::new());
             let moves: usize = frontier
                 .iter()
                 .map(|&i| {
@@ -164,7 +170,7 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
                             // Relaxed: the swap is the dedup itself; a
                             // lost race only re-queues a vertex.
                             if !in_queue[j as usize].swap(true, Ordering::Relaxed) {
-                                next.push(j);
+                                lock(&next).push(j);
                             }
                         }
                         1
@@ -174,10 +180,7 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
                 })
                 .sum();
             any_move |= moves > 0;
-            frontier.clear();
-            while let Some(j) = next.pop() {
-                frontier.push(j);
-            }
+            frontier = next.into_inner().unwrap_or_else(PoisonError::into_inner);
         }
 
         // ---- Randomized refinement with locks ----
@@ -307,7 +310,7 @@ fn aggregate_locked(graph: &CsrGraph, membership: &[VertexId], num_communities: 
         .collect();
     (0..graph.num_vertices() as VertexId).for_each(|i| {
         let c = membership[i as usize];
-        let mut map = maps[c as usize].lock();
+        let mut map = lock(&maps[c as usize]);
         for (j, w) in graph.edges(i) {
             *map.entry(membership[j as usize]).or_insert(0.0) += w as f64;
         }
@@ -317,7 +320,7 @@ fn aggregate_locked(graph: &CsrGraph, membership: &[VertexId], num_communities: 
         .symmetrize(false)
         .dedup(false);
     for (c, map) in maps.into_iter().enumerate() {
-        for (d, w) in map.into_inner() {
+        for (d, w) in map.into_inner().unwrap_or_else(PoisonError::into_inner) {
             builder.add_edge(c as VertexId, d, w as f32);
         }
     }

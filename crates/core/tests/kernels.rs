@@ -1,9 +1,7 @@
 //! Differential tests of the neighbourhood-scan kernel: both tiers and
 //! the degree dispatch must pick exactly the same `(community, gain)` as
 //! the two-pass table tier on any frozen state; 1-thread asynchronous
-//! runs must reproduce pinned digests end to end. Running this suite with
-//! `--features gve-prim/scalar-scan` swaps the lane fold for its scalar
-//! reference, covering both code paths.
+//! runs must reproduce pinned digests end to end.
 
 use gve_graph::{CsrGraph, GraphBuilder};
 use gve_leiden::kernel::{best_move, two_pass_best_move, v3_best_move};

@@ -574,7 +574,7 @@ impl AggregateScratch {
     }
 
     /// Takes a retired graph's buffers back as a spare slot set for a
-    /// later epoch. Keeps at most [`MAX_SPARE_SETS`]; beyond that the
+    /// later epoch. Keeps at most `MAX_SPARE_SETS`; beyond that the
     /// smallest set is dropped.
     pub fn recycle(&mut self, graph: CsrGraph) {
         let (offsets, targets, weights) = graph.into_raw();

@@ -19,11 +19,12 @@
 
 use crate::io::IoError;
 use crate::{CsrGraph, EdgeWeight, VertexId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"GVEG";
 const VERSION: u16 = 1;
+/// Magic, version, flags, |V| and arcs.
+const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8;
 
 fn parse_err(message: impl Into<String>) -> IoError {
     IoError::Parse {
@@ -33,63 +34,75 @@ fn parse_err(message: impl Into<String>) -> IoError {
 }
 
 /// Serializes a graph into the binary snapshot format.
-pub fn encode(graph: &CsrGraph) -> Bytes {
+pub fn encode(graph: &CsrGraph) -> Vec<u8> {
     let n = graph.num_vertices();
     let arcs = graph.num_arcs();
-    let mut buf = BytesMut::with_capacity(4 + 2 + 2 + 16 + 8 * (n + 1) + 4 * arcs + 4 * arcs);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u16_le(0);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(arcs as u64);
+    let mut buf = Vec::with_capacity(HEADER_LEN + 8 * (n + 1) + 4 * arcs + 4 * arcs);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&0u16.to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&(arcs as u64).to_le_bytes());
     for &o in graph.offsets() {
-        buf.put_u64_le(o);
+        buf.extend_from_slice(&o.to_le_bytes());
     }
     for &t in graph.targets() {
-        buf.put_u32_le(t);
+        buf.extend_from_slice(&t.to_le_bytes());
     }
     for &w in graph.weights() {
-        buf.put_f32_le(w);
+        buf.extend_from_slice(&w.to_le_bytes());
     }
-    buf.freeze()
+    buf
+}
+
+/// The vertex and arc counts a header declares, if the body they imply
+/// fits in `available` bytes: `None` for a truncated body, and for a
+/// corrupt header whose sizes overflow.
+fn checked_counts(n: u64, arcs: u64, available: usize) -> Option<(usize, usize)> {
+    let n = usize::try_from(n).ok()?;
+    let arcs = usize::try_from(arcs).ok()?;
+    let need = n
+        .checked_add(1)?
+        .checked_mul(8)?
+        .checked_add(arcs.checked_mul(8)?)?;
+    (need <= available).then_some((n, arcs))
 }
 
 /// Deserializes a graph from the binary snapshot format.
-pub fn decode(mut data: &[u8]) -> Result<CsrGraph, IoError> {
-    if data.remaining() < 8 + 16 {
+pub fn decode(data: &[u8]) -> Result<CsrGraph, IoError> {
+    let Some((header, body)) = data.split_first_chunk::<HEADER_LEN>() else {
         return Err(parse_err("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    if &header[..4] != MAGIC {
         return Err(parse_err("bad magic (not a GVEG file)"));
     }
-    let version = data.get_u16_le();
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version != VERSION {
         return Err(parse_err(format!("unsupported version {version}")));
     }
-    let _flags = data.get_u16_le();
-    let n = data.get_u64_le() as usize;
-    let arcs = data.get_u64_le() as usize;
-    let need = 8 * (n + 1) + 4 * arcs + 4 * arcs;
-    if data.remaining() < need {
+    let n = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    let arcs = u64::from_le_bytes(header[16..24].try_into().unwrap());
+    let Some((n, arcs)) = checked_counts(n, arcs, body.len()) else {
         return Err(parse_err(format!(
-            "truncated body: need {need} bytes, have {}",
-            data.remaining()
+            "truncated body: header declares {n} vertices and {arcs} arcs, have {} bytes",
+            body.len()
         )));
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(data.get_u64_le());
-    }
-    let mut targets: Vec<VertexId> = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        targets.push(data.get_u32_le());
-    }
-    let mut weights: Vec<EdgeWeight> = Vec::with_capacity(arcs);
-    for _ in 0..arcs {
-        weights.push(data.get_f32_le());
-    }
+    };
+    let (offset_bytes, rest) = body.split_at(8 * (n + 1));
+    let (target_bytes, rest) = rest.split_at(4 * arcs);
+    let weight_bytes = &rest[..4 * arcs];
+    let offsets: Vec<u64> = offset_bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let targets: Vec<VertexId> = target_bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let weights: Vec<EdgeWeight> = weight_bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
     CsrGraph::try_from_raw(offsets, targets, weights)
         .map_err(|e| parse_err(format!("invalid CSR payload: {e}")))
 }
@@ -149,7 +162,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut data = encode(&sample()).to_vec();
+        let mut data = encode(&sample());
         data[0] = b'X';
         let err = decode(&data).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
@@ -157,23 +170,37 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
-        let mut data = encode(&sample()).to_vec();
+        let mut data = encode(&sample());
         data[4] = 99;
         assert!(decode(&data).unwrap_err().to_string().contains("version"));
     }
 
     #[test]
     fn rejects_truncation_everywhere() {
-        let data = encode(&sample()).to_vec();
+        let data = encode(&sample());
         for cut in [0, 3, 8, 20, data.len() - 1] {
             assert!(decode(&data[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
     #[test]
+    fn rejects_header_whose_sizes_overflow() {
+        // |V| = 2^61 - 1 with 0 arcs: 8 * (|V| + 1) overflows a u64.
+        let mut data = Vec::new();
+        data.extend_from_slice(MAGIC);
+        data.extend_from_slice(&VERSION.to_le_bytes());
+        data.extend_from_slice(&0u16.to_le_bytes());
+        data.extend_from_slice(&((1u64 << 61) - 1).to_le_bytes());
+        data.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(data.len(), 24);
+        let err = decode(&data).unwrap_err();
+        assert!(err.to_string().contains("truncated body"), "{err}");
+    }
+
+    #[test]
     fn rejects_corrupt_payload() {
         let g = sample();
-        let mut data = encode(&g).to_vec();
+        let mut data = encode(&g);
         // Corrupt a target id to be out of range: targets start after
         // header (24) + offsets (8 * (n + 1)).
         let target_base = 24 + 8 * (g.num_vertices() + 1);

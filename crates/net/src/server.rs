@@ -2,7 +2,7 @@
 //!
 //! One **reactor thread** owns the listener, a self-pipe waker, and
 //! every connection's read/write state machine, multiplexed through the
-//! [`Poller`](crate::poller::Poller) (epoll on Linux, `poll(2)`
+//! [`Poller`] (epoll on Linux, `poll(2)`
 //! fallback). Complete requests are handed to a small pool of **handler
 //! workers** over an in-process queue; while a request is in flight its
 //! connection is *parked* (interest [`Interest::NONE`]) so the reactor

@@ -23,8 +23,7 @@
 //! * [`parfor`] — OpenMP's `schedule(dynamic, chunk)` and
 //!   `schedule(static)` loops on the persistent worker pool;
 //! * [`simd`] — lane-chunked candidate scoring, the "choose" half of
-//!   the scan kernel's stack tier (scalar fallback behind the
-//!   `scalar-scan` feature);
+//!   the scan kernel's stack tier;
 //! * [`alloc_count`] — an allocation-counting global allocator that lets
 //!   the benchmarks prove the preallocation discipline (zero steady-state
 //!   allocation in the Leiden hot path).

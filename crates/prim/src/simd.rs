@@ -11,13 +11,8 @@
 //! `GainCoeffs::score` with the vertex-constant `quad · p_i` factor
 //! hoisted: `score = lin · K_{i→c} − (quad · p_i) · Σ'_c`, which is
 //! bit-identical because `quad * p_i * sigma` already associates left
-//! to right in the scalar kernel.
-//!
-//! The `scalar-scan` cargo feature replaces the lane-blocked fold with a
-//! plain per-candidate loop using the same arithmetic, giving a
-//! differential-testing baseline and an escape hatch for targets where
-//! the blocked form pessimizes. Both paths must (and are tested to)
-//! produce bit-identical choices.
+//! to right in the scalar kernel. The unit tests pit the blocked fold
+//! against a plain per-candidate loop with the same arithmetic.
 
 use std::hint::select_unpredictable;
 
@@ -93,7 +88,7 @@ impl RunningBest {
     /// offered always takes the lead — even with a NaN score, which no
     /// later candidate beats.
     ///
-    /// Branch-free: the score becomes an integer [`rank`], the
+    /// Branch-free: the score becomes an integer `rank`, the
     /// comparisons fold into one flag, and every field is a select on
     /// it, so the loop-carried chain is a few integer operations and a
     /// run of near-equal scores costs no mispredicted branch.
@@ -125,33 +120,12 @@ impl RunningBest {
     }
 }
 
-/// Reference prefetched fold: per-candidate loop over slices whose `Σ'`
-/// values were gathered during the edge scan. Always compiled (the
-/// differential tests pit it against the lane path).
-#[inline]
-pub fn fold_prefetched_scalar(
-    best: &mut RunningBest,
-    keys: &[u32],
-    weights: &[f64],
-    sig: &[f64],
-    skip: u32,
-    lin: f64,
-    qp: f64,
-) {
-    let len = keys.len().min(weights.len()).min(sig.len());
-    for k in 0..len {
-        let score = lin * weights[k] - qp * sig[k];
-        best.offer(keys[k], score, weights[k], sig[k], skip);
-    }
-}
-
 /// Folds candidates whose `Σ'` values were already gathered — the
 /// scan kernel's stack tier caches each candidate's `Σ'` in its map's aux
 /// slot on first touch *during* the edge scan, so this pass reads three
 /// parallel dense slices: the score block is branch-free arithmetic the
 /// compiler autovectorizes, and the serial argmax only walks registers.
-/// Same arithmetic, same tie-break as [`fold_prefetched_scalar`].
-#[cfg(not(feature = "scalar-scan"))]
+/// Same arithmetic, same tie-break as a per-candidate loop.
 #[inline]
 pub fn fold_prefetched(
     best: &mut RunningBest,
@@ -191,21 +165,6 @@ pub fn fold_prefetched(
     }
 }
 
-/// `scalar-scan` build: the prefetched fold is the reference loop.
-#[cfg(feature = "scalar-scan")]
-#[inline]
-pub fn fold_prefetched(
-    best: &mut RunningBest,
-    keys: &[u32],
-    weights: &[f64],
-    sig: &[f64],
-    skip: u32,
-    lin: f64,
-    qp: f64,
-) {
-    fold_prefetched_scalar(best, keys, weights, sig, skip, lin, qp);
-}
-
 /// One-shot prefetched choose over parallel candidate slices (the
 /// low-degree path: keys, weights, and cached `Σ'` all sit in the stack
 /// scan map).
@@ -238,6 +197,7 @@ mod tests {
         choose_prefetched(keys, weights, sig, skip, lin, qp)
     }
 
+    /// Reference fold: one candidate at a time, same arithmetic.
     fn choose_scalar(
         keys: &[u32],
         weights: &[f64],
@@ -247,7 +207,11 @@ mod tests {
         qp: f64,
     ) -> Option<Choice> {
         let mut best = RunningBest::new();
-        fold_prefetched_scalar(&mut best, keys, weights, sig, skip, lin, qp);
+        let len = keys.len().min(weights.len()).min(sig.len());
+        for k in 0..len {
+            let score = lin * weights[k] - qp * sig[k];
+            best.offer(keys[k], score, weights[k], sig[k], skip);
+        }
         best.finish()
     }
 

@@ -5,7 +5,7 @@
 //! `GET /jobs/{id}` until the state reaches `done` (or `failed`). A
 //! small pool of worker threads drains the queue; each worker runs
 //! static GVE-Leiden on the graph's current snapshot and publishes the
-//! partition into the [`PartitionCache`](crate::cache::PartitionCache),
+//! partition into the [`PartitionCache`],
 //! so an identical request against the same graph epoch is a cache hit
 //! and never reaches the queue.
 
@@ -18,8 +18,8 @@ use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKET
 use gve_prim::alloc_count;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,12 +110,7 @@ impl DetectRequest {
             self.max_passes,
             self.scheduling.label(),
         );
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in canonical.bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        crate::wal::fnv1a(canonical.as_bytes())
     }
 
     /// JSON echo of the request (reported in job records).
@@ -230,11 +225,12 @@ pub struct JobStats {
     /// Jobs that attached as waiters to an identical in-flight job
     /// instead of executing their own detection.
     pub coalesced: Counter,
-    /// Jobs currently queued (sent but not yet claimed by a worker).
+    /// Jobs currently queued (pushed but not yet taken by a worker).
     pub queue_depth: Gauge,
-    /// Times a worker returned from its blocking receive. Stays flat
-    /// while the pool is idle — the regression signal for the old
-    /// 20 ms busy-poll loop.
+    /// Times a worker woke for work: once per job it takes off the
+    /// queue, and once per return from its wait that found nothing to
+    /// take. Stays flat while the pool is idle — the regression signal
+    /// for the old 20 ms busy-poll loop.
     pub worker_wakeups: Counter,
     /// Seconds jobs spent queued before a worker claimed them.
     pub queue_wait_seconds: Histogram,
@@ -301,13 +297,13 @@ impl JobStats {
         );
         registry.register_gauge(
             "gve_jobs_queue_depth",
-            "Jobs sent to the worker queue and not yet claimed.",
+            "Jobs pushed to the worker queue and not yet taken.",
             &[],
             &self.queue_depth,
         );
         registry.register_counter(
             "gve_jobs_worker_wakeups_total",
-            "Worker returns from the blocking queue receive.",
+            "Worker wake-ups: jobs taken off the queue plus empty returns from the wait.",
             &[],
             &self.worker_wakeups,
         );
@@ -333,14 +329,6 @@ impl JobStats {
     }
 }
 
-/// Message on the worker queue: a job to run, or a shutdown
-/// sentinel (one per worker) so `stop` can wake blocked receivers
-/// without a poll timeout.
-enum JobMsg {
-    Run(u64),
-    Shutdown,
-}
-
 /// One in-flight detection: the job actually computing (`primary`) plus
 /// every identical job that attached as a waiter while it was
 /// queued/running. Keyed by the **submit-time** [`PartitionKey`] in
@@ -350,14 +338,18 @@ struct Inflight {
     waiters: Vec<u64>,
 }
 
-/// Job records plus the in-flight coalescing table, under ONE mutex.
+/// Job records, the in-flight coalescing table and the worker queue,
+/// under ONE mutex.
 ///
 /// Keeping both maps behind a single lock is what makes the coalescing
 /// protocol race-free: a submitter checks the cache and the in-flight
 /// table in one critical section, and a finishing worker publishes to
 /// the cache *before* it removes the in-flight entry — so there is no
 /// interleaving in which a submitter misses the cache, misses the
-/// in-flight entry, and starts a duplicate run.
+/// in-flight entry, and starts a duplicate run. The queue lives under
+/// the same lock, so a submitter enqueues in the critical section that
+/// creates the record, and a worker takes an id and claims its record
+/// in one critical section too.
 #[derive(Default)]
 struct JobTable {
     records: HashMap<u64, JobRecord>,
@@ -365,6 +357,10 @@ struct JobTable {
     /// Ids of finished (done, failed or cancelled) records, oldest
     /// first; bounded by [`MAX_FINISHED_JOBS`].
     finished: VecDeque<u64>,
+    /// Ids of primary jobs waiting for a worker, oldest first.
+    queue: VecDeque<u64>,
+    /// Set by `stop`: workers exit instead of taking more jobs.
+    closed: bool,
 }
 
 /// Finished job records the table keeps for polling. Older ones are
@@ -390,11 +386,11 @@ pub struct JobEngine {
     registry: Arc<GraphRegistry>,
     cache: Arc<PartitionCache>,
     table: Arc<Mutex<JobTable>>,
-    sender: crossbeam::channel::Sender<JobMsg>,
+    /// Signalled on `table` when a job is queued or the engine stops.
+    ready: Arc<Condvar>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     workspaces: Arc<WorkspacePool>,
     next_id: AtomicU64,
-    shutdown: Arc<AtomicBool>,
     core_metrics: Arc<CoreMetrics>,
     /// Counter block (public for `/stats` reporting).
     pub stats: Arc<JobStats>,
@@ -403,11 +399,8 @@ pub struct JobEngine {
 /// Panic-free lock that recovers the data from a poisoned mutex. Job
 /// state is a map of plain records — a panicking peer cannot leave it
 /// logically torn in a way a reader could misinterpret.
-fn lock_table(table: &Mutex<JobTable>) -> std::sync::MutexGuard<'_, JobTable> {
-    match table.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+fn lock_table(table: &Mutex<JobTable>) -> MutexGuard<'_, JobTable> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl JobEngine {
@@ -419,18 +412,16 @@ impl JobEngine {
         worker_count: usize,
     ) -> Self {
         let table = Arc::new(Mutex::new(JobTable::default()));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let ready = Arc::new(Condvar::new());
         let stats = Arc::new(JobStats::default());
         let core_metrics = Arc::new(CoreMetrics::default());
         let workspaces = Arc::new(WorkspacePool::new());
-        let (sender, receiver) = crossbeam::channel::unbounded::<JobMsg>();
         let workers = (0..worker_count.max(1))
             .map(|worker| {
-                let receiver = receiver.clone();
                 let registry = Arc::clone(&registry);
                 let cache = Arc::clone(&cache);
                 let table = Arc::clone(&table);
-                let shutdown = Arc::clone(&shutdown);
+                let ready = Arc::clone(&ready);
                 let stats = Arc::clone(&stats);
                 let core_metrics = Arc::clone(&core_metrics);
                 let workspaces = Arc::clone(&workspaces);
@@ -438,11 +429,10 @@ impl JobEngine {
                     .name(format!("gve-serve-worker-{worker}"))
                     .spawn(move || {
                         worker_loop(
-                            &receiver,
                             &registry,
                             &cache,
                             &table,
-                            &shutdown,
+                            &ready,
                             &stats,
                             &core_metrics,
                             &workspaces,
@@ -455,11 +445,10 @@ impl JobEngine {
             registry,
             cache,
             table,
-            sender,
+            ready,
             workers: Mutex::new(workers),
             workspaces,
             next_id: AtomicU64::new(1),
-            shutdown,
             core_metrics,
             stats,
         }
@@ -567,17 +556,10 @@ impl JobEngine {
                 waiters: Vec::new(),
             },
         );
+        table.queue.push_back(id);
         self.stats.queue_depth.inc();
-        if self.sender.send(JobMsg::Run(id)).is_err() {
-            self.stats.queue_depth.dec();
-            table.inflight.remove(&key);
-            if let Some(record) = table.records.get_mut(&id) {
-                record.state = JobState::Failed;
-                record.error = Some("job queue closed".to_string());
-            }
-            table.finish(id);
-            return Err("job queue closed".to_string());
-        }
+        drop(table);
+        self.ready.notify_one();
         Ok(record)
     }
 
@@ -653,29 +635,22 @@ impl JobEngine {
         }
     }
 
-    /// Stops the worker pool (idempotent).
+    /// Stops the worker pool (idempotent). A worker finishes the job it
+    /// is running first; jobs still queued, and jobs submitted after
+    /// `stop`, stay `Queued`.
     pub fn stop(&self) {
-        // Release suffices (audit publish rule): workers' Acquire loads
-        // observe everything written before the signal; no total order
-        // across unrelated atomics is needed, so SeqCst was overkill.
-        self.shutdown.store(true, Ordering::Release);
-        // Take the handles out under the lock, then send sentinels and
-        // join with it released: joining (or touching the channel)
-        // while holding `workers` would hold the mutex for the whole
-        // drain and nest it under the channel send.
+        // Closing under the table lock and notifying after it is
+        // released loses no wake-up: a worker either sees `closed`
+        // before it waits or is already waiting when `notify_all` runs.
+        lock_table(&self.table).closed = true;
+        self.ready.notify_all();
+        // Take the handles out under the lock, then join with it
+        // released: joining while holding `workers` would hold the
+        // mutex for the whole drain.
         let handles = {
-            let mut workers = match self.workers.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *workers)
         };
-        // One sentinel per worker unblocks each parked receive in turn;
-        // workers that wake on a stale Run message exit at the shutdown
-        // check instead.
-        for _ in 0..handles.len() {
-            let _ = self.sender.send(JobMsg::Shutdown);
-        }
         for handle in handles {
             let _ = handle.join();
         }
@@ -688,69 +663,64 @@ impl Drop for JobEngine {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    receiver: &crossbeam::channel::Receiver<JobMsg>,
     registry: &GraphRegistry,
     cache: &PartitionCache,
     table: &Mutex<JobTable>,
-    shutdown: &AtomicBool,
+    ready: &Condvar,
     stats: &JobStats,
     core_metrics: &CoreMetrics,
     workspaces: &Arc<WorkspacePool>,
 ) {
     loop {
-        // Blocking receive: an idle worker parks inside the channel —
-        // no timeout, no spurious wakeups, no CPU burn. `stop` wakes it
-        // with a Shutdown sentinel. (The previous 20 ms `recv_timeout`
-        // loop woke every idle worker 50 times a second forever.)
-        let msg = match receiver.recv() {
-            Ok(msg) => msg,
-            Err(_) => return, // queue closed: engine dropped
-        };
-        stats.worker_wakeups.inc();
-        // Acquire pairs with the Release store in `stop`.
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let id = match msg {
-            JobMsg::Run(id) => id,
-            JobMsg::Shutdown => return,
+        // Take the next queued id and claim its record in one critical
+        // section. An idle worker blocks in the wait — no timeout, no
+        // CPU burn; `submit` wakes one worker, `stop` wakes them all.
+        let mut guard = lock_table(table);
+        let id = loop {
+            if guard.closed {
+                return;
+            }
+            if let Some(id) = guard.queue.pop_front() {
+                stats.worker_wakeups.inc();
+                break id;
+            }
+            guard = ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            if guard.queue.is_empty() {
+                stats.worker_wakeups.inc();
+            }
         };
         stats.queue_depth.dec();
         // Claim the primary: mark it (and every already-attached
         // waiter) Running. The submit-time key is kept so the in-flight
         // entry can be resolved on completion even though the run may
         // land on a newer epoch.
-        let (graph_name, request, queued_at, submit_key) = {
-            let mut guard = lock_table(table);
-            let Some(record) = guard.records.get_mut(&id) else {
-                continue;
-            };
-            if record.state != JobState::Queued {
-                continue; // cancelled while waiting (in-flight entry already popped)
-            }
-            record.state = JobState::Running;
-            let info = (
-                record.graph.clone(),
-                record.request.clone(),
-                record.queued_at,
-                record.key.clone(),
-            );
-            if let Some(key) = &info.3 {
-                let waiters = guard
-                    .inflight
-                    .get(key)
-                    .map(|inflight| inflight.waiters.clone())
-                    .unwrap_or_default();
-                for waiter in waiters {
-                    if let Some(waiting) = guard.records.get_mut(&waiter) {
-                        waiting.state = JobState::Running;
-                    }
+        let Some(record) = guard.records.get_mut(&id) else {
+            continue;
+        };
+        if record.state != JobState::Queued {
+            continue; // cancelled while waiting (in-flight entry already popped)
+        }
+        record.state = JobState::Running;
+        let (graph_name, request, queued_at, submit_key) = (
+            record.graph.clone(),
+            record.request.clone(),
+            record.queued_at,
+            record.key.clone(),
+        );
+        if let Some(key) = &submit_key {
+            let waiters = guard
+                .inflight
+                .get(key)
+                .map(|inflight| inflight.waiters.clone())
+                .unwrap_or_default();
+            for waiter in waiters {
+                if let Some(waiting) = guard.records.get_mut(&waiter) {
+                    waiting.state = JobState::Running;
                 }
             }
-            info
-        };
+        }
+        drop(guard);
         stats
             .queue_wait_seconds
             .observe_duration(queued_at.elapsed());

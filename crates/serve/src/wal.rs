@@ -75,8 +75,9 @@ const HEADER_BYTES: usize = 12;
 /// to reject garbage lengths from a corrupt prefix before allocating.
 const MAX_RECORD_BYTES: u32 = 1 << 30;
 
-/// FNV-1a — the same stable hash family the registry and cache use.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a: the WAL record checksum, and the detect-request fingerprint
+/// that keys the partition cache.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -919,6 +920,28 @@ mod tests {
 
         let recovered = reopen(&store).recover().unwrap();
         assert_eq!(recovered[0].epoch, 9);
+        assert_eq!(recovered[0].graph, graph);
+    }
+
+    /// A newest snapshot whose header declares more vertices than any
+    /// file can hold is skipped like a torn one: recovery falls back to
+    /// the older, good snapshot instead of failing the boot.
+    #[test]
+    fn corrupt_newest_snapshot_falls_back_to_the_older_one() {
+        let store = temp_store("bogus-snapshot");
+        let graph = path_graph();
+        store.register_graph("g", &graph, "inline").unwrap();
+        // "GVEG", version 1, flags 0, |V| = 2^61 - 1, 0 arcs.
+        let mut bogus = b"GVEG".to_vec();
+        bogus.extend_from_slice(&1u16.to_le_bytes());
+        bogus.extend_from_slice(&0u16.to_le_bytes());
+        bogus.extend_from_slice(&((1u64 << 61) - 1).to_le_bytes());
+        bogus.extend_from_slice(&0u64.to_le_bytes());
+        fs::write(store.graph_dir("g").join("snapshot-7.gveg"), &bogus).unwrap();
+
+        let recovered = reopen(&store).recover().unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].epoch, 0);
         assert_eq!(recovered[0].graph, graph);
     }
 

@@ -245,7 +245,7 @@ impl_tuple!(A, B, C, D, E, G);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact size or a range.
+    /// Length specification for [`vec()`]: an exact size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
