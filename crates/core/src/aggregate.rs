@@ -14,16 +14,18 @@
 //! hashtable, then flushed as super-arcs (including the `(c, c)`
 //! self-loop carrying the intra-community weight `σ_c`). The worker
 //! that claims a community writes its whole row at once
-//! ([`AggregateScratch::write_row`]), so no arc pays a slot claim, and
-//! hands back the row's length and weighted degree: the next pass's
-//! `K'` and hub test need no second walk over the supergraph.
+//! ([`gve_graph::AggregateEpoch::write_row`]), so no arc pays a slot
+//! claim, and hands back the row's length and weighted degree: the next
+//! pass's `K'` and hub test need no second walk over the supergraph.
+//! The three vertex-sized arrays of the grouping and the holey layout
+//! are borrowed per call ([`gve_graph::AggregateHosts`]); the pass loop
+//! lends workspace buffers that are dead while it aggregates.
 
-use crate::localmove::scan_communities;
-use gve_graph::{AggregateScratch, CsrGraph, VertexId};
+use gve_graph::{AggregateHosts, AggregateScratch, CsrGraph, VertexId};
 use gve_prim::parfor::{dynamic_workers, DEFAULT_CHUNK};
 use gve_prim::scan::parallel_offsets_from_counts;
 use gve_prim::{CommunityMap, HashScanMap, PerThread, SharedSlice};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
 /// Communities per claim of the per-community scan: a quarter of the
 /// phase loops' chunk, since a community carries several vertices'
@@ -34,27 +36,35 @@ const AGGREGATE_CHUNK: usize = DEFAULT_CHUNK / 4;
 /// `0..num_communities`.
 ///
 /// One-shot convenience wrapper over [`aggregate_into`] with a
-/// throwaway scratch; the pass loop holds a [`AggregateScratch`] in its
-/// workspace and calls [`aggregate_into`] directly. The returned
+/// throwaway scratch and freshly allocated hosts; the pass loop holds a
+/// [`AggregateScratch`] in its workspace, lends it idle workspace
+/// buffers as hosts and calls [`aggregate_into`] directly. The returned
 /// graph's arrays keep the holey slot capacity (the input's arcs).
 pub fn aggregate(
     graph: &CsrGraph,
-    membership: &[AtomicU32],
-    membership_plain: &[VertexId],
+    membership: &[VertexId],
     num_communities: usize,
     tables: &PerThread<CommunityMap>,
     small_threshold: Option<usize>,
 ) -> CsrGraph {
-    let mut scratch = AggregateScratch::new();
-    let mut degrees = vec![0.0; num_communities];
+    let k = num_communities;
+    let mut cursors: Vec<AtomicU32> = (0..k).map(|_| AtomicU32::new(0)).collect();
+    let mut members = vec![0; membership.len()];
+    let mut holey_offsets: Vec<AtomicU64> = (0..=k).map(|_| AtomicU64::new(0)).collect();
+    let hosts = AggregateHosts {
+        cursors: &mut cursors,
+        members: &mut members,
+        holey_offsets: &mut holey_offsets,
+    };
+    let mut degrees = vec![0.0; k];
     let (supergraph, _) = aggregate_into(
         graph,
         membership,
-        membership_plain,
-        num_communities,
+        k,
         tables,
         small_threshold,
-        &mut scratch,
+        &mut AggregateScratch::new(),
+        hosts,
         &mut degrees,
     );
     supergraph
@@ -64,7 +74,14 @@ pub fn aggregate(
 /// [`AggregateScratch`]: the grouped-CSR counting sweep also folds each
 /// community's total degree (the holey capacity), and the holey slot
 /// arrays, taken from a previously retired supergraph, are squeezed in
-/// place into the result — zero steady-state allocation.
+/// place into the result — zero steady-state allocation. The grouping
+/// and the holey layout live in `hosts`, which need `num_communities`
+/// cursors, `membership.len()` members and `num_communities + 1` holey
+/// offsets.
+///
+/// `membership` holds the dense community id of every vertex: it is
+/// both the grouping key and the neighbour community each arc is
+/// tallied under.
 ///
 /// `small_threshold` enables the two-tier scan: communities whose total
 /// degree (the holey-CSR capacity) fits the bound are tallied in a
@@ -82,26 +99,28 @@ pub fn aggregate(
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_into(
     graph: &CsrGraph,
-    membership: &[AtomicU32],
-    membership_plain: &[VertexId],
+    membership: &[VertexId],
     num_communities: usize,
     tables: &PerThread<CommunityMap>,
     small_threshold: Option<usize>,
     scratch: &mut AggregateScratch,
+    hosts: AggregateHosts<'_>,
     degrees: &mut [f64],
 ) -> (CsrGraph, usize) {
     // Community-vertices CSR fused with the capacity overestimates
     // (Algorithm 4, lines 3–6 and 8–9 in one sweep). A community of
     // isolated vertices has total degree 0 and emits no arcs, so 0
     // capacity is fine.
-    scratch.prepare(membership_plain, num_communities, |i| {
+    let epoch = scratch.prepare(hosts, membership, num_communities, |i| {
         graph.degree(i as VertexId) as u64
     });
 
     // Per-community scans (lines 11–16), dynamically scheduled since
-    // community sizes are wildly skewed.
+    // community sizes are wildly skewed. Every arc counts, self-loops
+    // included: they carry intra weight into the super-vertex
+    // self-loop.
     let small_cap = small_threshold.map(|t| t as u64);
-    let shared = &*scratch;
+    let shared = &epoch;
     let degrees = SharedSlice::new(&mut degrees[..num_communities]);
     let max_degrees = dynamic_workers(num_communities, AGGREGATE_CHUNK, |claims| {
         tables.with(|ht| {
@@ -122,11 +141,7 @@ pub fn aggregate_into(
                         small.clear();
                         for &i in shared.members(c) {
                             for (j, w) in graph.edges(i) {
-                                // Relaxed: membership is frozen here —
-                                // the join ending refine/local-move
-                                // already published every store.
-                                let d = membership[j as usize].load(Ordering::Relaxed);
-                                small.add_with(d, w as f64, |_| 0.0);
+                                small.add_with(membership[j as usize], w as f64, |_| 0.0);
                             }
                         }
                         let row = small.keys().iter().zip(small.weights());
@@ -134,9 +149,9 @@ pub fn aggregate_into(
                     } else {
                         ht.clear();
                         for &i in shared.members(c) {
-                            // include_self = true: self-loops carry intra
-                            // weight into the super-vertex self-loop.
-                            scan_communities(ht, graph, membership, i, true);
+                            for (j, w) in graph.edges(i) {
+                                ht.add(membership[j as usize], w as f64);
+                            }
                         }
                         shared.write_row(c, ht.iter().map(|(d, w)| (d, w as f32)))
                     };
@@ -149,7 +164,7 @@ pub fn aggregate_into(
     });
 
     let max_degree = max_degrees.into_iter().max().unwrap_or(0);
-    (scratch.squeeze(), max_degree)
+    (epoch.squeeze(), max_degree)
 }
 
 /// Sort-reduce aggregation: the alternative design the paper's related
@@ -204,20 +219,26 @@ pub fn aggregate_sort_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::{aggregate_hosts, PassWorkspace};
     use gve_graph::GraphBuilder;
     use gve_prim::PerThread;
 
-    fn atomic_membership(plain: &[u32]) -> Vec<AtomicU32> {
-        plain.iter().map(|&c| AtomicU32::new(c)).collect()
-    }
-
     fn run_aggregate(graph: &CsrGraph, membership: &[u32], k: usize) -> CsrGraph {
-        let atomic = atomic_membership(membership);
         let tables = PerThread::new({
             let n = graph.num_vertices().max(k);
             move || CommunityMap::new(n)
         });
-        aggregate(graph, &atomic, membership, k, &tables, None)
+        aggregate(graph, membership, k, &tables, None)
+    }
+
+    /// Offsets, targets and weight bits of a graph.
+    fn raw_bits(graph: CsrGraph) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+        let (offsets, targets, weights) = graph.into_raw();
+        (
+            offsets,
+            targets,
+            weights.iter().map(|w| w.to_bits()).collect(),
+        )
     }
 
     /// The stack tier emits every row exactly as the table path does:
@@ -231,12 +252,10 @@ mod tests {
         // Fine partition → plenty of low-total-degree communities that
         // take the stack tier.
         let membership: Vec<u32> = (0..500u32).map(|v| v % 100).collect();
-        let atomic = atomic_membership(&membership);
         let tables = PerThread::new(|| CommunityMap::new(500));
-        let table = aggregate(&graph, &atomic, &membership, 100, &tables, None);
+        let table = aggregate(&graph, &membership, 100, &tables, None);
         let two_tier = aggregate(
             &graph,
-            &atomic,
             &membership,
             100,
             &tables,
@@ -267,7 +286,6 @@ mod tests {
         let graph = gve_generate::rmat::Rmat::social(12, 8.0).seed(5).generate();
         let n = graph.num_vertices();
         let membership: Vec<u32> = (0..n as u32).map(|v| (v * 7919) % 613).collect();
-        let atomic = atomic_membership(&membership);
         let build = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -276,16 +294,16 @@ mod tests {
             pool.install(|| {
                 // The table path's keys are dense ids: `k` slots suffice.
                 let tables = PerThread::new(|| CommunityMap::new(613));
-                let mut scratch = AggregateScratch::new();
+                let mut ws = PassWorkspace::with_capacity(n, graph.num_arcs());
                 let mut degrees = vec![f64::NAN; 613];
                 let (sup, max_degree) = aggregate_into(
                     &graph,
-                    &atomic,
                     &membership,
                     613,
                     &tables,
                     Some(crate::SMALL_DEGREE_THRESHOLD),
-                    &mut scratch,
+                    &mut ws.aggregate,
+                    aggregate_hosts(&mut ws.first_seen, &mut ws.membership, &mut ws.sigma),
                     &mut degrees,
                 );
                 // The handed-back degrees are the supergraph's own.
@@ -295,14 +313,53 @@ mod tests {
                 }
                 let widest = (0..613u32).map(|c| sup.degree(c)).max();
                 assert_eq!(Some(max_degree), widest);
-                let (offsets, targets, weights) = sup.into_raw();
-                let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
-                (offsets, targets, bits)
+                raw_bits(sup)
             })
         };
         let one = build(1);
         assert_eq!(build(2), one);
         assert_eq!(build(3), one);
+    }
+
+    /// The identity partition (`k == n`) is the one epoch whose holey
+    /// offsets fill every slot of the `Σ'` host, `n + 1` of them. Through
+    /// hosts of exactly the pass loop's sizes, it gives back the input
+    /// graph row for row and bit for bit, at every thread count.
+    #[test]
+    fn identity_partition_fills_the_hosts_exactly() {
+        let graph = gve_generate::rmat::Rmat::web(10, 6.0).seed(3).generate();
+        let n = graph.num_vertices();
+        let identity: Vec<u32> = (0..n as u32).collect();
+        let expected = raw_bits(graph.clone());
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut ws = PassWorkspace::with_capacity(n, graph.num_arcs());
+            assert_eq!(ws.first_seen.len(), n);
+            assert_eq!(ws.membership.len(), n);
+            assert_eq!(ws.sigma.len(), n + 1);
+            let mut degrees = vec![f64::NAN; n];
+            let (sup, _) = pool.install(|| {
+                let tables = PerThread::new(move || CommunityMap::new(n));
+                aggregate_into(
+                    &graph,
+                    &identity,
+                    n,
+                    &tables,
+                    Some(crate::SMALL_DEGREE_THRESHOLD),
+                    &mut ws.aggregate,
+                    aggregate_hosts(&mut ws.first_seen, &mut ws.membership, &mut ws.sigma),
+                    &mut degrees,
+                )
+            });
+            for v in 0..n as u32 {
+                let weighted = graph.weighted_degree(v).to_bits();
+                assert_eq!(degrees[v as usize].to_bits(), weighted, "vertex {v}");
+            }
+            assert_eq!(raw_bits(sup), expected, "{threads} threads");
+        }
     }
 
     #[test]

@@ -740,25 +740,19 @@ impl Leiden {
             let t5 = Instant::now();
             let supergraph = match config.aggregation {
                 config::AggregationStrategy::Hashtable => {
-                    // Stage the dense ids into the atomic membership
-                    // prefix in place (the phases are done with it) —
-                    // this replaces the old per-pass fresh atomic vec.
-                    let memb = &membership[..n_cur];
-                    let dense = &init_buf[..n_cur];
-                    static_for(n_cur, |v| {
-                        // Relaxed: bulk restage between loops, as above.
-                        memb[v].store(dense[v], Ordering::Relaxed);
-                    });
+                    // The aggregation reads the dense ids from the ranks
+                    // and borrows its scratch from buffers that are dead
+                    // until the labeling step or the next pass start.
                     // The table path's keys are the dense ids `< k`;
                     // each row's writer hands the next pass its K'.
                     let (supergraph, max_degree) = aggregate::aggregate_into(
                         g,
-                        memb,
-                        dense,
+                        &init_buf[..n_cur],
                         k,
                         tables.reach(k),
                         Some(SMALL_DEGREE_THRESHOLD),
                         agg,
+                        workspace::aggregate_hosts(first_seen, membership, sigma),
                         &mut penalty[..k],
                     );
                     carried = Some(max_degree);

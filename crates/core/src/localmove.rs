@@ -32,28 +32,6 @@ use gve_prim::parfor::{dynamic_workers, DEFAULT_CHUNK};
 use gve_prim::{AtomicBitset, CommunityMap, HashScanMap, PerThread};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Scans the communities adjacent to `i` into the per-thread hashtable
-/// (`scanCommunities` of Algorithm 2). `include_self` controls whether
-/// the self-loop arc contributes (false in local-moving/refinement, true
-/// in aggregation).
-#[inline]
-pub fn scan_communities(
-    ht: &mut CommunityMap,
-    graph: &CsrGraph,
-    membership: &[AtomicU32],
-    i: VertexId,
-    include_self: bool,
-) {
-    for (j, w) in graph.edges(i) {
-        if !include_self && j == i {
-            continue;
-        }
-        // Relaxed: asynchronous design — a stale neighbor community only
-        // delays a move to a later iteration, it cannot corrupt state.
-        ht.add(membership[j as usize].load(Ordering::Relaxed), w as f64);
-    }
-}
-
 /// Picks the best community for `i` among the scanned candidates:
 /// maximum objective gain (delta-modularity under the default
 /// objective), ties to the smaller id. Returns `(community, gain)` when

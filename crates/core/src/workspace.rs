@@ -12,16 +12,18 @@
 //!
 //! Buffer lifetimes (see DESIGN.md §10 for the full memory plan):
 //!
-//! * `membership`/`sigma` — the async phases' atomic state; after
-//!   refinement their prefix is re-staged with the dense community ids
-//!   for aggregation (replacing the old serial `dense_atomic` rebuild);
+//! * `membership`/`sigma` — the async phases' atomic state; once the
+//!   refined snapshot is taken both are dead until the next pass
+//!   start, so the aggregation borrows them (see below). `sigma` has
+//!   one slot more than the vertex capacity for that reason;
 //! * `penalty`, `bounds` — per-pass plain views; the hashtable
 //!   aggregation writes each super-vertex's weighted degree into
 //!   `penalty[..k]`, so the next pass starts from it;
 //! * `init_labels` — super-vertex labels (or seeds) for the pass start;
 //!   between the seeding and the labeling step it holds the refined
 //!   membership snapshot, which the renumber overwrites in place with
-//!   the dense ranks;
+//!   the dense ranks, which the aggregation reads as the community of
+//!   every vertex and every arc's target;
 //! * `first_seen` — the remap table of the serial first-seen renumber
 //!   ([`crate::dendrogram::renumber_in_place`], one sweep over its
 //!   input); it doubles as the scatter target of the move-based
@@ -33,14 +35,18 @@
 //!   pass with [`AtomicBitset::set_first`];
 //! * `plain_membership`/`plain_sigma`/`sync_decisions` — the
 //!   color-synchronous path's plain state, sized only for such runs;
-//! * `aggregate` — the fused grouped + holey CSR scratch; its member
-//!   cursors double as the arc fill counts and its capacity tallies are
-//!   prefix-summed in place into the holey offsets. Its holey slot
-//!   arrays become each supergraph: the holes are squeezed out in
-//!   place, and a retired supergraph's buffers come back as the slot
-//!   arrays of a later pass. Two slot sets ping-pong: one reserved here
-//!   for the input's arcs, and one sized exactly for the first
-//!   supergraph's arcs, created only when a run aggregates twice;
+//! * `aggregate` — the fused grouped + holey CSR scratch. It owns only
+//!   the member offsets and the slot sets; its three other vertex-sized
+//!   arrays are lent per pass by `aggregate_hosts`: the member
+//!   cursors (which double as the arc fill counts) live in
+//!   `first_seen`, the member array in `membership`, and the capacity
+//!   tallies, prefix-summed in place into the holey offsets, in the bit
+//!   patterns of `sigma`. Its holey slot arrays become each supergraph:
+//!   the holes are squeezed out in place, and a retired supergraph's
+//!   buffers come back as the slot arrays of a later pass. Two slot
+//!   sets ping-pong: one reserved here for the input's arcs, and one
+//!   sized exactly for the first supergraph's arcs, created only when a
+//!   run aggregates twice;
 //! * `tables` — one collision-free scan table per worker, 8 B per key,
 //!   grown by the pass loop (not by [`PassWorkspace::ensure`]) to the
 //!   key bound of the phase about to run: `n` for local-moving and
@@ -51,24 +57,26 @@
 //!
 //! What [`PassWorkspace::ensure`] allocates per vertex (plus 8 B per
 //! arc for the first slot set; `crates/core/tests/footprint.rs` holds
-//! the budget, and the resident footprint of warm runs). Growth is
-//! exact, so a workspace that meets a slightly larger graph grows by
-//! that much rather than doubling:
+//! the budget, and the resident footprint of warm runs;
+//! [`PassWorkspace::resident_bytes`] reports it). Growth is exact, so
+//! a workspace that meets a slightly larger graph grows by that much
+//! rather than doubling:
 //!
 //! ```text
 //!  buffer                      B/vertex   hosts as well
-//!  membership, sigma           4 + 8      dense ids for aggregation
+//!  membership                  4          aggregate members
+//!  sigma                       8          aggregate capacity tallies,
+//!                                         then holey offsets [..k+1]
 //!  penalty                     8          next pass's K'    [..k]
 //!  bounds                      4
 //!  init_labels                 4          refined snapshot, then its
 //!                                         dense ranks, then label_of
-//!  first_seen                  4          label_of scatter  [..k]
+//!  first_seen                  4          aggregate cursors, then
+//!                                         fill counts, then label_of
+//!                                         scatter           [..k]
 //!  unprocessed (bitset)        0.125
-//!  aggregate: cursors          4          arc fill counts
-//!             group_offsets    4
-//!             members          4
-//!             holey_offsets    8          capacity tallies
-//!  total                       52.125     (DESIGN.md §10 has the
+//!  aggregate: group_offsets    4
+//!  total                       36.125     (DESIGN.md §10 has the
 //!                                          buffers this replaced)
 //! ```
 //!
@@ -77,22 +85,24 @@
 //! One pass of the default asynchronous loop, for the shared hosts:
 //!
 //! ```text
-//!  step                 init_labels          bounds             first_seen
-//!  pass start           seeds → membership   ·                  ·
-//!  local-moving         ·                    ·                  ·
-//!  bounds copy          ·                    bounds             ·
-//!  refinement           ·                    bounds (read)      ·
-//!  snapshot             refined              bounds             ·
-//!  renumber in place    dense ranks          bounds             first seen
-//!  aggregation          ranks (read)         bounds             ·
-//!  CPM size fold        ranks (read)         bounds             ·
-//!  label_of scatter     ranks (read)         bounds (read)      label_of
-//!  label_of copy        label_of [..k]       ·                  label_of (read)
-//!  renumber in place    next labels [..k]    ·                  first seen
+//!  step               init_labels         bounds          first_seen         membership   sigma
+//!  pass start         seeds → membership  ·               ·                  C'           Σ'
+//!  local-moving       ·                   ·               ·                  C'           Σ'
+//!  refine reset       ·                   bounds          ·                  singletons   K'
+//!  refinement         ·                   bounds (read)   ·                  C'           Σ'
+//!  snapshot           refined             bounds          ·                  C' (read)    ·
+//!  renumber in place  dense ranks         bounds          first seen         ·            ·
+//!  aggregate: group   ranks (read)        bounds          block 0 cursors    members      block 1–2 cursors
+//!    capacities       ·                   bounds          ·                  members      holey offsets
+//!    rows, squeeze    ranks (read)        bounds          fill counts        members      holey offsets
+//!  CPM size fold      ranks (read)        bounds          ·                  ·            size sums [..k]
+//!  label_of scatter   ranks (read)        bounds (read)   label_of           ·            ·
+//!  label_of copy      label_of [..k]      ·               label_of (read)    ·            ·
+//!  renumber in place  next labels [..k]   ·               first seen         ·            ·
 //! ```
 
-use gve_graph::{AggregateScratch, VertexId};
-use gve_prim::atomics::AtomicF64;
+use gve_graph::{AggregateHosts, AggregateScratch, VertexId};
+use gve_prim::atomics::{f64_bits_mut, plain_u32_mut, AtomicF64};
 use gve_prim::workspace::resize_exact;
 use gve_prim::{AtomicBitset, CommunityMap, PerThread};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -114,11 +124,12 @@ pub(crate) type Decision = Option<(VertexId, f64)>;
 pub struct PassWorkspace {
     /// Vertex capacity every vertex-indexed buffer is sized for.
     pub(crate) cap_vertices: usize,
-    /// Async-path community assignment (atomic; also re-staged with
-    /// dense ids for aggregation).
+    /// Async-path community assignment (atomic); hosts the
+    /// aggregation's member array.
     pub(crate) membership: Vec<AtomicU32>,
-    /// Async-path community penalty totals Σ' (atomic; also the CPM
-    /// size-fold accumulator).
+    /// Async-path community penalty totals Σ' (atomic); hosts the
+    /// aggregation's holey offsets, hence one slot more than the vertex
+    /// capacity, and is the CPM size-fold accumulator.
     pub(crate) sigma: Vec<AtomicF64>,
     /// Per-vertex penalty weights (weighted degrees, or CPM sizes).
     pub(crate) penalty: Vec<f64>,
@@ -130,8 +141,9 @@ pub struct PassWorkspace {
     /// the dense ranks, until the labeling step writes the next pass's
     /// labels.
     pub(crate) init_labels: Vec<VertexId>,
-    /// Remap table of the serial first-seen renumber; doubles as the
-    /// `label_of` scatter target between renumber calls.
+    /// Remap table of the serial first-seen renumber; hosts the
+    /// aggregation's cursors, and doubles as the `label_of` scatter
+    /// target between renumber calls.
     pub(crate) first_seen: Vec<AtomicU32>,
     /// CPM vertex sizes (current pass).
     pub(crate) sizes: Vec<f64>,
@@ -146,7 +158,8 @@ pub struct PassWorkspace {
     pub(crate) sync_decisions: Vec<Decision>,
     /// Pruning flags, prefix-reset per pass.
     pub(crate) unprocessed: AtomicBitset,
-    /// Fused grouped/holey aggregation scratch and its slot sets.
+    /// Fused grouped/holey aggregation scratch and its slot sets (its
+    /// per-vertex arrays are lent by [`aggregate_hosts`]).
     pub(crate) aggregate: AggregateScratch,
     /// One collision-free scan hashtable per worker, sized by the key
     /// bound of the phases that meet them.
@@ -210,6 +223,14 @@ impl ScanTables {
         // Relaxed: as in `reach`.
         self.capacity.load(Ordering::Relaxed)
     }
+
+    /// Heap bytes of the tables materialized so far.
+    fn resident_bytes(&self) -> usize {
+        let mut bytes = 0;
+        self.tables
+            .for_each(|table| bytes += table.resident_bytes());
+        bytes
+    }
 }
 
 impl Default for PassWorkspace {
@@ -264,7 +285,9 @@ impl PassWorkspace {
         if self.cap_vertices < vertices {
             let n = vertices;
             resize_exact(&mut self.membership, n, || AtomicU32::new(0));
-            resize_exact(&mut self.sigma, n, || AtomicF64::new(0.0));
+            // One slot more than the phases use: it hosts the holey
+            // offsets' end when an aggregation keeps every vertex.
+            resize_exact(&mut self.sigma, n + 1, || AtomicF64::new(0.0));
             resize_exact(&mut self.penalty, n, || 0.0);
             resize_exact(&mut self.bounds, n, || 0);
             resize_exact(&mut self.init_labels, n, || 0);
@@ -306,6 +329,54 @@ impl PassWorkspace {
     /// workspace.
     pub fn sync_capacity(&self) -> usize {
         self.plain_membership.len()
+    }
+
+    /// Heap bytes the workspace holds: the capacity times the element
+    /// size of every buffer, the aggregation scratch with its spare slot
+    /// sets, and the scan tables materialized so far. Leaves out only
+    /// bookkeeping of a few hundred bytes (the per-worker table slots
+    /// and the shared capacity cell).
+    pub fn resident_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.membership)
+            + bytes(&self.sigma)
+            + bytes(&self.penalty)
+            + bytes(&self.bounds)
+            + bytes(&self.init_labels)
+            + bytes(&self.first_seen)
+            + bytes(&self.sizes)
+            + bytes(&self.sizes_next)
+            + bytes(&self.plain_membership)
+            + bytes(&self.plain_sigma)
+            + bytes(&self.sync_decisions)
+            + self.unprocessed.resident_bytes()
+            + self.aggregate.resident_bytes()
+            + self.tables.resident_bytes()
+    }
+}
+
+/// The aggregation's hosts ([`AggregateHosts`]): workspace buffers that
+/// are dead while a pass aggregates.
+///
+/// * `first_seen` hosts the cursors: the renumber is done with it, and
+///   the `label_of` scatter has yet to start;
+/// * `membership` hosts the members: the aggregation reads the dense ids
+///   from `init_labels`, and the next pass start rewrites it;
+/// * `sigma`, through its bit patterns, hosts the holey offsets: the
+///   phases are done with it, and the CPM size fold or the next pass
+///   start rewrites it. It has one slot more than the vertex capacity,
+///   as an aggregation of `k` communities needs `k + 1`.
+pub(crate) fn aggregate_hosts<'a>(
+    first_seen: &'a mut [AtomicU32],
+    membership: &'a mut [AtomicU32],
+    sigma: &'a mut [AtomicF64],
+) -> AggregateHosts<'a> {
+    AggregateHosts {
+        cursors: first_seen,
+        members: plain_u32_mut(membership),
+        holey_offsets: f64_bits_mut(sigma),
     }
 }
 
@@ -390,7 +461,7 @@ mod tests {
         // Growing request: capacity follows.
         ws.ensure(200, 800);
         assert_eq!(ws.capacity(), 200);
-        assert_eq!(ws.sigma.len(), 200);
+        assert_eq!(ws.sigma.len(), 201);
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! an allocation-counting global allocator.
 //!
 //! `PassWorkspace::with_capacity(n, m)` must allocate at most
-//! `52.2·n + 8·m` bytes plus a constant. The per-vertex figure is the sum
+//! `36.2·n + 8·m` bytes plus a constant. The per-vertex figure is the sum
 //! of the buffers the default asynchronous pass loop needs (see the
-//! table in DESIGN.md §10); the per-arc figure is the first holey slot
-//! set's targets and weights. A buffer added to `ensure` must raise
-//! this budget in the same diff.
+//! table in DESIGN.md §10): `membership` 4, `sigma` 8, `penalty` 8,
+//! `bounds` 4, `init_labels` 4, `first_seen` 4, the aggregation's member
+//! offsets 4 and the pruning bitset's bit. The aggregation's cursors,
+//! members and holey offsets add nothing: they live in `first_seen`,
+//! `membership` and `sigma` while those are dead. The per-arc figure is
+//! the first holey slot set's targets and weights. A buffer added to
+//! `ensure` must raise this budget in the same diff.
 //!
 //! A warm workspace may hold, beyond that budget, only what the runs
 //! add lazily: the per-thread scan tables (8 B per key of the largest
@@ -14,11 +18,17 @@
 //! above the hub threshold, else the first aggregation's community
 //! count), the supergraph offsets that come back with each retired
 //! slot set, and, once a run aggregates twice, a second slot set sized
-//! exactly for the first supergraph's arcs.
+//! exactly for the first supergraph's arcs. CPM runs add the vertex
+//! size double buffer, color-synchronous runs their plain state, and a
+//! pool of more than three workers the count rows of its fourth worker
+//! on.
+//!
+//! `PassWorkspace::resident_bytes` reports what a workspace holds; it
+//! must agree with the allocator to within `CONSTANT_BYTES`.
 
 use gve_graph::{CsrGraph, GraphBuilder};
 use gve_leiden::{
-    Leiden, LeidenConfig, LeidenResult, PassStats, PassWorkspace, Scheduling,
+    Leiden, LeidenConfig, LeidenResult, Objective, PassStats, PassWorkspace, Scheduling,
     SMALL_DEGREE_THRESHOLD,
 };
 use gve_prim::alloc_count::{self, CountingAllocator};
@@ -29,9 +39,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// The allocator counters are process-global; serialize the tests.
 static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Bytes per vertex the default arena may hold (52 B of buffers plus
+/// Bytes per vertex the default arena may hold (36 B of buffers plus
 /// the pruning bitset's bit).
-const BYTES_PER_VERTEX: f64 = 52.2;
+const BYTES_PER_VERTEX: f64 = 36.2;
 /// Bytes per arc: the holey slot targets and f32 weight bits.
 const BYTES_PER_ARC: f64 = 8.0;
 /// Size-independent overhead (the shared table-capacity cell and
@@ -67,6 +77,67 @@ fn with_capacity_stays_within_the_budget() {
             budget(n, m)
         );
     }
+}
+
+/// `resident_bytes` agrees with the allocator, within `CONSTANT_BYTES`:
+/// for a presized workspace, and for one that runs have warmed (scan
+/// tables, spare slot sets), then grown with CPM and color-synchronous
+/// state.
+#[test]
+fn resident_bytes_match_the_allocator() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // Counted minus reported bytes; harness noise only adds to the
+    // count, so the least of three is the workspace's own.
+    let assert_close = |what: &str, mut excess: Box<dyn FnMut() -> i64>| {
+        let excess = (0..3).map(|_| excess()).min().unwrap();
+        assert!(
+            excess.unsigned_abs() as f64 <= CONSTANT_BYTES,
+            "{what}: the allocator counts {excess} B more than resident_bytes reports"
+        );
+    };
+    for (n, m) in [(1_000, 4_000), (100_000, 210_000)] {
+        assert_close(
+            "with_capacity",
+            Box::new(move || {
+                let before = alloc_count::snapshot().current;
+                let ws = PassWorkspace::with_capacity(n, m);
+                let held = alloc_count::snapshot().current - before;
+                held as i64 - ws.resident_bytes() as i64
+            }),
+        );
+    }
+
+    let graph = gve_generate::rmat::Rmat::web(12, 8.0).seed(5).generate();
+    let warm_graph = graph.clone();
+    assert_close(
+        "warm",
+        Box::new(move || {
+            let warm = warm_footprint(&warm_graph);
+            warm.held as i64 - warm.resident_bytes as i64
+        }),
+    );
+
+    assert_close(
+        "cpm and sync",
+        Box::new(move || {
+            let before = alloc_count::snapshot().current;
+            let mut ws = PassWorkspace::new();
+            let config = LeidenConfig::default();
+            let cpm = config
+                .clone()
+                .objective(Objective::Cpm { resolution: 0.01 });
+            let runs = [
+                Leiden::new(config.clone()).run_in(&graph, &mut ws),
+                Leiden::new(cpm).run_in(&graph, &mut ws),
+                Leiden::new(config.scheduling(Scheduling::ColorSynchronous))
+                    .run_in(&graph, &mut ws),
+            ];
+            let held = alloc_count::snapshot().current - before;
+            let results: u64 = runs.iter().map(result_bytes).sum();
+            assert!(ws.sync_capacity() > 0);
+            (held - results) as i64 - ws.resident_bytes() as i64
+        }),
+    );
 }
 
 #[test]
@@ -135,6 +206,8 @@ struct Warm {
     runs: Vec<LeidenResult>,
     left: u64,
     table_capacity: usize,
+    /// What the workspace reports holding after the warm runs.
+    resident_bytes: usize,
 }
 
 /// Warms a fresh workspace with a 1-thread and a 2-thread run, as the
@@ -159,6 +232,7 @@ fn warm_footprint(graph: &CsrGraph) -> Warm {
     ];
     let held =
         alloc_count::snapshot().current - before - warm.iter().map(result_bytes).sum::<u64>();
+    let resident_bytes = ws.resident_bytes();
 
     let before_third = alloc_count::snapshot().current;
     let third = single.install(|| leiden.run_in(graph, &mut ws));
@@ -169,6 +243,7 @@ fn warm_footprint(graph: &CsrGraph) -> Warm {
         runs: warm,
         left,
         table_capacity: ws.table_capacity(),
+        resident_bytes,
     }
 }
 

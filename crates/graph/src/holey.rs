@@ -11,13 +11,17 @@
 //!    gap-containing ("holey") slot arrays as they are discovered.
 //!    Avoiding an exact counting pass is the optimization.
 //!
-//! [`AggregateScratch`] holds both in one grow-only arena. Its holey
-//! slot arrays become the super-vertex [`CsrGraph`] itself: the holes
-//! are squeezed out in place, and a retired graph's buffers come back
-//! as the slot arrays of a later pass.
+//! [`AggregateScratch`] holds both in one grow-only arena, apart from
+//! three vertex-sized arrays it borrows per epoch ([`AggregateHosts`])
+//! from buffers its caller has finished with. Its holey slot arrays
+//! become the super-vertex [`CsrGraph`] itself: the holes are squeezed
+//! out in place, and a retired graph's buffers come back as the slot
+//! arrays of a later pass.
 
 use crate::{CsrGraph, EdgeWeight, VertexId};
-use gve_prim::atomics::{atomic_into_plain, plain_into_atomic};
+use gve_prim::atomics::{
+    atomic_into_plain, plain_into_atomic, plain_u32_mut, plain_u32_pairs_mut, plain_u64_mut,
+};
 use gve_prim::parfor::{static_blocks, static_for, static_for_mut, workers};
 use gve_prim::scan::{exclusive_scan_in_place, parallel_exclusive_scan};
 use gve_prim::workspace::resize_exact;
@@ -84,39 +88,17 @@ impl GroupedCsr {
     }
 }
 
-/// Plain view of exclusively borrowed atomics, for the in-place prefix
-/// sum (the slice form of `AtomicU64::get_mut`).
-fn plain_mut(atomics: &mut [AtomicU64]) -> &mut [u64] {
-    // SAFETY: `AtomicU64` has the same size and bit validity as `u64`
-    // and at least its alignment, and the exclusive borrow rules out any
-    // atomic access while the view lives.
-    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u64>(), atomics.len()) }
-}
-
 /// Rows of the per-block count matrix that [`AggregateScratch::prepare`]
-/// borrows from its own idle buffers instead of `block_cursors`.
+/// borrows from the epoch's hosts instead of `block_cursors`.
 const BORROWED_ROWS: usize = 3;
-
-/// `u64` atomics viewed as twice as many plain `u32`s.
-fn plain_u32_pairs_mut(atomics: &mut [AtomicU64]) -> &mut [u32] {
-    // SAFETY: as in `plain_mut`; a `u64`'s bytes are two `u32`s, and the
-    // alignment of `AtomicU64` covers that of `u32`.
-    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u32>(), 2 * atomics.len()) }
-}
-
-/// [`plain_mut`] for `u32` counters.
-fn plain_u32_mut(atomics: &mut [AtomicU32]) -> &mut [u32] {
-    // SAFETY: as in `plain_mut`, for `AtomicU32` and `u32`.
-    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u32>(), atomics.len()) }
-}
 
 /// Most spare slot sets [`AggregateScratch`] keeps. The pass loop needs
 /// two: the one backing the graph a pass reads and the one its
 /// supergraph is written into.
 const MAX_SPARE_SETS: usize = 2;
 
-/// One set of holey slot buffers: the arc slots [`AggregateScratch::write_row`]
-/// fills and the offsets [`AggregateScratch::squeeze`] writes the
+/// One set of holey slot buffers: the arc slots [`AggregateEpoch::write_row`]
+/// fills and the offsets [`AggregateEpoch::squeeze`] writes the
 /// dense rows' starts into. After the squeeze the same three buffers
 /// are a [`CsrGraph`]; [`AggregateScratch::recycle`] turns a retired
 /// graph back into a set.
@@ -133,6 +115,32 @@ impl SlotSet {
     fn capacity(&self) -> usize {
         self.targets.capacity().min(self.weights.capacity())
     }
+
+    /// Heap bytes the set's three buffers hold.
+    fn resident_bytes(&self) -> usize {
+        8 * self.offsets.capacity() + 4 * (self.targets.capacity() + self.weights.capacity())
+    }
+}
+
+/// The per-vertex buffers one aggregation epoch borrows from its caller.
+///
+/// The aggregation needs three vertex-sized scratch arrays only while it
+/// runs, so it owns none: the pass loop lends buffers of its arena that
+/// are dead for the whole epoch (the renumber table, `Σ'` and the
+/// atomic membership). Stale contents are fine; every slot is written
+/// before it is read.
+#[derive(Debug)]
+pub struct AggregateHosts<'a> {
+    /// At least `num_groups` slots: block 0's per-group member count,
+    /// then its scatter cursor, then (reset once the scatter has ended)
+    /// the super-vertex's holey arc fill count.
+    pub cursors: &'a mut [AtomicU32],
+    /// At least `keys.len()` slots: the member array of the grouped CSR.
+    pub members: &'a mut [VertexId],
+    /// At least `num_groups + 1` slots: the count rows of key blocks 1
+    /// and 2 (two `u32` per slot), then each group's total degree,
+    /// prefix-summed in place into the holey super-CSR offsets.
+    pub holey_offsets: &'a mut [AtomicU64],
 }
 
 /// Pass-resident scratch fusing [`GroupedCsr`] and the holey
@@ -144,17 +152,17 @@ impl SlotSet {
 ///   counts turn into per-block cursors, so every group lists its
 ///   members in ascending order at any thread count and the supergraph
 ///   is a function of the membership alone. The count rows of the first
-///   three blocks live in the member cursors and the holey offsets,
-///   which are idle until the scatter ends; only a fourth worker and
-///   beyond add `u32` rows to the arena;
+///   three blocks live in the borrowed cursors and holey offsets
+///   ([`AggregateHosts`]), which are idle until the scatter ends; only
+///   a fourth worker and beyond add `u32` rows to the arena;
 /// * each community's total degree (the holey capacity overestimate) is
 ///   summed over its member list and prefix-summed in place into the
 ///   holey offsets, and the member cursors turn into the arc fill
 ///   counts, so neither needs a buffer of its own;
-/// * every offsets/cursor array is reused across passes — pass `k`
-///   views a shrinking prefix of the same memory;
+/// * the scratch itself owns only the member offsets, the spilled count
+///   rows and the slot sets; pass `k` views a shrinking prefix of each;
 /// * the holey slot arrays *are* the supergraph:
-///   [`AggregateScratch::squeeze`] compacts the holes out in place and
+///   [`AggregateEpoch::squeeze`] compacts the holes out in place and
 ///   hands the buffers to the returned [`CsrGraph`], and
 ///   [`AggregateScratch::recycle`] takes a retired graph's buffers back
 ///   as a spare slot set. The pass loop ping-pongs between two sets:
@@ -162,17 +170,14 @@ impl SlotSet {
 ///   and one sized exactly for the first supergraph's arcs, created
 ///   only when a run aggregates twice.
 ///
-/// Protocol per pass: [`AggregateScratch::prepare`], then one
-/// [`AggregateScratch::write_row`] per super-vertex (rows in parallel),
-/// guided by
-/// [`AggregateScratch::members`] / [`AggregateScratch::capacity`],
-/// then [`AggregateScratch::squeeze`].
+/// Protocol per pass: [`AggregateScratch::prepare`] lends the hosts and
+/// returns an [`AggregateEpoch`]; one [`AggregateEpoch::write_row`] per
+/// super-vertex (rows in parallel), guided by
+/// [`AggregateEpoch::members`] / [`AggregateEpoch::capacity`]; then
+/// [`AggregateEpoch::squeeze`] consumes the epoch. The borrows enforce
+/// the order.
 #[derive(Debug, Default)]
 pub struct AggregateScratch {
-    /// Block 0's per-community member count, then its member scatter
-    /// cursor, then (reset once the scatter has ended) the
-    /// super-vertex's holey arc fill count.
-    cursors: Vec<AtomicU32>,
     /// Member counts, then scatter cursors, of key blocks `3..T` of a
     /// `T`-worker `prepare`: block `b`'s row is
     /// `[(b - 3) * num_groups, (b - 2) * num_groups)`.
@@ -181,20 +186,25 @@ pub struct AggregateScratch {
     /// 32 bits suffice: they index the member array, whose length is
     /// the vertex count of the graph being aggregated.
     group_offsets: Vec<u32>,
-    /// Member array of the grouped CSR (`keys.len()` live slots).
-    members: Vec<VertexId>,
-    /// Count rows of key blocks 1 and 2 during `prepare`'s member
-    /// grouping, then per-community total degree (the capacity
-    /// overestimate), prefix-summed in place into the holey super-CSR
-    /// offsets (`num_groups + 1` live slots).
-    holey_offsets: Vec<AtomicU64>,
     /// The slot set the current epoch fills.
     slots: SlotSet,
     /// Slot sets backing no live graph, waiting for a later epoch (an
     /// entry with no capacity is absent).
     spare: [SlotSet; MAX_SPARE_SETS],
-    /// Communities in the current `prepare` epoch.
-    num_groups: usize,
+}
+
+/// One aggregation epoch: the grouped CSR and the holey super-CSR laid
+/// out by [`AggregateScratch::prepare`] over the borrowed hosts, ready
+/// for the rows to be written.
+#[derive(Debug)]
+pub struct AggregateEpoch<'a> {
+    /// Per-super-vertex arc fill counts, 0 until a row is written.
+    fills: &'a [AtomicU32],
+    members: &'a [VertexId],
+    group_offsets: &'a [u32],
+    /// Holey super-CSR offsets (`num_groups + 1`).
+    holey_offsets: &'a [u64],
+    slots: &'a mut SlotSet,
 }
 
 impl AggregateScratch {
@@ -203,37 +213,28 @@ impl AggregateScratch {
         Self::default()
     }
 
-    /// Number of groups in the current epoch.
-    #[inline]
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
-    }
-
-    /// Pre-grows every buffer for up to `num_groups` groups and
-    /// `total_arcs` holey slots, so subsequent [`Self::prepare`] /
-    /// [`Self::squeeze`] epochs on inputs within those bounds allocate
-    /// nothing. Grow-only and exact; contents are untouched (each epoch
+    /// Pre-grows the member offsets for up to `num_groups` groups and a
+    /// spare slot set for `total_arcs` holey slots, so subsequent epochs
+    /// on inputs within those bounds allocate nothing (at up to three
+    /// workers). Grow-only and exact; contents are untouched (each epoch
     /// reinitializes the prefixes it uses).
     pub fn reserve(&mut self, num_groups: usize, total_arcs: usize) {
-        self.reserve_groups(num_groups, num_groups);
+        if self.group_offsets.len() < num_groups + 1 {
+            resize_exact(&mut self.group_offsets, num_groups + 1, || 0);
+        }
         self.park_slots();
         self.fit_spare(total_arcs);
     }
 
-    /// Grows the per-group buffers for `num_groups` groups and the
-    /// member array for `num_keys` elements, each to exactly that size.
-    fn reserve_groups(&mut self, num_groups: usize, num_keys: usize) {
-        let g = num_groups;
-        if self.cursors.len() < g {
-            resize_exact(&mut self.cursors, g, || AtomicU32::new(0));
-        }
-        if self.group_offsets.len() < g + 1 {
-            resize_exact(&mut self.group_offsets, g + 1, || 0);
-            resize_exact(&mut self.holey_offsets, g + 1, || AtomicU64::new(0));
-        }
-        if self.members.len() < num_keys {
-            resize_exact(&mut self.members, num_keys, || 0);
-        }
+    /// Heap bytes the scratch holds: its own buffers and every slot set.
+    pub fn resident_bytes(&self) -> usize {
+        4 * (self.group_offsets.capacity() + self.block_cursors.capacity())
+            + self.slots.resident_bytes()
+            + self
+                .spare
+                .iter()
+                .map(SlotSet::resident_bytes)
+                .sum::<usize>()
     }
 
     /// Returns the current epoch's slot set, if it was never squeezed,
@@ -279,21 +280,38 @@ impl AggregateScratch {
     /// each group's members in ascending order, sums `degree_of` over
     /// each group's members into its capacity, then lays out the holey
     /// super-CSR over those capacities in the smallest spare slot set
-    /// that holds them. Reuses all prior storage; allocates only when
-    /// the input outgrows every spare set, or a pool of more than three
-    /// workers first meets this many groups.
-    pub fn prepare(
-        &mut self,
+    /// that holds them. The grouping and the layout live in `hosts`.
+    /// Reuses all prior storage; allocates only when the input outgrows
+    /// every spare set or the member offsets, or a pool of more than
+    /// three workers first meets this many groups.
+    ///
+    /// # Panics
+    /// Panics when a host is shorter than [`AggregateHosts`] requires.
+    pub fn prepare<'a>(
+        &'a mut self,
+        hosts: AggregateHosts<'a>,
         keys: &[VertexId],
         num_groups: usize,
         degree_of: impl Fn(usize) -> u64 + Sync,
-    ) {
-        self.num_groups = num_groups;
+    ) -> AggregateEpoch<'a> {
         let g = num_groups;
         let len = keys.len();
+        let AggregateHosts {
+            cursors,
+            members,
+            holey_offsets,
+        } = hosts;
+        assert!(
+            cursors.len() >= g && members.len() >= len && holey_offsets.len() > g,
+            "aggregation hosts too short for {g} groups of {len} keys"
+        );
+        let (cursors, members) = (&mut cursors[..g], &mut members[..len]);
+        let holey_offsets = &mut holey_offsets[..g + 1];
         // Grow-only capacity; stale values are overwritten below before
         // any read.
-        self.reserve_groups(g, len);
+        if self.group_offsets.len() < g + 1 {
+            resize_exact(&mut self.group_offsets, g + 1, || 0);
+        }
         let blocks = workers();
         let spilled = blocks.saturating_sub(BORROWED_ROWS) * g;
         if self.block_cursors.len() < spilled {
@@ -302,10 +320,10 @@ impl AggregateScratch {
 
         {
             // Row `b` of the per-block count matrix. The first three rows
-            // borrow buffers that are idle until the scatter ends: the
+            // borrow hosts that are idle until the scatter ends: the
             // cursors, and the holey offsets as two `u32` per group.
-            let first = SharedSlice::new(plain_u32_mut(&mut self.cursors[..g]));
-            let second_third = SharedSlice::new(plain_u32_pairs_mut(&mut self.holey_offsets[..g]));
+            let first = SharedSlice::new(plain_u32_mut(&mut *cursors));
+            let second_third = SharedSlice::new(plain_u32_pairs_mut(&mut holey_offsets[..g]));
             let rest = SharedSlice::new(&mut self.block_cursors[..spilled]);
             // The loops below take row `b` whole only in the body that
             // owns key block `b` (count, scatter), or touch only column
@@ -361,7 +379,7 @@ impl AggregateScratch {
 
             // Scatter: each block walks its keys in order and writes them
             // at its own cursors, so every group's members ascend.
-            let out = SharedSlice::new(&mut self.members[..len]);
+            let out = SharedSlice::new(&mut *members);
             static_blocks(len, |b, range| {
                 let (rows, base) = row(b);
                 // SAFETY: block `b` alone touches row `b` in this loop.
@@ -381,20 +399,21 @@ impl AggregateScratch {
         // each super-vertex's row length, 0 until its row is written.
         // Relaxed stores: bulk reinitialization; the end of the loop
         // publishes them.
-        let cursors = &self.cursors[..g];
-        static_for(g, |c| cursors[c].store(0, Ordering::Relaxed));
+        let fills: &[AtomicU32] = cursors;
+        static_for(g, |c| fills[c].store(0, Ordering::Relaxed));
 
         // Holey offsets: each group's capacity (its members' total
         // degree), prefix-summed in place.
+        let members: &[VertexId] = members;
+        let holey_offsets = plain_u64_mut(holey_offsets);
         let total_cap = {
-            let (members, groups) = (&self.members[..len], &self.group_offsets[..g + 1]);
-            let offsets = plain_mut(&mut self.holey_offsets[..g + 1]);
-            static_for_mut(&mut offsets[..g], |c, capacity| {
+            let groups = &self.group_offsets[..g + 1];
+            static_for_mut(&mut holey_offsets[..g], |c, capacity| {
                 let range = groups[c] as usize..groups[c + 1] as usize;
                 *capacity = members[range].iter().map(|&i| degree_of(i as usize)).sum();
             });
-            let total = parallel_exclusive_scan(&mut offsets[..g]);
-            offsets[g] = total;
+            let total = parallel_exclusive_scan(&mut holey_offsets[..g]);
+            holey_offsets[g] = total;
             total as usize
         };
         // Slots are written before being read (gated by the fill
@@ -406,32 +425,59 @@ impl AggregateScratch {
         set.targets.resize_with(total_cap, || AtomicU32::new(0));
         set.weights.resize_with(total_cap, || AtomicU32::new(0));
         self.slots = set;
+        AggregateEpoch {
+            fills,
+            members,
+            group_offsets: &self.group_offsets[..g + 1],
+            holey_offsets,
+            slots: &mut self.slots,
+        }
     }
 
-    /// Members of group `g` in the current epoch.
+    /// Takes a retired graph's buffers back as a spare slot set for a
+    /// later epoch. Keeps at most `MAX_SPARE_SETS`; beyond that the
+    /// smallest set is dropped.
+    pub fn recycle(&mut self, graph: CsrGraph) {
+        let (offsets, targets, weights) = graph.into_raw();
+        self.stash(SlotSet {
+            offsets,
+            targets: plain_into_atomic(targets),
+            weights: plain_into_atomic(weights),
+        });
+    }
+
+    /// Arc capacities of the spare slot sets, ascending (test hook).
+    pub fn spare_capacities(&self) -> Vec<usize> {
+        let mut capacities: Vec<usize> = self
+            .spare
+            .iter()
+            .map(SlotSet::capacity)
+            .filter(|&c| c > 0)
+            .collect();
+        capacities.sort_unstable();
+        capacities
+    }
+}
+
+impl AggregateEpoch<'_> {
+    /// Number of groups (super-vertices) in the epoch.
+    #[inline]
+    pub fn num_groups(&self) -> usize {
+        self.fills.len()
+    }
+
+    /// Members of group `g`, in ascending order.
     #[inline]
     pub fn members(&self, g: VertexId) -> &[VertexId] {
         let g = g as usize;
-        debug_assert!(g < self.num_groups);
         &self.members[self.group_offsets[g] as usize..self.group_offsets[g + 1] as usize]
     }
 
     /// Capacity overestimate (total member degree) of super-vertex `c`.
     #[inline]
     pub fn capacity(&self, c: VertexId) -> u64 {
-        let (lo, hi) = self.holey_range(c as usize);
-        hi - lo
-    }
-
-    /// Holey slot range `[lo, hi)` of super-vertex `u`.
-    #[inline]
-    fn holey_range(&self, u: usize) -> (u64, u64) {
-        // Relaxed: the offsets were written under `&mut self` in
-        // `prepare`; every reader runs after that.
-        (
-            self.holey_offsets[u].load(Ordering::Relaxed),
-            self.holey_offsets[u + 1].load(Ordering::Relaxed),
-        )
+        let c = c as usize;
+        self.holey_offsets[c + 1] - self.holey_offsets[c]
     }
 
     /// Writes super-vertex `u`'s row — its arcs in iteration order — into
@@ -442,7 +488,7 @@ impl AggregateScratch {
     /// range lookup, plain payload stores and one fill-count store, and
     /// no slot is claimed arc by arc. Concurrent calls for distinct rows
     /// are fine; the end of the filling loop publishes every row to
-    /// [`AggregateScratch::squeeze`].
+    /// [`AggregateEpoch::squeeze`].
     ///
     /// Returns the row's length (the super-vertex's degree) and its
     /// weighted degree: its weights widened to `f64` and summed in row
@@ -459,8 +505,10 @@ impl AggregateScratch {
         arcs: impl IntoIterator<Item = (VertexId, EdgeWeight)>,
     ) -> (usize, f64) {
         let u = u as usize;
-        let (lo, hi) = self.holey_range(u);
-        let (lo, hi) = (lo as usize, hi as usize);
+        let (lo, hi) = (
+            self.holey_offsets[u] as usize,
+            self.holey_offsets[u + 1] as usize,
+        );
         let slots = self.slots.targets[lo..hi]
             .iter()
             .zip(&self.slots.weights[lo..hi]);
@@ -486,14 +534,14 @@ impl AggregateScratch {
             hi - lo
         );
         // Relaxed: published with the payloads at the loop's join.
-        self.cursors[u].store(fill, Ordering::Relaxed);
+        self.fills[u].store(fill, Ordering::Relaxed);
         (fill as usize, weighted_degree)
     }
 
     /// Squeezes the holes out of the slot arrays **in place** and hands
     /// the same buffers to the returned [`CsrGraph`]: no second buffer
     /// and no copy beyond moving rows down. Rows keep their arc order
-    /// and weight bits.
+    /// and weight bits. Consumes the epoch: the hosts are free again.
     ///
     /// Row `u`'s dense start sums the fill counts before it and its
     /// holey start sums the capacities before it; fill never exceeds
@@ -512,17 +560,17 @@ impl AggregateScratch {
     ///    overwrites a run that has yet to move.
     ///
     /// At one thread step 1 moves every row straight to its dense place.
-    pub fn squeeze(&mut self) -> CsrGraph {
-        let g = self.num_groups;
+    pub fn squeeze(self) -> CsrGraph {
+        let g = self.num_groups();
         let SlotSet {
             mut offsets,
             targets,
             weights,
-        } = std::mem::take(&mut self.slots);
+        } = std::mem::take(self.slots);
         offsets.clear();
         offsets.reserve_exact(g + 1);
         offsets.resize(g + 1, 0);
-        let fills = &self.cursors[..g];
+        let fills = self.fills;
         // Relaxed: read-back of the fill counts after the filling loop.
         static_for_mut(&mut offsets[..g], |u, o| {
             *o = u64::from(fills[u].load(Ordering::Relaxed))
@@ -532,9 +580,7 @@ impl AggregateScratch {
 
         let mut targets: Vec<VertexId> = atomic_into_plain(targets);
         let mut weights: Vec<EdgeWeight> = atomic_into_plain(weights);
-        // Relaxed: the holey offsets were written under `&mut self` in
-        // `prepare`.
-        let holey = |u: usize| self.holey_offsets[u].load(Ordering::Relaxed) as usize;
+        let holey = |u: usize| self.holey_offsets[u] as usize;
         let runs: Vec<(usize, usize, usize)> = {
             let (all_targets, all_weights) = (
                 SharedSlice::new(&mut targets),
@@ -571,30 +617,6 @@ impl AggregateScratch {
         // Trusted: targets are dense ids < g written by `write_row`,
         // offsets are a prefix sum over the fill counts.
         CsrGraph::from_raw_trusted(offsets, targets, weights)
-    }
-
-    /// Takes a retired graph's buffers back as a spare slot set for a
-    /// later epoch. Keeps at most `MAX_SPARE_SETS`; beyond that the
-    /// smallest set is dropped.
-    pub fn recycle(&mut self, graph: CsrGraph) {
-        let (offsets, targets, weights) = graph.into_raw();
-        self.stash(SlotSet {
-            offsets,
-            targets: plain_into_atomic(targets),
-            weights: plain_into_atomic(weights),
-        });
-    }
-
-    /// Arc capacities of the spare slot sets, ascending (test hook).
-    pub fn spare_capacities(&self) -> Vec<usize> {
-        let mut capacities: Vec<usize> = self
-            .spare
-            .iter()
-            .map(SlotSet::capacity)
-            .filter(|&c| c > 0)
-            .collect();
-        capacities.sort_unstable();
-        capacities
     }
 }
 
@@ -633,35 +655,64 @@ mod tests {
         assert_eq!(g.num_members(), 0);
     }
 
+    /// Host buffers an epoch borrows, as the pass loop lends them.
+    struct Hosts {
+        cursors: Vec<AtomicU32>,
+        members: Vec<VertexId>,
+        holey_offsets: Vec<AtomicU64>,
+    }
+
+    impl Hosts {
+        /// Hosts for up to `groups` groups of `keys` keys, every slot
+        /// holding `junk` (as a dirty arena's would).
+        fn filled(groups: usize, keys: usize, junk: u64) -> Self {
+            Self {
+                cursors: (0..groups).map(|_| AtomicU32::new(junk as u32)).collect(),
+                members: vec![junk as u32; keys],
+                holey_offsets: (0..=groups).map(|_| AtomicU64::new(junk)).collect(),
+            }
+        }
+
+        fn new(groups: usize, keys: usize) -> Self {
+            Self::filled(groups, keys, 0)
+        }
+
+        fn lend(&mut self) -> AggregateHosts<'_> {
+            AggregateHosts {
+                cursors: &mut self.cursors,
+                members: &mut self.members,
+                holey_offsets: &mut self.holey_offsets,
+            }
+        }
+    }
+
     /// One epoch in which group `c`'s row holds, per member `v`, the arc
     /// `c → v % num_groups` with weight `slot + 1`, returning the
     /// supergraph and the rows a naive per-row build gives.
     fn epoch(
         scratch: &mut AggregateScratch,
+        hosts: &mut Hosts,
         keys: &[VertexId],
         num_groups: usize,
         degrees: &[u64],
     ) -> (CsrGraph, Vec<Vec<(VertexId, u32)>>) {
-        scratch.prepare(keys, num_groups, |v| degrees[v]);
+        let epoch = scratch.prepare(hosts.lend(), keys, num_groups, |v| degrees[v]);
+        assert_eq!(epoch.num_groups(), num_groups);
         let mut rows = vec![Vec::new(); num_groups];
         let mut written = Vec::with_capacity(num_groups);
         for c in 0..num_groups as u32 {
-            let expected: u64 = scratch
-                .members(c)
-                .iter()
-                .map(|&v| degrees[v as usize])
-                .sum();
-            assert_eq!(scratch.capacity(c), expected, "fused capacity of {c}");
-            let row: Vec<(VertexId, EdgeWeight)> = scratch
+            let expected: u64 = epoch.members(c).iter().map(|&v| degrees[v as usize]).sum();
+            assert_eq!(epoch.capacity(c), expected, "fused capacity of {c}");
+            let row: Vec<(VertexId, EdgeWeight)> = epoch
                 .members(c)
                 .iter()
                 .enumerate()
                 .map(|(slot, &v)| (v % num_groups as u32, slot as f32 + 1.0))
                 .collect();
-            written.push(scratch.write_row(c, row.iter().copied()));
+            written.push(epoch.write_row(c, row.iter().copied()));
             rows[c as usize] = row.iter().map(|&(d, w)| (d, w.to_bits())).collect();
         }
-        let graph = scratch.squeeze();
+        let graph = epoch.squeeze();
         for (c, &(len, weighted)) in written.iter().enumerate() {
             let c = c as VertexId;
             assert_eq!(len, graph.degree(c), "row {c} length");
@@ -703,17 +754,19 @@ mod tests {
                 .build()
                 .unwrap();
             let mut scratch = AggregateScratch::new();
+            let mut hosts = Hosts::new(700, n as usize);
             // Twice: the second epoch reuses the first one's buffers.
             for _ in 0..2 {
-                pool.install(|| scratch.prepare(&keys, 700, |v| degrees[v]));
+                let epoch =
+                    pool.install(|| scratch.prepare(hosts.lend(), &keys, 700, |v| degrees[v]));
                 for c in 0..700u32 {
-                    assert_eq!(scratch.members(c), expected.members(c), "{threads} threads");
+                    assert_eq!(epoch.members(c), expected.members(c), "{threads} threads");
                     let capacity: u64 = expected
                         .members(c)
                         .iter()
                         .map(|&v| degrees[v as usize])
                         .sum();
-                    assert_eq!(scratch.capacity(c), capacity);
+                    assert_eq!(epoch.capacity(c), capacity);
                 }
             }
         }
@@ -722,6 +775,7 @@ mod tests {
     #[test]
     fn squeeze_compacts_in_place_across_epochs() {
         let mut scratch = AggregateScratch::new();
+        let mut hosts = Hosts::new(53, 900);
         // Shrinking epochs, as in the pass loop, with one growth in
         // between to exercise the grow path too.
         let epochs: Vec<(Vec<u32>, usize)> = vec![
@@ -740,11 +794,50 @@ mod tests {
             for (keys, num_groups) in &epochs {
                 let degrees: Vec<u64> = (0..keys.len() as u64).map(|i| 1 + i % 5).collect();
                 let (graph, rows) =
-                    pool.install(|| epoch(&mut scratch, keys, *num_groups, &degrees));
+                    pool.install(|| epoch(&mut scratch, &mut hosts, keys, *num_groups, &degrees));
                 assert_rows(&graph, &rows);
                 scratch.recycle(graph);
             }
         }
+    }
+
+    /// Hosts full of another pass's leftovers squeeze to the same graph,
+    /// bit for bit, as fresh zeroed ones, at every thread count.
+    #[test]
+    fn dirty_hosts_squeeze_to_the_fresh_hosts_graph() {
+        let keys: Vec<u32> = (0..800u32).map(|i| (i * 31 + i / 7) % 97).collect();
+        let degrees: Vec<u64> = (0..800u64).map(|i| 1 + i % 6).collect();
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let build = |hosts: &mut Hosts| {
+                let mut scratch = AggregateScratch::new();
+                let (graph, rows) =
+                    pool.install(|| epoch(&mut scratch, hosts, &keys, 97, &degrees));
+                assert_rows(&graph, &rows);
+                let (offsets, targets, weights) = graph.into_raw();
+                let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+                (offsets, targets, bits)
+            };
+            // Hosts longer than the epoch, too: the suffix stays dirty.
+            let fresh = build(&mut Hosts::new(97, 800));
+            assert_eq!(build(&mut Hosts::filled(120, 900, u64::MAX)), fresh);
+            assert_eq!(
+                build(&mut Hosts::filled(97, 800, 0x7FF8_DEAD_BEEF_0105)),
+                fresh
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hosts too short")]
+    fn short_hosts_panic() {
+        let mut scratch = AggregateScratch::new();
+        let mut hosts = Hosts::new(2, 3);
+        // Three groups need three cursors and four holey offsets.
+        scratch.prepare(hosts.lend(), &[0, 1, 2], 3, |_| 1);
     }
 
     #[test]
@@ -753,7 +846,8 @@ mod tests {
         scratch.reserve(4, 100);
         assert_eq!(scratch.spare_capacities(), vec![100]);
         let keys = [0, 1, 1, 3];
-        let (graph, rows) = epoch(&mut scratch, &keys, 4, &[10, 20, 30, 40]);
+        let mut hosts = Hosts::new(4, 4);
+        let (graph, rows) = epoch(&mut scratch, &mut hosts, &keys, 4, &[10, 20, 30, 40]);
         assert_rows(&graph, &rows);
         assert!(scratch.spare_capacities().is_empty());
         let (_, targets, weights) = graph.into_raw();
@@ -764,13 +858,14 @@ mod tests {
     fn ping_pong_keeps_two_sets_and_allocates_exactly() {
         let mut scratch = AggregateScratch::new();
         scratch.reserve(8, 64);
+        let mut hosts = Hosts::new(8, 8);
         let keys: Vec<u32> = (0..8).collect();
         // Pass 0 fills the reserved set; pass 1, with pass 0's graph
         // still live, gets a new set of exactly its 24 slots.
-        let (g0, _) = epoch(&mut scratch, &keys, 8, &[8; 8]);
-        let (g1, _) = epoch(&mut scratch, &keys[..6], 6, &[4; 6]);
+        let (g0, _) = epoch(&mut scratch, &mut hosts, &keys, 8, &[8; 8]);
+        let (g1, _) = epoch(&mut scratch, &mut hosts, &keys[..6], 6, &[4; 6]);
         scratch.recycle(g0);
-        let (g2, _) = epoch(&mut scratch, &keys[..3], 3, &[2; 3]);
+        let (g2, _) = epoch(&mut scratch, &mut hosts, &keys[..3], 3, &[2; 3]);
         scratch.recycle(g1);
         scratch.recycle(g2);
         assert_eq!(scratch.spare_capacities(), vec![24, 64]);
@@ -782,19 +877,37 @@ mod tests {
     #[test]
     fn unsqueezed_epoch_returns_its_set() {
         let mut scratch = AggregateScratch::new();
-        scratch.prepare(&[0, 0], 1, |_| 5);
-        scratch.prepare(&[0], 1, |_| 3);
-        let (graph, rows) = epoch(&mut scratch, &[0, 0], 1, &[1, 1]);
+        let mut hosts = Hosts::new(1, 2);
+        scratch.prepare(hosts.lend(), &[0, 0], 1, |_| 5);
+        scratch.prepare(hosts.lend(), &[0], 1, |_| 3);
+        let (graph, rows) = epoch(&mut scratch, &mut hosts, &[0, 0], 1, &[1, 1]);
         assert_rows(&graph, &rows);
         assert!(scratch.spare_capacities().is_empty());
+    }
+
+    /// What the scratch reports resident is what its buffers hold.
+    #[test]
+    fn resident_bytes_count_every_buffer() {
+        let mut scratch = AggregateScratch::new();
+        assert_eq!(scratch.resident_bytes(), 0);
+        scratch.reserve(10, 100);
+        assert_eq!(scratch.resident_bytes(), 4 * 11 + 8 * 100);
+        let mut hosts = Hosts::new(10, 10);
+        let keys: Vec<u32> = (0..10).collect();
+        let (graph, _) = epoch(&mut scratch, &mut hosts, &keys, 10, &[3; 10]);
+        // The slot set left with the graph; its offsets come back too.
+        assert_eq!(scratch.resident_bytes(), 4 * 11);
+        scratch.recycle(graph);
+        assert_eq!(scratch.resident_bytes(), 4 * 11 + 8 * 100 + 8 * 11);
     }
 
     #[test]
     #[should_panic(expected = "capacity exceeded")]
     fn aggregate_scratch_overflow_panics() {
         let mut scratch = AggregateScratch::new();
-        scratch.prepare(&[0], 1, |_| 1);
-        scratch.write_row(0, [(0, 1.0), (0, 1.0)]);
+        let mut hosts = Hosts::new(1, 1);
+        let epoch = scratch.prepare(hosts.lend(), &[0], 1, |_| 1);
+        epoch.write_row(0, [(0, 1.0), (0, 1.0)]);
     }
 
     /// A row written to exactly its capacity, an empty row, and a
@@ -802,11 +915,12 @@ mod tests {
     #[test]
     fn row_writes_fill_to_capacity_and_replace() {
         let mut scratch = AggregateScratch::new();
-        scratch.prepare(&[0, 1, 2], 3, |_| 2);
-        scratch.write_row(0, [(1, 1.0), (2, 2.0)]);
-        scratch.write_row(2, [(0, 4.0), (1, 5.0)]);
-        scratch.write_row(2, [(1, 6.0)]);
-        let graph = scratch.squeeze();
+        let mut hosts = Hosts::new(3, 3);
+        let epoch = scratch.prepare(hosts.lend(), &[0, 1, 2], 3, |_| 2);
+        epoch.write_row(0, [(1, 1.0), (2, 2.0)]);
+        epoch.write_row(2, [(0, 4.0), (1, 5.0)]);
+        epoch.write_row(2, [(1, 6.0)]);
+        let graph = epoch.squeeze();
         assert_rows(
             &graph,
             &[
@@ -823,11 +937,12 @@ mod tests {
         let (n, per) = (100u32, 50u32);
         let keys: Vec<u32> = (0..n).collect();
         let mut scratch = AggregateScratch::new();
-        scratch.prepare(&keys, n as usize, |_| per as u64 + 3);
+        let mut hosts = Hosts::new(n as usize, n as usize);
+        let epoch = scratch.prepare(hosts.lend(), &keys, n as usize, |_| per as u64 + 3);
         static_for(n as usize, |u| {
-            scratch.write_row(u as u32, (0..per).rev().map(|v| (v, 1.0)));
+            epoch.write_row(u as u32, (0..per).rev().map(|v| (v, 1.0)));
         });
-        let graph = scratch.squeeze();
+        let graph = epoch.squeeze();
         assert_eq!(graph.num_arcs(), (n * per) as usize);
         for u in 0..n {
             let mut nb = graph.neighbors(u).to_vec();

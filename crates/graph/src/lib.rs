@@ -8,8 +8,9 @@
 //! * [`CsrGraph`] — immutable weighted compressed-sparse-row graph, the
 //!   working representation for every algorithm crate;
 //! * [`holey::AggregateScratch`] — the aggregation arena: over-allocated
-//!   ("holey") CSR slots claimed atomically by concurrent writers, then
-//!   squeezed in place into the super-vertex graph;
+//!   ("holey") CSR slots whose rows concurrent writers fill, then
+//!   squeezed in place into the super-vertex graph, over vertex-sized
+//!   scratch borrowed per epoch ([`holey::AggregateHosts`]);
 //! * [`holey::GroupedCsr`] — exact-size CSR mapping group id → members
 //!   (the community-vertices structure `G'_{C'}` of Algorithm 4);
 //! * [`builder::GraphBuilder`] — edge-list ingestion with symmetrization,
@@ -31,7 +32,7 @@ pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use holey::{AggregateScratch, GroupedCsr};
+pub use holey::{AggregateEpoch, AggregateHosts, AggregateScratch, GroupedCsr};
 
 /// Vertex identifier. The paper uses 32-bit ids (§5.1.2).
 pub type VertexId = u32;

@@ -1,6 +1,6 @@
 //! Property-based tests of the graph substrate.
 
-use gve_graph::holey::{AggregateScratch, GroupedCsr};
+use gve_graph::holey::{AggregateHosts, AggregateScratch, GroupedCsr};
 use gve_graph::{io, CsrGraph, GraphBuilder};
 use gve_prim::parfor::static_for;
 use proptest::prelude::*;
@@ -99,11 +99,13 @@ proptest! {
     /// live for one epoch as in the pass loop, and foreign graphs
     /// smaller than, equal to or larger than the next epoch needs. Each
     /// epoch fills the smallest spare set that holds it, or one grown to
-    /// exactly its size.
+    /// exactly its size. The borrowed hosts are reused too, so every
+    /// epoch after the first starts on the last one's leftovers.
     #[test]
     fn squeeze_matches_naive_rows_across_epochs(epochs in arb_epochs()) {
         let mut scratch = AggregateScratch::new();
         let mut live: Option<CsrGraph> = None;
+        let (mut cursors, mut members, mut holey_offsets) = (Vec::new(), Vec::new(), Vec::new());
         for Epoch { num_groups, elements, foreign } in epochs {
             let keys: Vec<u32> = elements.iter().map(|e| e.key).collect();
             let need: usize = elements.iter().map(|e| e.degree as usize).sum();
@@ -113,7 +115,15 @@ proptest! {
             }
             let fitting = scratch.spare_capacities().into_iter().find(|&c| c >= need);
 
-            scratch.prepare(&keys, num_groups, |i| elements[i].degree as u64);
+            cursors.resize_with(cursors.len().max(num_groups), Default::default);
+            members.resize(members.len().max(keys.len()), 0);
+            holey_offsets.resize_with(holey_offsets.len().max(num_groups + 1), Default::default);
+            let hosts = AggregateHosts {
+                cursors: &mut cursors,
+                members: &mut members,
+                holey_offsets: &mut holey_offsets,
+            };
+            let epoch = scratch.prepare(hosts, &keys, num_groups, |i| elements[i].degree as u64);
             let mut rows: Vec<Vec<(u32, f32)>> = vec![Vec::new(); num_groups];
             for (i, e) in elements.iter().enumerate() {
                 for j in 0..e.emit {
@@ -127,9 +137,9 @@ proptest! {
             let written: Vec<std::sync::Mutex<(usize, f64)>> =
                 (0..num_groups).map(|_| std::sync::Mutex::new((0, 0.0))).collect();
             static_for(num_groups, |u| {
-                *written[u].lock().unwrap() = scratch.write_row(u as u32, rows[u].iter().copied());
+                *written[u].lock().unwrap() = epoch.write_row(u as u32, rows[u].iter().copied());
             });
-            let graph = scratch.squeeze();
+            let graph = epoch.squeeze();
             // Each row's length and weighted degree come back from its
             // write, bit-identical to what the squeezed graph reports.
             for (u, cell) in written.iter().enumerate() {

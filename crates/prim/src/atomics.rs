@@ -9,7 +9,10 @@
 //! [`atomic_into_plain`] and [`plain_into_atomic`] move a
 //! `Vec<AtomicU32>`'s allocation to and from a `Vec<u32>`/`Vec<f32>`
 //! without copying, so buffers filled concurrently can be handed on as
-//! plain data.
+//! plain data. The slice recasts beside them ([`plain_u64_mut`],
+//! [`plain_u32_mut`], [`plain_u32_pairs_mut`], [`f64_bits_mut`]) view
+//! exclusively borrowed atomics as another type, so one buffer can host
+//! a guest of a different type while its own data is dead.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -20,7 +23,11 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// what the paper calls the *asynchronous* variant), so no cross-variable
 /// ordering is required. Operations that need stronger guarantees (the
 /// refinement phase's isolation CAS) take an explicit ordering.
+///
+/// Transparent over its [`AtomicU64`], so [`f64_bits_mut`] can lend a
+/// `Σ'` buffer out as bit-pattern atomics.
 #[derive(Debug, Default)]
+#[repr(transparent)]
 pub struct AtomicF64(AtomicU64);
 
 impl AtomicF64 {
@@ -157,6 +164,43 @@ pub fn plain_into_atomic<T: Bits32>(plain: Vec<T>) -> Vec<AtomicU32> {
     unsafe { recast_vec(plain) }
 }
 
+/// Plain view of exclusively borrowed `u64` atomics: the slice form of
+/// [`AtomicU64::get_mut`].
+pub fn plain_u64_mut(atomics: &mut [AtomicU64]) -> &mut [u64] {
+    // SAFETY: `AtomicU64` has the size and bit validity of `u64` and at
+    // least its alignment, and the exclusive borrow rules out any atomic
+    // access while the view lives.
+    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u64>(), atomics.len()) }
+}
+
+/// Plain view of exclusively borrowed `u32` atomics: the slice form of
+/// [`AtomicU32::get_mut`].
+pub fn plain_u32_mut(atomics: &mut [AtomicU32]) -> &mut [u32] {
+    // SAFETY: `AtomicU32` has the size and bit validity of `u32` and at
+    // least its alignment, and the exclusive borrow rules out any atomic
+    // access while the view lives.
+    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u32>(), atomics.len()) }
+}
+
+/// Exclusively borrowed `u64` atomics viewed as twice as many plain
+/// `u32`s (in memory order).
+pub fn plain_u32_pairs_mut(atomics: &mut [AtomicU64]) -> &mut [u32] {
+    // SAFETY: every `u64` bit pattern is two valid `u32`s, the alignment
+    // of `AtomicU64` covers that of `u32`, the view spans the same bytes,
+    // and the exclusive borrow rules out any atomic access while it lives.
+    unsafe { std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<u32>(), 2 * atomics.len()) }
+}
+
+/// Exclusively borrowed [`AtomicF64`]s viewed as the [`AtomicU64`]s of
+/// their bit patterns, so an idle `Σ'` buffer can host `u64` data.
+pub fn f64_bits_mut(atomics: &mut [AtomicF64]) -> &mut [AtomicU64] {
+    // SAFETY: `AtomicF64` is `#[repr(transparent)]` over `AtomicU64`, and
+    // the exclusive borrow hands the view the only access to the slots.
+    unsafe {
+        std::slice::from_raw_parts_mut(atomics.as_mut_ptr().cast::<AtomicU64>(), atomics.len())
+    }
+}
+
 /// Reinterprets a vector's allocation as elements of another type.
 ///
 /// # Safety
@@ -283,6 +327,54 @@ mod tests {
         assert_eq!(atomics.capacity(), 5);
         let plain: Vec<u32> = atomic_into_plain(atomics);
         assert_eq!(plain.capacity(), 5);
+    }
+
+    #[test]
+    fn plain_u64_view_writes_through() {
+        let mut atomics: Vec<AtomicU64> = (0..3).map(AtomicU64::new).collect();
+        plain_u64_mut(&mut atomics)[1] = u64::MAX;
+        // Relaxed: single-threaded test read-back.
+        assert_eq!(atomics[1].load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(plain_u64_mut(&mut atomics), &[0, u64::MAX, 2]);
+    }
+
+    #[test]
+    fn plain_u32_view_writes_through() {
+        let mut atomics: Vec<AtomicU32> = (0..3).map(AtomicU32::new).collect();
+        plain_u32_mut(&mut atomics[1..])[0] = 7;
+        // Relaxed: single-threaded test read-back.
+        assert_eq!(atomics[1].load(Ordering::Relaxed), 7);
+        assert_eq!(plain_u32_mut(&mut atomics), &[0, 7, 2]);
+    }
+
+    #[test]
+    fn plain_u32_pairs_view_spans_both_halves() {
+        let mut atomics: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(0)).collect();
+        let halves = plain_u32_pairs_mut(&mut atomics);
+        assert_eq!(halves.len(), 4);
+        halves.copy_from_slice(&[1, 2, 3, 4]);
+        // Relaxed: single-threaded test read-back.
+        let words: Vec<u64> = atomics.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+        let expected = |lo: u32, hi: u32| {
+            let mut bytes = [0u8; 8];
+            bytes[..4].copy_from_slice(&lo.to_ne_bytes());
+            bytes[4..].copy_from_slice(&hi.to_ne_bytes());
+            u64::from_ne_bytes(bytes)
+        };
+        assert_eq!(words, vec![expected(1, 2), expected(3, 4)]);
+    }
+
+    #[test]
+    fn f64_bits_view_hosts_u64_data_and_back() {
+        let mut sigma = atomic_f64_vec(3, 1.5);
+        let bits = f64_bits_mut(&mut sigma);
+        assert_eq!(bits.len(), 3);
+        // Relaxed: single-threaded test stores and read-backs.
+        assert_eq!(bits[0].load(Ordering::Relaxed), 1.5f64.to_bits());
+        bits[2].store(42, Ordering::Relaxed);
+        plain_u64_mut(bits)[1] = (-0.25f64).to_bits();
+        assert_eq!(sigma[1].load(), -0.25);
+        assert_eq!(sigma[2].load().to_bits(), 42);
     }
 
     #[test]

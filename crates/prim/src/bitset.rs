@@ -38,6 +38,11 @@ impl AtomicBitset {
         set
     }
 
+    /// Heap bytes the set holds.
+    pub fn resident_bytes(&self) -> usize {
+        8 * self.words.capacity()
+    }
+
     /// Number of bits in the set.
     #[inline]
     pub fn len(&self) -> usize {

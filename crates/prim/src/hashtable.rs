@@ -61,6 +61,11 @@ impl CommunityMap {
         self.values.len()
     }
 
+    /// Heap bytes the map holds: its slots and its key list.
+    pub fn resident_bytes(&self) -> usize {
+        8 * self.values.capacity() + 4 * self.keys.capacity()
+    }
+
     /// Number of live keys.
     #[inline]
     pub fn len(&self) -> usize {

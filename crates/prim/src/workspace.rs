@@ -10,7 +10,7 @@
 //! the headers never false-share (the bulk of each scratch object lives in
 //! its own heap allocations anyway).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Resizes `v` to `len` like [`Vec::resize_with`], except that growth
 /// allocates exactly `len` elements: `resize_with` alone may round the
@@ -104,6 +104,24 @@ impl<T: Send> PerThread<T> {
         }
     }
 
+    /// Shared sweep over every value materialized so far. Waits for any
+    /// worker that holds a slot to release it. A value whose worker
+    /// panicked is still visited: callers only read it, and a pooled
+    /// workspace is measured on its way back even while a panic unwinds,
+    /// where a second panic would abort.
+    pub fn for_each(&self, mut f: impl FnMut(&T)) {
+        for slot in &self.slots {
+            let guard = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(value) = guard.as_ref() {
+                f(value);
+            }
+        }
+        let overflow = self.overflow.lock().unwrap_or_else(PoisonError::into_inner);
+        for value in overflow.iter() {
+            f(value);
+        }
+    }
+
     /// Consumes the pool and returns every value that was materialized.
     pub fn into_values(self) -> Vec<T> {
         let mut values: Vec<T> = self
@@ -177,6 +195,29 @@ mod tests {
         let mut values = pool.into_values();
         values.sort_unstable();
         assert_eq!(values, vec![1, 10]);
+    }
+
+    #[test]
+    fn for_each_visits_slot_and_overflow_values() {
+        let pool = PerThread::with_capacity(2, || 0u32);
+        let mut seen = Vec::new();
+        pool.for_each(|&v| seen.push(v));
+        assert!(seen.is_empty(), "nothing materialized yet");
+        pool.with(|outer| {
+            *outer = 1;
+            pool.with(|inner| *inner = 10);
+        });
+        pool.for_each(|&v| seen.push(v));
+        seen.sort_unstable();
+        assert_eq!(seen, vec![1, 10]);
+        // A worker that panicked leaves its value readable.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with(|_| panic!("worker failed"));
+        }));
+        assert!(caught.is_err());
+        let mut count = 0;
+        pool.for_each(|_| count += 1);
+        assert_eq!(count, 2);
     }
 
     #[test]

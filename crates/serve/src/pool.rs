@@ -26,6 +26,9 @@ pub struct WorkspacePool {
     pub created: Counter,
     /// Workspaces currently parked in the free list.
     pub idle: Gauge,
+    /// Heap bytes the parked workspaces hold
+    /// ([`PassWorkspace::resident_bytes`] summed over the free list).
+    pub resident_bytes: Gauge,
 }
 
 impl WorkspacePool {
@@ -38,7 +41,12 @@ impl WorkspacePool {
     /// The guard returns it to the pool on drop.
     pub fn checkout(self: &Arc<Self>) -> PooledWorkspace {
         self.checkouts.inc();
-        let reused = self.free.lock().expect("workspace pool poisoned").pop();
+        let reused = {
+            let mut free = self.free.lock().expect("workspace pool poisoned");
+            let reused = free.pop();
+            self.publish_resident(&free);
+            reused
+        };
         if reused.is_some() {
             self.idle.dec();
         }
@@ -55,6 +63,12 @@ impl WorkspacePool {
     /// Number of workspaces currently parked.
     pub fn idle_len(&self) -> usize {
         self.free.lock().expect("workspace pool poisoned").len()
+    }
+
+    /// Sets the resident gauge to what the parked workspaces `free` hold.
+    fn publish_resident(&self, free: &[PassWorkspace]) {
+        let bytes: usize = free.iter().map(PassWorkspace::resident_bytes).sum();
+        self.resident_bytes.set(bytes as f64);
     }
 
     /// Registers the pool's counters with `registry`.
@@ -76,6 +90,12 @@ impl WorkspacePool {
             "Workspaces currently parked in the free list.",
             &[],
             &self.idle,
+        );
+        registry.register_gauge(
+            "gve_workspace_resident_bytes",
+            "Heap bytes held by the workspaces parked in the free list.",
+            &[],
+            &self.resident_bytes,
         );
     }
 }
@@ -104,11 +124,10 @@ impl DerefMut for PooledWorkspace {
 impl Drop for PooledWorkspace {
     fn drop(&mut self) {
         if let Some(workspace) = self.workspace.take() {
-            self.pool
-                .free
-                .lock()
-                .expect("workspace pool poisoned")
-                .push(workspace);
+            let mut free = self.pool.free.lock().expect("workspace pool poisoned");
+            free.push(workspace);
+            self.pool.publish_resident(&free);
+            drop(free);
             self.pool.idle.inc();
         }
     }
@@ -163,5 +182,23 @@ mod tests {
         assert!(text.contains("gve_workspace_checkouts_total 1"), "{text}");
         assert!(text.contains("gve_workspace_created_total 1"), "{text}");
         assert!(text.contains("gve_workspace_idle 0"), "{text}");
+        assert!(text.contains("gve_workspace_resident_bytes 0"), "{text}");
+    }
+
+    #[test]
+    fn resident_gauge_sums_the_parked_workspaces() {
+        let pool = Arc::new(WorkspacePool::new());
+        let (mut a, mut b) = (pool.checkout(), pool.checkout());
+        a.ensure(100, 400);
+        b.ensure(50, 100);
+        let (bytes_a, bytes_b) = (a.resident_bytes(), b.resident_bytes());
+        drop(a);
+        assert_eq!(pool.resident_bytes.get(), bytes_a as f64);
+        drop(b);
+        assert_eq!(pool.resident_bytes.get(), (bytes_a + bytes_b) as f64);
+        // A checkout takes the last parked workspace out of the sum.
+        let again = pool.checkout();
+        assert_eq!(again.resident_bytes(), bytes_b);
+        assert_eq!(pool.resident_bytes.get(), bytes_a as f64);
     }
 }

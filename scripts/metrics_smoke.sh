@@ -78,6 +78,10 @@ grep -q '^gve_leiden_runs_total 1$' <<<"$METRICS" ||
 grep -q '^gve_workspace_checkouts_total 1$' <<<"$METRICS" ||
   { echo "FAIL: expected one unlabeled workspace checkout"; echo "$METRICS"; exit 1; }
 
+# The detect's workspace is parked again, holding its arena.
+grep -Eq '^gve_workspace_resident_bytes [1-9][0-9]*$' <<<"$METRICS" ||
+  { echo "FAIL: expected a nonzero parked workspace footprint"; echo "$METRICS"; exit 1; }
+
 # Histogram buckets must be cumulative: within one series (same family
 # and labels apart from le), counts never decrease and end at +Inf.
 awk '
