@@ -11,8 +11,10 @@
 //!    become the returned graph ([`gve_graph::AggregateScratch`]).
 //!
 //! Cross-community weights are tallied in the per-thread collision-free
-//! hashtable, then flushed as super-arcs (including the `(c, c)`
-//! self-loop carrying the intra-community weight `σ_c`). The worker
+//! hashtable, or in a stack map when the community's total degree fits
+//! [`gve_prim::HASH_SCAN_CAP`], then flushed as super-arcs (including
+//! the `(c, c)` self-loop carrying the intra-community weight `σ_c`),
+//! so a graph without wide communities needs no table slots. The worker
 //! that claims a community writes its whole row at once
 //! ([`gve_graph::AggregateEpoch::write_row`]), so no arc pays a slot
 //! claim, and hands back the row's length and weighted degree: the next
@@ -61,7 +63,7 @@ pub fn aggregate(
         graph,
         membership,
         k,
-        tables,
+        |_| tables,
         small_threshold,
         &mut AggregateScratch::new(),
         hosts,
@@ -89,19 +91,24 @@ pub fn aggregate(
 /// total degree bounds the distinct neighbour communities, so a bound
 /// ≤ [`gve_prim::HASH_SCAN_CAP`] cannot overflow the map. Both maps
 /// flush in insertion order, so the tier changes no row's arc order or
-/// weight bits. `None` keeps every community on the table path. The
-/// table path's keys are the dense ids, so `tables` need only hold keys
-/// below `num_communities`.
+/// weight bits. The pass loop passes the map's capacity itself; `None`
+/// keeps every community on the table path.
+///
+/// `tables` is called once, after the capacities are known and before
+/// any row is scanned, with the key bound the table path needs: the
+/// dense ids, `num_communities`, when some community's capacity exceeds
+/// the threshold, else 0. It returns the per-thread tables, grown to
+/// hold keys below that bound.
 ///
 /// `degrees[c]` receives super-vertex `c`'s weighted degree, bit-equal
 /// to the supergraph's [`CsrGraph::weighted_degree`]; the second result
 /// is the supergraph's largest degree.
 #[allow(clippy::too_many_arguments)]
-pub fn aggregate_into(
+pub fn aggregate_into<'t>(
     graph: &CsrGraph,
     membership: &[VertexId],
     num_communities: usize,
-    tables: &PerThread<CommunityMap>,
+    tables: impl FnOnce(usize) -> &'t PerThread<CommunityMap>,
     small_threshold: Option<usize>,
     scratch: &mut AggregateScratch,
     hosts: AggregateHosts<'_>,
@@ -120,6 +127,8 @@ pub fn aggregate_into(
     // included: they carry intra weight into the super-vertex
     // self-loop.
     let small_cap = small_threshold.map(|t| t as u64);
+    let stacked = small_cap.is_some_and(|t| epoch.widest_capacity() <= t);
+    let tables = tables(if stacked { 0 } else { num_communities });
     let shared = &epoch;
     let degrees = SharedSlice::new(&mut degrees[..num_communities]);
     let max_degrees = dynamic_workers(num_communities, AGGREGATE_CHUNK, |claims| {
@@ -277,6 +286,48 @@ mod tests {
         assert!(stacked > 0, "no community took the stack tier");
     }
 
+    /// The tables are asked for the dense ids only when some
+    /// community's total degree exceeds the stack map's capacity, and
+    /// asked once; a community that fills the map exactly stays on it.
+    #[test]
+    fn tables_are_reached_only_past_the_stack_map() {
+        // Ten-cliques: each clique's total degree is 90 plus its ring
+        // arcs, so a clique is wider than the map and a half-clique fits.
+        let ring = gve_generate::ring::ring_of_cliques(12, 10);
+        // A star whose centre, alone in its community, has as many
+        // neighbour communities as the map has entries.
+        let spokes: Vec<_> = (1..=gve_prim::HASH_SCAN_CAP as u32)
+            .map(|v| (0, v, v as f32))
+            .collect();
+        let star = GraphBuilder::from_edges(spokes.len() + 1, &spokes);
+        let tables = PerThread::new(|| CommunityMap::new(65));
+        for (graph, membership, k, bound) in [
+            (&ring, gve_generate::ring::ring_labels(12, 10), 12, 12),
+            (&ring, (0..120u32).map(|v| v / 5).collect(), 24, 0),
+            (&star, (0..65u32).collect(), 65, 0),
+        ] {
+            let mut asked = Vec::new();
+            let mut ws = PassWorkspace::with_capacity(graph.num_vertices(), graph.num_arcs());
+            let mut degrees = vec![0.0; k];
+            let (sup, _) = aggregate_into(
+                graph,
+                &membership,
+                k,
+                |keys| {
+                    asked.push(keys);
+                    &tables
+                },
+                Some(gve_prim::HASH_SCAN_CAP),
+                &mut ws.aggregate,
+                aggregate_hosts(&mut ws.first_seen, &mut ws.membership, &mut ws.sigma),
+                &mut degrees,
+            );
+            assert_eq!(asked, [bound], "{k} communities");
+            let table = aggregate(graph, &membership, k, &tables, None);
+            assert_eq!(raw_bits(sup), raw_bits(table), "{k} communities");
+        }
+    }
+
     /// One membership yields one supergraph — offsets, targets and
     /// weight bits — at every thread count: `prepare` lists members in
     /// ascending order, and each community's row is built by one worker
@@ -300,8 +351,8 @@ mod tests {
                     &graph,
                     &membership,
                     613,
-                    &tables,
-                    Some(crate::SMALL_DEGREE_THRESHOLD),
+                    |_| &tables,
+                    Some(gve_prim::HASH_SCAN_CAP),
                     &mut ws.aggregate,
                     aggregate_hosts(&mut ws.first_seen, &mut ws.membership, &mut ws.sigma),
                     &mut degrees,
@@ -347,8 +398,8 @@ mod tests {
                     &graph,
                     &identity,
                     n,
-                    &tables,
-                    Some(crate::SMALL_DEGREE_THRESHOLD),
+                    |_| &tables,
+                    Some(gve_prim::HASH_SCAN_CAP),
                     &mut ws.aggregate,
                     aggregate_hosts(&mut ws.first_seen, &mut ws.membership, &mut ws.sigma),
                     &mut degrees,

@@ -19,7 +19,9 @@ use crate::objective::Objective;
 /// Degree cutoff of the scan kernel's stack tier
 /// ([`crate::kernel::best_move`]): vertices of degree ≤ this scan into a
 /// [`gve_prim::HashScanMap`], hubs into the per-thread table. The
-/// aggregation applies the same bound to a community's total degree.
+/// aggregation cuts at the map's capacity, [`gve_prim::HASH_SCAN_CAP`],
+/// instead: a community's total degree bounds its distinct neighbours,
+/// and a table would cost 8 B per community id.
 /// Kept at the previous default's value; retuning is a separate change.
 pub const SMALL_DEGREE_THRESHOLD: usize = 16;
 

@@ -743,14 +743,16 @@ impl Leiden {
                     // The aggregation reads the dense ids from the ranks
                     // and borrows its scratch from buffers that are dead
                     // until the labeling step or the next pass start.
-                    // The table path's keys are the dense ids `< k`;
-                    // each row's writer hands the next pass its K'.
+                    // Every community whose capacity fits the stack map
+                    // takes it; the tables grow to the dense ids `< k`
+                    // only when a wider one needs them. Each row's
+                    // writer hands the next pass its K'.
                     let (supergraph, max_degree) = aggregate::aggregate_into(
                         g,
                         &init_buf[..n_cur],
                         k,
-                        tables.reach(k),
-                        Some(SMALL_DEGREE_THRESHOLD),
+                        |bound| tables.reach(bound),
+                        Some(gve_prim::HASH_SCAN_CAP),
                         agg,
                         workspace::aggregate_hosts(first_seen, membership, sigma),
                         &mut penalty[..k],

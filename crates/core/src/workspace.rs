@@ -53,7 +53,10 @@
 //!   greedy refinement only when the graph has a vertex above
 //!   [`crate::SMALL_DEGREE_THRESHOLD`], `n` always for random
 //!   refinement and the color-synchronous phases, and `k` for the
-//!   hashtable aggregation, whose keys are the dense community ids.
+//!   hashtable aggregation, whose keys are the dense community ids, only
+//!   when a community's total degree exceeds [`gve_prim::HASH_SCAN_CAP`]
+//!   (a narrower one takes the stack map). A table that grows frees its
+//!   old slots first;
 //!
 //! What [`PassWorkspace::ensure`] allocates per vertex (plus 8 B per
 //! arc for the first slot set; `crates/core/tests/footprint.rs` holds
@@ -173,8 +176,11 @@ pub struct PassWorkspace {
 ///
 /// A phase that sends no scan to a table needs no slots at all: the
 /// stack tier takes every vertex of degree ≤
-/// [`crate::SMALL_DEGREE_THRESHOLD`], so on a hub-free graph only the
-/// aggregation, whose keys are the `k` dense community ids, grows them.
+/// [`crate::SMALL_DEGREE_THRESHOLD`] in local-moving and refinement,
+/// and every community of total degree ≤ [`gve_prim::HASH_SCAN_CAP`] in
+/// the aggregation. So on a hub-free graph only an aggregation with a
+/// wider community grows them, to its `k` dense community ids; on a
+/// road graph none does.
 #[derive(Debug)]
 pub(crate) struct ScanTables {
     tables: PerThread<CommunityMap>,
@@ -203,7 +209,9 @@ impl ScanTables {
     /// Grows every table, and the capacity of tables not yet
     /// materialized, to hold keys below `bound` (grow-only and exact),
     /// and returns them for the phase about to run. Called on the
-    /// caller between phases.
+    /// caller between phases, when no table holds a live entry: each
+    /// table frees its old slots before it allocates the new ones
+    /// ([`CommunityMap::ensure_capacity`]).
     pub(crate) fn reach(&mut self, bound: usize) -> &PerThread<CommunityMap> {
         // Relaxed: read and stored under `&mut self`, before any
         // parallel loop that reads it. Every loop starts with the pool's

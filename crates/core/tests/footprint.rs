@@ -15,23 +15,26 @@
 //! A warm workspace may hold, beyond that budget, only what the runs
 //! add lazily: the per-thread scan tables (8 B per key of the largest
 //! key bound a phase met: the vertex count when the input has a vertex
-//! above the hub threshold, else the first aggregation's community
-//! count), the supergraph offsets that come back with each retired
-//! slot set, and, once a run aggregates twice, a second slot set sized
-//! exactly for the first supergraph's arcs. CPM runs add the vertex
-//! size double buffer, color-synchronous runs their plain state, and a
-//! pool of more than three workers the count rows of its fourth worker
-//! on.
+//! above the hub threshold, else the community count of an aggregation
+//! with a community wider than the stack map, which is at most the
+//! first aggregation's, else nothing), the supergraph offsets that come
+//! back with each retired slot set, and, once a run aggregates twice, a
+//! second slot set sized exactly for the first supergraph's arcs. CPM
+//! runs add the vertex size double buffer, color-synchronous runs their
+//! plain state, and a pool of more than three workers the count rows of
+//! its fourth worker on. Growing the tables or a recycled set's offsets
+//! frees the old buffer first, so neither growth holds two at once.
 //!
 //! `PassWorkspace::resident_bytes` reports what a workspace holds; it
 //! must agree with the allocator to within `CONSTANT_BYTES`.
 
-use gve_graph::{CsrGraph, GraphBuilder};
+use gve_graph::{AggregateHosts, AggregateScratch, CsrGraph, GraphBuilder};
 use gve_leiden::{
     Leiden, LeidenConfig, LeidenResult, Objective, PassStats, PassWorkspace, Scheduling,
     SMALL_DEGREE_THRESHOLD,
 };
 use gve_prim::alloc_count::{self, CountingAllocator};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -258,9 +261,11 @@ fn max_degree(graph: &CsrGraph) -> usize {
         .unwrap_or(0)
 }
 
-/// The largest key bound the default phases of `warm` met: every
-/// community id of the input when it has a hub, else the dense ids of
-/// the largest first aggregation (every later graph is no larger).
+/// An upper bound on the key bound the default phases of `warm` met:
+/// every community id of the input when it has a hub, else the dense
+/// ids of the largest first aggregation (every later graph is no
+/// larger). A hub-free run reaches the tables only in an aggregation
+/// with a community wider than the stack map, so it may have met none.
 fn key_bound(graph: &CsrGraph, warm: &[LeidenResult]) -> usize {
     if max_degree(graph) > SMALL_DEGREE_THRESHOLD {
         return graph.num_vertices();
@@ -285,8 +290,8 @@ fn warm_bound(graph: &CsrGraph, warm: &[LeidenResult], second_set: bool) -> f64 
             .unwrap_or(0)
     };
     let k1 = largest(1, |s| s.vertices);
-    // A scan table is 8 B per key of the key bound plus its key list,
-    // which holds the distinct communities of one scan: at most a
+    // A scan table is at most 8 B per key of the key bound plus its key
+    // list, which holds the distinct communities of one scan: at most a
     // vertex's degree in the first pass and at most k₁ after it, in a
     // doubling vector.
     let keys = key_bound(graph, warm);
@@ -344,27 +349,141 @@ fn warm_workspace_holds_two_slot_sets_when_runs_aggregate_twice() {
     assert_warm_footprint(&graph, true);
 }
 
-/// On a graph with no vertex above the hub threshold, local-moving and
-/// refinement send every scan to the stack tier, so only the first
-/// aggregation's dense ids reach the tables: they stay well below the
-/// vertex count.
+/// Largest first-aggregation community count of the warm runs.
+fn first_communities(warm: &Warm) -> usize {
+    warm.runs
+        .iter()
+        .map(|r| r.pass_stats[0].communities)
+        .max()
+        .unwrap()
+}
+
+/// On a road grid no vertex is above the hub threshold, so local-moving
+/// and refinement send every scan to the stack tier, and no community
+/// is wider than the stack map, so the aggregation sends none to a
+/// table either: the warm workspace holds no table slots at all.
 #[test]
 fn hub_free_warm_workspace_sizes_tables_by_the_first_aggregation() {
     let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let graph = gve_generate::grid::road_grid(200, 100, 2.1, 3);
     assert!(max_degree(&graph) <= SMALL_DEGREE_THRESHOLD);
     let warm = assert_warm_footprint(&graph, true);
-    let k0 = warm
-        .runs
-        .iter()
-        .map(|r| r.pass_stats[0].communities)
-        .max()
-        .unwrap();
-    assert!(warm.table_capacity > 0, "no aggregation met a table");
+    assert_eq!(warm.table_capacity, 0, "an aggregation met a table");
+    assert!(
+        2 * first_communities(&warm) < graph.num_vertices(),
+        "the grid barely coarsened"
+    );
+}
+
+/// A hub-free graph whose first aggregation has a community wider than
+/// the stack map (a ten-clique's total degree is over 90) sends that
+/// community to a table: the tables reach that aggregation's dense ids,
+/// and no more.
+#[test]
+fn hub_free_wide_communities_size_tables_by_their_aggregation() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let graph = gve_generate::ring::ring_of_cliques(2_000, 10);
+    assert!(max_degree(&graph) <= SMALL_DEGREE_THRESHOLD);
+    let warm = assert_warm_footprint(&graph, true);
+    let k0 = first_communities(&warm);
+    assert!(warm.table_capacity >= 1, "no aggregation met a table");
     assert!(
         warm.table_capacity <= k0,
         "tables hold {} keys; the first aggregation had {k0} communities",
         warm.table_capacity
     );
-    assert!(2 * k0 < graph.num_vertices(), "the grid barely coarsened");
+}
+
+/// Growing a warm workspace's tables frees their old slots first: a
+/// run whose hubs grow the tables peaks at most the new slots above the
+/// same run on a workspace whose tables already hold its keys. Both
+/// runs stop after one pass, so the tables are all that differs.
+#[test]
+fn table_growth_raises_the_peak_by_at_most_the_new_slots() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let single = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    // Hub-free ten-cliques warm the tables to their first aggregation's
+    // 7 000 dense ids; every vertex of the 18-cliques is a hub, so their
+    // local-moving needs all 7 200 vertex ids.
+    let narrow = gve_generate::ring::ring_of_cliques(7_000, 10);
+    let hubs = gve_generate::ring::ring_of_cliques(400, 18);
+    let (n, m) = (narrow.num_vertices(), narrow.num_arcs());
+    let one_pass = Leiden::new(LeidenConfig {
+        max_passes: 1,
+        ..LeidenConfig::default()
+    });
+    // Peak rise of a one-pass run on `hubs` after `warm_up` warmed a
+    // fresh workspace, and the table capacity before it.
+    let rise = |warm_up: &CsrGraph| {
+        let mut ws = PassWorkspace::with_capacity(n, m);
+        single.install(|| Leiden::default().run_in(warm_up, &mut ws));
+        let keys = ws.table_capacity();
+        alloc_count::reset_watermarks();
+        let before = alloc_count::snapshot().current;
+        let result = single.install(|| one_pass.run_in(&hubs, &mut ws));
+        let rise = alloc_count::snapshot().peak - before;
+        assert_eq!(ws.table_capacity(), hubs.num_vertices());
+        drop(result);
+        (rise, keys)
+    };
+    let (_, warm_keys) = rise(&narrow);
+    assert!(
+        0 < warm_keys && warm_keys < hubs.num_vertices(),
+        "the warm-up left {warm_keys} keys"
+    );
+    let growing = least_of_three(|| rise(&narrow).0);
+    let grown = least_of_three(|| rise(&hubs).0);
+    let new_slots = 8.0 * (hubs.num_vertices() - warm_keys) as f64;
+    assert!(
+        growing <= grown + new_slots + CONSTANT_BYTES,
+        "growing the tables peaked {growing} B above the run's start, against \
+         {grown} B with the tables grown and {new_slots} B of new slots"
+    );
+}
+
+/// A squeeze into a slot set whose offsets are too short for the epoch's
+/// super-vertices frees the old offsets before it allocates the new
+/// ones: the peak rises by at most the growth.
+#[test]
+fn squeeze_grows_the_offsets_without_an_overlap() {
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (small, large) = (1_000, 5_000);
+    let rise = least_of_three(|| {
+        // A retired graph of `small` vertices and `large` arcs: room for
+        // every arc of the epoch below, but offsets for `small` rows.
+        let mut offsets = vec![large as u64; small + 1];
+        offsets[0] = 0;
+        let retired = CsrGraph::from_raw(offsets, vec![0; large], vec![1.0; large]);
+        let mut scratch = AggregateScratch::new();
+        scratch.recycle(retired);
+        // The identity grouping of `large` keys, one arc per row.
+        let keys: Vec<u32> = (0..large as u32).collect();
+        let mut cursors: Vec<AtomicU32> = (0..large).map(|_| AtomicU32::new(0)).collect();
+        let mut members = vec![0; large];
+        let mut holey: Vec<AtomicU64> = (0..=large).map(|_| AtomicU64::new(0)).collect();
+        let hosts = AggregateHosts {
+            cursors: &mut cursors,
+            members: &mut members,
+            holey_offsets: &mut holey,
+        };
+        let epoch = scratch.prepare(hosts, &keys, large, |_| 1);
+        for c in 0..large as u32 {
+            epoch.write_row(c, [(c, 1.0)]);
+        }
+        alloc_count::reset_watermarks();
+        let before = alloc_count::snapshot().current;
+        let supergraph = epoch.squeeze();
+        let rise = alloc_count::snapshot().peak - before;
+        assert_eq!(supergraph.num_vertices(), large);
+        assert_eq!(supergraph.num_arcs(), large);
+        rise
+    });
+    let growth = 8.0 * (large - small) as f64;
+    assert!(
+        rise <= growth + CONSTANT_BYTES,
+        "the squeeze peaked {rise} B above its start; the offsets grew by {growth} B"
+    );
 }

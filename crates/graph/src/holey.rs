@@ -22,7 +22,7 @@ use crate::{CsrGraph, EdgeWeight, VertexId};
 use gve_prim::atomics::{
     atomic_into_plain, plain_into_atomic, plain_u32_mut, plain_u32_pairs_mut, plain_u64_mut,
 };
-use gve_prim::parfor::{static_blocks, static_for, static_for_mut, workers};
+use gve_prim::parfor::{static_blocks, static_blocks_mut, static_for, static_for_mut, workers};
 use gve_prim::scan::{exclusive_scan_in_place, parallel_exclusive_scan};
 use gve_prim::workspace::resize_exact;
 use gve_prim::SharedSlice;
@@ -204,6 +204,8 @@ pub struct AggregateEpoch<'a> {
     group_offsets: &'a [u32],
     /// Holey super-CSR offsets (`num_groups + 1`).
     holey_offsets: &'a [u64],
+    /// Largest capacity of any super-vertex.
+    widest: u64,
     slots: &'a mut SlotSet,
 }
 
@@ -278,7 +280,8 @@ impl AggregateScratch {
 
     /// Groups elements `0..keys.len()` by `keys[i] ∈ 0..num_groups`,
     /// each group's members in ascending order, sums `degree_of` over
-    /// each group's members into its capacity, then lays out the holey
+    /// each group's members into its capacity (noting the widest, see
+    /// [`AggregateEpoch::widest_capacity`]), then lays out the holey
     /// super-CSR over those capacities in the smallest spare slot set
     /// that holds them. The grouping and the layout live in `hosts`.
     /// Reuses all prior storage; allocates only when the input outgrows
@@ -403,14 +406,23 @@ impl AggregateScratch {
         static_for(g, |c| fills[c].store(0, Ordering::Relaxed));
 
         // Holey offsets: each group's capacity (its members' total
-        // degree), prefix-summed in place.
+        // degree), prefix-summed in place. The sweep also finds the
+        // widest capacity.
         let members: &[VertexId] = members;
         let holey_offsets = plain_u64_mut(holey_offsets);
+        let widest = AtomicU64::new(0);
         let total_cap = {
             let groups = &self.group_offsets[..g + 1];
-            static_for_mut(&mut holey_offsets[..g], |c, capacity| {
-                let range = groups[c] as usize..groups[c + 1] as usize;
-                *capacity = members[range].iter().map(|&i| degree_of(i as usize)).sum();
+            static_blocks_mut(&mut holey_offsets[..g], |start, block| {
+                let mut block_widest = 0;
+                for (c, capacity) in (start..).zip(block) {
+                    let range = groups[c] as usize..groups[c + 1] as usize;
+                    *capacity = members[range].iter().map(|&i| degree_of(i as usize)).sum();
+                    block_widest = block_widest.max(*capacity);
+                }
+                // Relaxed: a max of plain values, read after the loop's
+                // join.
+                widest.fetch_max(block_widest, Ordering::Relaxed);
             });
             let total = parallel_exclusive_scan(&mut holey_offsets[..g]);
             holey_offsets[g] = total;
@@ -430,6 +442,7 @@ impl AggregateScratch {
             members,
             group_offsets: &self.group_offsets[..g + 1],
             holey_offsets,
+            widest: widest.into_inner(),
             slots: &mut self.slots,
         }
     }
@@ -478,6 +491,13 @@ impl AggregateEpoch<'_> {
     pub fn capacity(&self, c: VertexId) -> u64 {
         let c = c as usize;
         self.holey_offsets[c + 1] - self.holey_offsets[c]
+    }
+
+    /// Largest [`AggregateEpoch::capacity`] of any super-vertex, 0 for
+    /// an epoch without groups: it bounds the length of every row.
+    #[inline]
+    pub fn widest_capacity(&self) -> u64 {
+        self.widest
     }
 
     /// Writes super-vertex `u`'s row — its arcs in iteration order — into
@@ -567,6 +587,11 @@ impl AggregateEpoch<'_> {
             targets,
             weights,
         } = std::mem::take(self.slots);
+        // The old offsets hold nothing worth copying: when they are too
+        // short, free them before allocating, so the two never coexist.
+        if offsets.capacity() <= g {
+            offsets = Vec::new();
+        }
         offsets.clear();
         offsets.reserve_exact(g + 1);
         offsets.resize(g + 1, 0);
@@ -698,6 +723,8 @@ mod tests {
     ) -> (CsrGraph, Vec<Vec<(VertexId, u32)>>) {
         let epoch = scratch.prepare(hosts.lend(), keys, num_groups, |v| degrees[v]);
         assert_eq!(epoch.num_groups(), num_groups);
+        let widest = (0..num_groups as u32).map(|c| epoch.capacity(c)).max();
+        assert_eq!(epoch.widest_capacity(), widest.unwrap_or(0));
         let mut rows = vec![Vec::new(); num_groups];
         let mut written = Vec::with_capacity(num_groups);
         for c in 0..num_groups as u32 {

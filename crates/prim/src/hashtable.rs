@@ -78,13 +78,18 @@ impl CommunityMap {
         self.keys.is_empty()
     }
 
-    /// Grows the table to hold keys in `0..capacity`, keeping live
-    /// entries. Growth allocates exactly `capacity` slots.
+    /// Grows the table to hold keys in `0..capacity`. Growth empties
+    /// the table: it frees the old slots before it allocates exactly
+    /// `capacity` new ones, so the two never coexist, and keeps the key
+    /// list's capacity. A table that is large enough is left as it is.
     ///
     /// A Leiden run grows its tables to the largest key bound its phases
-    /// meet; later passes and runs reuse the same tables.
+    /// meet, between phases, and every scan clears its table before use;
+    /// later passes and runs reuse the same tables.
     pub fn ensure_capacity(&mut self, capacity: usize) {
         if capacity > self.values.len() {
+            self.keys.clear();
+            self.values = Vec::new();
             resize_exact(&mut self.values, capacity, || EMPTY);
         }
     }
@@ -239,19 +244,23 @@ mod tests {
     }
 
     #[test]
-    fn ensure_capacity_grows_preserving_content() {
+    fn ensure_capacity_grows_exactly_and_empties() {
         let mut m = CommunityMap::new(2);
         m.add(1, 1.5);
         m.ensure_capacity(100);
         assert_eq!(m.capacity(), 100);
+        assert_eq!(m.get(1), None, "growth empties the table");
+        m.add(99, 2.0);
+        let keys = m.keys.capacity();
         m.ensure_capacity(101);
         assert_eq!(m.values.capacity(), 101, "growth must be exact");
-        assert_eq!(m.get(1), Some(1.5));
+        assert_eq!(m.keys.capacity(), keys, "growth keeps the key list");
+        assert_all_empty(&m);
+        // A large enough table, live entries and all, is left alone.
         m.add(99, 2.0);
-        assert_eq!(m.get(99), Some(2.0));
-        // Shrinking is a no-op.
         m.ensure_capacity(10);
         assert_eq!(m.capacity(), 101);
+        assert_eq!(m.get(99), Some(2.0));
     }
 
     /// Every slot of a fresh, cleared or grown table holds the empty
@@ -273,11 +282,9 @@ mod tests {
         assert_eq!(m.keys(), &[0, 7, 15]);
         m.clear();
         assert_all_empty(&m);
-        // Growth fills only the new slots; live entries survive it.
+        // Growth leaves every slot empty, even over a live entry.
         m.add(3, 1.0);
         m.ensure_capacity(40);
-        assert_eq!(m.get(3), Some(1.0));
-        m.clear();
         assert_all_empty(&m);
         m.add(39, 2.0);
         assert_eq!(m.get(39), Some(2.0));
