@@ -3,7 +3,7 @@
 //! the order of moves, so this pins them end to end: a change of lock
 //! or queue type that reorders a single move changes a digest.
 
-use gve_baselines::nk::nk_leiden;
+use gve_baselines::{nk::nk_leiden, seq::sequential_leiden};
 use gve_graph::CsrGraph;
 
 fn membership_fnv(membership: &[u32]) -> u64 {
@@ -40,6 +40,39 @@ fn one_thread_memberships_are_pinned() {
         .map(|&(name, ..)| {
             let graph = suite_graph(name);
             let result = pool.install(|| nk_leiden(&graph));
+            let q = gve_quality::modularity(&graph, &result.membership);
+            (
+                name,
+                membership_fnv(&result.membership),
+                result.num_communities,
+                result.passes,
+                q.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got, PINNED,
+        "(dataset, membership FNV, communities, passes, Q bits)"
+    );
+}
+
+#[test]
+fn one_thread_sequential_leiden_memberships_are_pinned() {
+    // (dataset, membership FNV, communities, passes, modularity bits)
+    #[rustfmt::skip]
+    const PINNED: [(&str, u64, usize, usize, u64); 2] = [
+        ("web-indochina", 0x04649fd7b81295a5, 11, 6, 0x3fe8a6d903540723),
+        ("road-europe", 0x71955a8b119aa41e, 1391, 8, 0x3fef758343fa8cdc),
+    ];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let got: Vec<(&str, u64, usize, usize, u64)> = PINNED
+        .iter()
+        .map(|&(name, ..)| {
+            let graph = suite_graph(name);
+            let result = pool.install(|| sequential_leiden(&graph));
             let q = gve_quality::modularity(&graph, &result.membership);
             (
                 name,

@@ -7,7 +7,7 @@
 //! changes a single decision fails here.
 
 use gve_graph::CsrGraph;
-use gve_louvain::louvain;
+use gve_louvain::{louvain, seq::sequential_louvain};
 
 /// FNV-1a over a membership vector's little-endian bytes.
 fn membership_fnv(membership: &[u32]) -> u64 {
@@ -66,4 +66,45 @@ fn one_thread_louvain_digests_are_pinned() {
             "{name}: (membership FNV, passes, iterations, Q bits)"
         );
     }
+}
+
+fn suite_graph(name: &str) -> CsrGraph {
+    gve_generate::suite::suite()
+        .into_iter()
+        .find(|d| d.name == name)
+        .expect("suite dataset")
+        .generate(0.25, 42)
+}
+
+#[test]
+fn one_thread_sequential_louvain_memberships_are_pinned() {
+    // (dataset, membership FNV, communities, passes, modularity bits)
+    #[rustfmt::skip]
+    const PINNED: [(&str, u64, usize, usize, u64); 2] = [
+        ("web-indochina", 0x04649fd7b81295a5, 11, 2, 0x3fe8a6d903540723),
+        ("road-europe", 0x87c34c530d544bff, 1386, 7, 0x3fef748588e6cf4b),
+    ];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let got: Vec<(&str, u64, usize, usize, u64)> = PINNED
+        .iter()
+        .map(|&(name, ..)| {
+            let graph = suite_graph(name);
+            let result = pool.install(|| sequential_louvain(&graph, 1e-6, 10));
+            let q = gve_quality::modularity(&graph, &result.membership);
+            (
+                name,
+                membership_fnv(&result.membership),
+                result.num_communities,
+                result.passes,
+                q.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got, PINNED,
+        "(dataset, membership FNV, communities, passes, Q bits)"
+    );
 }
