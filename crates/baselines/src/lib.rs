@@ -1,4 +1,5 @@
-//! Comparator Leiden implementations.
+//! Comparator implementations: every baseline except GVE-Louvain,
+//! which runs on GVE-Leiden's own pass loop (`gve_leiden::louvain`).
 //!
 //! The paper benchmarks GVE-Leiden against four external systems. Two of
 //! them are reproduced here *in the style that makes them slow*, so the
@@ -7,23 +8,24 @@
 //! * [`seq`] — sequential Leiden in the spirit of the original
 //!   `libleidenalg` (Traag et al.): queue-driven local moving and
 //!   randomized proportional refinement, single-threaded. Plays the role
-//!   of "original Leiden" / "igraph Leiden" (both sequential).
+//!   of "original Leiden" / "igraph Leiden" (both sequential). The same
+//!   module holds textbook sequential Louvain (Blondel et al.), the
+//!   unoptimized producer of internally-disconnected communities.
 //! * [`nk`] — a parallel Leiden in the style the paper attributes to
 //!   NetworKit's implementation \[19\]: *global queue* based work
 //!   distribution with per-community *locking*, and an unoptimized
 //!   lock-guarded aggregation phase. Plays the role of "NetworKit
 //!   Leiden".
 //!
+//! Each takes only the graph; its tolerance, caps and seed are private
+//! constants.
+//!
 //! cuGraph Leiden (GPU) has no CPU-side stand-in; experiments note its
 //! absence (see DESIGN.md substitution table).
-//!
-//! [`lpa`] adds RAK label propagation — not a paper comparator but the
-//! classic quality floor every Leiden implementation must clear.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-pub mod lpa;
 pub mod nk;
 pub mod seq;
 

@@ -22,26 +22,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Configuration of the NetworKit-style baseline.
-#[derive(Debug, Clone)]
-pub struct NkLeidenConfig {
-    /// Cap on local-moving rounds per pass.
-    pub max_rounds: usize,
-    /// Cap on passes.
-    pub max_passes: usize,
-    /// Seed for the randomized refinement.
-    pub seed: u64,
-}
-
-impl Default for NkLeidenConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 20,
-            max_passes: 10,
-            seed: 0,
-        }
-    }
-}
+/// Cap on local-moving rounds per pass.
+const MAX_ROUNDS: usize = 20;
+/// Cap on passes.
+const MAX_PASSES: usize = 10;
+/// Seed for the randomized refinement.
+const SEED: u64 = 0;
 
 /// Locks `mutex`, recovering the data if a panicking holder poisoned it:
 /// every critical section here leaves its data consistent.
@@ -75,13 +61,8 @@ impl CommunityLocks {
     }
 }
 
-/// Runs the NetworKit-style parallel Leiden with default configuration.
-pub fn nk_leiden(graph: &CsrGraph) -> BaselineResult {
-    nk_leiden_with(graph, &NkLeidenConfig::default())
-}
-
 /// Runs the NetworKit-style parallel Leiden.
-pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResult {
+pub fn nk_leiden(graph: &CsrGraph) -> BaselineResult {
     let n = graph.num_vertices();
     let mut top: Vec<VertexId> = (0..n as VertexId).collect();
     let m = graph.total_arc_weight() / 2.0;
@@ -99,7 +80,7 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
     let mut init_labels: Option<Vec<VertexId>> = None;
     let mut passes = 0;
 
-    for pass in 0..config.max_passes {
+    for pass in 0..MAX_PASSES {
         let g = current.as_ref().unwrap_or(graph);
         let n_cur = g.num_vertices();
         let weights: Vec<f64> = (0..n_cur as VertexId)
@@ -124,7 +105,7 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
         let mut frontier: Vec<VertexId> = (0..n_cur as VertexId).collect();
         let mut any_move = false;
 
-        for _round in 0..config.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             if frontier.is_empty() {
                 break;
             }
@@ -196,7 +177,7 @@ pub fn nk_leiden_with(graph: &CsrGraph, config: &NkLeidenConfig) -> BaselineResu
             // Relaxed: between-phases reset, as above.
             .for_each(|(v, c)| c.store(v as u32, Ordering::Relaxed));
         sigma.iter().zip(&weights).for_each(|(s, &k)| s.store(k));
-        let seed = config.seed ^ ((pass as u64) << 32);
+        let seed = SEED ^ ((pass as u64) << 32);
         // Every vertex gets its turn: count the moves rather than stop
         // at the first.
         let any_refine: bool = (0..n_cur as VertexId)

@@ -1,11 +1,18 @@
-//! Sequential Leiden in the style of the original `libleidenalg`.
+//! Sequential comparators: Leiden in the style of the original
+//! `libleidenalg`, and textbook Louvain (Blondel et al. 2008).
 //!
-//! Single-threaded, queue-driven local moving (vertices re-enter the
-//! queue when a neighbour moves), randomized proportional refinement
-//! (the original paper's constrained merge), sequential aggregation,
-//! move-based aggregate partition. Deterministic for a fixed seed —
-//! which also makes it the reference implementation the parallel tests
-//! compare quality against, and the speedup denominator for Table 1.
+//! [`sequential_leiden`]: single-threaded, queue-driven local moving
+//! (vertices re-enter the queue when a neighbour moves), randomized
+//! proportional refinement (the original paper's constrained merge),
+//! sequential aggregation, move-based aggregate partition.
+//!
+//! [`sequential_louvain`]: the unoptimized single-threaded reference —
+//! plain arrays, in-order vertex sweeps, no pruning, no threshold
+//! scaling, sequential aggregation.
+//!
+//! Both are deterministic, which makes them the reference the parallel
+//! tests compare quality against, and the speedup denominator for
+//! Table 1.
 
 use crate::BaselineResult;
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
@@ -13,34 +20,19 @@ use gve_leiden::delta_modularity;
 use gve_prim::{CommunityMap, Xorshift32};
 use std::collections::VecDeque;
 
-/// Configuration of the sequential Leiden baseline.
-#[derive(Debug, Clone)]
-pub struct SeqLeidenConfig {
-    /// Convergence tolerance on a sweep's accumulated gain.
-    pub tolerance: f64,
-    /// Safety cap on passes ("run until convergence" in practice).
-    pub max_passes: usize,
-    /// RNG seed for the randomized refinement.
-    pub seed: u64,
-}
+/// Safety cap on sequential Leiden's passes ("run until convergence" in
+/// practice).
+const LEIDEN_MAX_PASSES: usize = 30;
+/// RNG seed for sequential Leiden's randomized refinement.
+const LEIDEN_SEED: u32 = 0;
+/// Sequential Louvain stops sweeping once an iteration gains no more
+/// than this.
+const LOUVAIN_TOLERANCE: f64 = 1e-6;
+/// Cap on sequential Louvain's passes.
+const LOUVAIN_MAX_PASSES: usize = 10;
 
-impl Default for SeqLeidenConfig {
-    fn default() -> Self {
-        Self {
-            tolerance: 1e-6,
-            max_passes: 30,
-            seed: 0,
-        }
-    }
-}
-
-/// Runs sequential Leiden with default configuration.
+/// Runs sequential Leiden.
 pub fn sequential_leiden(graph: &CsrGraph) -> BaselineResult {
-    sequential_leiden_with(graph, &SeqLeidenConfig::default())
-}
-
-/// Runs sequential Leiden with the given configuration.
-pub fn sequential_leiden_with(graph: &CsrGraph, config: &SeqLeidenConfig) -> BaselineResult {
     let n = graph.num_vertices();
     let mut top: Vec<VertexId> = (0..n as VertexId).collect();
     let m = graph.total_arc_weight() / 2.0;
@@ -52,12 +44,12 @@ pub fn sequential_leiden_with(graph: &CsrGraph, config: &SeqLeidenConfig) -> Bas
         };
     }
 
-    let mut rng = Xorshift32::new((config.seed as u32) ^ ((config.seed >> 32) as u32));
+    let mut rng = Xorshift32::new(LEIDEN_SEED);
     let mut current: Option<CsrGraph> = None;
     let mut init_labels: Option<Vec<VertexId>> = None;
     let mut passes = 0;
 
-    for _ in 0..config.max_passes {
+    for _ in 0..LEIDEN_MAX_PASSES {
         let g = current.as_ref().unwrap_or(graph);
         let n_cur = g.num_vertices();
         let weights: Vec<f64> = (0..n_cur as VertexId)
@@ -209,9 +201,107 @@ pub fn sequential_leiden_with(graph: &CsrGraph, config: &SeqLeidenConfig) -> Bas
     }
 }
 
+/// Runs sequential Louvain with the classic stopping rule: sweep until
+/// an iteration produces no improvement above the tolerance, aggregate,
+/// repeat until a pass changes nothing or the pass cap is hit.
+pub fn sequential_louvain(graph: &CsrGraph) -> BaselineResult {
+    let n = graph.num_vertices();
+    let mut top: Vec<VertexId> = (0..n as VertexId).collect();
+    let m = graph.total_arc_weight() / 2.0;
+    if n == 0 || m <= 0.0 {
+        return BaselineResult {
+            num_communities: n,
+            membership: top,
+            passes: 0,
+        };
+    }
+
+    let mut current: Option<CsrGraph> = None;
+    let mut passes = 0;
+    for _ in 0..LOUVAIN_MAX_PASSES {
+        let g = current.as_ref().unwrap_or(graph);
+        let n_cur = g.num_vertices();
+        let weights: Vec<f64> = (0..n_cur as VertexId)
+            .map(|u| g.weighted_degree(u))
+            .collect();
+        let mut membership: Vec<VertexId> = (0..n_cur as VertexId).collect();
+        let mut sigma = weights.clone();
+        let mut ht = CommunityMap::new(n_cur);
+
+        // Local-moving sweeps.
+        let mut iterations = 0usize;
+        loop {
+            iterations += 1;
+            let mut delta_q = 0.0;
+            for i in 0..n_cur as VertexId {
+                let current_c = membership[i as usize];
+                ht.clear();
+                for (j, w) in g.edges(i) {
+                    if j != i {
+                        ht.add(membership[j as usize], w as f64);
+                    }
+                }
+                let k_i = weights[i as usize];
+                let k_to_current = ht.weight(current_c);
+                let mut best: Option<(VertexId, f64)> = None;
+                for (d, k_to_d) in ht.iter() {
+                    if d == current_c {
+                        continue;
+                    }
+                    let gain = delta_modularity(
+                        k_to_d,
+                        k_to_current,
+                        k_i,
+                        sigma[d as usize],
+                        sigma[current_c as usize],
+                        m,
+                    );
+                    if best
+                        .map(|(bd, bg)| gain > bg || (gain == bg && d < bd))
+                        .unwrap_or(true)
+                    {
+                        best = Some((d, gain));
+                    }
+                }
+                if let Some((target, gain)) = best {
+                    if gain > 0.0 {
+                        sigma[current_c as usize] -= k_i;
+                        sigma[target as usize] += k_i;
+                        membership[i as usize] = target;
+                        delta_q += gain;
+                    }
+                }
+            }
+            if delta_q <= LOUVAIN_TOLERANCE {
+                break;
+            }
+        }
+
+        // Renumber, update the dendrogram.
+        let (dense, k) = gve_leiden::dendrogram::renumber(&membership);
+        for c in top.iter_mut() {
+            *c = dense[*c as usize];
+        }
+        passes += 1;
+        if iterations <= 1 || k == n_cur {
+            break;
+        }
+
+        // Sequential aggregation via the same collision-free map.
+        current = Some(aggregate_sequential(g, &dense, k));
+    }
+
+    let (final_membership, num_communities) = gve_leiden::dendrogram::renumber(&top);
+    BaselineResult {
+        membership: final_membership,
+        num_communities,
+        passes,
+    }
+}
+
 /// Sequentially collapses communities into super-vertices (same weight
 /// conventions as the parallel aggregation).
-pub(crate) fn aggregate_sequential(
+fn aggregate_sequential(
     graph: &CsrGraph,
     membership: &[VertexId],
     num_communities: usize,
@@ -267,14 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed() {
+    fn is_deterministic() {
         let g = gve_generate::rmat::Rmat::web(9, 4.0).seed(3).generate();
-        let config = SeqLeidenConfig {
-            seed: 7,
-            ..Default::default()
-        };
-        let a = sequential_leiden_with(&g, &config);
-        let b = sequential_leiden_with(&g, &config);
+        let a = sequential_leiden(&g);
+        let b = sequential_leiden(&g);
         assert_eq!(a.membership, b.membership);
     }
 
@@ -312,5 +398,43 @@ mod tests {
         assert_eq!(sequential_leiden(&CsrGraph::empty(0)).passes, 0);
         let r = sequential_leiden(&CsrGraph::empty(3));
         assert_eq!(r.membership, vec![0, 1, 2]);
+        assert_eq!(sequential_louvain(&CsrGraph::empty(0)).passes, 0);
+        let r = sequential_louvain(&CsrGraph::empty(4));
+        assert_eq!(r.membership, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn louvain_finds_the_triangles() {
+        let r = sequential_louvain(&two_triangles());
+        assert_eq!(r.num_communities, 2);
+        assert_eq!(r.membership[0], r.membership[1]);
+        assert_ne!(r.membership[0], r.membership[5]);
+    }
+
+    #[test]
+    fn louvain_is_deterministic() {
+        let g = gve_generate::rmat::Rmat::web(9, 4.0).seed(8).generate();
+        let a = sequential_louvain(&g);
+        let b = sequential_louvain(&g);
+        assert_eq!(a.membership, b.membership);
+    }
+
+    #[test]
+    fn louvain_quality_matches_parallel_ballpark() {
+        let g = gve_generate::sbm::PlantedPartition::new(800, 8, 12.0, 1.0)
+            .seed(2)
+            .generate()
+            .graph;
+        let q_seq = gve_quality::modularity(&g, &sequential_louvain(&g).membership);
+        let q_par = gve_quality::modularity(&g, &gve_leiden::louvain(&g).membership);
+        assert!((q_seq - q_par).abs() < 0.1, "seq {q_seq} vs par {q_par}");
+    }
+
+    #[test]
+    fn sequential_aggregation_preserves_weight() {
+        let g = two_triangles();
+        let sup = aggregate_sequential(&g, &[0, 0, 0, 1, 1, 1], 2);
+        assert_eq!(sup.num_vertices(), 2);
+        assert_eq!(sup.total_arc_weight(), g.total_arc_weight());
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based invariants of the baseline implementations: whatever
-//! the input, both must return valid partitions with bounded quality and
-//! (being Leiden variants) no internally-disconnected communities.
+//! the input, each must return a valid partition with bounded quality,
+//! and the Leiden variants no internally-disconnected communities.
 
-use gve_baselines::{nk::nk_leiden, seq::sequential_leiden};
+use gve_baselines::nk::nk_leiden;
+use gve_baselines::seq::{sequential_leiden, sequential_louvain};
 use gve_graph::{CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -43,7 +44,28 @@ proptest! {
         prop_assert_eq!(report.disconnected, 0);
     }
 
-    /// Both baselines never lose to the singleton partition.
+    /// Sequential Louvain is deterministic and monotone in quality.
+    #[test]
+    fn sequential_louvain_invariants(graph in arb_graph()) {
+        let a = sequential_louvain(&graph);
+        let b = sequential_louvain(&graph);
+        prop_assert_eq!(&a.membership, &b.membership, "nondeterministic");
+        gve_quality::validate_membership(&a.membership, graph.num_vertices()).unwrap();
+        let q = gve_quality::modularity(&graph, &a.membership);
+        let singletons: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        prop_assert!(q >= gve_quality::modularity(&graph, &singletons) - 1e-9);
+    }
+
+    /// Parallel and sequential Louvain land in the same quality band.
+    #[test]
+    fn parallel_matches_sequential_louvain_quality(graph in arb_graph()) {
+        prop_assume!(graph.num_arcs() > 0);
+        let q_par = gve_quality::modularity(&graph, &gve_leiden::louvain(&graph).membership);
+        let q_seq = gve_quality::modularity(&graph, &sequential_louvain(&graph).membership);
+        prop_assert!((q_par - q_seq).abs() < 0.15, "par {} vs seq {}", q_par, q_seq);
+    }
+
+    /// Both Leiden baselines never lose to the singleton partition.
     #[test]
     fn baselines_beat_singletons(graph in arb_graph()) {
         let singletons: Vec<u32> = (0..graph.num_vertices() as u32).collect();

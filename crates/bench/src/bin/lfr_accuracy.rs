@@ -10,7 +10,7 @@
 //! cargo run --release -p gve-bench --bin lfr_accuracy
 //! ```
 
-use gve_bench::{extended_implementations, report::Table, BenchArgs};
+use gve_bench::{implementations, report::Table, BenchArgs};
 use gve_generate::Lfr;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
 
     for &mu in &mixings {
         let lfr = Lfr::new(n, 14.0, mu).seed(args.seed).generate();
-        for imp in extended_implementations() {
+        for imp in implementations() {
             let membership = (imp.run)(&lfr.graph);
             let nmi = gve_quality::normalized_mutual_information(&membership, &lfr.labels);
             let ari = gve_quality::adjusted_rand_index(&membership, &lfr.labels);

@@ -29,4 +29,4 @@ pub mod runner;
 pub use args::BenchArgs;
 pub use chart::BarChart;
 pub use report::Table;
-pub use runner::{extended_implementations, implementations, measure, Implementation, Measured};
+pub use runner::{implementations, measure, Implementation, Measured};

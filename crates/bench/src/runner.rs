@@ -27,8 +27,8 @@ pub struct Implementation {
 ///   sequential Louvain in the matrix as the disconnected-communities
 ///   producer
 /// * *NetworKit Leiden* → `nk-leiden` (global queues + locks)
-/// * plus the paper's own substrate `gve-louvain` and the contribution
-///   `gve-leiden`.
+/// * plus the paper's own substrate `gve-louvain` (`gve_leiden::louvain`)
+///   and the contribution `gve-leiden`.
 pub fn implementations() -> Vec<Implementation> {
     vec![
         Implementation {
@@ -39,7 +39,7 @@ pub fn implementations() -> Vec<Implementation> {
         Implementation {
             name: "seq-louvain",
             parallel: false,
-            run: Box::new(|g| gve_louvain::seq::sequential_louvain(g, 1e-6, 10).membership),
+            run: Box::new(|g| gve_baselines::seq::sequential_louvain(g).membership),
         },
         Implementation {
             name: "nk-leiden",
@@ -49,7 +49,7 @@ pub fn implementations() -> Vec<Implementation> {
         Implementation {
             name: "gve-louvain",
             parallel: true,
-            run: Box::new(|g| gve_louvain::louvain(g).membership),
+            run: Box::new(|g| gve_leiden::louvain(g).membership),
         },
         Implementation {
             name: "gve-leiden",
@@ -57,21 +57,6 @@ pub fn implementations() -> Vec<Implementation> {
             run: Box::new(|g| gve_leiden::leiden(g).membership),
         },
     ]
-}
-
-/// The paper's five implementations plus RAK label propagation — the
-/// cheap quality floor, used by the extension experiments.
-pub fn extended_implementations() -> Vec<Implementation> {
-    let mut imps = implementations();
-    imps.insert(
-        0,
-        Implementation {
-            name: "lpa-rak",
-            parallel: true,
-            run: Box::new(|g| gve_baselines::lpa::label_propagation(g).membership),
-        },
-    );
-    imps
 }
 
 /// One measured run: averaged wall time plus quality metrics.

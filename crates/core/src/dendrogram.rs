@@ -94,6 +94,14 @@ mod tests {
     }
 
     #[test]
+    fn renumber_is_idempotent_on_dense_input() {
+        let input = vec![0, 1, 2, 1, 0];
+        let (out, k) = renumber(&input);
+        assert_eq!(out, input);
+        assert_eq!(k, 3);
+    }
+
+    #[test]
     fn renumber_empty() {
         let (out, k) = renumber(&[]);
         assert!(out.is_empty());

@@ -71,7 +71,7 @@ pub use config::{
 pub use localmove::MoveOutcome;
 pub use math::delta_modularity;
 pub use objective::{GainCoeffs, Objective};
-pub use obs::{CoreMetrics, RunObserver};
+pub use obs::CoreMetrics;
 pub use timing::{PassStats, PhaseTimings};
 pub use workspace::PassWorkspace;
 
@@ -176,6 +176,13 @@ impl Default for Leiden {
 /// Runs GVE-Leiden with default configuration.
 pub fn leiden(graph: &CsrGraph) -> LeidenResult {
     Leiden::default().run(graph)
+}
+
+/// Runs GVE-Louvain with default configuration: the same pass loop with
+/// the refinement phase skipped ([`Leiden::run_louvain_in`]), so
+/// `timings.refinement` is always zero.
+pub fn louvain(graph: &CsrGraph) -> LeidenResult {
+    Leiden::default().run_louvain_in(graph, &mut PassWorkspace::new())
 }
 
 /// Derives a per-vertex RNG stream seed (splitmix64 mixing).

@@ -9,9 +9,9 @@
 //!   decisions). Attach it to a [`MetricsRegistry`] once and call
 //!   [`CoreMetrics::record`] after every run; gve-serve does exactly
 //!   this and exposes the result on `GET /metrics`.
-//! * a [`Tracer`] — [`RunObserver::observe`] replays the recorded
-//!   per-pass statistics as JSONL span events (`run_start`,
-//!   `iteration`, `phase`, `pass`, `run_end`), so `gve detect --trace`
+//! * a [`Tracer`] — [`trace_run`] replays the recorded per-pass
+//!   statistics as JSONL span events (`run_start`, `iteration`,
+//!   `phase`, `pass`, `run_end`), so `gve detect --trace`
 //!   leaves a file from which the Figure 7 runtime split can be
 //!   reproduced offline (see EXPERIMENTS.md).
 //!
@@ -19,8 +19,7 @@
 //! stay untouched, and observation can never perturb the measurement
 //! it reports.
 
-use crate::{Leiden, LeidenResult, StopReason};
-use gve_graph::CsrGraph;
+use crate::{LeidenResult, StopReason};
 use gve_obs::{Counter, FloatCounter, Gauge, MetricsRegistry, Tracer, Value};
 
 /// Metric handles covering one Leiden (or Louvain-style) run. All
@@ -164,53 +163,13 @@ impl CoreMetrics {
     }
 }
 
-/// Optional observation sinks for a run: either side may be absent, and
-/// an empty observer is free.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunObserver<'a> {
-    /// Metric bundle to fold the finished run into.
-    pub metrics: Option<&'a CoreMetrics>,
-    /// Tracer receiving the JSONL span replay.
-    pub tracer: Option<&'a Tracer>,
-}
-
-impl<'a> RunObserver<'a> {
-    /// An observer recording into `metrics` only.
-    pub fn with_metrics(metrics: &'a CoreMetrics) -> Self {
-        Self {
-            metrics: Some(metrics),
-            tracer: None,
-        }
-    }
-
-    /// An observer tracing into `tracer` only.
-    pub fn with_tracer(tracer: &'a Tracer) -> Self {
-        Self {
-            metrics: None,
-            tracer: Some(tracer),
-        }
-    }
-
-    /// Records a finished run into whichever sinks are present. Called
-    /// by [`Leiden::run_observed`]; callers using `run_frontier` can
-    /// invoke it directly on their result.
-    pub fn observe(&self, result: &LeidenResult) {
-        if let Some(metrics) = self.metrics {
-            metrics.record(result);
-        }
-        if let Some(tracer) = self.tracer {
-            trace_run(tracer, result);
-        }
-    }
-}
-
 const US_PER_SEC: f64 = 1e6;
 
 /// Replays a finished run as JSONL span events: `run_start`, then per
 /// pass an `iteration` event per local-moving iteration, a `phase`
 /// event for each of local_move / refinement / aggregation, and a
 /// `pass` summary; finally `run_end`.
-fn trace_run(tracer: &Tracer, result: &LeidenResult) {
+pub fn trace_run(tracer: &Tracer, result: &LeidenResult) {
     let vertices = result.membership.len();
     tracer.event(
         "run_start",
@@ -284,37 +243,11 @@ fn trace_run(tracer: &Tracer, result: &LeidenResult) {
     tracer.flush();
 }
 
-impl Leiden {
-    /// Runs the algorithm like [`Leiden::run`] and feeds the finished
-    /// result to the observer — metrics fold-in and/or JSONL trace
-    /// replay. Observation happens after the run completes, so the hot
-    /// path is identical to an unobserved run.
-    pub fn run_observed(&self, graph: &CsrGraph, observer: &RunObserver) -> LeidenResult {
-        let result = self.run(graph);
-        observer.observe(&result);
-        result
-    }
-
-    /// Workspace-reusing variant of [`Leiden::run_observed`]: like
-    /// [`Leiden::run_in`], the pass loop borrows every buffer from
-    /// `workspace`, so a resident service pooling workspaces performs no
-    /// steady-state allocation in the Leiden hot path.
-    pub fn run_observed_in(
-        &self,
-        graph: &CsrGraph,
-        workspace: &mut crate::PassWorkspace,
-        observer: &RunObserver,
-    ) -> LeidenResult {
-        let result = self.run_in(graph, workspace);
-        observer.observe(&result);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LeidenConfig;
+    use crate::{Leiden, LeidenConfig};
+    use gve_graph::CsrGraph;
     use std::io::Write;
     use std::sync::{Arc, Mutex};
 
@@ -339,11 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn run_observed_matches_run_and_fills_metrics() {
+    fn record_fills_metrics() {
         let graph = sample_graph();
         let metrics = CoreMetrics::new();
-        let observer = RunObserver::with_metrics(&metrics);
-        let result = Leiden::default().run_observed(&graph, &observer);
+        let result = Leiden::default().run(&graph);
+        metrics.record(&result);
 
         assert_eq!(metrics.runs.get(), 1);
         assert_eq!(metrics.passes.get(), result.passes as u64);
@@ -354,7 +287,7 @@ mod tests {
         assert!(ratio > 0.0 && ratio <= 1.0, "shrink ratio {ratio}");
 
         // Second run accumulates.
-        Leiden::default().run_observed(&graph, &observer);
+        metrics.record(&Leiden::default().run(&graph));
         assert_eq!(metrics.runs.get(), 2);
     }
 
@@ -402,9 +335,8 @@ mod tests {
     fn trace_covers_every_phase_of_every_pass() {
         let buf = SharedBuf::default();
         let tracer = Tracer::to_writer(Box::new(buf.clone()));
-        let observer = RunObserver::with_tracer(&tracer);
-        let result = Leiden::new(LeidenConfig::default()).run_observed(&sample_graph(), &observer);
-        tracer.flush();
+        let result = Leiden::new(LeidenConfig::default()).run(&sample_graph());
+        trace_run(&tracer, &result);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
 
         assert!(text.lines().count() >= 2 + 4 * result.passes);

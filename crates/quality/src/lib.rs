@@ -11,8 +11,7 @@
 //!   alternative quality function the paper cites (§2);
 //! * [`connectivity`] — detection of internally-disconnected communities
 //!   (Figure 6(d)); the Leiden guarantee is that there are none;
-//! * [`partition`] — membership validation, renumbering and size
-//!   statistics;
+//! * [`partition`] — membership validation and size statistics;
 //! * [`compare`] — NMI and ARI against ground-truth labels, used with the
 //!   planted-partition generator.
 
@@ -30,7 +29,5 @@ pub use connectivity::{disconnected_communities, ConnectivityReport};
 pub use metrics::{
     average_conductance, coverage, cpm, delta_modularity, modularity, modularity_with_resolution,
 };
-pub use partition::{
-    community_count, community_sizes, renumber, size_stats, validate_membership, SizeStats,
-};
+pub use partition::{community_count, community_sizes, size_stats, validate_membership, SizeStats};
 pub use report::{community_report, format_report, CommunityDetail};

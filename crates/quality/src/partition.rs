@@ -1,4 +1,4 @@
-//! Membership-vector utilities: validation, renumbering, size stats.
+//! Membership-vector utilities: validation and size stats.
 
 use gve_graph::VertexId;
 
@@ -46,30 +46,6 @@ pub fn community_sizes(membership: &[VertexId]) -> Vec<usize> {
         sizes[c as usize] += 1;
     }
     sizes
-}
-
-/// Renumbers community ids to a dense `0..k` range preserving first-seen
-/// order; returns the renumbered vector and `k`.
-///
-/// This is the "renumber communities" step of Algorithm 1 (line 11).
-pub fn renumber(membership: &[VertexId]) -> (Vec<VertexId>, usize) {
-    let max = membership
-        .iter()
-        .map(|&c| c as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut remap = vec![VertexId::MAX; max];
-    let mut next = 0 as VertexId;
-    let mut out = Vec::with_capacity(membership.len());
-    for &c in membership {
-        let slot = &mut remap[c as usize];
-        if *slot == VertexId::MAX {
-            *slot = next;
-            next += 1;
-        }
-        out.push(*slot);
-    }
-    (out, next as usize)
 }
 
 /// Summary statistics of the community size distribution.
@@ -144,28 +120,6 @@ mod tests {
         assert_eq!(community_sizes(&mem), vec![2, 0, 2, 0, 1]);
         assert_eq!(community_count(&[]), 0);
         assert_eq!(community_sizes(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn renumber_densifies_in_first_seen_order() {
-        let (out, k) = renumber(&[7, 3, 7, 9, 3]);
-        assert_eq!(out, vec![0, 1, 0, 2, 1]);
-        assert_eq!(k, 3);
-    }
-
-    #[test]
-    fn renumber_empty() {
-        let (out, k) = renumber(&[]);
-        assert!(out.is_empty());
-        assert_eq!(k, 0);
-    }
-
-    #[test]
-    fn renumber_is_idempotent_on_dense_input() {
-        let input = vec![0, 1, 2, 1, 0];
-        let (out, k) = renumber(&input);
-        assert_eq!(out, input);
-        assert_eq!(k, 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::cache::{CachedPartition, PartitionCache, PartitionKey, PartitionOrigi
 use crate::json::Json;
 use crate::pool::WorkspacePool;
 use crate::registry::GraphRegistry;
-use gve_leiden::{CoreMetrics, Leiden, LeidenConfig, Objective, RunObserver, Scheduling};
+use gve_leiden::{CoreMetrics, Leiden, LeidenConfig, Objective, Scheduling};
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
 use std::collections::{HashMap, VecDeque};
@@ -793,7 +793,6 @@ fn run_detection(
     }
     let config = request.to_config()?;
     let graph = Arc::clone(&entry.graph);
-    let observer = RunObserver::with_metrics(core_metrics);
     let mut workspace = workspaces.checkout();
     let started = Instant::now();
     let alloc_before = alloc_count::snapshot();
@@ -801,7 +800,9 @@ fn run_detection(
     // fine to return to the pool (hence AssertUnwindSafe) because every
     // run reinitializes the prefixes it reads before using them.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Leiden::new(config).run_observed_in(&graph, &mut workspace, &observer)
+        let result = Leiden::new(config).run_in(&graph, &mut workspace);
+        core_metrics.record(&result);
+        result
     }))
     .map_err(|_| "detection panicked".to_string())?;
     stats

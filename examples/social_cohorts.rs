@@ -23,7 +23,7 @@ fn main() {
     let stats = gve::graph::props::stats(&graph);
     println!("|V| = {}, |E| = {}", stats.vertices, stats.arcs);
 
-    let louvain = gve::louvain::louvain(&graph);
+    let louvain = gve::leiden::louvain(&graph);
     let leiden = gve::leiden::leiden(&graph);
 
     let q_louvain = quality::modularity(&graph, &louvain.membership);

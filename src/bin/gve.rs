@@ -190,7 +190,8 @@ fn cmd_detect(args: &[String]) {
         .unwrap_or("1.0")
         .parse()
         .expect("bad --resolution");
-    let objective = match flag_value(args, "--objective").unwrap_or("modularity") {
+    let objective_name = flag_value(args, "--objective").unwrap_or("modularity");
+    let objective = match objective_name {
         "modularity" => gve::leiden::Objective::Modularity { resolution },
         "cpm" => gve::leiden::Objective::Cpm { resolution },
         other => {
@@ -198,6 +199,23 @@ fn cmd_detect(args: &[String]) {
             usage()
         }
     };
+    // The comparators optimize modularity at resolution 1 and take no
+    // settings, so a flag that would move them off it is refused rather
+    // than silently ignored.
+    if matches!(algorithm, "seq-leiden" | "seq-louvain" | "nk-leiden") {
+        for (flag, set) in [
+            ("--objective", objective_name != "modularity"),
+            ("--resolution", resolution != 1.0),
+        ] {
+            if set {
+                eprintln!(
+                    "error: --algorithm {algorithm} optimizes modularity at resolution 1 \
+                     and does not take {flag}"
+                );
+                exit(2);
+            }
+        }
+    }
     let leiden_config = gve::leiden::LeidenConfig::default().objective(objective);
     if let Err(e) = leiden_config.validate() {
         eprintln!("error: {e}");
@@ -259,14 +277,10 @@ fn cmd_detect(args: &[String]) {
                 for iteration in 1..=repeat {
                     let alloc_before = gve::prim::alloc_count::snapshot();
                     let start = std::time::Instant::now();
-                    let r = match &tracer {
-                        Some(t) => leiden.run_observed_in(
-                            &graph,
-                            &mut workspace,
-                            &gve::leiden::RunObserver::with_tracer(t),
-                        ),
-                        None => leiden.run_in(&graph, &mut workspace),
-                    };
+                    let r = leiden.run_in(&graph, &mut workspace);
+                    if let Some(t) = &tracer {
+                        gve::leiden::obs::trace_run(t, &r);
+                    }
                     if repeat > 1 {
                         let alloc_after = gve::prim::alloc_count::snapshot();
                         eprintln!(
@@ -289,9 +303,9 @@ fn cmd_detect(args: &[String]) {
             "seq-leiden" => {
                 DetectOutcome::Plain(gve::baselines::seq::sequential_leiden(&graph).membership)
             }
-            "seq-louvain" => DetectOutcome::Plain(
-                gve::louvain::seq::sequential_louvain(&graph, 1e-6, 10).membership,
-            ),
+            "seq-louvain" => {
+                DetectOutcome::Plain(gve::baselines::seq::sequential_louvain(&graph).membership)
+            }
             "nk-leiden" => DetectOutcome::Plain(gve::baselines::nk::nk_leiden(&graph).membership),
             other => {
                 eprintln!("unknown algorithm {other}");

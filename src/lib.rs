@@ -17,7 +17,6 @@ pub use gve_dynamic as dynamic;
 pub use gve_generate as generate;
 pub use gve_graph as graph;
 pub use gve_leiden as leiden;
-pub use gve_louvain as louvain;
 pub use gve_obs as obs;
 pub use gve_prim as prim;
 pub use gve_quality as quality;

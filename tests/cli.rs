@@ -240,6 +240,66 @@ fn louvain_honours_objective_and_resolution() {
     );
 }
 
+/// The comparators optimize modularity at resolution 1 and take no
+/// settings: a run asking them for another objective or resolution
+/// exits with usage status 2 and names the flag, instead of writing
+/// the plain modularity partition.
+#[test]
+fn comparators_refuse_objective_and_resolution() {
+    let dir = temp_dir();
+    let graph = dir.join("comparators.mtx");
+    assert!(gve()
+        .args([
+            "generate",
+            "--class",
+            "web",
+            "--vertices",
+            "500",
+            "--out",
+            graph.to_str().unwrap(),
+        ])
+        .status()
+        .unwrap()
+        .success());
+    for algo in ["seq-leiden", "seq-louvain", "nk-leiden"] {
+        for (flag, extra) in [
+            ("--objective", ["--objective", "cpm"]),
+            ("--resolution", ["--resolution", "0.5"]),
+        ] {
+            let out_path = dir.join(format!("{algo}{flag}.mem"));
+            let mut args = vec![
+                "detect",
+                graph.to_str().unwrap(),
+                "--algorithm",
+                algo,
+                "--out",
+                out_path.to_str().unwrap(),
+            ];
+            args.extend_from_slice(&extra);
+            let out = gve().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{algo} {flag}: {stderr}");
+            assert!(stderr.contains(flag), "{algo} {flag}: {stderr}");
+            assert!(!out_path.exists(), "{algo} {flag} wrote a membership");
+        }
+        // The defaults, spelled out, are accepted.
+        let out = gve()
+            .args([
+                "detect",
+                graph.to_str().unwrap(),
+                "--algorithm",
+                algo,
+                "--objective",
+                "modularity",
+                "--resolution",
+                "1",
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{algo} with default flags failed");
+    }
+}
+
 #[test]
 fn detect_trace_emits_parseable_spans_for_every_phase() {
     use gve::serve::json::{parse, Json};

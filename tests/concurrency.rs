@@ -72,7 +72,7 @@ fn repeated_parallel_runs_conserve_invariants() {
 fn louvain_and_nk_run_multithreaded() {
     let graph = Rmat::web(10, 6.0).seed(5).generate();
     in_pool(4, || {
-        let louvain = gve::louvain::louvain(&graph);
+        let louvain = gve::leiden::louvain(&graph);
         quality::validate_membership(&louvain.membership, graph.num_vertices()).unwrap();
         let nk = gve::baselines::nk::nk_leiden(&graph);
         quality::validate_membership(&nk.membership, graph.num_vertices()).unwrap();

@@ -86,16 +86,6 @@ fn dynamic_detector_with_cpm_objective() {
 }
 
 #[test]
-fn lpa_is_available_and_weaker_or_equal() {
-    let lfr = Lfr::new(2500, 12.0, 0.35).seed(8).generate();
-    let lpa = gve::baselines::lpa::label_propagation(&lfr.graph);
-    let leiden = gve::leiden::leiden(&lfr.graph);
-    let q_lpa = quality::modularity(&lfr.graph, &lpa.membership);
-    let q_leiden = quality::modularity(&lfr.graph, &leiden.membership);
-    assert!(q_leiden >= q_lpa - 1e-9, "Leiden {q_leiden} vs LPA {q_lpa}");
-}
-
-#[test]
 fn dot_export_of_detected_communities() {
     let g = gve::graph::GraphBuilder::from_edges(
         6,

@@ -14,14 +14,14 @@ fn all_implementations_on_all_classes() {
         let n = graph.num_vertices();
         let runs: Vec<(&str, Vec<u32>)> = vec![
             ("gve-leiden", gve::leiden::leiden(&graph).membership),
-            ("gve-louvain", gve::louvain::louvain(&graph).membership),
+            ("gve-louvain", gve::leiden::louvain(&graph).membership),
             (
                 "seq-leiden",
                 gve::baselines::seq::sequential_leiden(&graph).membership,
             ),
             (
                 "seq-louvain",
-                gve::louvain::seq::sequential_louvain(&graph, 1e-6, 10).membership,
+                gve::baselines::seq::sequential_louvain(&graph).membership,
             ),
             (
                 "nk-leiden",
@@ -114,7 +114,7 @@ fn ground_truth_recovery_by_all() {
         assert!(nmi > 0.9, "{name}: NMI {nmi}");
     };
     check("gve-leiden", &gve::leiden::leiden(graph).membership);
-    check("gve-louvain", &gve::louvain::louvain(graph).membership);
+    check("gve-louvain", &gve::leiden::louvain(graph).membership);
     check(
         "seq-leiden",
         &gve::baselines::seq::sequential_leiden(graph).membership,

@@ -122,7 +122,7 @@ proptest! {
     /// ids dense.
     #[test]
     fn renumber_is_a_relabeling(labels in proptest::collection::vec(0u32..50, 1..200)) {
-        let (dense, k) = quality::renumber(&labels);
+        let (dense, k) = gve::leiden::dendrogram::renumber(&labels);
         prop_assert_eq!(dense.len(), labels.len());
         prop_assert_eq!(k, quality::community_count(&labels));
         let max = dense.iter().copied().max().unwrap() as usize;
